@@ -9,6 +9,7 @@ wittdiff   Witt differential operators and their structure relations
 drw        the de Rham-Witt complex of affine space (symbolic basis)
 cech       cohomology of Witt line bundles on projective space
 localcoh   local cohomology classes, the generation algorithm
+linalg     exact echelon forms over F_p, Smith forms over Z and Z/p^n
 steinberg  parabolic-induction complexes and Steinberg ranks
 cli        the `wittkit` command-line interface
 """

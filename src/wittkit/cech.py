@@ -15,6 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
+from .linalg import echelon, rank_mod_p
 from .rings import LaurentElem, ScaleExceeded, graded_basis
 from .witt import (
     WittVector,
@@ -82,34 +83,6 @@ def classical_cohomology(d, m, i):
     return 0
 
 
-def _rank_mod_p(rows, p):
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    r = 0
-    while r < len(rows) and col < ncols:
-        piv = None
-        for rr in range(r, len(rows)):
-            if rows[rr][col] % p:
-                piv = rr
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], -1, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for rr in range(len(rows)):
-            if rr != r and rows[rr][col] % p:
-                f = rows[rr][col]
-                rows[rr] = [(a - f * b) % p for a, b in zip(rows[rr], rows[r])]
-        rank += 1
-        r += 1
-        col += 1
-    return rank
-
-
 def slice_complex(d, pattern, ground=None):
     """Cochain spaces and differentials of one multidegree slice.
 
@@ -148,12 +121,7 @@ def slice_cohomology_dims(d, p, pattern, ground=None):
     spaces, diffs = slice_complex(d, pattern, ground)
     top = len(spaces) - 1
     dims = [len(s) for s in spaces]
-    ranks = []
-    for mat in diffs:
-        if not mat or not mat[0]:
-            ranks.append(0)
-        else:
-            ranks.append(_rank_mod_p(mat, p))
+    ranks = [rank_mod_p(mat, p) for mat in diffs]
     hs = []
     for q in range(top + 1):
         rin = ranks[q - 1] if q >= 1 else 0
@@ -348,61 +316,14 @@ def classical_cochain_diff(p, d, classical, q):
     return out
 
 
-# -- slice solving ----------------------------------------------------
-
-def _solve_slice(p, d, q, pattern, rhs_vec, spaces=None, diffs=None):
-    """Solve the classical slice system d(x) = rhs in one multidegree.
-
-    Returns (solution vector over the C^(q-1) slice basis or None,
-    residual vector) where residual is rhs minus the solved image (zero when
-    solvable).
-    """
-    spaces, diffs = slice_complex(d, pattern)
-    src = spaces[q - 1] if q >= 1 else []
-    tgt = spaces[q]
-    if q == 0 or not src:
-        return (None, rhs_vec)
-    mat = diffs[q - 1]
-    # gaussian elimination on [mat | rhs]
-    rows = [list(mat[r]) + [rhs_vec[r] % p] for r in range(len(tgt))]
-    ncols = len(src)
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for rr in range(r, len(rows)):
-            if rows[rr][col] % p:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], -1, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for rr in range(len(rows)):
-            if rr != r and rows[rr][col] % p:
-                f = rows[rr][col]
-                rows[rr] = [(a - f * b) % p for a, b in zip(rows[rr], rows[r])]
-        pivots.append((r, col))
-        r += 1
-    sol = [0] * ncols
-    for rr, col in pivots:
-        sol[col] = rows[rr][-1]
-    # residual = rhs - mat * sol
-    residual = []
-    for row in range(len(tgt)):
-        v = rhs_vec[row] - sum(mat[row][c] * sol[c] for c in range(ncols))
-        residual.append(v % p)
-    if any(residual):
-        return (None, residual)
-    return (sol, residual)
-
-
 def classical_solve(p, d, q, classical_rhs):
     """Solve the classical Cech equation d(x) = rhs degreewise.
 
     Returns (solution cochain dict, residual cochain dict); the residual is
-    the unsolvable harmonic part.
+    the unsolvable harmonic part.  Each multidegree is one slice system
+    solved by elimination on [mat | rhs] with pivots kept out of the rhs
+    column; where it is inconsistent, no solution is recorded and the
+    residual is rhs - mat * x for the x that elimination reads off.
     """
     multidegrees = set()
     for S, f in classical_rhs.items():
@@ -413,17 +334,26 @@ def classical_solve(p, d, q, classical_rhs):
     residual = {S: {} for S in classical_rhs}
     for e in sorted(multidegrees):
         pattern = frozenset(i for i, v in enumerate(e) if v < 0)
-        spaces, _ = slice_complex(d, pattern)
+        spaces, diffs = slice_complex(d, pattern)
         tgt = spaces[q]
-        rhs_vec = [classical_rhs[S].terms.get(e, 0) for S in tgt]
-        svec, res = _solve_slice(p, d, q, pattern, rhs_vec)
-        if svec is not None and q >= 1:
-            for k, S in enumerate(spaces[q - 1]):
-                if svec[k] % p:
-                    sol[S][e] = svec[k] % p
-        for k, S in enumerate(tgt):
-            if res[k] % p:
-                residual[S][e] = res[k] % p
+        res = [classical_rhs[S].terms.get(e, 0) % p for S in tgt]
+        src = spaces[q - 1] if q >= 1 else []
+        if src:
+            mat = diffs[q - 1]
+            rows, pivots = echelon(
+                [row + [v] for row, v in zip(mat, res)], p, ncols=len(src))
+            x = [0] * len(src)
+            for row, col in zip(rows, pivots):
+                x[col] = row[-1]
+            res = [(v - sum(a * b for a, b in zip(row, x))) % p
+                   for row, v in zip(mat, res)]
+            if not any(res):
+                for S, v in zip(src, x):
+                    if v:
+                        sol[S][e] = v
+        for S, v in zip(tgt, res):
+            if v:
+                residual[S][e] = v
     sol_c = {
         S: LaurentElem(p, 1, d + 1, terms, S) for S, terms in sol.items()
     }
@@ -567,7 +497,8 @@ def hd_witt_length_by_cech(p, d, n, a):
     """Independent top-degree length: layerwise cokernel of the Cech map.
 
     Counts, per level l, the dimension of coker(C^(d-1) -> C^d) for O(p^l a)
-    by explicit slice solves over the finite multidegree box.
+    as the sum of top slice cohomology dimensions (rank arithmetic through
+    :func:`slice_cohomology_dims`) over the finite multidegree box.
     """
     total = 0
     layers = []

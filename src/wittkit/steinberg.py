@@ -6,83 +6,17 @@ The parabolic-induction complex
 
 is built on explicit coset spaces (cosets are enumerated as flags), with the
 simplicial Koszul sign on the subsets S = Delta \\ J of removed simple roots;
-exactness is certified by Smith normal form over Z and by elementary-divisor
-layer counts over Z/p^n.
+exactness is certified by Smith normal form over Z and, over Z/p^n, by
+module-length counts from the local Smith form (minimal-valuation pivots,
+entries kept below p^n).
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from .rings import ScaleExceeded
-
-
-# ----------------------------------------------------------------------
-# Smith normal form
-# ----------------------------------------------------------------------
-
-def smith_normal_form(mat):
-    """Elementary divisors of an integer matrix (no transforms kept)."""
-    m = [list(r) for r in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    divisors = []
-    top = 0
-    while top < min(rows, cols):
-        # find a nonzero pivot of minimal absolute value
-        piv = None
-        best = None
-        for i in range(top, rows):
-            for jj in range(top, cols):
-                v = m[i][jj]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    piv = (i, jj)
-        if piv is None:
-            break
-        i0, j0 = piv
-        m[top], m[i0] = m[i0], m[top]
-        for r in m:
-            r[top], r[j0] = r[j0], r[top]
-        again = True
-        while again:
-            again = False
-            for i in range(top + 1, rows):
-                if m[i][top]:
-                    q = m[i][top] // m[top][top]
-                    if q:
-                        for jj in range(top, cols):
-                            m[i][jj] -= q * m[top][jj]
-                    if m[i][top]:
-                        m[top], m[i] = m[i], m[top]
-                        again = True
-            for jj in range(top + 1, cols):
-                if m[top][jj]:
-                    q = m[top][jj] // m[top][top]
-                    if q:
-                        for i in range(top, rows):
-                            m[i][jj] -= q * m[i][top]
-                    if m[top][jj]:
-                        for i in range(rows):
-                            m[i][top], m[i][jj] = m[i][jj], m[i][top]
-                        again = True
-        # clear any residue divisibility failure
-        pivval = m[top][top]
-        bad = None
-        for i in range(top + 1, rows):
-            for jj in range(top + 1, cols):
-                if m[i][jj] % pivval:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            for jj in range(top, cols):
-                m[top][jj] += m[bad][jj]
-            continue
-        divisors.append(abs(pivval))
-        top += 1
-    return divisors
+from .linalg import echelon, local_smith_profile, rank_mod_p, smith_normal_form
+from .rings import ScaleExceeded, is_prime
 
 
 def integer_rank(mat):
@@ -93,43 +27,12 @@ def integer_rank(mat):
 # the finite groups and their parabolic coset spaces
 # ----------------------------------------------------------------------
 
-def _matmul(a, b, q):
-    size = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(size)) % q
-              for j in range(size))
-        for i in range(size)
-    )
-
-
-def _det(mat, q):
-    size = len(mat)
-    m = [list(r) for r in mat]
-    det = 1
-    for c in range(size):
-        piv = None
-        for r in range(c, size):
-            if m[r][c] % q:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = (det * m[c][c]) % q
-        inv = pow(m[c][c], -1, q)
-        for r in range(c + 1, size):
-            f = (m[r][c] * inv) % q
-            if f:
-                m[r] = [(x - f * y) % q for x, y in zip(m[r], m[c])]
-    return det % q
-
-
 class FiniteGL:
     """GL_size(F_q) by exhaustive enumeration (desk scale only)."""
 
     def __init__(self, q, size):
+        if not is_prime(q):
+            raise ValueError("modulus %r is not prime" % (q,))
         if q ** (size * size) > 3 ** 9 + 1:
             if (size, q) not in ((2, 2), (2, 3), (3, 2)):
                 raise ScaleExceeded("group too large to enumerate")
@@ -139,7 +42,7 @@ class FiniteGL:
             mat for mat in product(
                 *(product(range(q), repeat=size) for _ in range(size))
             )
-            if _det(mat, q)
+            if rank_mod_p(mat, q) == size
         ]
 
     def order(self):
@@ -170,36 +73,11 @@ def gaussian_flag_count(q, size, dims):
     return count
 
 
-def _rref_key(vectors, q):
-    """Canonical key for the span of row vectors over F_q."""
-    m = [list(v) for v in vectors]
-    rows = len(m)
-    cols = len(m[0])
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i][c] % q:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, q)
-        m[r] = [(x * inv) % q for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] % q:
-                f = m[i][c]
-                m[i] = [(x - f * y) % q for x, y in zip(m[i], m[r])]
-        r += 1
-    return tuple(tuple(row) for row in m[:r])
-
-
 def flag_of(g, dims, q):
     """The flag (span of the first dim columns of g) for each dim."""
     size = len(g)
     cols = [tuple(g[i][jj] for i in range(size)) for jj in range(size)]
-    return tuple(_rref_key(cols[:dim], q) for dim in dims)
+    return tuple(echelon(cols[:dim], q)[0] for dim in dims)
 
 
 class ParabolicCosets:
@@ -315,19 +193,6 @@ class InductionComplex:
         return out
 
 
-def _zpn_divisor_profile(mat, p, n):
-    """Elementary divisor exponents of a matrix over Z/p^n (capped at n)."""
-    divisors = smith_normal_form(mat)
-    out = []
-    for dv in divisors:
-        e = 0
-        while dv % p == 0:
-            dv //= p
-            e += 1
-        out.append(min(e, n))
-    return out
-
-
 def homology_lengths(cx):
     """Length of the homology at each interior node of the complex.
 
@@ -357,8 +222,8 @@ def homology_lengths(cx):
             out.append((free_defect, torsion, da, db))
         else:
             n, p = cx.n, cx.p
-            prof_a = _zpn_divisor_profile(a, p, n)
-            prof_b = _zpn_divisor_profile(b, p, n)
+            prof_a = local_smith_profile(a, p, n)
+            prof_b = local_smith_profile(b, p, n)
             len_im_a = sum(n - e for e in prof_a)
             len_ker_b = sum(e for e in prof_b) + (dim - len(prof_b)) * n
             out.append((len_ker_b - len_im_a, 0, prof_a, prof_b))
@@ -372,7 +237,6 @@ def acyclicity_check(q, d, removed_target, ring="Z", n=1, p=None):
     exact = all(h[0] == 0 and h[1] == 0 for h in hom)
     last = cx.matrices[-1]
     divisors = smith_normal_form(last)
-    rank_last_src = len(last[0]) if last else 0
     coker_rank = len(last) - len([x for x in divisors if x])
     torsion_free = all(x in (0, 1) for x in divisors)
     return {

@@ -9,6 +9,7 @@ from wittkit.cech import (
     cech_diff,
     classical_cohomology,
     classical_cohomology_via_cech,
+    classical_solve,
     connecting_map,
     h0_monomials,
     harmonic_residual_layers,
@@ -165,6 +166,18 @@ def test_coboundary_reduces_to_zero():
     delta = cech_diff(lifted)
     layers = harmonic_residual_layers(delta)
     assert all(not layer for layer in layers)
+
+
+def test_classical_solve_inconsistent_slice():
+    # z^(1,-3) is d of a C^0 term; z^(-1,-1) lies in an empty C^0 slice
+    p, d = 2, 1
+    S = frozenset([0, 1])
+    rhs = {S: LaurentElem(p, 1, d + 1, {(-1, -1): 1, (1, -3): 1}, S)}
+    sol, residual = classical_solve(p, d, 1, rhs)
+    assert {tuple(sorted(T)): f.terms for T, f in sol.items()} == \
+        {(0,): {}, (1,): {(1, -3): 1}}
+    assert {tuple(sorted(T)): f.terms for T, f in residual.items()} == \
+        {(0, 1): {(-1, -1): 1}}
 
 
 def test_harmonic_monomials():

@@ -27,6 +27,12 @@ def test_scale_guard():
         FiniteGL(5, 4)
 
 
+@pytest.mark.parametrize("q", [4, 6, 1])
+def test_non_prime_modulus_rejected(q):
+    with pytest.raises(ValueError, match="modulus %d is not prime" % q):
+        FiniteGL(q, 2)
+
+
 def test_coset_counts_match_gaussian_binomials():
     g22 = FiniteGL(2, 2)
     assert len(ParabolicCosets(g22, (0,))) == 3
