@@ -2,7 +2,8 @@
 
 Submodules
 ----------
-rings      prime fields, Z/p^n residues, sparse Laurent polynomials
+sparse     ring arithmetic on sparse {exponent: coefficient} dicts
+rings      prime fields, sparse Laurent polynomials over Z/p^n
 witt       truncated p-typical Witt vectors, w-tilde, Teichmuller expansions
 weyl       the crystalline Weyl algebra of divided-power operators
 wittdiff   Witt differential operators and their structure relations

@@ -2,12 +2,15 @@
 
 Every elimination in the library goes through this module.  Over F_p one
 Gauss-Jordan routine gives rank, solutions and canonical span keys.  Over Z
-the Smith normal form gives elementary divisors; over Z/p^n the local Smith
+the Smith normal form gives elementary divisors, computed modulo a nonzero
+maximal minor so that entries stay bounded; over Z/p^n the local Smith
 form (Storjohann, *Algorithms for Matrix Canonical Forms*, 2000) pivots on
 entries of minimal p-adic valuation, so every entry stays in [0, p^n).
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 
 def echelon(rows, p, ncols=None):
@@ -49,68 +52,77 @@ def rank_mod_p(rows, p):
     return len(echelon(rows, p)[1])
 
 
-def smith_normal_form(mat):
-    """Elementary divisors of an integer matrix (no transforms kept)."""
+def _rank_and_minor(mat):
+    """Rank r of an integer matrix and |M| for a nonzero r x r minor M.
+
+    Bareiss' fraction-free elimination with full pivoting: each pivot is a
+    leading minor of the permuted matrix, and every division is exact.
+    """
     m = [list(r) for r in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    divisors = []
-    top = 0
-    while top < min(rows, cols):
-        # find a nonzero pivot of minimal absolute value
-        piv = None
-        best = None
-        for i in range(top, rows):
-            for jj in range(top, cols):
-                v = m[i][jj]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    piv = (i, jj)
+    rows, cols = len(m), len(m[0]) if m else 0
+    prev, rank = 1, 0
+    for k in range(min(rows, cols)):
+        piv = next(((i, j) for i in range(k, rows) for j in range(k, cols)
+                    if m[i][j]), None)
         if piv is None:
             break
         i0, j0 = piv
-        m[top], m[i0] = m[i0], m[top]
-        for r in m:
-            r[top], r[j0] = r[j0], r[top]
-        again = True
-        while again:
-            again = False
-            for i in range(top + 1, rows):
-                if m[i][top]:
-                    q = m[i][top] // m[top][top]
-                    if q:
-                        for jj in range(top, cols):
-                            m[i][jj] -= q * m[top][jj]
-                    if m[i][top]:
-                        m[top], m[i] = m[i], m[top]
-                        again = True
-            for jj in range(top + 1, cols):
-                if m[top][jj]:
-                    q = m[top][jj] // m[top][top]
-                    if q:
-                        for i in range(top, rows):
-                            m[i][jj] -= q * m[i][top]
-                    if m[top][jj]:
-                        for i in range(rows):
-                            m[i][top], m[i][jj] = m[i][jj], m[i][top]
-                        again = True
-        # clear any residue divisibility failure
-        pivval = m[top][top]
-        bad = None
-        for i in range(top + 1, rows):
-            for jj in range(top + 1, cols):
-                if m[i][jj] % pivval:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            for jj in range(top, cols):
-                m[top][jj] += m[bad][jj]
-            continue
-        divisors.append(abs(pivval))
-        top += 1
-    return divisors
+        m[k], m[i0] = m[i0], m[k]
+        for row in m[k:]:
+            row[k], row[j0] = row[j0], row[k]
+        top = m[k]
+        for row in m[k + 1:]:
+            for j in range(k + 1, cols):
+                row[j] = (row[j] * top[k] - row[k] * top[j]) // prev
+        prev, rank = top[k], k + 1
+    return rank, abs(prev)
+
+
+def smith_normal_form(mat):
+    """Elementary divisors d_1 | d_2 | ... of an integer matrix, zeros left out.
+
+    Bareiss elimination gives the rank r and a nonzero r x r minor D.  The
+    product d_1 ... d_r divides every r x r minor, so each d_i divides D and
+    the d_i can be read off the matrix over Z/D, where no entry exceeds D.
+    There each step pivots on the least nonzero residue and clears its row
+    and column by Euclidean steps; a nonzero remainder, smaller than the
+    pivot, becomes the next pivot.  The diagonal left over, padded with D
+    for the rows that vanished mod D, is put into divisibility order by
+    gcd/lcm exchanges.
+    """
+    rank, det = _rank_and_minor(mat)
+    m = [[x % det for x in row] for row in mat] if rank else []
+    diag = []
+    while True:
+        nonzero = [(x, i, j) for i, row in enumerate(m)
+                   for j, x in enumerate(row) if x]
+        if not nonzero:
+            break
+        piv, i0, j0 = min(nonzero)
+        prow = m[i0]
+        for i, row in enumerate(m):
+            if i != i0 and row[j0]:
+                f = row[j0] // piv
+                m[i] = [(x - f * y) % det for x, y in zip(row, prow)]
+        for j, x in enumerate(prow):
+            if j != j0 and x:
+                f = x // piv
+                for row in m:
+                    row[j] = (row[j] - f * row[j0]) % det
+        rest = [x for j, x in enumerate(prow) if j != j0]
+        rest += [row[j0] for i, row in enumerate(m) if i != i0]
+        if any(rest):
+            continue  # a remainder below piv is the next pivot
+        diag.append(gcd(piv, det))
+        del m[i0]
+        for row in m:
+            del row[j0]
+    diag += [det] * (rank - len(diag))
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return diag
 
 
 def _valuation(x, p):

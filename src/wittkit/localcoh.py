@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from math import comb
 
+from . import sparse
 from .rings import LaurentElem
 from .weyl import gen_binom
 # CharTwoUnsupported is re-exported: expansion errors propagate to callers
@@ -139,16 +140,12 @@ class CohClass:
         }
 
     def __add__(self, other):
-        terms = self._int_terms()
-        for k, c in other._int_terms().items():
-            terms[k] = terms.get(k, 0) + c
+        terms = sparse.add(self._int_terms(), other._int_terms())
         return CohClass(self.p, self.n, self.d, self.j, terms)
 
     def scalar_mul(self, c):
-        return CohClass(
-            self.p, self.n, self.d, self.j,
-            {k: v * c for k, v in self._int_terms().items()},
-        )
+        terms = sparse.scale(self._int_terms(), c)
+        return CohClass(self.p, self.n, self.d, self.j, terms)
 
     def __sub__(self, other):
         return self + other.scalar_mul(-1)

@@ -1,14 +1,17 @@
-"""Exact base-ring arithmetic: prime fields, Z/p^n residues, sparse Laurent algebras.
+"""Exact base rings: prime fields, sparse Laurent polynomials over Z/p^n.
 
-Everything here is immutable after construction and exact (no floats anywhere).
-Coefficients live in F_p or Z/p^n; exponent vectors live in Z^m with negative
-exponents allowed only for explicitly inverted variables.
+Elements are immutable after construction and exact (no floats anywhere).
+Laurent exponent vectors live in Z^m, with negative exponents allowed only
+for explicitly inverted variables; the ring arithmetic on their terms is
+that of ``wittkit.sparse``.  Graded slices enumerate the exponent vectors of
+one total degree inside a box.
 """
 
 from __future__ import annotations
 
-import json
 from math import comb
+
+from . import sparse
 
 
 class VariableMismatch(ValueError):
@@ -100,8 +103,9 @@ class LaurentElem:
 
     ``terms`` maps exponent tuples (length ``num_vars``) to nonzero residues in
     [1, p^n).  Indices in ``allowed_negative`` are the only variables permitted
-    to carry negative exponents; products that would leave the allowed region
-    raise ``NegativeExponentViolation``.
+    to carry negative exponents: the constructor raises
+    ``NegativeExponentViolation`` for any other, and sums, products and
+    powers cannot leave that region.
     """
 
     __slots__ = ("p", "n", "num_vars", "allowed_negative", "terms")
@@ -145,10 +149,6 @@ class LaurentElem:
     def monomial(cls, p, n, num_vars, exps, coeff=1, allowed_negative=()):
         return cls(p, n, num_vars, {tuple(exps): coeff}, allowed_negative)
 
-    @classmethod
-    def constant(cls, p, n, num_vars, c, allowed_negative=()):
-        return cls(p, n, num_vars, {(0,) * num_vars: c}, allowed_negative)
-
     # -- ring structure -----------------------------------------------
 
     def _check(self, other):
@@ -161,17 +161,18 @@ class LaurentElem:
         ):
             raise VariableMismatch("incompatible Laurent elements")
 
+    def _with(self, terms, _new=object.__new__):
+        """Trusted constructor: an element of this ring whose ``terms`` are
+        reduced, free of zeros and inside the allowed-negative region."""
+        out = _new(LaurentElem)
+        out.p, out.n, out.num_vars = self.p, self.n, self.num_vars
+        out.allowed_negative = self.allowed_negative
+        out.terms = terms
+        return out
+
     def __add__(self, other):
         self._check(other)
-        q = self.p ** self.n
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            v = (terms.get(e, 0) + c) % q
-            if v:
-                terms[e] = v
-            else:
-                terms.pop(e, None)
-        return LaurentElem(self.p, self.n, self.num_vars, terms, self.allowed_negative)
+        return self._with(sparse.add(self.terms, other.terms, self.p ** self.n))
 
     def __neg__(self):
         return self.scalar_mul(-1)
@@ -183,64 +184,36 @@ class LaurentElem:
         if isinstance(other, int):
             return self.scalar_mul(other)
         self._check(other)
-        q = self.p ** self.n
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = (terms.get(e, 0) + c1 * c2) % q
-                if v:
-                    terms[e] = v
-                else:
-                    terms.pop(e, None)
-        return LaurentElem(self.p, self.n, self.num_vars, terms, self.allowed_negative)
+        return self._with(sparse.mul(self.terms, other.terms, self.p ** self.n))
 
     __rmul__ = __mul__
 
     def scalar_mul(self, c):
-        q = self.p ** self.n
-        c %= q
-        terms = {}
-        for e, c0 in self.terms.items():
-            v = (c0 * c) % q
-            if v:
-                terms[e] = v
-        return LaurentElem(self.p, self.n, self.num_vars, terms, self.allowed_negative)
+        return self._with(sparse.scale(self.terms, c, self.p ** self.n))
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative powers of general elements unsupported")
-        out = LaurentElem.one(self.p, self.n, self.num_vars, self.allowed_negative)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        if k == 0:
+            return LaurentElem.one(self.p, self.n, self.num_vars,
+                                   self.allowed_negative)
+        return self._with(sparse.power(self.terms, k, self.p ** self.n))
 
     def frobenius(self):
         """Coefficientwise-trivial Frobenius x -> x^p (exact for n = 1)."""
         if self.n != 1:
             return self ** self.p
-        terms = {}
-        for e, c in self.terms.items():
-            terms[tuple(v * self.p for v in e)] = c
-        return LaurentElem(self.p, 1, self.num_vars, terms, self.allowed_negative)
+        p = self.p
+        return self._with({tuple(v * p for v in e): c
+                           for e, c in self.terms.items()})
 
     # -- predicates and views ------------------------------------------
 
     def is_zero(self):
         return not self.terms
 
-    def is_monomial(self):
-        return len(self.terms) == 1
-
     def sorted_terms(self):
         return sorted(self.terms.items())
-
-    def total_degrees(self):
-        return {sum(e) for e in self.terms}
 
     def __eq__(self, other):
         return (
@@ -287,20 +260,6 @@ class LaurentElem:
     def from_json(cls, obj):
         terms = {tuple(t["e"]): t["c"] for t in obj["terms"]}
         return cls(obj["p"], obj["n"], obj["vars"], terms, obj.get("neg", ()))
-
-    def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True)
-
-
-def laurent_arith(a, b, op):
-    """Functional front end over the arithmetic dunders ('add'/'mul'/'scalar')."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "scalar":
-        return a.scalar_mul(b)
-    raise ValueError("unknown op %r" % (op,))
 
 
 class GradedSlice:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
+from . import sparse
 from .rings import LaurentElem, NegativeExponentViolation, VariableMismatch
 
 
@@ -89,19 +90,12 @@ class WeylElement:
 
     def __add__(self, other):
         self._check(other)
-        q = self.p ** self.n
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            v = (terms.get(k, 0) + c) % q
-            if v:
-                terms[k] = v
-            else:
-                terms.pop(k, None)
+        terms = sparse.add(self.terms, other.terms, self.p ** self.n)
         return WeylElement(self.p, self.n, self.num_vars, terms,
                            self.allowed_negative)
 
     def scalar_mul(self, c):
-        terms = {k: v * c for k, v in self.terms.items()}
+        terms = sparse.scale(self.terms, c, self.p ** self.n)
         return WeylElement(self.p, self.n, self.num_vars, terms,
                            self.allowed_negative)
 

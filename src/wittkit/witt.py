@@ -13,11 +13,11 @@ components are w_i = sum_{j<=i} p^j a_{j+1}^{p^(i-j)} for 0 <= i < n.
 from __future__ import annotations
 
 
+from functools import lru_cache
+
+from . import sparse
 from .rings import LaurentElem, PrimeFieldElem, VariableMismatch, is_prime
-
-
-class IntegralityFailure(ArithmeticError):
-    pass
+from .sparse import IntegralityFailure, _pack, _pmul, _ppow, _unpack
 
 
 class TorsionRing(TypeError):
@@ -53,7 +53,7 @@ def _lift(c):
     if isinstance(c, PrimeFieldElem):
         return c.value
     if isinstance(c, LaurentElem):
-        return dict(c.terms)
+        return c.terms  # shared: the cover arithmetic never mutates
     raise TypeError("unsupported coordinate type %r" % type(c))
 
 
@@ -71,62 +71,34 @@ def _reduce_like(cover, template, p):
     raise TypeError("unsupported coordinate type %r" % type(template))
 
 
+def _vector_from_covers(x, covers):
+    """The vector over x's coordinate ring whose coordinates reduce covers."""
+    return WittVector(x.p, x.n, [_reduce_like(c, t, x.p)
+                                 for c, t in zip(covers, x.coords)])
+
+
 def _cadd(a, b):
     if isinstance(a, int):
         return a + b
-    out = dict(a)
-    for e, c in b.items():
-        v = out.get(e, 0) + c
-        if v:
-            out[e] = v
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _cneg(a):
-    if isinstance(a, int):
-        return -a
-    return {e: -c for e, c in a.items()}
+    return sparse.add(a, b)
 
 
 def _cmul(a, b):
     if isinstance(a, int):
         return a * b
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            v = out.get(e, 0) + c1 * c2
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-    return out
+    return sparse.mul(a, b)
 
 
 def _cscale(k, a):
     if isinstance(a, int):
         return k * a
-    if k == 0:
-        return {}
-    return {e: k * c for e, c in a.items()}
+    return sparse.scale(a, k)
 
 
 def _cpow(a, k):
     if isinstance(a, int):
         return a ** k
-    if k < 1:
-        raise ValueError("dict covers only support positive powers")
-    out = None
-    base = a
-    while k:
-        if k & 1:
-            out = base if out is None else _cmul(out, base)
-        k >>= 1
-        if k:
-            base = _cmul(base, base)
-    return out
+    return sparse.power(a, k)
 
 
 def _cdivexact(a, k):
@@ -135,13 +107,7 @@ def _cdivexact(a, k):
         if r:
             raise IntegralityFailure("non-exact division by %d" % k)
         return q
-    out = {}
-    for e, c in a.items():
-        q, r = divmod(c, k)
-        if r:
-            raise IntegralityFailure("non-exact division by %d" % k)
-        out[e] = q
-    return out
+    return sparse.divexact(a, k)
 
 
 def _ghost_from_covers(covers, p):
@@ -164,7 +130,7 @@ def _ghost_inverse(ws, p):
     for i in range(n):
         acc = ws[i]
         for j in range(i):
-            acc = _cadd(acc, _cneg(_cscale(p ** j, _cpow(coords[j], p ** (i - j)))))
+            acc = _cadd(acc, _cscale(-(p ** j), _cpow(coords[j], p ** (i - j))))
         coords.append(_cdivexact(acc, p ** i))
     return coords
 
@@ -173,80 +139,12 @@ def _ghost_inverse(ws, p):
 # universal polynomials, on packed exponents
 # ----------------------------------------------------------------------
 #
-# The universal polynomials are built on Kronecker-packed monomials: the
-# exponent vector (e_0, e_1, ...) is the integer sum e_k * base^k, so that a
-# product of monomials is a sum of keys.  Give X_j and Y_j the weight p^j:
-# every monomial met at level i, inside products and powers too, has weight
-# at most p^i in the X and at most p^i in the Y, so no exponent exceeds
-# p^(n-1), and with base 2 p^(n-1) + 1 no digit ever carries.  _cadd, _cneg,
-# _cscale and _cdivexact do not look at keys and serve both forms.
+# The universal polynomials are solved and ghost-checked on the
+# Kronecker-packed exponents of wittkit.sparse (base 2 p^(n-1) + 1; the
+# module docstring there says why no digit carries), and stored unpacked.
 
 def _pack_base(p, n):
     return 2 * p ** (n - 1) + 1
-
-
-def _pack(poly, base):
-    """{exponent tuple: c} -> {packed exponent: c}."""
-    out = {}
-    for e, c in poly.items():
-        k = 0
-        for x in reversed(e):
-            k = k * base + x
-        out[k] = c
-    return out
-
-
-def _unpack(poly, base, nvars):
-    """{packed exponent: c} -> {exponent tuple: c} in nvars variables."""
-    out = {}
-    for k, c in poly.items():
-        e = []
-        for _ in range(nvars):
-            k, x = divmod(k, base)
-            e.append(x)
-        out[tuple(e)] = c
-    return out
-
-
-def _pmul(a, b):
-    """Product of two packed polynomials."""
-    if len(a) < len(b):  # the short factor in the inner loop runs faster
-        a, b = b, a
-    out = {}
-    get = out.get
-    terms = list(b.items())
-    for e1, c1 in a.items():
-        for e2, c2 in terms:
-            e = e1 + e2
-            out[e] = get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _psquare(a):
-    """a * a, each cross product taken once and doubled."""
-    terms = list(a.items())
-    out = {}
-    get = out.get
-    for idx, (e1, c1) in enumerate(terms):
-        e = e1 + e1
-        out[e] = get(e, 0) + c1 * c1
-        c1 += c1
-        for e2, c2 in terms[idx + 1:]:
-            e = e1 + e2
-            out[e] = get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _ppow(a, k):
-    """a^k for a packed polynomial and k >= 1, by repeated squaring."""
-    out = None
-    while True:
-        if k & 1:
-            out = a if out is None else _pmul(out, a)
-        k >>= 1
-        if not k:
-            return out
-        a = _psquare(a)
 
 
 def _poly_ghost(var_offset, p, i, base):
@@ -284,9 +182,9 @@ class UniversalWittPolys:
         base = _pack_base(p, n)
         gx = [_poly_ghost(0, p, i, base) for i in range(n)]
         gy = [_poly_ghost(n, p, i, base) for i in range(n)]
-        return ([_cadd(a, b) for a, b in zip(gx, gy)],
+        return ([sparse.add(a, b) for a, b in zip(gx, gy)],
                 [_pmul(a, b) for a, b in zip(gx, gy)],
-                [_cneg(g) for g in gx])
+                [sparse.scale(g, -1) for g in gx])
 
     @staticmethod
     def _solve(target_ghosts, p):
@@ -298,8 +196,8 @@ class UniversalWittPolys:
             acc = target_ghosts[i]
             for j in range(i):
                 powers[j] = _ppow(powers.get(j, coords[j]), p)
-                acc = _cadd(acc, _cneg(_cscale(p ** j, powers[j])))
-            coords.append(_cdivexact(acc, p ** i))
+                acc = sparse.add(acc, sparse.scale(powers[j], -(p ** j)))
+            coords.append(sparse.divexact(acc, p ** i))
         return coords
 
     def check_ghost_compat(self):
@@ -320,8 +218,8 @@ class UniversalWittPolys:
                 acc = None
                 for j in range(i + 1):
                     powers[j] = polys[j] if j == i else _ppow(powers[j], p)
-                    term = _cscale(p ** j, powers[j])
-                    acc = term if acc is None else _cadd(acc, term)
+                    term = sparse.scale(powers[j], p ** j)
+                    acc = term if acc is None else sparse.add(acc, term)
                 if acc != targets[i]:
                     raise IntegralityFailure(
                         "%s polynomial ghost mismatch at %d" % (name, i)
@@ -358,14 +256,14 @@ class UniversalWittPolys:
         return acc
 
 
-_POLY_CACHE = {}
-
-
+@lru_cache(maxsize=4)
 def build_universal_polys(p, n):
-    key = (p, n)
-    if key not in _POLY_CACHE:
-        _POLY_CACHE[key] = UniversalWittPolys(p, n)
-    return _POLY_CACHE[key]
+    """The universal polynomials of W_n, shared by the latest few shapes.
+
+    The ``*_via_polys`` functions look the shape up on every call; the
+    bound keeps memory flat when many shapes are built in one process.
+    """
+    return UniversalWittPolys(p, n)
 
 
 # ----------------------------------------------------------------------
@@ -458,9 +356,7 @@ def _binop(x, y, combine):
     gy = _ghost_from_covers(cy, x.p)
     gz = [combine(a, b) for a, b in zip(gx, gy)]
     cz = _ghost_inverse(gz, x.p)
-    return WittVector(
-        x.p, x.n, [_reduce_like(c, t, x.p) for c, t in zip(cz, x.coords)]
-    )
+    return _vector_from_covers(x, cz)
 
 
 def witt_add(x, y):
@@ -474,10 +370,8 @@ def witt_mul(x, y):
 def witt_neg(x):
     cx = [_lift(c) for c in x.coords]
     gx = _ghost_from_covers(cx, x.p)
-    cz = _ghost_inverse([_cneg(g) for g in gx], x.p)
-    return WittVector(
-        x.p, x.n, [_reduce_like(c, t, x.p) for c, t in zip(cz, x.coords)]
-    )
+    cz = _ghost_inverse([_cscale(-1, g) for g in gx], x.p)
+    return _vector_from_covers(x, cz)
 
 
 def witt_sub(x, y):
@@ -490,9 +384,7 @@ def witt_add_via_polys(x, y):
     upw = build_universal_polys(x.p, x.n)
     vals = [_lift(c) for c in x.coords] + [_lift(c) for c in y.coords]
     out = [upw.specialize(s, vals) for s in upw.sum_polys]
-    return WittVector(
-        x.p, x.n, [_reduce_like(c, t, x.p) for c, t in zip(out, x.coords)]
-    )
+    return _vector_from_covers(x, out)
 
 
 def witt_mul_via_polys(x, y):
@@ -500,18 +392,14 @@ def witt_mul_via_polys(x, y):
     upw = build_universal_polys(x.p, x.n)
     vals = [_lift(c) for c in x.coords] + [_lift(c) for c in y.coords]
     out = [upw.specialize(s, vals) for s in upw.prod_polys]
-    return WittVector(
-        x.p, x.n, [_reduce_like(c, t, x.p) for c, t in zip(out, x.coords)]
-    )
+    return _vector_from_covers(x, out)
 
 
 def witt_neg_via_polys(x):
     upw = build_universal_polys(x.p, x.n)
     vals = [_lift(c) for c in x.coords]
     out = [upw.specialize(s, vals) for s in upw.neg_polys]
-    return WittVector(
-        x.p, x.n, [_reduce_like(c, t, x.p) for c, t in zip(out, x.coords)]
-    )
+    return _vector_from_covers(x, out)
 
 
 def ghost(x):
@@ -635,8 +523,19 @@ class LiftedElem:
         return "LiftedElem(p=%d, level=%d, %r)" % (self.p, self.level, self.value)
 
 
-def _laurent_cover_to_mod(cover, p, level, template):
-    return LaurentElem(p, level, template.num_vars, cover, template.allowed_negative)
+def _tilde(x, top, name):
+    """sum_i p^i x_(i+1)^(p^(top-i)) in (Z/p^n)[z...], n the length of x."""
+    if not isinstance(x.coords[0], LaurentElem):
+        raise Mismatch("%s needs Laurent coordinates" % name)
+    p, n = x.p, x.n
+    q = p ** n
+    acc = {}
+    for i, c in enumerate(x.coords):
+        t = sparse.scale(sparse.power(c.terms, p ** (top - i), q), p ** i, q)
+        acc = sparse.add(acc, t, q)
+    f = x.coords[0]
+    return LiftedElem(p, n, LaurentElem(p, n, f.num_vars, acc,
+                                        f.allowed_negative))
 
 
 def tilde_w(x):
@@ -645,44 +544,31 @@ def tilde_w(x):
     Defined on Laurent-coordinate vectors; the value does not depend on the
     choice of coordinate lifts.
     """
-    if not isinstance(x.coords[0], LaurentElem):
-        raise Mismatch("tilde_w needs Laurent coordinates")
-    L = x.n
-    acc = None
-    for i, c in enumerate(x.coords):
-        t = _cscale(x.p ** i, _cpow(_lift(c), x.p ** (L - 1 - i)))
-        acc = t if acc is None else _cadd(acc, t)
-    template = x.coords[0]
-    return LiftedElem(x.p, L, _laurent_cover_to_mod(acc, x.p, L, template))
+    return _tilde(x, x.n - 1, "tilde_w")
 
 
 def tilde_w_inverse(y):
     """Invert w-tilde by layer peeling; raises NotInImage when impossible."""
     p, L = y.p, y.level
-    template = LaurentElem.zero(p, 1, y.value.num_vars, y.value.allowed_negative)
-    rem = {e: c % (p ** L) for e, c in y.value.terms.items() if c % (p ** L)}
+    mod = p ** L
+    f = y.value
+    rem = f.terms  # reduced mod p^L, since f.n == L
     coords = []
     for i in range(L):
         k = p ** (L - 1 - i)
         pi = p ** i
-        layer = {}
-        for e, c in rem.items():
-            q, r = divmod(c, pi)
-            if r:
-                raise NotInImage("stray low p-valuation at layer %d" % i)
-            if q % p:
-                layer[e] = q % p
+        try:
+            layer = sparse.scale(sparse.divexact(rem, pi), 1, p)
+        except IntegralityFailure:
+            raise NotInImage("stray low p-valuation at layer %d" % i) from None
         root = {}
         for e, c in layer.items():
             if any(v % k for v in e):
                 raise NotInImage("layer %d is not a p^%d-th power" % (i, k))
             root[tuple(v // k for v in e)] = c
-        coords.append(
-            LaurentElem(p, 1, y.value.num_vars, root, y.value.allowed_negative)
-        )
-        sub = _cscale(pi, _cpow(root, k))
-        rem = _cadd(rem, _cneg(sub))
-        rem = {e: c % (p ** L) for e, c in rem.items() if c % (p ** L)}
+        coords.append(LaurentElem(p, 1, f.num_vars, root, f.allowed_negative))
+        sub = sparse.scale(sparse.power(root, k, mod), -pi, mod)
+        rem = sparse.add(rem, sub, mod)
     if rem:
         raise NotInImage("nonzero remainder after peeling")
     return WittVector(p, L, coords)
@@ -690,39 +576,27 @@ def tilde_w_inverse(y):
 
 def tilde_F(x):
     """F-tilde^n: W_n(A) -> (Z/p^n)[z...], (x_1..x_n) -> sum p^i x_i+1^(p^(n-i))."""
-    if not isinstance(x.coords[0], LaurentElem):
-        raise Mismatch("tilde_F needs Laurent coordinates")
-    n = x.n
-    acc = None
-    for i, c in enumerate(x.coords):
-        t = _cscale(x.p ** i, _cpow(_lift(c), x.p ** (n - i)))
-        acc = t if acc is None else _cadd(acc, t)
-    template = x.coords[0]
-    return LiftedElem(x.p, n, _laurent_cover_to_mod(acc, x.p, n, template))
+    return _tilde(x, x.n, "tilde_F")
 
 
 # ----------------------------------------------------------------------
 # Teichmuller powers of sums (the section-6 expansion machine)
 # ----------------------------------------------------------------------
 
-_EXPAND2_CACHE = {}
-
-
 def teich_scalar(c, p, m):
     """Integer representative of the Teichmuller scalar [c] in W_m(F_p) = Z/p^m."""
     return pow(c % p, p ** (m - 1), p ** m)
 
 
+@lru_cache(maxsize=64)
 def _expand2(p, i, n):
     """Universal expansion of [A+B]^i in W_n over F_p[A,B].
 
     Returns a dict (level l, (e1, e2)) -> coefficient mod p^(n-l) with
     e1 + e2 = p^l * i, produced by the recursive layer-peeling argument.
-    Coefficients act as integer scalars through W_m(F_p) = Z/p^m.
+    Coefficients act as integer scalars through W_m(F_p) = Z/p^m.  The
+    result is shared between callers and must not be mutated.
     """
-    key = (p, i, n)
-    if key in _EXPAND2_CACHE:
-        return _EXPAND2_CACHE[key]
 
     def expand_poly(q, m, degree):
         # q: LaurentElem (2 vars, F_p), homogeneous of the given degree
@@ -757,7 +631,6 @@ def _expand2(p, i, n):
         c %= p ** (n - l)
         if c:
             out[(l, exps)] = c
-    _EXPAND2_CACHE[key] = out
     return out
 
 

@@ -130,10 +130,25 @@ def test_solve_by_substitution_and_consistency(mat, p, data):
         for r, b in zip(mat, rhs))
 
 
-@given(matrices(-9, 9))
-@settings(max_examples=150, deadline=None)
+def dense(rows, cols):
+    return st.lists(st.lists(st.integers(-30, 30), min_size=cols,
+                             max_size=cols), min_size=rows, max_size=rows)
+
+
+@given(st.one_of(matrices(-9, 9), dense(5, 5), dense(6, 5)))
+@settings(max_examples=200, deadline=None)
 def test_smith_form_matches_determinantal_divisors(mat):
     assert smith_normal_form(mat) == _determinantal_divisors(mat)
+
+
+def test_smith_form_dense_6x5_finishes():
+    # dense input on which unreduced off-pivot entries grow to millions of
+    # bits; kept below a nonzero maximal minor, they stay small
+    mat = [[20, -22, -9, -3, -17], [-13, 13, -24, 23, -6],
+           [29, 5, -8, 28, 26], [23, 13, 4, 1, 19],
+           [4, -15, -26, 16, -28], [-25, -22, -20, -20, 28]]
+    assert smith_normal_form(mat) == _determinantal_divisors(mat) == [
+        1, 1, 1, 1, 17]
 
 
 @given(matrices(-30, 30), st.sampled_from([2, 3, 5]), st.integers(1, 4))

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from wittkit.rings import LaurentElem, PrimeFieldElem
+from wittkit.sparse import _pack, _pmul, _ppow, _psquare, _unpack
 from wittkit.witt import (
     CharTwoUnsupported,
     DuplicateSummand,
@@ -10,11 +11,7 @@ from wittkit.witt import (
     NotInImage,
     TorsionRing,
     WittVector,
-    _pack,
-    _pmul,
-    _ppow,
-    _psquare,
-    _unpack,
+    _expand2,
     build_universal_polys,
     decompose,
     evaluate_teich_expansion,
@@ -92,6 +89,20 @@ def test_universal_poly_term_count_p5_n4():
     u = build_universal_polys(5, 4)
     assert sum(len(f) for f in u.sum_polys + u.prod_polys
                + u.neg_polys) == 42016
+
+
+@pytest.mark.parametrize("cached,calls", [
+    (build_universal_polys, [(p, n) for p in (2, 3, 5, 7) for n in (1, 2)]),
+    (_expand2, [(2, i, 1) for i in range(1, 80)]),
+])
+def test_process_caches_are_bounded(cached, calls):
+    bound = cached.cache_parameters()["maxsize"]
+    assert len(calls) > bound
+    for args in calls:
+        first = cached(*args)
+        assert cached(*args) is first
+        assert cached.cache_info().currsize <= bound
+    assert cached.cache_info().currsize == bound
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2)])
