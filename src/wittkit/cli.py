@@ -106,27 +106,32 @@ def parse_word(text):
     """Parse 'z0^2 d0[3] z1' into generator tokens."""
     word = []
     for tok in text.split():
-        if tok.startswith("z"):
-            if "^" in tok:
-                var, k = tok[1:].split("^")
-                word.append(("z", int(var), int(k)))
+        try:
+            if tok.startswith("z"):
+                if "^" in tok:
+                    var, k = tok[1:].split("^")
+                    word.append(("z", int(var), int(k)))
+                else:
+                    word.append(("z", int(tok[1:]), 1))
+            elif tok.startswith("d"):
+                if "[" in tok:
+                    var, r = tok[1:].rstrip("]").split("[")
+                    word.append(("d", int(var), int(r)))
+                else:
+                    word.append(("d", int(tok[1:]), 1))
             else:
-                word.append(("z", int(tok[1:]), 1))
-        elif tok.startswith("d"):
-            if "[" in tok:
-                var, r = tok[1:].rstrip("]").split("[")
-                word.append(("d", int(var), int(r)))
-            else:
-                word.append(("d", int(tok[1:]), 1))
-        else:
-            raise ValueError("bad token %r" % (tok,))
+                raise ValueError
+        except ValueError:
+            raise ValueError("bad token %r" % (tok,)) from None
     return word
 
 
 def cmd_weyl_nf(args):
     word = parse_word(args.word)
     nv = 1 + max(t[1] for t in word)
-    nf = weyl.normal_form(word, args.p, args.n, nv)
+    # variables raised to a negative power in the word are inverted
+    inverted = {i for kind, i, k in word if kind == "z" and k < 0}
+    nf = weyl.normal_form(word, args.p, args.n, nv, inverted)
     _emit({"word": args.word, "normal_form": nf.to_json()}, args)
 
 
@@ -545,8 +550,18 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; its exit status is returned.
+
+    0 is success, 1 a failed check, 2 a usage error (from argparse) and 3
+    an error raised by the library, reported as one JSON line on stderr.
+    """
     args = build_parser().parse_args(argv)
-    code = args.func(args)
+    try:
+        code = args.func(args)
+    except (ValueError, ArithmeticError, witt.TorsionRing) as exc:
+        print(json.dumps({"error": str(exc), "type": type(exc).__name__}),
+              file=sys.stderr)
+        return 3
     return code or 0
 
 

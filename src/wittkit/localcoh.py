@@ -216,6 +216,10 @@ def y_action(i, l_idx, r, c):
 # the generation algorithm
 # ----------------------------------------------------------------------
 
+# move kinds: y_{ab}^[s], the corrected p-th power T y_{xa}^[p], and y_{xa}
+_Y, _T, _Y1 = range(3)
+
+
 def generation_run(p, d, j, bound, n=1, trace=False, strict_claims=None):
     """Run the three-step generation procedure and report coverage.
 
@@ -228,6 +232,12 @@ def generation_run(p, d, j, bound, n=1, trace=False, strict_claims=None):
     p != 2; the experimental p = 2 mode records the falsified claims
     instead).  Coverage is compared against the brute-force enumeration of I
     within the bound after each iteration.
+
+    A move raises one coordinate and lowers another by the same step, so it
+    is checked on those two only.  This is exact: every reached vector lies
+    in the work box [-bound, num_cap] and has no entry below -floor, and
+    floor <= bound never decreases, so the other coordinates stay in range
+    and the lowered one meets -bound whenever it meets -floor.
     """
     if n != 1:
         raise ValueError("the generation theorem reduces to n = 1")
@@ -241,29 +251,19 @@ def generation_run(p, d, j, bound, n=1, trace=False, strict_claims=None):
     target_all = set(enumerate_index(d, j, bound))
     per_iteration = []
 
-    def in_work_box(u):
-        return all(-bound <= v <= num_cap for v in u)
-
-    def moves(u):
-        for a in range(j + 1):
-            for b in range(j + 1, d + 1):
-                for s in range(1, p + 1):
-                    coeff = gen_binom(u[b], s) % p
-                    claimed = (u[b] % p == p - 1)
-                    yield ("y[%d]_%d%d" % (s, a, b), coeff, claimed,
-                           _move(u, a, b, s))
-        for a in range(j + 1):
-            for x in range(j + 1):
-                if x == a:
-                    continue
-                coeff = gen_binom(u[a], p) % p
-                claimed = p <= u[a] <= 2 * p - 1
-                yield ("T^%d y[%d]_%d%d" % (p - 1, p, x, a), coeff, claimed,
-                       _move(u, x, a, 1))
-                coeff1 = u[a] % p
-                claimed1 = 1 <= u[a] <= p - 1
-                yield ("y_%d%d" % (x, a), coeff1, claimed1,
-                       _move(u, x, a, 1))
+    # the move table, in the order the moves are tried; the coefficient of
+    # every move is read off the lowered coordinate
+    table = []
+    for a in range(j + 1):
+        for b in range(j + 1, d + 1):
+            for s in range(1, p + 1):
+                table.append(("y[%d]_%d%d" % (s, a, b), _Y, a, b, s))
+    for a in range(j + 1):
+        for x in range(j + 1):
+            if x != a:
+                table.append(("T^%d y[%d]_%d%d" % (p - 1, p, x, a), _T,
+                              x, a, 1))
+                table.append(("y_%d%d" % (x, a), _Y1, x, a, 1))
 
     r_iter = 0
     floor = 1
@@ -273,12 +273,20 @@ def generation_run(p, d, j, bound, n=1, trace=False, strict_claims=None):
         frontier = list(reached)
         while frontier:
             u = frontier.pop()
-            for name, coeff, claimed, v in moves(u):
-                if not in_work_box(v):
+            for name, kind, hi, lo, s in table:
+                m = u[lo]
+                if u[hi] + s > num_cap or m - s < -floor:
                     continue
-                if max(-min(v), 0) > floor:
-                    continue
-                if coeff == 0:
+                if kind == _Y:
+                    unit = gen_binom(m, s) % p
+                    claimed = m % p == p - 1
+                elif kind == _T:
+                    unit = gen_binom(m, p) % p
+                    claimed = p <= m <= 2 * p - 1
+                else:
+                    unit = m % p
+                    claimed = 1 <= m <= p - 1
+                if not unit:
                     if claimed:
                         if strict_claims:
                             raise CoefficientVanished(
@@ -286,6 +294,10 @@ def generation_run(p, d, j, bound, n=1, trace=False, strict_claims=None):
                             )
                         vanished.append({"op": name, "at": list(u)})
                     continue
+                v = list(u)
+                v[hi] += s
+                v[lo] = m - s
+                v = tuple(v)
                 if v not in reached:
                     reached.add(v)
                     frontier.append(v)
@@ -313,13 +325,6 @@ def generation_run(p, d, j, bound, n=1, trace=False, strict_claims=None):
     if trace:
         report["steps"] = steps
     return report
-
-
-def _move(u, raise_idx, lower_idx, s):
-    v = list(u)
-    v[raise_idx] += s
-    v[lower_idx] -= s
-    return tuple(v)
 
 
 # ----------------------------------------------------------------------

@@ -71,6 +71,10 @@ def power(a, k, q=0):
     """a^k on tuple exponents for k >= 1, by repeated squaring."""
     if k < 1:
         raise ValueError("sparse powers need k >= 1")
+    if len(a) == 1:  # a monomial: no products to expand
+        (e, c), = a.items()
+        c = pow(c, k, q) if q else c ** k
+        return {tuple(x * k for x in e): c} if c else {}
     out = None
     while True:
         if k & 1:

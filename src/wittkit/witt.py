@@ -6,6 +6,12 @@ with exact integer divisions.  The values so produced coincide with
 specializations of the universal addition/multiplication polynomials, which are
 also constructed explicitly (and cross-checked in the test suite).
 
+The ghost map and its inverse chain p-th powers across levels (the power
+needed at level i is the p-th power of the one used at level i-1) and skip
+zero coordinates.  Since the ghost map is additive, a difference, a sum of
+many vectors and a multiple by an integer each take one round trip:
+ghosts are combined once and inverted once.
+
 Conventions: a vector of length n has coordinates (a_1, ..., a_n); ghost
 components are w_i = sum_{j<=i} p^j a_{j+1}^{p^(i-j)} for 0 <= i < n.
 """
@@ -111,27 +117,43 @@ def _cdivexact(a, k):
 
 
 def _ghost_from_covers(covers, p):
-    """Ghost components of a lifted coordinate tuple."""
-    n = len(covers)
+    """Ghost components of a lifted coordinate tuple.
+
+    Powers are chained across levels: at level i the j-th summand needs
+    covers[j]^(p^(i-j)), one p-th power beyond its level-(i-1) form.
+    Zero covers contribute nothing and are skipped.
+    """
+    zero = 0 if not covers or isinstance(covers[0], int) else {}
+    powers = list(covers)
     ws = []
-    for i in range(n):
+    for i in range(len(covers)):
         acc = None
         for j in range(i + 1):
-            t = _cscale(p ** j, _cpow(covers[j], p ** (i - j)))
+            if not powers[j]:
+                continue
+            if j < i:
+                powers[j] = _cpow(powers[j], p)
+            t = _cscale(p ** j, powers[j])
             acc = t if acc is None else _cadd(acc, t)
-        ws.append(acc)
+        ws.append(zero if acc is None else acc)
     return ws
 
 
 def _ghost_inverse(ws, p):
-    """Recover Witt coordinates over a torsion-free ring from ghost values."""
-    n = len(ws)
+    """Recover Witt coordinates over a torsion-free ring from ghost values.
+
+    The p-th powers of the coordinates already found are chained across
+    levels as in :func:`_ghost_from_covers`.
+    """
     coords = []
-    for i in range(n):
-        acc = ws[i]
+    powers = []
+    for i, acc in enumerate(ws):
         for j in range(i):
-            acc = _cadd(acc, _cscale(-(p ** j), _cpow(coords[j], p ** (i - j))))
+            if powers[j]:
+                powers[j] = _cpow(powers[j], p)
+                acc = _cadd(acc, _cscale(-(p ** j), powers[j]))
         coords.append(_cdivexact(acc, p ** i))
+        powers.append(coords[-1])
     return coords
 
 
@@ -348,15 +370,23 @@ class WittVector:
         return cls(obj["p"], obj["n"], coords)
 
 
+def _ghosts(x):
+    return _ghost_from_covers([_lift(c) for c in x.coords], x.p)
+
+
+def _from_ghosts(x, ws):
+    """The vector over x's coordinate ring with ghost components ws."""
+    return _vector_from_covers(x, _ghost_inverse(ws, x.p))
+
+
 def _binop(x, y, combine):
     x._check(y)
-    cx = [_lift(c) for c in x.coords]
-    cy = [_lift(c) for c in y.coords]
-    gx = _ghost_from_covers(cx, x.p)
-    gy = _ghost_from_covers(cy, x.p)
-    gz = [combine(a, b) for a, b in zip(gx, gy)]
-    cz = _ghost_inverse(gz, x.p)
-    return _vector_from_covers(x, cz)
+    return _from_ghosts(x, [combine(a, b)
+                            for a, b in zip(_ghosts(x), _ghosts(y))])
+
+
+def _csub(a, b):
+    return _cadd(a, _cscale(-1, b))
 
 
 def witt_add(x, y):
@@ -368,14 +398,12 @@ def witt_mul(x, y):
 
 
 def witt_neg(x):
-    cx = [_lift(c) for c in x.coords]
-    gx = _ghost_from_covers(cx, x.p)
-    cz = _ghost_inverse([_cscale(-1, g) for g in gx], x.p)
-    return _vector_from_covers(x, cz)
+    return _from_ghosts(x, [_cscale(-1, g) for g in _ghosts(x)])
 
 
 def witt_sub(x, y):
-    return witt_add(x, witt_neg(y))
+    """x - y in one ghost round trip: the ghost map is additive."""
+    return _binop(x, y, _csub)
 
 
 def witt_add_via_polys(x, y):
@@ -450,10 +478,7 @@ def frobenius(x):
         return WittVector(
             x.p, x.n - 1, [_coord_pow_p(c, x.p) for c in x.coords[: x.n - 1]]
         )
-    cx = [_lift(c) for c in x.coords]
-    g = _ghost_from_covers(cx, x.p)
-    cz = _ghost_inverse(g[1:], x.p)
-    return WittVector(x.p, x.n - 1, cz)
+    return WittVector(x.p, x.n - 1, _ghost_inverse(_ghosts(x)[1:], x.p))
 
 
 def witt_phi(x):
@@ -472,8 +497,11 @@ def witt_from_int(c, p, n, like=None):
 
 
 def witt_scalar_mul(c, x):
-    """Multiplication by the scalar image of an integer c."""
-    return witt_mul(witt_from_int(c, x.p, x.n, like=x.coords[0]), x)
+    """Multiplication by the scalar image of an integer c.
+
+    The ghost components of c are (c, ..., c), so c x has ghosts c ghost(x).
+    """
+    return _from_ghosts(x, [_cscale(c, g) for g in _ghosts(x)])
 
 
 def decompose(x):
@@ -486,13 +514,18 @@ def witt_zero(p, n, like=None):
 
 
 def witt_sum(vectors, p=None, n=None, like=None):
+    """The Witt sum of vectors: ghosts are summed and inverted once."""
     it = list(vectors)
     if not it:
         return witt_zero(p, n, like=like)
-    acc = it[0]
+    if len(it) == 1:
+        return it[0]
+    x = it[0]
+    total = _ghosts(x)
     for v in it[1:]:
-        acc = witt_add(acc, v)
-    return acc
+        x._check(v)
+        total = [_cadd(a, b) for a, b in zip(total, _ghosts(v))]
+    return _from_ghosts(x, total)
 
 
 # ----------------------------------------------------------------------

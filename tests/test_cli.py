@@ -3,6 +3,8 @@ import json
 import pytest
 
 from wittkit.cli import UnknownSuite, main, parse_word, run_suite
+from wittkit.rings import LaurentElem
+from wittkit.weyl import WeylElement, apply, apply_word
 
 
 def run(capsys, *argv):
@@ -43,6 +45,36 @@ def test_weyl_nf_command(capsys):
     data = json.loads(out)
     assert {"e": [0], "order": [0], "c": 1} in data["normal_form"]["terms"]
     assert {"e": [1], "order": [1], "c": 1} in data["normal_form"]["terms"]
+
+
+def test_weyl_nf_laurent_word(capsys):
+    """A word with a negative z exponent inverts that variable."""
+    word = "z0^3 d0[4] z0^-1 d0"
+    code, out = run(capsys, "weyl", "nf", "--word", word, "--p", "5",
+                    "--n", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["normal_form"]["neg"] == [0]
+    nf = WeylElement.from_json(data["normal_form"])
+    for terms in ({(3,): 1}, {(-2,): 3, (7,): 1}):
+        f = LaurentElem(5, 2, 1, terms, (0,))
+        assert apply(nf, f) == apply_word(parse_word(word), f)
+
+
+@pytest.mark.parametrize("argv", [
+    ("weyl", "nf", "--word", "q1", "--p", "5", "--n", "2"),
+    ("weyl", "nf", "--word", "z0^x", "--p", "5", "--n", "2"),
+    ("witt", "polys", "--p", "4", "--n", "2"),
+])
+def test_library_errors_exit_3_with_json(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["type"] == "ValueError" and err["error"]
 
 
 def test_cohomology_line_bundle_command(capsys):

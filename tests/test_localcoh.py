@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittkit.localcoh import (
     CoefficientVanished,
@@ -17,7 +19,13 @@ from wittkit.localcoh import (
     y_action,
 )
 from wittkit.rings import LaurentElem
-from wittkit.weyl import ChartAtlas, ChartOperator, WeylElement, is_global
+from wittkit.weyl import (
+    ChartAtlas,
+    ChartOperator,
+    WeylElement,
+    gen_binom,
+    is_global,
+)
 from wittkit.witt import (
     CharTwoUnsupported,
     teich_scalar,
@@ -213,6 +221,136 @@ def test_generation_operators_are_global():
         op = ChartOperator(0, WeylElement.monomial(p, 1, d, [0] * d,
                                                    [1] + [0] * (d - 1)))
         assert is_global(op, atlas, 2 * p + 2)
+
+
+# -- the move-table search against the generator search it replaced ------------
+#
+# _ref_generation_run is the generator-based search as it stood before the
+# move table, kept verbatim (renamed) as the reference.
+
+def _ref_generation_run(p, d, j, bound, n=1, trace=False, strict_claims=None):
+    """Run the three-step generation procedure and report coverage.
+
+    Starting from the seed vectors I_j, the moves are the proof's operator
+    repertoire: y_{ab}^[s] for a <= j < b and 1 <= s <= p, and inside the
+    numerator block the corrected p-th powers T_{ax}^(p-1) y_{xa}^[p] and the
+    single derivatives y_{xa}.  A move happens only when its binomial
+    coefficient is a unit mod p; moves the proof asserts to be units raise
+    CoefficientVanished if the assertion fails (under the theorem hypothesis
+    p != 2; the experimental p = 2 mode records the falsified claims
+    instead).  Coverage is compared against the brute-force enumeration of I
+    within the bound after each iteration.
+    """
+    if n != 1:
+        raise ValueError("the generation theorem reduces to n = 1")
+    if strict_claims is None:
+        strict_claims = p != 2
+    seeds = index_seed(d, j)
+    num_cap = bound * (d - j) + p + 1
+    reached = set(seeds)
+    steps = []
+    vanished = []
+    target_all = set(enumerate_index(d, j, bound))
+    per_iteration = []
+
+    def in_work_box(u):
+        return all(-bound <= v <= num_cap for v in u)
+
+    def moves(u):
+        for a in range(j + 1):
+            for b in range(j + 1, d + 1):
+                for s in range(1, p + 1):
+                    coeff = gen_binom(u[b], s) % p
+                    claimed = (u[b] % p == p - 1)
+                    yield ("y[%d]_%d%d" % (s, a, b), coeff, claimed,
+                           _ref_move(u, a, b, s))
+        for a in range(j + 1):
+            for x in range(j + 1):
+                if x == a:
+                    continue
+                coeff = gen_binom(u[a], p) % p
+                claimed = p <= u[a] <= 2 * p - 1
+                yield ("T^%d y[%d]_%d%d" % (p - 1, p, x, a), coeff, claimed,
+                       _ref_move(u, x, a, 1))
+                coeff1 = u[a] % p
+                claimed1 = 1 <= u[a] <= p - 1
+                yield ("y_%d%d" % (x, a), coeff1, claimed1,
+                       _ref_move(u, x, a, 1))
+
+    r_iter = 0
+    floor = 1
+    while floor < bound:
+        r_iter += 1
+        floor = min(r_iter * p + 1, bound)
+        frontier = list(reached)
+        while frontier:
+            u = frontier.pop()
+            for name, coeff, claimed, v in moves(u):
+                if not in_work_box(v):
+                    continue
+                if max(-min(v), 0) > floor:
+                    continue
+                if coeff == 0:
+                    if claimed:
+                        if strict_claims:
+                            raise CoefficientVanished(
+                                "claimed unit vanished: %s at %r" % (name, u)
+                            )
+                        vanished.append({"op": name, "at": list(u)})
+                    continue
+                if v not in reached:
+                    reached.add(v)
+                    frontier.append(v)
+                    if trace:
+                        steps.append({"op": name, "from": list(u),
+                                      "to": list(v)})
+        box_r = {
+            u for u in target_all if all(abs(x) <= floor for x in u)
+        }
+        missing_r = box_r - reached
+        per_iteration.append(
+            {"iteration": r_iter, "floor": floor,
+             "covered": len(box_r) - len(missing_r), "box": len(box_r),
+             "missing": sorted(missing_r)}
+        )
+    missing = sorted(target_all - reached)
+    report = {
+        "p": p, "d": d, "j": j, "bound": bound,
+        "target": len(target_all),
+        "reached": len(target_all) - len(missing),
+        "missing": [list(u) for u in missing],
+        "iterations": per_iteration,
+        "vanished_claims": vanished,
+    }
+    if trace:
+        report["steps"] = steps
+    return report
+
+
+def _ref_move(u, raise_idx, lower_idx, s):
+    v = list(u)
+    v[raise_idx] += s
+    v[lower_idx] -= s
+    return tuple(v)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_generation_matches_reference_search(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    d = data.draw(st.integers(1, 3))
+    j = data.draw(st.integers(0, d - 1))
+    bound = data.draw(st.integers(0, 2 * p + 3))
+    trace = data.draw(st.booleans())
+    strict = data.draw(st.sampled_from([None, True, False]))
+    outcomes = []
+    for run in (generation_run, _ref_generation_run):
+        try:
+            outcomes.append(run(p, d, j, bound, trace=trace,
+                                strict_claims=strict))
+        except CoefficientVanished as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 # -- the parabolic action -------------------------------------------------------

@@ -195,3 +195,25 @@ def test_integrality_failure_is_one_class():
 def test_power_rejects_k_below_one():
     with pytest.raises(ValueError):
         sparse.power({(1,): 1}, 0)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_monomial_power_matches_repeated_products(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    q = data.draw(st.sampled_from([0, p ** data.draw(st.integers(1, 3))]))
+    nvars = data.draw(st.integers(1, 3))
+    e = data.draw(st.tuples(*[st.integers(-3, 3)] * nvars))
+    c = data.draw(coefficients(q))  # multiples of p may vanish mod q
+    k = data.draw(st.integers(1, 6))
+    want = {e: c}
+    for _ in range(k - 1):
+        want = sparse.mul(want, {e: c}, q)
+    assert sparse.power({e: c}, k, q) == want
+
+
+def test_monomial_power_vanishing_mod_q():
+    p = 3
+    assert sparse.power({(1, -2): p}, 2, p ** 2) == {}
+    assert sparse.power({(1, -2): p}, 1, p ** 2) == {(1, -2): p}
+    assert sparse.power({(1, -2): p}, 2) == {(2, -4): p * p}

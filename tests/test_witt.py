@@ -12,6 +12,9 @@ from wittkit.witt import (
     TorsionRing,
     WittVector,
     _expand2,
+    _ghost_from_covers,
+    _ghost_inverse,
+    _lift,
     build_universal_polys,
     decompose,
     evaluate_teich_expansion,
@@ -34,6 +37,7 @@ from wittkit.witt import (
     witt_neg_via_polys,
     witt_scalar_mul,
     witt_sub,
+    witt_sum,
 )
 
 
@@ -539,3 +543,91 @@ def test_property_packed_kernel_matches_tuple_route(data):
     for _ in range(k - 1):
         power = _tuple_mul(power, a)
     assert _unpack(_ppow(pa, k), base, nvars) == power
+
+
+# -- one ghost round trip per operation, against the routes it replaced --------
+
+@st.composite
+def gate_rings(draw):
+    """(p, n, coordinate strategy) over F_p, Z or F_p[z^+-1]."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["Fp", "Z", "Laurent"]))
+    if kind == "Fp":
+        coord = st.builds(lambda v: PrimeFieldElem(p, v), st.integers(0, p - 1))
+    elif kind == "Z":
+        coord = st.integers(-20, 20)
+    else:
+        # the ghost route raises coordinates to p^(n-1)-th powers, so deep
+        # vectors keep to one variable
+        nv = 1 if p ** (n - 1) > 9 else draw(st.integers(1, 2))
+        coord = st.builds(
+            lambda terms: LaurentElem(p, 1, nv, terms, tuple(range(nv))),
+            st.dictionaries(st.tuples(*[st.integers(-2, 2)] * nv),
+                            st.integers(1, p - 1), max_size=2))
+    return p, n, coord
+
+
+def gate_vector(data, p, n, coord):
+    return WittVector(p, n, [data.draw(coord) for _ in range(n)])
+
+
+def _direct_ghosts(covers, p):
+    """w_i = sum_j p^j a_j^(p^(i-j)), each power by repeated products."""
+    ws = []
+    for i in range(len(covers)):
+        acc = 0 if isinstance(covers[0], int) else {}
+        for j in range(i + 1):
+            if isinstance(covers[j], int):
+                acc += p ** j * covers[j] ** (p ** (i - j))
+                continue
+            power = {(0,) * len(next(iter(covers[j]), ())): 1}
+            for _ in range(p ** (i - j)):
+                power = _tuple_mul(power, covers[j])
+            for e, c in power.items():
+                acc[e] = acc.get(e, 0) + p ** j * c
+        if not isinstance(acc, int):
+            acc = {e: c for e, c in acc.items() if c}
+        ws.append(acc)
+    return ws
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_sub_is_add_of_negative(data):
+    p, n, coord = data.draw(gate_rings())
+    x, y = gate_vector(data, p, n, coord), gate_vector(data, p, n, coord)
+    assert witt_sub(x, y) == witt_add(x, witt_neg(y))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_sum_is_left_fold_of_add(data):
+    p, n, coord = data.draw(gate_rings())
+    vs = [gate_vector(data, p, n, coord)
+          for _ in range(data.draw(st.integers(1, 4)))]
+    acc = vs[0]
+    for v in vs[1:]:
+        acc = witt_add(acc, v)
+    assert witt_sum(vs) == acc
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_scalar_mul_is_product_with_integer_image(data):
+    p, n, coord = data.draw(gate_rings())
+    x = gate_vector(data, p, n, coord)
+    c = data.draw(st.integers(-p ** n, p ** n))
+    scalar = witt_from_int(c, p, n, like=x.coords[0])
+    assert witt_scalar_mul(c, x) == witt_mul(scalar, x)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_chained_ghost_map_matches_direct_formula(data):
+    p, n, coord = data.draw(gate_rings())
+    x = gate_vector(data, p, n, coord)
+    covers = [_lift(c) for c in x.coords]
+    direct = _direct_ghosts(covers, p)
+    assert _ghost_from_covers(covers, p) == direct
+    assert _ghost_inverse(direct, p) == covers
