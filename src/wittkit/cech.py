@@ -444,6 +444,8 @@ def witt_cohomology(p, d, n, a, verify=True):
     vanish, so the sequences split into short exact sequences.  The result is
     cross-checked against the closed-form layer sums.
     """
+    if d < 1:
+        raise ValueError("P^d needs d >= 1, got d = %d" % d)
     if d > 6 or n > 6 or abs(a) > 12:
         raise ScaleExceeded("witt_cohomology is a desk-scale computation")
     out = {}
@@ -466,18 +468,17 @@ def witt_cohomology(p, d, n, a, verify=True):
             cols = connecting_map(p, n, d, a, 0, basis0)
             if any(any(layer for layer in col) for col in cols):
                 raise ArithmeticError("nonzero connecting map at i=0")
-    # closed-form layer-sum cross-check
-    h0 = sum(comb(p ** l * a + d, d) for l in range(n)) if a >= 0 else 0
-    hd = sum(
-        comb(-(p ** l) * a - 1, d)
-        for l in range(n)
-        if -(p ** l) * a - d - 1 >= 0
-    )
-    if out[0].length != h0:
-        raise ArithmeticError("H^0 length disagrees with the layer sum")
-    if d >= 1 and out[d].length != hd:
-        raise ArithmeticError("H^d length disagrees with the layer sum")
+    if (out[0].length, out[d].length) != layer_sums(p, d, n, a):
+        raise ArithmeticError("H^0 or H^d length disagrees with layer_sums")
     return out
+
+
+def layer_sums(p, d, n, a):
+    """Closed-form lengths (h0, hd) of H^0, H^d(P^d, W_nO(a)): layer sums."""
+    h0 = sum(comb(p ** l * a + d, d) for l in range(n)) if a >= 0 else 0
+    hd = sum(comb(-(p ** l) * a - 1, d) for l in range(n)
+             if -(p ** l) * a - d - 1 >= 0)
+    return h0, hd
 
 
 def _h0_cocycles(p, d, a):

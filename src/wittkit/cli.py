@@ -1,4 +1,4 @@
-"""Command-line front end: per-module subcommands and verification suites.
+"""Command-line front end: subcommands and the suites of ``wittkit.checks``.
 
 Reports are JSON (or a plain table); randomized suites are driven by one
 seeded generator, and the seed plus full configuration are embedded in every
@@ -16,7 +16,8 @@ import random
 import sys
 import time
 
-from . import cech, drw, localcoh, rings, steinberg, weyl, witt, wittdiff
+from . import (cech, checks, drw, localcoh, rings, steinberg, weyl, witt,
+               wittdiff)
 
 
 class UnknownSuite(ValueError):
@@ -123,6 +124,8 @@ def parse_word(text):
                 raise ValueError
         except ValueError:
             raise ValueError("bad token %r" % (tok,)) from None
+    if not word:
+        raise ValueError("the word is empty")
     return word
 
 
@@ -153,12 +156,9 @@ _RELATIONS = {"restr": "restriction", "frob": "frobenius",
 
 
 def cmd_wdiff_verify(args):
-    rng = random.Random(args.seed)
     which = _RELATIONS[args.relation]
-    reports = []
-    for r in range(1, args.p ** 2 + 1):
-        reports.append(wittdiff.check_relation(
-            which, args.p, args.n, args.d, r, args.samples, rng))
+    reports = checks.wdiff_relation(which, args.p, args.n, args.d,
+                                    args.samples, random.Random(args.seed))
     failures = sum(len(r["failures"]) for r in reports)
     _emit({"relation": which, "seed": args.seed,
            "cases": sum(r["cases"] for r in reports),
@@ -259,148 +259,14 @@ def cmd_steinberg(args):
 # verification suites
 # ----------------------------------------------------------------------
 
-def suite_witt_axioms(p, n, seed, samples):
-    rng = random.Random(seed)
-    fails = []
-    for _ in range(samples):
-        xs = [
-            witt.WittVector(
-                p, n, [rings.PrimeFieldElem(p, rng.randrange(p))
-                       for _ in range(n)]
-            )
-            for _ in range(3)
-        ]
-        x, y, z = xs
-        if witt.witt_add(witt.witt_add(x, y), z) != witt.witt_add(
-                x, witt.witt_add(y, z)):
-            fails.append("add assoc")
-        if witt.witt_mul(witt.witt_mul(x, y), z) != witt.witt_mul(
-                x, witt.witt_mul(y, z)):
-            fails.append("mul assoc")
-        if witt.witt_add(x, y) != witt.witt_add(y, x):
-            fails.append("add comm")
-        if witt.witt_mul(x, y) != witt.witt_mul(y, x):
-            fails.append("mul comm")
-        lhs = witt.witt_mul(x, witt.witt_add(y, z))
-        rhs = witt.witt_add(witt.witt_mul(x, y), witt.witt_mul(x, z))
-        if lhs != rhs:
-            fails.append("distributivity")
-        if witt.witt_add(x, witt.witt_neg(x)).is_zero() is False:
-            fails.append("neg")
-        if n >= 2:
-            if witt.frobenius(witt.verschiebung(x)) != witt.witt_scalar_mul(p, x):
-                fails.append("FV=p")
-            y1 = witt.restrict(y)
-            if witt.witt_mul(x, witt.verschiebung(y1)) != witt.verschiebung(
-                    witt.witt_mul(witt.frobenius(x), y1)):
-                fails.append("xV(y)=V(F(x)y)")
-    return {"suite": "witt-axioms", "p": p, "n": n, "seed": seed,
-            "cases": samples, "failures": fails}
-
-
-def suite_wdiff_relations(p, n, seed, samples):
-    rng = random.Random(seed)
-    reports = []
-    for which in ("restriction", "frobenius", "verschiebung", "filtration"):
-        for d in (1, 2):
-            for r in range(1, p ** 2 + 1):
-                reports.append(wittdiff.check_relation(
-                    which, p, min(n, 3), d, r, samples, rng))
-    fails = [r for r in reports if r["failures"]]
-    return {"suite": "wdiff-relations", "p": p, "n": n, "seed": seed,
-            "cases": sum(r["cases"] for r in reports),
-            "failures": [
-                {"relation": r["relation"], "d": r["d"], "r": r["r"]}
-                for r in fails
-            ]}
-
-
-def suite_drw_identities(p, n, seed, _samples):
-    fails = []
-    cases = 0
-    for d in (1, 2, 3):
-        bound = 3 * p * p if d < 3 else 6
-        for i in range(d + 1):
-            for wkey, parts in drw.enumerate_basis(p, n, d, i, bound):
-                e = drw.basis_element(p, n, d, wkey, parts)
-                cases += 1
-                checks = (
-                    drw.act("d", drw.act("d", e)).is_zero(),
-                    drw.act("F", drw.act("V", e)) == e.scalar_mul(p),
-                    drw.act("V", drw.act("F", e)) == e.scalar_mul(p),
-                    drw.act("F", drw.act("d", drw.act("V", e))) == drw.act("d", e),
-                    drw.act("V", drw.act("d", e)) ==
-                    drw.act("d", drw.act("V", e)).scalar_mul(p),
-                    drw.act("d", drw.act("F", e)) ==
-                    drw.act("F", drw.act("d", e)).scalar_mul(p),
-                )
-                if not all(checks):
-                    fails.append({"d": d, "i": i, "weight": list(wkey)})
-    return {"suite": "drw-identities", "p": p, "n": n, "seed": seed,
-            "cases": cases, "failures": fails}
-
-
-def suite_cohomology_sweep(p, n, seed, _samples, d=None):
-    fails = []
-    rows = []
-    dims = (1, 2, 3) if d is None else (d,)
-    for dd in dims:
-        for a in range(-4, 5):
-            res = cech.witt_cohomology(p, dd, n, a)
-            from math import comb
-            h0 = sum(comb(p ** l * a + dd, dd) for l in range(n)) if a >= 0 else 0
-            hd = sum(
-                comb(-(p ** l) * a - 1, dd) for l in range(n)
-                if -(p ** l) * a - dd - 1 >= 0
-            )
-            ok = (
-                res[0].length == h0
-                and res[dd].length == (hd if dd > 0 else h0)
-                and all(res[i].length == 0 for i in range(1, dd))
-            )
-            rows.append({"d": dd, "a": a,
-                         "lengths": [res[i].length for i in range(dd + 1)]})
-            if not ok:
-                fails.append({"d": dd, "a": a})
-    return {"suite": "cohomology-sweep", "p": p, "n": n, "seed": seed,
-            "cases": len(rows), "failures": fails, "rows": rows}
-
-
-def suite_localgen(p, seed, d=2, j=0, bound=None):
-    bound = bound if bound is not None else 2 * p + 1
-    rep = localcoh.generation_run(p, d, j, bound)
-    return {"suite": "localgen", "p": p, "seed": seed, "d": d, "j": j,
-            "bound": bound, "cases": rep["target"],
-            "failures": rep["missing"]}
-
-
-def suite_steinberg(seed):
-    fails = []
-    cases = 0
-    for (q, d, want) in ((2, 1, 2), (3, 1, 3), (2, 2, 8)):
-        cases += 1
-        rep = steinberg.steinberg_rank(q, d)
-        if not (rep["rank"] == want and rep["free"] and rep["exact"]):
-            fails.append({"q": q, "d": d, "got": rep})
-    return {"suite": "steinberg", "seed": seed, "cases": cases,
-            "failures": fails}
-
-
 def run_suite(name, p=3, n=3, seed=0, samples=100, d=None, j=0, bound=None):
-    """Dispatch a named verification suite; see the CLI `verify` command."""
-    if name == "witt-axioms":
-        return suite_witt_axioms(p, n, seed, samples)
-    if name == "wdiff-relations":
-        return suite_wdiff_relations(p, min(n, 3), seed, samples)
-    if name == "drw-identities":
-        return suite_drw_identities(p, min(n, 3), seed, samples)
-    if name == "cohomology-sweep":
-        return suite_cohomology_sweep(p, min(n, 3), seed, samples, d=d)
-    if name == "localgen":
-        return suite_localgen(p, seed, d=d if d else 2, j=j, bound=bound)
-    if name == "steinberg":
-        return suite_steinberg(seed)
-    raise UnknownSuite("unknown suite %r" % (name,))
+    """Run the suite registered as ``name`` in ``checks.CHECKS``."""
+    if name not in checks.CHECKS:
+        raise UnknownSuite("unknown suite %r" % (name,))
+    report = checks.CHECKS[name](p=p, n=n, samples=samples, d=d, j=j,
+                                 bound=bound, rng=random.Random(seed))
+    report.update(suite=name, seed=seed)
+    return report
 
 
 def cmd_verify(args):
@@ -408,10 +274,8 @@ def cmd_verify(args):
     report = run_suite(args.suite, p=args.p, n=args.n, seed=args.seed,
                        samples=args.samples, d=args.d, j=args.j,
                        bound=args.bound)
-    report["config"] = {
-        "suite": args.suite, "p": args.p, "n": args.n, "seed": args.seed,
-        "samples": args.samples,
-    }
+    report["config"] = {k: getattr(args, k)
+                        for k in ("suite", "p", "n", "seed", "samples")}
     report["elapsed_s"] = round(time.time() - t0, 3)
     _emit(report, args)
     return 1 if report["failures"] else 0
@@ -533,9 +397,7 @@ def build_parser():
     sp.set_defaults(func=cmd_steinberg)
 
     sp = sub.add_parser("verify", help="deterministic verification suites")
-    sp.add_argument("suite", choices=(
-        "witt-axioms", "wdiff-relations", "drw-identities",
-        "cohomology-sweep", "localgen", "steinberg"))
+    sp.add_argument("suite", choices=tuple(checks.CHECKS))
     sp.add_argument("--p", type=int, default=3)
     sp.add_argument("--n", type=int, default=3)
     sp.add_argument("--d", type=int)

@@ -233,18 +233,18 @@ def generation_run(p, d, j, bound, n=1, trace=False, strict_claims=None):
     instead).  Coverage is compared against the brute-force enumeration of I
     within the bound after each iteration.
 
-    A move raises one coordinate and lowers another by the same step, so it
-    is checked on those two only.  This is exact: every reached vector lies
-    in the work box [-bound, num_cap] and has no entry below -floor, and
-    floor <= bound never decreases, so the other coordinates stay in range
-    and the lowered one meets -bound whenever it meets -floor.
+    A move raises a numerator and lowers another entry by the same step; only
+    the lowered one is checked, against -floor >= -bound.  A numerator never
+    drops below 0 (that move's coefficient is 0) and inverted entries stay in
+    [-floor, -1], so at total degree 0 no numerator exceeds floor * (d - j).
     """
     if n != 1:
         raise ValueError("the generation theorem reduces to n = 1")
+    if not 0 <= j < d:
+        raise ValueError("need 0 <= j < d, got j = %d, d = %d" % (j, d))
     if strict_claims is None:
         strict_claims = p != 2
     seeds = index_seed(d, j)
-    num_cap = bound * (d - j) + p + 1
     reached = set(seeds)
     steps = []
     vanished = []
@@ -275,7 +275,7 @@ def generation_run(p, d, j, bound, n=1, trace=False, strict_claims=None):
             u = frontier.pop()
             for name, kind, hi, lo, s in table:
                 m = u[lo]
-                if u[hi] + s > num_cap or m - s < -floor:
+                if m - s < -floor:
                     continue
                 if kind == _Y:
                     unit = gen_binom(m, s) % p

@@ -15,6 +15,7 @@ from wittkit.cech import (
     harmonic_residual_layers,
     hd_monomials,
     hd_witt_length_by_cech,
+    layer_sums,
     r_map,
     ses_maps_report,
     slice_cohomology_dims,
@@ -23,6 +24,7 @@ from wittkit.cech import (
     witt_cohomology,
     witt_structure_sheaf_cohomology,
 )
+from wittkit.checks import cohomology_point
 from wittkit.rings import LaurentElem, ScaleExceeded
 
 
@@ -69,29 +71,18 @@ def test_witt_cohomology_spec_values():
     res = witt_cohomology(2, 2, 2, -1)
     assert res[2].length == 0  # d > -p a - 1 = 1
     assert res[1].length == 0
+    # O(-2) and O(-4) have h^1 = 1 and 3 on P^1; O(1) and O(2) have h^0 = 2, 3
+    assert layer_sums(2, 1, 2, -2) == (0, 4)
+    assert layer_sums(2, 1, 2, 1) == (5, 0)
 
 
 @pytest.mark.parametrize("p,n,d", [(2, 2, 1), (3, 2, 2), (2, 3, 2)])
 def test_witt_cohomology_vanishing_patterns(p, n, d):
-    from math import comb
     for a in range(-4, 5):
-        res = witt_cohomology(p, d, n, a)
-        for i in range(1, d):
-            assert res[i].length == 0
-        if a < 0:
-            assert res[0].length == 0
-        if a >= 0:
-            want = sum(comb(p ** l * a + d, d) for l in range(n))
-            assert res[0].length == want
-            if d > 0:
-                assert res[d].length == (want if d == 0 else 0) or a >= 0
-                assert res[d].length == 0
-        else:
-            want = sum(
-                comb(-(p ** l) * a - 1, d) for l in range(n)
-                if -(p ** l) * a - d - 1 >= 0
-            )
-            assert res[d].length == want
+        lengths, ok = cohomology_point(p, d, n, a)
+        assert ok, (a, lengths)
+        # H^0 vanishes for a < 0 and H^d for a >= 0
+        assert lengths[0 if a < 0 else d] == 0
 
 
 def test_independent_top_length_route():
@@ -190,6 +181,9 @@ def test_harmonic_monomials():
 def test_scale_guard():
     with pytest.raises(ScaleExceeded):
         witt_cohomology(2, 9, 2, -1)
+    # P^0 is refused before any work
+    with pytest.raises(ValueError, match="d = 0"):
+        witt_cohomology(2, 0, 1, -1)
 
 
 def test_les_rank_consistency():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wittkit import checks
 from wittkit.cli import UnknownSuite, main, parse_word, run_suite
 from wittkit.rings import LaurentElem
 from wittkit.weyl import WeylElement, apply, apply_word
@@ -61,12 +62,23 @@ def test_weyl_nf_laurent_word(capsys):
         assert apply(nf, f) == apply_word(parse_word(word), f)
 
 
-@pytest.mark.parametrize("argv", [
-    ("weyl", "nf", "--word", "q1", "--p", "5", "--n", "2"),
-    ("weyl", "nf", "--word", "z0^x", "--p", "5", "--n", "2"),
-    ("witt", "polys", "--p", "4", "--n", "2"),
+@pytest.mark.parametrize("argv,needle", [
+    pytest.param(("weyl", "nf", "--word", "q1", "--p", "5", "--n", "2"),
+                 "'q1'", id="argv0"),
+    pytest.param(("weyl", "nf", "--word", "z0^x", "--p", "5", "--n", "2"),
+                 "'z0^x'", id="argv1"),
+    pytest.param(("witt", "polys", "--p", "4", "--n", "2"), "prime p",
+                 id="argv2"),
+    pytest.param(("weyl", "nf", "--word", "", "--p", "5"), "word is empty",
+                 id="empty-word"),
+    pytest.param(("verify", "localgen", "--j", "2"), "j = 2, d = 2",
+                 id="localgen-j-not-below-d"),
+    pytest.param(("verify", "localgen", "--d", "0"), "j = 0, d = 0",
+                 id="localgen-d0"),
+    pytest.param(("cohomology", "line-bundle", "--p", "2", "--n", "1",
+                  "--d", "0", "--a", "-1"), "d = 0", id="line-bundle-d0"),
 ])
-def test_library_errors_exit_3_with_json(capsys, argv):
+def test_library_errors_exit_3_with_json(capsys, argv, needle):
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 3
@@ -74,7 +86,7 @@ def test_library_errors_exit_3_with_json(capsys, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     err = json.loads(lines[0])
-    assert err["type"] == "ValueError" and err["error"]
+    assert err["type"] == "ValueError" and needle in err["error"]
 
 
 def test_cohomology_line_bundle_command(capsys):
@@ -121,24 +133,31 @@ def test_drw_basis_command(capsys):
     assert data["count"] == 5
 
 
-def test_verify_suites_and_exit_codes(capsys):
-    code, out = run(capsys, "verify", "steinberg")
-    assert code == 0
-    data = json.loads(out)
-    assert data["failures"] == []
-    code, out = run(capsys, "verify", "witt-axioms", "--p", "2", "--n", "2",
-                    "--seed", "1", "--samples", "10")
-    assert code == 0
+_SMALL = {
+    "witt-axioms": ("--p", "3", "--n", "2", "--seed", "7", "--samples", "5"),
+    "wdiff-relations": ("--p", "2", "--n", "1", "--seed", "1",
+                        "--samples", "2"),
+    "drw-identities": ("--p", "2", "--n", "1"),
+    "cohomology-sweep": ("--p", "2", "--n", "1", "--d", "1"),
+    "localgen": ("--p", "3", "--bound", "4"),
+    "steinberg": (),
+}
 
 
-def test_seed_determinism(capsys):
-    _, out1 = run(capsys, "verify", "witt-axioms", "--p", "3", "--n", "2",
-                  "--seed", "7", "--samples", "5")
-    _, out2 = run(capsys, "verify", "witt-axioms", "--p", "3", "--n", "2",
-                  "--seed", "7", "--samples", "5")
-    d1, d2 = json.loads(out1), json.loads(out2)
-    d1.pop("elapsed_s"), d2.pop("elapsed_s")
-    assert d1 == d2
+@pytest.mark.parametrize("suite", sorted(checks.CHECKS))
+def test_verify_suite(capsys, suite):
+    """Each suite passes at a small size and its report is deterministic."""
+    reports = []
+    for _ in range(2):
+        code, out = run(capsys, "verify", suite, *_SMALL[suite])
+        assert code == 0
+        data = json.loads(out)
+        data.pop("elapsed_s")
+        reports.append(data)
+    assert reports[0]["failures"] == [] and reports[0] == reports[1]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "nope"])
+    assert exc.value.code == 2
 
 
 def test_unknown_suite():
