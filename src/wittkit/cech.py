@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb
 
 from .linalg import echelon, rank_mod_p
-from .rings import LaurentElem, ScaleExceeded, graded_basis
+from .rings import LaurentElem, ScaleExceeded, graded_basis, is_prime
 from .witt import (
     WittVector,
     witt_add,
@@ -444,6 +444,8 @@ def witt_cohomology(p, d, n, a, verify=True):
     vanish, so the sequences split into short exact sequences.  The result is
     cross-checked against the closed-form layer sums.
     """
+    if not is_prime(p):
+        raise ValueError("p = %r is not prime" % (p,))
     if d < 1:
         raise ValueError("P^d needs d >= 1, got d = %d" % d)
     if d > 6 or n > 6 or abs(a) > 12:

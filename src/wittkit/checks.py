@@ -23,6 +23,10 @@ def witt_axioms(p, n, samples, rng, **_):
     """Ring axioms, FV = p and xV(y) = V(F(x)y), by name, on random triples."""
     add, mul = witt.witt_add, witt.witt_mul
     F, V = witt.frobenius, witt.verschiebung
+    if n < 1:
+        raise ValueError("need n >= 1, got n = %d" % n)
+    if samples < 1:
+        raise ValueError("need samples >= 1, got samples = %d" % samples)
     fails = []
     for _ in range(samples):
         x, y, z = (fp_vector(p, n, rng) for _ in range(3))

@@ -20,6 +20,8 @@ from __future__ import annotations
 from itertools import product
 from operator import itemgetter
 
+from .rings import is_prime
+
 
 class Inadmissible(ValueError):
     pass
@@ -376,6 +378,8 @@ def enumerate_basis(p, n, d, i, bound):
     Weights are parametrized by a = p^(n-1) r with componentwise numerators
     0 <= a_j <= bound; the pairs are returned as DRWElement basis keys.
     """
+    if not is_prime(p):
+        raise ValueError("p = %r is not prime" % (p,))
     if i > d:
         return []
     # entry[j][a]: the key triple (j, u, v) of r_j = a / p^(n-1), None for 0

@@ -113,7 +113,15 @@ def smith_normal_form(mat):
         rest += [row[j0] for i, row in enumerate(m) if i != i0]
         if any(rest):
             continue  # a remainder below piv is the next pivot
-        diag.append(gcd(piv, det))
+        # Z/D has zero divisors, so a pivot that does not divide its block
+        # would leave a product of divisors that vanishes mod D: add a row
+        # outside the ideal (piv) = (g) to the pivot row, and go on clearing
+        g = gcd(piv, det)
+        off = next((row for row in m if any(x % g for x in row)), None)
+        if off is not None:
+            m[i0] = [(x + y) % det for x, y in zip(prow, off)]
+            continue
+        diag.append(g)
         del m[i0]
         for row in m:
             del row[j0]

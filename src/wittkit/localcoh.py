@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import comb
 
 from . import sparse
-from .rings import LaurentElem
+from .rings import LaurentElem, is_prime
 from .weyl import gen_binom
 # CharTwoUnsupported is re-exported: expansion errors propagate to callers
 from .witt import CharTwoUnsupported, teich_scalar, teichmuller_sum_power
@@ -238,8 +238,12 @@ def generation_run(p, d, j, bound, n=1, trace=False, strict_claims=None):
     drops below 0 (that move's coefficient is 0) and inverted entries stay in
     [-floor, -1], so at total degree 0 no numerator exceeds floor * (d - j).
     """
+    if not is_prime(p):
+        raise ValueError("p = %r is not prime" % (p,))
     if n != 1:
         raise ValueError("the generation theorem reduces to n = 1")
+    if bound < 0:
+        raise ValueError("need bound >= 0, got bound = %d" % bound)
     if not 0 <= j < d:
         raise ValueError("need 0 <= j < d, got j = %d, d = %d" % (j, d))
     if strict_claims is None:

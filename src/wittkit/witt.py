@@ -248,34 +248,67 @@ class UniversalWittPolys:
                     )
         return True
 
-    def specialize(self, poly, values):
-        """Evaluate one stored polynomial at integer-cover values.
+    def specialize(self, poly, values, q):
+        """Evaluate one stored polynomial at integer-cover values, mod q.
+
+        ``values`` are all ints or all tuple-keyed Laurent covers.  With q = 0
+        the value is taken over Z.  With q > 0 the values must already be
+        reduced mod q and the value is returned reduced mod q: evaluation is
+        a ring map, so the pass reduces on the way.  Each coefficient is
+        reduced mod q and its monomial skipped when that is 0; powers are
+        taken mod q and cached per call; a monomial stops at its first zero
+        factor; Laurent terms are added into one dict in place, whose zeros
+        are dropped once at the end.
 
         The universal polynomials have no constant term, so every monomial
         touches at least one variable.
         """
-        powcache = [dict() for _ in values]
+        laurent = not isinstance(values[0], int)
+        powcache = [{} for _ in values]
 
         def vpow(i, k):
             cache = powcache[i]
-            if k not in cache:
-                cache[k] = _cpow(values[i], k)
-            return cache[k]
+            f = cache.get(k)
+            if f is None:
+                v = values[i]
+                if laurent:
+                    f = sparse.power(v, k, q)
+                else:
+                    f = pow(v, k, q) if q else v ** k
+                cache[k] = f
+            return f
 
-        acc = None
+        acc = {} if laurent else 0
         for exps, c in poly.items():
+            if q:
+                c %= q
+                if not c:
+                    continue
             term = None
             for i, e in enumerate(exps):
                 if e:
                     f = vpow(i, e)
-                    term = f if term is None else _cmul(term, f)
+                    if term is None:
+                        term = f
+                    elif laurent:
+                        term = sparse.mul(term, f, q)
+                    else:
+                        term = term * f % q if q else term * f
+                    if not term:
+                        break
             if term is None:
                 raise IntegralityFailure("unexpected constant monomial")
-            term = _cscale(c, term)
-            acc = term if acc is None else _cadd(acc, term)
-        if acc is None:
-            return 0 if isinstance(values[0], int) else {}
-        return acc
+            if not laurent:
+                acc += c * term
+                continue
+            get = acc.get
+            for e, v in term.items():
+                acc[e] = get(e, 0) + c * v
+        if not laurent:
+            return acc % q if q else acc
+        if q:
+            return {e: v for e, c in acc.items() if (v := c % q)}
+        return {e: c for e, c in acc.items() if c}
 
 
 @lru_cache(maxsize=4)
@@ -406,28 +439,28 @@ def witt_sub(x, y):
     return _binop(x, y, _csub)
 
 
+def _via_polys(x, polys, vectors):
+    """Specialize polys at the coordinates of vectors, reduced like x's."""
+    vals = [_lift(c) for v in vectors for c in v.coords]
+    q = x.p if x._is_char_p() else 0
+    upw = build_universal_polys(x.p, x.n)
+    return _vector_from_covers(
+        x, [upw.specialize(f, vals, q) for f in getattr(upw, polys)])
+
+
 def witt_add_via_polys(x, y):
     """Addition by direct specialization of the universal sum polynomials."""
     x._check(y)
-    upw = build_universal_polys(x.p, x.n)
-    vals = [_lift(c) for c in x.coords] + [_lift(c) for c in y.coords]
-    out = [upw.specialize(s, vals) for s in upw.sum_polys]
-    return _vector_from_covers(x, out)
+    return _via_polys(x, "sum_polys", (x, y))
 
 
 def witt_mul_via_polys(x, y):
     x._check(y)
-    upw = build_universal_polys(x.p, x.n)
-    vals = [_lift(c) for c in x.coords] + [_lift(c) for c in y.coords]
-    out = [upw.specialize(s, vals) for s in upw.prod_polys]
-    return _vector_from_covers(x, out)
+    return _via_polys(x, "prod_polys", (x, y))
 
 
 def witt_neg_via_polys(x):
-    upw = build_universal_polys(x.p, x.n)
-    vals = [_lift(c) for c in x.coords]
-    out = [upw.specialize(s, vals) for s in upw.neg_polys]
-    return _vector_from_covers(x, out)
+    return _via_polys(x, "neg_polys", (x,))
 
 
 def ghost(x):

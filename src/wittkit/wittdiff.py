@@ -212,6 +212,8 @@ def check_relation(which, p, n, d, r, samples, rng, j=0):
     act on W_(n+1)(A).  d^[r/p] is the zero operator when p does not
     divide r.
     """
+    if samples < 1:
+        raise ValueError("need samples >= 1, got samples = %d" % samples)
     L = n + 1
     op_hi = partial_op(p, d, j, r, L)
     failures = []

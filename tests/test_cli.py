@@ -77,6 +77,21 @@ def test_weyl_nf_laurent_word(capsys):
                  id="localgen-d0"),
     pytest.param(("cohomology", "line-bundle", "--p", "2", "--n", "1",
                   "--d", "0", "--a", "-1"), "d = 0", id="line-bundle-d0"),
+    pytest.param(("verify", "drw-identities", "--p", "4", "--n", "1"),
+                 "p = 4 is not prime", id="drw-identities-p4"),
+    pytest.param(("verify", "localgen", "--p", "4", "--bound", "3"),
+                 "p = 4 is not prime", id="localgen-p4"),
+    pytest.param(("verify", "cohomology-sweep", "--p", "4", "--n", "1",
+                  "--d", "1"), "p = 4 is not prime", id="cohomology-sweep-p4"),
+    pytest.param(("verify", "witt-axioms", "--samples", "-3"),
+                 "samples = -3", id="witt-axioms-negative-samples"),
+    pytest.param(("verify", "witt-axioms", "--n", "0"), "n = 0",
+                 id="witt-axioms-n0"),
+    pytest.param(("verify", "localgen", "--bound", "-1"), "bound = -1",
+                 id="localgen-negative-bound"),
+    pytest.param(("verify", "wdiff-relations", "--p", "2", "--n", "1",
+                  "--samples", "0"), "samples = 0",
+                 id="wdiff-relations-no-samples"),
 ])
 def test_library_errors_exit_3_with_json(capsys, argv, needle):
     code = main(list(argv))

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittkit.rings import LaurentElem, PrimeFieldElem
-from wittkit.sparse import _pack, _pmul, _ppow, _psquare, _unpack
+from wittkit.sparse import (IntegralityFailure, _pack, _pmul, _ppow,
+                            _psquare, _unpack)
 from wittkit.witt import (
     CharTwoUnsupported,
     DuplicateSummand,
@@ -11,10 +14,15 @@ from wittkit.witt import (
     NotInImage,
     TorsionRing,
     WittVector,
+    _cadd,
+    _cmul,
+    _cpow,
+    _cscale,
     _expand2,
     _ghost_from_covers,
     _ghost_inverse,
     _lift,
+    _reduce_like,
     build_universal_polys,
     decompose,
     evaluate_teich_expansion,
@@ -119,14 +127,89 @@ def test_poly_specialization_matches_ghost_route(p):
     rng = random.Random(17)
     for n in (1, 2, 3):
         for _ in range(10):
-            x, y = rnd_fp(p, n, rng), rnd_fp(p, n, rng)
-            assert witt_add(x, y) == witt_add_via_polys(x, y)
-            assert witt_mul(x, y) == witt_mul_via_polys(x, y)
-            assert witt_neg(x) == witt_neg_via_polys(x)
+            # over F_p, and over Z, where nothing is reduced mod p
+            for x, y in ((rnd_fp(p, n, rng), rnd_fp(p, n, rng)),
+                         (WittVector(p, n, [rng.randrange(-40, 41)
+                                            for _ in range(n)]),
+                          WittVector(p, n, [rng.randrange(-40, 41)
+                                            for _ in range(n)]))):
+                assert witt_add(x, y) == witt_add_via_polys(x, y)
+                assert witt_mul(x, y) == witt_mul_via_polys(x, y)
+                assert witt_neg(x) == witt_neg_via_polys(x)
         xl = rnd_laurent_vec(p, 2, 1, rng)
         yl = rnd_laurent_vec(p, 2, 1, rng)
         assert witt_add(xl, yl) == witt_add_via_polys(xl, yl)
         assert witt_mul(xl, yl) == witt_mul_via_polys(xl, yl)
+
+
+def _ref_specialize(poly, values):
+    """Evaluate one stored polynomial at integer-cover values.
+
+    The universal polynomials have no constant term, so every monomial
+    touches at least one variable.
+    """
+    powcache = [dict() for _ in values]
+
+    def vpow(i, k):
+        cache = powcache[i]
+        if k not in cache:
+            cache[k] = _cpow(values[i], k)
+        return cache[k]
+
+    acc = None
+    for exps, c in poly.items():
+        term = None
+        for i, e in enumerate(exps):
+            if e:
+                f = vpow(i, e)
+                term = f if term is None else _cmul(term, f)
+        if term is None:
+            raise IntegralityFailure("unexpected constant monomial")
+        term = _cscale(c, term)
+        acc = term if acc is None else _cadd(acc, term)
+    if acc is None:
+        return 0 if isinstance(values[0], int) else {}
+    return acc
+
+
+@st.composite
+def specialize_cases(draw):
+    """A shape, a coordinate ring and values for 2n variables."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["Z", "F_p", "Laurent"]))
+    if kind == "Z":
+        coords = draw(st.lists(st.integers(-30, 30), min_size=2 * n,
+                               max_size=2 * n))
+    elif kind == "F_p":
+        coords = [PrimeFieldElem(p, v) for v in draw(st.lists(
+            st.integers(0, p - 1), min_size=2 * n, max_size=2 * n))]
+    else:
+        nv = draw(st.integers(1, 2))
+        term = st.tuples(st.tuples(*[st.integers(-2, 2)] * nv),
+                         st.integers(1, p - 1))
+        coords = [LaurentElem(p, 1, nv, dict(terms), tuple(range(nv)))
+                  for terms in draw(st.lists(
+                      st.lists(term, max_size=3), min_size=2 * n,
+                      max_size=2 * n))]
+    return p, n, coords
+
+
+@given(specialize_cases(), st.sampled_from(["sum", "prod", "neg"]))
+@settings(max_examples=200, deadline=None)
+def test_property_specialize_matches_reference(case, which):
+    p, n, coords = case
+    upw = build_universal_polys(p, n)
+    polys = getattr(upw, which + "_polys")
+    if which == "neg":
+        coords = coords[:n]
+    values = [_lift(c) for c in coords]
+    q = 0 if isinstance(coords[0], int) else p
+    for f in polys:
+        got = upw.specialize(f, values, q)
+        want = _ref_specialize(f, values)
+        assert (_reduce_like(got, coords[0], p)
+                == _reduce_like(want, coords[0], p))
 
 
 # -- ghost components ------------------------------------------------------
@@ -452,9 +535,6 @@ def test_ring_axioms_on_laurent_coordinates():
 
 
 # -- hypothesis property tests ----------------------------------------------
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 
 @st.composite
