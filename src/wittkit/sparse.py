@@ -15,6 +15,22 @@ exponent met at level i is at most p^i, so with base 2 p^(n-1) + 1 the
 exponent vector (e_0, e_1, ...) packs into sum e_k * base^k without carries,
 and a product of monomials is a sum of keys.  ``add``, ``scale`` and
 ``divexact`` do not look at keys and serve both formats.
+
+Packed products are segmented along X_0.  The layout passed with them is
+``base`` and ``ystep``, the place value of Y_0: ``base**n`` for the Witt
+polynomials, in general ``base**k`` with k >= 1 (past the last variable
+there is no Y_0).  X_0 has place value 1.  Each operand is grouped by the key
+(its exponent with the X_0 and Y_0 digits zeroed, x_0 + y_0), and each group
+becomes one integer whose W-bit signed slots hold its coefficients, the
+coefficient of x_0 in slot x_0.  Group pairs multiply as integers, the
+products add up per output key, and each sum is cut back into slots from
+the bottom, a negative slot borrowing one from the next.  Digits never
+carry, since the base exceeds every exponent, and slots never overflow:
+each output coefficient is a sum of at most min(#a, #b) products, so
+W = bits(max|a|) + bits(max|b|) + bits(min(#a, #b)) + 2 holds it with its
+sign.  When grouping does not compress, groups_a * groups_b * 4 > #a * #b,
+the product runs term by term; so do the bihomogeneous product
+polynomials, whose groups hold one monomial each.
 """
 
 from __future__ import annotations
@@ -123,8 +139,39 @@ def _unpack(poly, base, nvars):
     return out
 
 
-def _pmul(a, b):
-    """Product of two packed polynomials."""
+def _pmul(a, b, base, ystep):
+    """Product of two packed polynomials, segmented when grouping pays."""
+    width = _slot_width(a, b)
+    ga = _segments(a, base, ystep, width)
+    gb = _segments(b, base, ystep, width)
+    if 4 * len(ga) * len(gb) > len(a) * len(b):
+        return _pmul_terms(a, b)
+    return _kronecker(ga, gb, ystep, width)
+
+
+def _psquare(a, base, ystep):
+    """a * a, each cross product taken once and doubled."""
+    width = _slot_width(a, a)
+    ga = _segments(a, base, ystep, width)
+    if 2 * len(ga) > len(a):  # _pmul's test with b = a
+        return _psquare_terms(a)
+    return _kronecker(ga, None, ystep, width)
+
+
+def _ppow(a, k, base, ystep):
+    """a^k for a packed polynomial and k >= 1, by repeated squaring."""
+    out = None
+    while True:
+        if k & 1:
+            out = a if out is None else _pmul(out, a, base, ystep)
+        k >>= 1
+        if not k:
+            return out
+        a = _psquare(a, base, ystep)
+
+
+def _pmul_terms(a, b):
+    """a * b term by term."""
     if len(a) < len(b):  # the short factor in the inner loop runs faster
         a, b = b, a
     out = {}
@@ -137,8 +184,8 @@ def _pmul(a, b):
     return {e: c for e, c in out.items() if c}
 
 
-def _psquare(a):
-    """a * a, each cross product taken once and doubled."""
+def _psquare_terms(a):
+    """a * a term by term."""
     terms = list(a.items())
     out = {}
     get = out.get
@@ -152,13 +199,65 @@ def _psquare(a):
     return {e: c for e, c in out.items() if c}
 
 
-def _ppow(a, k):
-    """a^k for a packed polynomial and k >= 1, by repeated squaring."""
-    out = None
-    while True:
-        if k & 1:
-            out = a if out is None else _pmul(out, a)
-        k >>= 1
-        if not k:
-            return out
-        a = _psquare(a)
+def _segments(a, base, ystep, width):
+    """Group a packed polynomial by (rest, x_0 + y_0) into one integer each.
+
+    ``rest`` is the exponent with its X_0 digit (place value 1) and its
+    Y_0 digit (place value ``ystep``) zeroed; the coefficient of x_0 sits
+    in the signed slot x_0 of ``width`` bits.
+    """
+    out = {}
+    get = out.get
+    for e, c in a.items():
+        x0 = e % base
+        y0 = e // ystep % base
+        key = (e - x0 - y0 * ystep, x0 + y0)
+        out[key] = get(key, 0) + (c << (width * x0))
+    return out
+
+
+def _slot_width(a, b):
+    """Bits of a signed slot that holds every coefficient of a * b."""
+    def bits(poly):
+        return max(map(abs, poly.values()), default=0).bit_length()
+    return bits(a) + bits(b) + min(len(a), len(b)).bit_length() + 2
+
+
+def _kronecker(ga, gb, ystep, width):
+    """Product of two segmented polynomials (gb = None squares ga).
+
+    Group pairs multiply as integers and add up per output group, whose
+    integer is then cut back into signed slots.
+    """
+    acc = {}
+    get = acc.get
+    sa = list(ga.items())
+    if gb is None:
+        for idx, ((ra, da), va) in enumerate(sa):
+            key = (ra + ra, da + da)
+            acc[key] = get(key, 0) + va * va
+            va += va
+            for (rb, db), vb in sa[idx + 1:]:
+                key = (ra + rb, da + db)
+                acc[key] = get(key, 0) + va * vb
+    else:
+        sb = list(gb.items())
+        for (ra, da), va in sa:
+            for (rb, db), vb in sb:
+                key = (ra + rb, da + db)
+                acc[key] = get(key, 0) + va * vb
+    out = {}
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    step = 1 - ystep  # x_0 up by one, y_0 down by one
+    for (rest, d), v in acc.items():
+        e = rest + d * ystep  # the slot x_0 = 0, y_0 = d
+        for _ in range(d + 1):  # x_0 runs from 0 to d
+            c = v & mask
+            if c >= half:  # a negative slot: borrow one from the next
+                c -= mask + 1
+            v = (v - c) >> width
+            if c:
+                out[e] = c
+            e += step
+    return out

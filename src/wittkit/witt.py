@@ -20,6 +20,7 @@ from __future__ import annotations
 
 
 from functools import lru_cache
+from operator import add as _add_exps
 
 from . import sparse
 from .rings import LaurentElem, PrimeFieldElem, VariableMismatch, is_prime
@@ -164,9 +165,16 @@ def _ghost_inverse(ws, p):
 # The universal polynomials are solved and ghost-checked on the
 # Kronecker-packed exponents of wittkit.sparse (base 2 p^(n-1) + 1; the
 # module docstring there says why no digit carries), and stored unpacked.
+# The layout is (base, base^n): X_j sits at place value base^j, Y_j at
+# base^(n+j), and the packed products segment along X_0 and Y_0.
 
 def _pack_base(p, n):
     return 2 * p ** (n - 1) + 1
+
+
+def _layout(p, n):
+    base = _pack_base(p, n)
+    return base, base ** n
 
 
 def _poly_ghost(var_offset, p, i, base):
@@ -201,23 +209,24 @@ class UniversalWittPolys:
     def _ghost_targets(self):
         """Packed ghosts of X + Y, X * Y and -X, level by level."""
         p, n = self.p, self.n
-        base = _pack_base(p, n)
+        base, ystep = _layout(p, n)
         gx = [_poly_ghost(0, p, i, base) for i in range(n)]
         gy = [_poly_ghost(n, p, i, base) for i in range(n)]
         return ([sparse.add(a, b) for a, b in zip(gx, gy)],
-                [_pmul(a, b) for a, b in zip(gx, gy)],
+                [_pmul(a, b, base, ystep) for a, b in zip(gx, gy)],
                 [sparse.scale(g, -1) for g in gx])
 
     @staticmethod
     def _solve(target_ghosts, p):
         # ghost inversion with p-th-power chaining across levels
         n = len(target_ghosts)
+        base, ystep = _layout(p, n)
         coords = []
         powers = {}
         for i in range(n):
             acc = target_ghosts[i]
             for j in range(i):
-                powers[j] = _ppow(powers.get(j, coords[j]), p)
+                powers[j] = _ppow(powers.get(j, coords[j]), p, base, ystep)
                 acc = sparse.add(acc, sparse.scale(powers[j], -(p ** j)))
             coords.append(sparse.divexact(acc, p ** i))
         return coords
@@ -229,7 +238,7 @@ class UniversalWittPolys:
         needs polys[j]^(p^(i-j)), one p-th power beyond its level-(i-1) form.
         """
         p, n = self.p, self.n
-        base = _pack_base(p, n)
+        base, ystep = _layout(p, n)
         jobs = zip(("sum", "product", "negation"),
                    (self.sum_polys, self.prod_polys, self.neg_polys),
                    self._ghost_targets())
@@ -239,7 +248,8 @@ class UniversalWittPolys:
             for i in range(n):
                 acc = None
                 for j in range(i + 1):
-                    powers[j] = polys[j] if j == i else _ppow(powers[j], p)
+                    powers[j] = (polys[j] if j == i
+                                 else _ppow(powers[j], p, base, ystep))
                     term = sparse.scale(powers[j], p ** j)
                     acc = term if acc is None else sparse.add(acc, term)
                 if acc != targets[i]:
@@ -257,8 +267,9 @@ class UniversalWittPolys:
         a ring map, so the pass reduces on the way.  Each coefficient is
         reduced mod q and its monomial skipped when that is 0; powers are
         taken mod q and cached per call; a monomial stops at its first zero
-        factor; Laurent terms are added into one dict in place, whose zeros
-        are dropped once at the end.
+        factor; two one-term Laurent factors multiply directly (exponents
+        added, coefficients multiplied mod q); Laurent terms are added into
+        one dict in place, whose zeros are dropped once at the end.
 
         The universal polynomials have no constant term, so every monomial
         touches at least one variable.
@@ -290,6 +301,12 @@ class UniversalWittPolys:
                     f = vpow(i, e)
                     if term is None:
                         term = f
+                    elif laurent and len(term) == 1 == len(f):
+                        (e1, c1), = term.items()
+                        (e2, c2), = f.items()
+                        c1 = c1 * c2 % q if q else c1 * c2
+                        term = ({tuple(map(_add_exps, e1, e2)): c1}
+                                if c1 else {})
                     elif laurent:
                         term = sparse.mul(term, f, q)
                     else:

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittkit import sparse
 from wittkit.rings import LaurentElem, PrimeFieldElem
-from wittkit.sparse import (IntegralityFailure, _pack, _pmul, _ppow,
-                            _psquare, _unpack)
+from wittkit.sparse import (IntegralityFailure, _kronecker, _pack, _pmul,
+                            _ppow, _psquare, _segments, _slot_width, _unpack)
 from wittkit.witt import (
     CharTwoUnsupported,
     DuplicateSummand,
@@ -21,6 +22,7 @@ from wittkit.witt import (
     _expand2,
     _ghost_from_covers,
     _ghost_inverse,
+    _layout,
     _lift,
     _reduce_like,
     build_universal_polys,
@@ -615,14 +617,110 @@ def test_property_packed_kernel_matches_tuple_route(data):
     a = data.draw(sparse_polys(nvars, max_exp))
     b = data.draw(sparse_polys(nvars, max_exp))
     base = max(2, k) * max_exp + 1  # above every exponent of a*b and a^k
+    ystep = base ** ((nvars + 1) // 2)  # Y_0 in the middle, or absent
     pa, pb = _pack(a, base), _pack(b, base)
     assert _unpack(pa, base, nvars) == a
-    assert _unpack(_pmul(pa, pb), base, nvars) == _tuple_mul(a, b)
-    assert _psquare(pa) == _pmul(pa, pa)
+    assert _unpack(_pmul(pa, pb, base, ystep), base, nvars) == _tuple_mul(a, b)
+    assert _psquare(pa, base, ystep) == _pmul(pa, pa, base, ystep)
     power = a
     for _ in range(k - 1):
         power = _tuple_mul(power, a)
-    assert _unpack(_ppow(pa, k), base, nvars) == power
+    assert _unpack(_ppow(pa, k, base, ystep), base, nvars) == power
+
+
+# -- the segmented (Kronecker) product, whatever the dispatch decides ---------
+
+def _segmented(a, b, base, ystep):
+    """a * b by the segmented route alone; b = None squares a."""
+    width = _slot_width(a, a if b is None else b)
+    ga = _segments(a, base, ystep, width)
+    gb = None if b is None else _segments(b, base, ystep, width)
+    return _kronecker(ga, gb, ystep, width)
+
+
+# small, negative and >= 2^70 coefficients: the last test the signed slots
+# and the borrow out of a negative one
+big_coefficients = st.one_of(
+    st.integers(-9, 9), st.integers(2 ** 70, 2 ** 90),
+    st.integers(-2 ** 90, -2 ** 70)).filter(bool)
+
+
+@st.composite
+def segment_polys(draw, nvars, ny, max_exp):
+    """Ordinary sparse operands, or ones homogeneous in X_0 and Y_0 (the
+    variables 0 and ny) whose monomials share their other exponents, so
+    that groups hold many slots."""
+    if draw(st.booleans()):
+        return draw(st.dictionaries(
+            st.tuples(*[st.integers(0, max_exp)] * nvars), big_coefficients,
+            max_size=8))
+    d = draw(st.integers(0, max_exp))
+    out = {}
+    for rest in draw(st.lists(st.tuples(*[st.integers(0, max_exp)] * nvars),
+                              max_size=3)):
+        for x0 in draw(st.sets(st.integers(0, d), max_size=d + 1)):
+            e = list(rest)
+            e[0] = x0
+            if ny < nvars:
+                e[ny] = d - x0
+            out[tuple(e)] = draw(big_coefficients)
+    return out
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_property_segmented_product_matches_tuple_route(data):
+    nvars = data.draw(st.integers(1, 8))
+    ny = data.draw(st.integers(1, nvars))  # ny = nvars: no Y_0, as for -X
+    max_exp = data.draw(st.integers(0, 6))
+    a = data.draw(segment_polys(nvars, ny, max_exp))
+    b = data.draw(segment_polys(nvars, ny, max_exp))
+    base = 2 * max_exp + 1  # above every exponent of a*b
+    ystep = base ** ny
+    pa, pb = _pack(a, base), _pack(b, base)
+    assert _unpack(_segmented(pa, pb, base, ystep), base, nvars) == \
+        _tuple_mul(a, b)
+    assert _unpack(_segmented(pa, None, base, ystep), base, nvars) == \
+        _tuple_mul(a, a)
+
+
+def test_segmented_product_borrows_from_negative_slots():
+    # in X_0, X_1, Y_0 (base 5), each operand one group of x_0 + y_0 = 1:
+    # a^2 = 2^160 X_0^2 - 2^81 X_0 Y_0 + Y_0^2 has a negative middle slot,
+    # a * b = -2^80 X_0^2 + (2^160 + 1) X_0 Y_0 - 2^80 Y_0^2 negative ends
+    base, ystep = 5, 25
+    a = {1: 2 ** 80, ystep: -1}
+    b = {1: -1, ystep: 2 ** 80}
+    ua, ub = _unpack(a, base, 3), _unpack(b, base, 3)
+    assert len(_segments(a, base, ystep, _slot_width(a, a))) == 1
+    assert _unpack(_segmented(a, None, base, ystep), base, 3) == \
+        _tuple_mul(ua, ua)
+    assert _unpack(_segmented(a, b, base, ystep), base, 3) == \
+        _tuple_mul(ua, ub)
+    assert _segmented(a, {}, base, ystep) == {}
+    assert _segmented({}, None, base, ystep) == {}
+
+
+def test_segmented_route_is_taken_by_sum_not_product_polys(monkeypatch):
+    """At (5, 4), S_2's groups hold many monomials; P_2 is bihomogeneous in
+    X and Y, so each of its groups holds one and its products fall back."""
+    upw = build_universal_polys(5, 4)
+    base, ystep = _layout(5, 4)
+    s2 = _pack(upw.sum_polys[2], base)
+    p2 = _pack(upw.prod_polys[2], base)
+    routes = []
+    for name in ("_kronecker", "_pmul_terms", "_psquare_terms"):
+        def spy(*args, _name=name, _f=getattr(sparse, name)):
+            routes.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(sparse, name, spy)
+    _psquare(s2, base, ystep)
+    _pmul(s2, s2, base, ystep)
+    assert routes == ["_kronecker", "_kronecker"]
+    routes.clear()
+    _psquare(p2, base, ystep)
+    _pmul(p2, p2, base, ystep)
+    assert routes == ["_psquare_terms", "_pmul_terms"]
 
 
 # -- one ghost round trip per operation, against the routes it replaced --------
