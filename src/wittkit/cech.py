@@ -172,7 +172,7 @@ def hd_monomials(d, m):
 # ----------------------------------------------------------------------
 
 def _zero_section(p, n, d, S):
-    z = LaurentElem.zero(p, 1, d + 1, S)
+    z = LaurentElem._trusted(p, 1, d + 1, {}, S)
     return WittVector(p, n, [z] * n)
 
 
@@ -236,7 +236,7 @@ class WittCochain:
             x = comps.get(S)
             if x is None:
                 x = _zero_section(p, n, d, S)
-            if not section_valid(x, a, S):
+            elif not section_valid(x, a, S):
                 raise ValueError("section fails degree or support constraints")
             self.comps[S] = x
 
@@ -245,10 +245,16 @@ class WittCochain:
 
 
 def restrict_section(x, S):
-    """Widen the allowed-negative set of all coordinates to S."""
+    """Widen the allowed-negative set of all coordinates to S.
+
+    x is a section over a subset of S (a cochain component), so its terms
+    are reduced and have negative exponents only in S: the coordinates are
+    built trusted, sharing x's terms.
+    """
     return WittVector(
         x.p, x.n,
-        [LaurentElem(c.p, 1, c.num_vars, c.terms, S) for c in x.coords],
+        [LaurentElem._trusted(c.p, 1, c.num_vars, c.terms, S)
+         for c in x.coords],
     )
 
 
@@ -256,12 +262,16 @@ def cech_diff(c):
     """The alternating Witt-sum Cech differential.
 
     Each component is the sum of the even faces minus the sum of the odd
-    ones, so it takes three ghost round trips at most.
+    ones, so it takes three ghost round trips at most.  A component whose
+    faces are all zero is left to the cochain, which fills in zero.
     """
     out = {}
     for S in combinations(range(c.d + 1), c.q + 2):
         Sf = frozenset(S)
-        faces = [restrict_section(c.comps[Sf - {s}], Sf) for s in S]
+        faces = [c.comps[Sf - {s}] for s in S]
+        if all(x.is_zero() for x in faces):
+            continue
+        faces = [restrict_section(x, Sf) for x in faces]
         out[Sf] = witt_sub(witt_sum(faces[0::2]), witt_sum(faces[1::2]))
     return WittCochain(c.p, c.n, c.d, c.a, c.q + 1, out)
 

@@ -106,6 +106,15 @@ class LaurentElem:
     to carry negative exponents: the constructor raises
     ``NegativeExponentViolation`` for any other, and sums, products and
     powers cannot leave that region.
+
+    The constructor checks and reduces what it is given: user input and
+    random draws go through it.  The trusted ``_trusted`` (any ring) and
+    ``_with`` (this element's ring) check nothing and keep the ``terms``
+    dict; their caller guarantees that the keys are tuples of length
+    ``num_vars``, negative only at indices in ``allowed_negative``, and the
+    values residues in [1, p^n).  Such terms come from ring arithmetic
+    inside one ring, or from an element of a ring whose region the new
+    one contains.
     """
 
     __slots__ = ("p", "n", "num_vars", "allowed_negative", "terms")
@@ -160,6 +169,17 @@ class LaurentElem:
             or other.allowed_negative != self.allowed_negative
         ):
             raise VariableMismatch("incompatible Laurent elements")
+
+    @classmethod
+    def _trusted(cls, p, n, num_vars, terms, allowed_negative,
+                 _new=object.__new__):
+        """Trusted constructor: ``terms`` are reduced mod p^n, free of zeros
+        and inside the allowed-negative region (see the class docstring)."""
+        out = _new(cls)
+        out.p, out.n, out.num_vars = p, n, num_vars
+        out.allowed_negative = frozenset(allowed_negative)
+        out.terms = terms
+        return out
 
     def _with(self, terms, _new=object.__new__):
         """Trusted constructor: an element of this ring whose ``terms`` are

@@ -6,6 +6,14 @@ arithmetic in Z/q, and then the operands must already be reduced mod q.
 The functions never mutate their operands, but may return one of them
 (``power(a, 1)`` is ``a``), so results are shared and must not be mutated.
 
+``power`` has closed forms for short operands, which the Laurent covers
+raise to p-th powers by the hundred thousand: zero is returned at once, a
+monomial has one term, and a binomial c1 x^e1 + c2 x^e2 is expanded by the
+binomial theorem.  Its k-th power has the k + 1 terms
+C(k, j) c1^j c2^(k-j) x^(j e1 + (k-j) e2), whose exponents are distinct;
+C(k, j) is carried exactly from term to term and the powers of c1 and c2
+are reduced mod q.  Three or more terms are raised by repeated squaring.
+
 Two exponent formats exist.  Tuple keys (one integer per variable, negative
 entries allowed) serve the Laurent covers of Witt vectors, ``LaurentElem``
 and the Weyl algebra: their products are small and many, so a per-call
@@ -35,7 +43,7 @@ polynomials, whose groups hold one monomial each.
 
 from __future__ import annotations
 
-from operator import add as _add_exps
+from operator import add as _add_exps, sub as _sub_exps
 
 
 class IntegralityFailure(ArithmeticError):
@@ -84,13 +92,21 @@ def mul(a, b, q=0):
 
 
 def power(a, k, q=0):
-    """a^k on tuple exponents for k >= 1, by repeated squaring."""
+    """a^k on tuple exponents for k >= 1.
+
+    Zero, a monomial and a binomial have closed forms; longer polynomials
+    are raised by repeated squaring.
+    """
     if k < 1:
         raise ValueError("sparse powers need k >= 1")
+    if not a:
+        return {}
     if len(a) == 1:  # a monomial: no products to expand
         (e, c), = a.items()
         c = pow(c, k, q) if q else c ** k
         return {tuple(x * k for x in e): c} if c else {}
+    if len(a) == 2:
+        return _binomial_power(a, k, q)
     out = None
     while True:
         if k & 1:
@@ -99,6 +115,33 @@ def power(a, k, q=0):
         if not k:
             return out
         a = mul(a, a, q)
+
+
+def _binomial_power(a, k, q):
+    """(c1 x^e1 + c2 x^e2)^k by the binomial theorem.
+
+    The term j is C(k, j) c1^j c2^(k-j) x^(k e2 + j (e1 - e2)); its exponents
+    differ for distinct j, so no two terms meet.  C(k, j) runs exactly over
+    Z, the powers of c1 and c2 are reduced mod q.
+    """
+    (e1, c1), (e2, c2) = a.items()
+    low = [1]  # c2^0, ..., c2^k
+    for _ in range(k):
+        low.append(low[-1] * c2 % q if q else low[-1] * c2)
+    step = tuple(map(_sub_exps, e1, e2))
+    e = tuple(x * k for x in e2)
+    out = {}
+    binom = high = 1  # C(k, j) and c1^j
+    for j in range(k + 1):
+        v = binom * high * low[k - j]
+        if q:
+            v %= q
+        if v:
+            out[e] = v
+        e = tuple(map(_add_exps, e, step))
+        binom = binom * (k - j) // (j + 1)
+        high = high * c1 % q if q else high * c1
+    return out
 
 
 def divexact(a, k):

@@ -20,10 +20,16 @@ from __future__ import annotations
 
 
 from functools import lru_cache
-from operator import add as _add_exps
+from operator import add as _add_exps, mul as _mul
 
 from . import sparse
-from .rings import LaurentElem, PrimeFieldElem, VariableMismatch, is_prime
+from .rings import (
+    LaurentElem,
+    PrimeFieldElem,
+    ScaleExceeded,
+    VariableMismatch,
+    is_prime,
+)
 from .sparse import IntegralityFailure, _pack, _pmul, _ppow, _unpack
 
 
@@ -65,6 +71,12 @@ def _lift(c):
 
 
 def _reduce_like(cover, template, p):
+    """The coordinate in template's ring that the cover reduces to.
+
+    A Laurent cover computed from coordinates of template's ring has its
+    negative exponents inside that ring's region, so it only needs its
+    coefficients reduced mod p.
+    """
     if isinstance(template, int):
         return cover
     if isinstance(template, PrimeFieldElem):
@@ -72,9 +84,10 @@ def _reduce_like(cover, template, p):
     if isinstance(template, LaurentElem):
         if isinstance(cover, int):
             cover = {(0,) * template.num_vars: cover}
-        return LaurentElem(
-            p, 1, template.num_vars, cover, template.allowed_negative
-        )
+        return LaurentElem._trusted(
+            p, 1, template.num_vars,
+            {e: v for e, c in cover.items() if (v := c % p)},
+            template.allowed_negative)
     raise TypeError("unsupported coordinate type %r" % type(template))
 
 
@@ -183,6 +196,54 @@ def _poly_ghost(var_offset, p, i, base):
             for j in range(i + 1)}
 
 
+# The largest build allowed, in the units of _poly_cost.  Measured on a
+# 2-vCPU x86-64 VM, build and ghost check together: (5, 4) costs 8.5e8 and
+# takes 0.8 s, (3, 5) 1.1e9 and 3.6 s, (19, 3) 3.4e9 and 1.3 s; refused are
+# (23, 3) at 1.5e10, which takes 11 s, (3001, 2) at 2.7e10, 10 s, and
+# (29, 3) at 9.3e10, whose build alone takes 65 s.
+_MAX_POLY_COST = 5 * 10 ** 9
+
+
+def _poly_terms_bound(p, n):
+    """An upper bound on the terms of the universal polynomials of W_n.
+
+    With X_j and Y_j of weight p^j, the level-i sum polynomial is weighted
+    homogeneous of degree p^i in X_0..X_i, Y_0..Y_i, the product polynomial
+    is so in the X and in the Y separately, and the negation polynomial in
+    the X alone.  So level i holds at most sum_a M(a) M(p^i - a) + M(p^i)^2
+    + M(p^i) terms, where M(k) counts the monomials of weighted degree k in
+    X_0..X_i; one pass counts them for every k <= p^(n-1).
+    """
+    top = p ** (n - 1)
+    counts = [1] * (top + 1)  # monomials in X_0 alone, by weighted degree
+    for i in range(1, n):
+        w = p ** i
+        for k in range(w, top + 1):
+            counts[k] += counts[k - w]
+    total = 0
+    for i in range(n):
+        m = counts[:p ** i + 1]  # weights above p^i do not fit in degree p^i
+        total += sum(map(_mul, m, reversed(m))) + m[-1] * m[-1] + m[-1]
+    return total
+
+
+def _poly_cost(p, n):
+    """The work of building the universal polynomials of W_n.
+
+    Terms (:func:`_poly_terms_bound`) times the square of p^(n-1).  The
+    top level's coefficients include binomials C(p^(n-1), k), about p^(n-1)
+    bits long, and a build is mostly products of such polynomials, whose
+    integer products cost about the square of that length.  The term
+    bound is at least p^(n-1) + 1, its top-level sum over a having that many
+    positive summands, so once (p^(n-1) + 1) p^(2(n-1)) passes the limit it
+    is returned without counting.
+    """
+    top = p ** (n - 1)
+    if top ** 3 > _MAX_POLY_COST:
+        return (top + 1) * top * top
+    return _poly_terms_bound(p, n) * top * top
+
+
 class UniversalWittPolys:
     """Sum/product/negation polynomials for W_n, built by ghost recursion.
 
@@ -196,6 +257,11 @@ class UniversalWittPolys:
     def __init__(self, p, n):
         if not is_prime(p) or n < 1:
             raise ValueError("need prime p and n >= 1")
+        cost = _poly_cost(p, n)
+        if cost > _MAX_POLY_COST:
+            raise ScaleExceeded(
+                "universal polynomials for p = %d, n = %d would cost %d,"
+                " over the limit of %d" % (p, n, cost, _MAX_POLY_COST))
         self.p = p
         self.n = n
         base = _pack_base(p, n)
@@ -342,11 +408,21 @@ def build_universal_polys(p, n):
 # Witt vectors
 # ----------------------------------------------------------------------
 
+def _ring(c):
+    """What tells a coordinate's ring apart: its type, and for a Laurent
+    coordinate its variables and allowed-negative region."""
+    if isinstance(c, LaurentElem):
+        return c.num_vars, c.allowed_negative
+    return type(c)
+
+
 class WittVector:
     """A length-n p-typical Witt vector with exact coordinates.
 
     Coordinates are all plain ints (ring Z), all PrimeFieldElem, or all
-    LaurentElem over F_p; mixing is rejected.
+    LaurentElem over F_p; mixing is rejected.  Laurent coordinates share one
+    ring (variables and allowed-negative region), and two vectors combine
+    only over the same coordinate ring, as Laurent elements do.
     """
 
     __slots__ = ("p", "n", "coords")
@@ -358,17 +434,28 @@ class WittVector:
         self.p = p
         self.n = n
         self.coords = coords
+        first = None  # the first Laurent coordinate
         for c in coords:
-            if isinstance(c, (PrimeFieldElem, LaurentElem)) and c.p != p:
+            if isinstance(c, LaurentElem):
+                if c.p != p:
+                    raise Mismatch("coordinate characteristic mismatch")
+                if c.n != 1:
+                    raise Mismatch("Laurent coordinates must live over F_p")
+                if first is None:
+                    first = c
+                elif (c.num_vars != first.num_vars
+                      or c.allowed_negative != first.allowed_negative):
+                    raise Mismatch("coordinates in different Laurent rings")
+            elif isinstance(c, PrimeFieldElem) and c.p != p:
                 raise Mismatch("coordinate characteristic mismatch")
-            if isinstance(c, LaurentElem) and c.n != 1:
-                raise Mismatch("Laurent coordinates must live over F_p")
 
     # -- helpers --------------------------------------------------------
 
     def _check(self, other):
         if self.p != other.p or self.n != other.n:
             raise Mismatch("incompatible Witt vectors")
+        if self.coords and _ring(self.coords[0]) != _ring(other.coords[0]):
+            raise Mismatch("Witt vectors over different coordinate rings")
 
     def _is_char_p(self):
         return not self.coords or not isinstance(self.coords[0], int)
@@ -382,7 +469,7 @@ class WittVector:
         return LaurentElem.zero(self.p, 1, c.num_vars, c.allowed_negative)
 
     def is_zero(self):
-        return all(not _lift(c) for c in self.coords)
+        return not any(map(_lift, self.coords))
 
     def __eq__(self, other):
         return (
@@ -452,7 +539,13 @@ def witt_neg(x):
 
 
 def witt_sub(x, y):
-    """x - y in one ghost round trip: the ghost map is additive."""
+    """x - y in one ghost round trip: the ghost map is additive.
+
+    x - 0 is x itself, with no round trip.
+    """
+    if y.is_zero():
+        x._check(y)
+        return x
     return _binop(x, y, _csub)
 
 
@@ -564,16 +657,22 @@ def witt_zero(p, n, like=None):
 
 
 def witt_sum(vectors, p=None, n=None, like=None):
-    """The Witt sum of vectors: ghosts are summed and inverted once."""
+    """The Witt sum of vectors: ghosts are summed and inverted once.
+
+    Zero summands are dropped first, and when at most one is left it is
+    the sum, the first vector standing for zero.
+    """
     it = list(vectors)
     if not it:
         return witt_zero(p, n, like=like)
-    if len(it) == 1:
-        return it[0]
     x = it[0]
-    total = _ghosts(x)
     for v in it[1:]:
         x._check(v)
+    it = [v for v in it if not v.is_zero()]
+    if len(it) < 2:
+        return it[0] if it else x
+    total = _ghosts(it[0])
+    for v in it[1:]:
         total = [_cadd(a, b) for a, b in zip(total, _ghosts(v))]
     return _from_ghosts(x, total)
 
@@ -617,8 +716,8 @@ def _tilde(x, top, name):
         t = sparse.scale(sparse.power(c.terms, p ** (top - i), q), p ** i, q)
         acc = sparse.add(acc, t, q)
     f = x.coords[0]
-    return LiftedElem(p, n, LaurentElem(p, n, f.num_vars, acc,
-                                        f.allowed_negative))
+    return LiftedElem(p, n, LaurentElem._trusted(p, n, f.num_vars, acc,
+                                                 f.allowed_negative))
 
 
 def tilde_w(x):
@@ -649,7 +748,8 @@ def tilde_w_inverse(y):
             if any(v % k for v in e):
                 raise NotInImage("layer %d is not a p^%d-th power" % (i, k))
             root[tuple(v // k for v in e)] = c
-        coords.append(LaurentElem(p, 1, f.num_vars, root, f.allowed_negative))
+        coords.append(LaurentElem._trusted(p, 1, f.num_vars, root,
+                                           f.allowed_negative))
         sub = sparse.scale(sparse.power(root, k, mod), -pi, mod)
         rem = sparse.add(rem, sub, mod)
     if rem:

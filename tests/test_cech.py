@@ -1,11 +1,17 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittkit.cech import (
     FinLenModule,
     NotACocycle,
+    WittCochain,
     _h0_cocycles,
+    _random_section,
+    _zero_section,
     cech_diff,
     classical_cohomology,
     classical_cohomology_via_cech,
@@ -17,6 +23,7 @@ from wittkit.cech import (
     hd_witt_length_by_cech,
     layer_sums,
     r_map,
+    restrict_section,
     ses_maps_report,
     slice_cohomology_dims,
     teich_lift,
@@ -26,6 +33,7 @@ from wittkit.cech import (
 )
 from wittkit.checks import cohomology_point
 from wittkit.rings import LaurentElem, ScaleExceeded
+from wittkit.witt import WittVector, witt_sub, witt_sum
 
 
 def test_classical_examples():
@@ -225,3 +233,62 @@ def test_ses_maps_named_pair():
     assert vm is v_map and rm is r_map
     with pytest.raises(ValueError):
         ses_maps(2, 1, 1, -1)
+
+
+# -- trusted sections, against the checked constructors they replaced ----------
+
+def _ref_restrict_section(x, S):
+    return WittVector(
+        x.p, x.n,
+        [LaurentElem(c.p, 1, c.num_vars, c.terms, S) for c in x.coords])
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_trusted_sections_match_constructor(data):
+    p = data.draw(st.sampled_from([2, 3]))
+    n = data.draw(st.integers(1, 3))
+    d = data.draw(st.integers(1, 3))
+    a = data.draw(st.integers(-2, 2))
+    T = data.draw(st.sets(st.integers(0, d), min_size=1))
+    S = frozenset(T | data.draw(st.sets(st.integers(0, d))))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    x = _random_section(p, n, d, a, frozenset(T), rng)
+    got, want = restrict_section(x, S), _ref_restrict_section(x, S)
+    assert got == want
+    assert [c.allowed_negative for c in got.coords] == [S] * n
+    zero = _zero_section(p, n, d, S)
+    assert zero == WittVector(p, n, [LaurentElem.zero(p, 1, d + 1, S)] * n)
+    # the checked section test passes on the trusted section and zeros
+    assert WittCochain(p, n, d, a, len(S) - 1, {S: got}).comps[S] == got
+
+
+def _ref_cech_diff(c):
+    """cech_diff as it stood: every component summed, zero faces too."""
+    out = {}
+    for S in combinations(range(c.d + 1), c.q + 2):
+        Sf = frozenset(S)
+        faces = [_ref_restrict_section(c.comps[Sf - {s}], Sf) for s in S]
+        out[Sf] = witt_sub(witt_sum(faces[0::2]), witt_sum(faces[1::2]))
+    return WittCochain(c.p, c.n, c.d, c.a, c.q + 1, out)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_cech_diff_with_zero_faces_matches_full_sums(data):
+    p = data.draw(st.sampled_from([2, 3]))
+    n = data.draw(st.integers(1, 3))
+    d = data.draw(st.integers(1, 3))
+    q = data.draw(st.integers(0, d - 1))
+    a = data.draw(st.integers(-2, 2))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    comps = {}
+    for S in combinations(range(d + 1), q + 1):
+        if data.draw(st.booleans()):  # left out: the cochain fills in zero
+            comps[frozenset(S)] = _random_section(p, n, d, a, frozenset(S),
+                                                  rng)
+    c = WittCochain(p, n, d, a, q, comps)
+    dc = cech_diff(c)
+    assert dc.comps == _ref_cech_diff(c).comps
+    if q + 2 <= d:
+        assert cech_diff(dc).is_zero()

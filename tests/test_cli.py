@@ -104,6 +104,18 @@ def test_library_errors_exit_3_with_json(capsys, argv, needle):
     assert err["type"] == "ValueError" and needle in err["error"]
 
 
+def test_oversized_polys_exit_3_before_any_work(capsys):
+    code = main(["witt", "polys", "--p", "7", "--n", "4"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["type"] == "ScaleExceeded"
+    assert "p = 7, n = 4" in err["error"]
+
+
 def test_cohomology_line_bundle_command(capsys):
     code, out = run(capsys, "cohomology", "line-bundle", "--p", "2",
                     "--n", "2", "--d", "1", "--a", "-2")

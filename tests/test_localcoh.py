@@ -202,6 +202,19 @@ def test_generation_p2_experimental():
         generation_run(2, 2, 0, 5, strict_claims=True)
 
 
+def test_y_move_unit_claim_is_falsified_at_p3_bound10():
+    # The y_ab^[s] move claims binom(m, s) is a unit mod p whenever
+    # m = p - 1 mod p.  By Lucas' theorem binom(m, p) mod p is the next
+    # p-adic digit of m, so the claim fails at s = p when that digit is 0:
+    # m = -7 = 2 + 0*3 + ... in base 3, and binom(-7, 3) = -84 = -28 * 3.
+    p, m = 3, -7
+    assert m % p == p - 1 and (m // p) % p == 0
+    assert gen_binom(m, p) == -84 and gen_binom(m, p) % p == 0
+    with pytest.raises(CoefficientVanished,
+                       match=r"y\[3\]_02 at \(8, -1, -7\)"):
+        generation_run(3, 2, 0, 10, strict_claims=True)
+
+
 def test_generation_operators_are_global():
     """Every operator the algorithm applies is a global section of D."""
     from wittkit.weyl import y_operator

@@ -217,3 +217,60 @@ def test_monomial_power_vanishing_mod_q():
     assert sparse.power({(1, -2): p}, 2, p ** 2) == {}
     assert sparse.power({(1, -2): p}, 1, p ** 2) == {(1, -2): p}
     assert sparse.power({(1, -2): p}, 2) == {(2, -4): p * p}
+
+
+# ----------------------------------------------------------------------
+# closed-form short powers, against the repeated squaring they replaced
+# ----------------------------------------------------------------------
+
+def _ref_power(a, k, q=0):
+    """sparse.power as it stood before zero and two-term closed forms."""
+    if k < 1:
+        raise ValueError("sparse powers need k >= 1")
+    if len(a) == 1:
+        (e, c), = a.items()
+        c = pow(c, k, q) if q else c ** k
+        return {tuple(x * k for x in e): c} if c else {}
+    out = None
+    while True:
+        if k & 1:
+            out = a if out is None else sparse.mul(out, a, q)
+        k >>= 1
+        if not k:
+            return out
+        a = sparse.mul(a, a, q)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_short_power_matches_repeated_products(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    q = data.draw(st.sampled_from([0, p ** data.draw(st.integers(1, 3))]))
+    nvars = data.draw(st.integers(1, 3))
+    # coefficients(q) draws multiples of p too, whose powers may vanish mod q
+    a = data.draw(st.dictionaries(st.tuples(*[st.integers(-3, 3)] * nvars),
+                                  coefficients(q), max_size=2))
+    k = data.draw(st.integers(1, 40))
+    want = a
+    for _ in range(k - 1):
+        want = sparse.mul(want, a, q)
+    got = sparse.power(a, k, q)
+    assert got == want == _ref_power(a, k, q)
+    assert all(got.values())
+    assert not q or all(0 < v < q for v in got.values())
+
+
+def test_short_powers_multiply_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a short power took a product")
+    monkeypatch.setattr(sparse, "mul", refuse)
+    assert sparse.power({}, 7) == {}
+    assert sparse.power({}, 1, 9) == {}
+    assert sparse.power({(1, -1): 2, (0, 1): 1}, 3) == {
+        (3, -3): 8, (2, -1): 12, (1, 1): 6, (0, 3): 1}
+    # (x + y)^3 mod 3 is x^3 + y^3; mod 9 the middle terms are 3s
+    assert sparse.power({(1,): 1, (-1,): 1}, 3, 3) == {(3,): 1, (-3,): 1}
+    assert sparse.power({(1,): 1, (-1,): 1}, 3, 9) == {
+        (3,): 1, (1,): 3, (-1,): 3, (-3,): 1}
+    # powers of a multiple of p vanish mod p^2 from the square on
+    assert sparse.power({(1,): 3, (0,): 1}, 2, 9) == {(0,): 1, (1,): 6}

@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittkit import sparse
-from wittkit.rings import LaurentElem, PrimeFieldElem
+from wittkit.rings import (
+    LaurentElem,
+    PrimeFieldElem,
+    ScaleExceeded,
+    VariableMismatch,
+)
 from wittkit.sparse import (IntegralityFailure, _kronecker, _pack, _pmul,
                             _ppow, _psquare, _segments, _slot_width, _unpack)
 from wittkit.witt import (
@@ -22,9 +27,13 @@ from wittkit.witt import (
     _expand2,
     _ghost_from_covers,
     _ghost_inverse,
+    _MAX_POLY_COST,
     _layout,
     _lift,
+    _poly_cost,
+    _poly_terms_bound,
     _reduce_like,
+    UniversalWittPolys,
     build_universal_polys,
     decompose,
     evaluate_teich_expansion,
@@ -809,3 +818,180 @@ def test_chained_ghost_map_matches_direct_formula(data):
     direct = _direct_ghosts(covers, p)
     assert _ghost_from_covers(covers, p) == direct
     assert _ghost_inverse(direct, p) == covers
+
+
+# -- zero shortcuts and trusted coordinates, against the routes they replaced --
+
+def _ref_reduce_like(cover, template, p):
+    """witt._reduce_like as it stood, through the checked constructors."""
+    if isinstance(template, int):
+        return cover
+    if isinstance(template, PrimeFieldElem):
+        return PrimeFieldElem(p, cover % p)
+    if isinstance(cover, int):
+        cover = {(0,) * template.num_vars: cover}
+    return LaurentElem(p, 1, template.num_vars, cover,
+                       template.allowed_negative)
+
+
+def _ref_from_ghosts(x, ws):
+    covers = _ghost_inverse(ws, x.p)
+    return WittVector(x.p, x.n, [_ref_reduce_like(c, t, x.p)
+                                 for c, t in zip(covers, x.coords)])
+
+
+def _ref_ghosts(x):
+    return _ghost_from_covers([_lift(c) for c in x.coords], x.p)
+
+
+def _ref_witt_sub(x, y):
+    """witt_sub as it stood: one ghost round trip, zero or not."""
+    x._check(y)
+    return _ref_from_ghosts(x, [_cadd(a, _cscale(-1, b)) for a, b
+                                in zip(_ref_ghosts(x), _ref_ghosts(y))])
+
+
+def _ref_witt_sum(vectors):
+    """witt_sum as it stood: every summand through the ghost map."""
+    if len(vectors) == 1:
+        return vectors[0]
+    x = vectors[0]
+    total = _ref_ghosts(x)
+    for v in vectors[1:]:
+        x._check(v)
+        total = [_cadd(a, b) for a, b in zip(total, _ref_ghosts(v))]
+    return _ref_from_ghosts(x, total)
+
+
+def _identical(u, v):
+    """Equal, with the same coordinate types and Laurent rings."""
+    return (u == v and u.to_json() == v.to_json()
+            and [type(c) for c in u.coords] == [type(c) for c in v.coords])
+
+
+def gate_vector_or_zero(data, p, n, coord):
+    x = gate_vector(data, p, n, coord)
+    if data.draw(st.integers(0, 2)):
+        return x
+    return WittVector(p, n, [x.zero_coord()] * n)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_sub_and_sum_with_zeros_match_ghost_route(data):
+    p, n, coord = data.draw(gate_rings())
+    x, y = (gate_vector_or_zero(data, p, n, coord) for _ in range(2))
+    assert _identical(witt_sub(x, y), _ref_witt_sub(x, y))
+    vs = [gate_vector_or_zero(data, p, n, coord)
+          for _ in range(data.draw(st.integers(1, 4)))]
+    assert _identical(witt_sum(vs), _ref_witt_sum(vs))
+
+
+def test_zero_summands_take_no_round_trip():
+    p, n = 3, 2
+    z = LaurentElem.zero(p, 1, 2, (0,))
+    x = WittVector(p, n, [z, z])
+    y = WittVector(p, n, [LaurentElem(p, 1, 2, {(-1, 1): 2}, (0,)), z])
+    assert witt_sub(y, x) is y
+    assert witt_sum([x, x]) is x
+    for vs in ([x, y, x], [y, x], [x, x, y]):
+        assert witt_sum(vs) is y
+        assert _identical(y, _ref_witt_sum(vs))
+
+
+def test_vectors_over_different_coordinate_rings_are_rejected():
+    p = 3
+    f = LaurentElem(p, 1, 2, {(1, 0): 1}, (0,))
+    g = LaurentElem(p, 1, 2, {(1, 0): 1}, ())
+    h = LaurentElem(p, 1, 1, {(1,): 1}, ())
+    for coords in ([f, g], [g, h]):
+        with pytest.raises(VariableMismatch):
+            WittVector(p, 2, coords)
+    x = WittVector(p, 2, [f, f])
+    for other in (WittVector(p, 2, [g, g]), WittVector(p, 2, [h, h]),
+                  fp_vec(p, 2, [1, 2])):
+        for op in (witt_add, witt_sub, witt_mul):
+            with pytest.raises(VariableMismatch):
+                op(x, other)
+    zero_y = WittVector(p, 2, [g * 0, g * 0])
+    with pytest.raises(VariableMismatch):
+        witt_sub(x, zero_y)
+    with pytest.raises(VariableMismatch):
+        witt_sum([zero_y, x])
+    with pytest.raises(VariableMismatch):
+        witt_add(fp_vec(p, 2, [1, 2]), WittVector(p, 2, [1, 2]))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_trusted_reduce_like_matches_constructor(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    nv = data.draw(st.integers(1, 3))
+    region = data.draw(st.sets(st.integers(0, nv - 1)))
+    template = LaurentElem.zero(p, 1, nv, region)
+    exps = st.tuples(*[st.integers(-3, 3) if i in region
+                       else st.integers(0, 3) for i in range(nv)])
+    cover = data.draw(st.one_of(
+        st.integers(-50, 50),
+        st.dictionaries(exps, st.integers(-50, 50).filter(bool), max_size=5)))
+    got = _reduce_like(cover, template, p)
+    want = _ref_reduce_like(cover, template, p)
+    assert got == want
+    assert got.allowed_negative == want.allowed_negative == frozenset(region)
+    assert (got.p, got.n, got.num_vars) == (want.p, want.n, want.num_vars)
+    if isinstance(cover, int):
+        for t in (PrimeFieldElem(p, 0), 0):
+            assert _reduce_like(cover, t, p) == _ref_reduce_like(cover, t, p)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_trusted_tilde_maps_match_constructor(data):
+    p = data.draw(st.sampled_from([2, 3]))
+    n = data.draw(st.integers(1, 3))
+    nv = data.draw(st.integers(1, 2))
+    region = data.draw(st.sets(st.integers(0, nv - 1)))
+    exps = st.tuples(*[st.integers(-2, 2) if i in region
+                       else st.integers(0, 2) for i in range(nv)])
+    x = WittVector(p, n, [
+        LaurentElem(p, 1, nv, data.draw(st.dictionaries(
+            exps, st.integers(1, p - 1), max_size=2)), region)
+        for _ in range(n)])
+    for y in (tilde_w(x), tilde_F(x)):
+        f = y.value
+        assert f == LaurentElem(p, n, nv, f.terms, region)
+    back = tilde_w_inverse(tilde_w(x))
+    assert back == WittVector(p, n, [
+        LaurentElem(p, 1, nv, c.terms, region) for c in back.coords])
+    assert tilde_w(back) == tilde_w(x)
+
+
+# -- refusing oversized universal-polynomial builds ----------------------------
+
+@pytest.mark.parametrize("p,n", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4),
+                                 (5, 3), (5, 4), (7, 2), (7, 3), (11, 3)])
+def test_poly_terms_bound_holds_the_built_terms(p, n):
+    u = build_universal_polys(p, n)
+    terms = sum(len(f) for f in u.sum_polys + u.prod_polys + u.neg_polys)
+    assert terms <= _poly_terms_bound(p, n) < 2 * terms
+
+
+def test_every_used_shape_is_under_the_build_limit():
+    shapes = ([(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)]
+              + [(5, n) for n in range(1, 5)] + [(7, n) for n in range(1, 4)])
+    for p, n in shapes:
+        assert _poly_cost(p, n) <= _MAX_POLY_COST, (p, n)
+
+
+@pytest.mark.parametrize("p,n", [(7, 4), (2, 7), (5, 5), (23, 3), (3001, 2),
+                                 (101, 40)])
+def test_oversized_builds_are_refused_before_any_work(monkeypatch, p, n):
+    assert _poly_cost(p, n) > _MAX_POLY_COST
+
+    def work(self):
+        raise AssertionError("the build started")
+    monkeypatch.setattr(UniversalWittPolys, "_ghost_targets", work)
+    with pytest.raises(ScaleExceeded, match="p = %d, n = %d" % (p, n)):
+        UniversalWittPolys(p, n)
+    with pytest.raises(ScaleExceeded):
+        build_universal_polys(p, n)
