@@ -12,6 +12,7 @@ honest F_p linear algebra per multidegree sign pattern.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -116,7 +117,18 @@ def slice_complex(d, pattern, ground=None):
 
 
 def slice_cohomology_dims(d, p, pattern, ground=None):
-    """h^q of one slice complex over F_p, computed by rank arithmetic."""
+    """h^q of one slice complex over F_p, computed by rank arithmetic.
+
+    A slice depends only on d, p, the pattern and the ground set, and the
+    Cech routes ask for few of them many times, so they are computed once
+    (:func:`_slice_dims`); every caller gets a list of its own.
+    """
+    return list(_slice_dims(d, p, frozenset(pattern),
+                            None if ground is None else tuple(ground)))
+
+
+@lru_cache(maxsize=128)
+def _slice_dims(d, p, pattern, ground):
     spaces, diffs = slice_complex(d, pattern, ground)
     top = len(spaces) - 1
     dims = [len(s) for s in spaces]
@@ -126,7 +138,7 @@ def slice_cohomology_dims(d, p, pattern, ground=None):
         rin = ranks[q - 1] if q >= 1 else 0
         rout = ranks[q] if q < top else 0
         hs.append(dims[q] - rout - rin)
-    return hs
+    return tuple(hs)
 
 
 def classical_cohomology_via_cech(d, m, i, p):

@@ -8,8 +8,8 @@ those it does not use and returns its ``cases``, ``failures`` and parameters.
 from . import cech, localcoh, steinberg, witt, wittdiff
 from .drw import DRWElement, act, enumerate_basis
 from .rings import PrimeFieldElem
+from .wittdiff import RELATIONS
 
-RELATIONS = ("restriction", "frobenius", "verschiebung", "filtration")
 STEINBERG_RANKS = ((2, 1, 2), (3, 1, 3), (2, 2, 8))
 
 

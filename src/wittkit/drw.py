@@ -20,7 +20,8 @@ from __future__ import annotations
 from itertools import product
 from operator import itemgetter
 
-from .rings import is_prime
+from .rings import ScaleExceeded, is_prime
+from .witt import _MAX_BASIS_SIZE, _basis_size
 
 
 class Inadmissible(ValueError):
@@ -380,6 +381,13 @@ def enumerate_basis(p, n, d, i, bound):
     """
     if not is_prime(p):
         raise ValueError("p = %r is not prime" % (p,))
+    if i < 0:
+        raise ValueError("need degree i >= 0, got i = %d" % i)
+    size = _basis_size(d, i, bound)
+    if size > _MAX_BASIS_SIZE:
+        raise ScaleExceeded(
+            "the basis at d = %d, i = %d, bound = %d has %d elements, over "
+            "the limit of %d" % (d, i, bound, size, _MAX_BASIS_SIZE))
     if i > d:
         return []
     # entry[j][a]: the key triple (j, u, v) of r_j = a / p^(n-1), None for 0

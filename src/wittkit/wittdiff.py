@@ -205,6 +205,9 @@ def apply_witt_monomial(p, length, j, r, level, scalar, u, num_vars):
 # relation checks (restriction / Frobenius / Verschiebung / filtration)
 # ----------------------------------------------------------------------
 
+RELATIONS = ("restriction", "frobenius", "verschiebung", "filtration")
+
+
 def check_relation(which, p, n, d, r, samples, rng, j=0):
     """Exact sample checks of the section-3 relations for d_j^[r].
 
@@ -214,49 +217,51 @@ def check_relation(which, p, n, d, r, samples, rng, j=0):
     """
     if samples < 1:
         raise ValueError("need samples >= 1, got samples = %d" % samples)
+    if which not in RELATIONS:
+        raise ValueError("unknown relation %r" % (which,))
     L = n + 1
     op_hi = partial_op(p, d, j, r, L)
+    op_lo = None  # the right-hand side's operator, where there is one
+    if which == "restriction" and r % p == 0:
+        op_lo = partial_op(p, d, j, r // p, L - 1)
+    elif which == "frobenius" and r % p == 0:
+        op_lo = partial_op(p, d, j, r // p, L)
+    elif which == "verschiebung":
+        op_lo = partial_op(p, d, j, r, L - 1)
     failures = []
-    cases = 0
     for _ in range(samples):
-        cases += 1
         if which == "restriction":
             x = random_witt_vector(p, L, d, rng)
             lhs = restrict(apply_witt(op_hi, x))
-            if r % p == 0:
-                op_lo = partial_op(p, d, j, r // p, L - 1)
-                rhs = apply_witt(op_lo, restrict(x))
-            else:
+            if op_lo is None:
                 rhs = witt_scalar_mul(0, restrict(x))
+            else:
+                rhs = apply_witt(op_lo, restrict(x))
             if lhs != rhs:
                 failures.append(x.to_json())
         elif which == "frobenius":
             x = random_witt_vector(p, L, d, rng)
             lhs = apply_witt(op_hi, witt_phi(x))
-            if r % p == 0:
-                op_lo = partial_op(p, d, j, r // p, L)
-                rhs = witt_phi(apply_witt(op_lo, x))
-            else:
+            if op_lo is None:
                 rhs = witt_scalar_mul(0, x)
+            else:
+                rhs = witt_phi(apply_witt(op_lo, x))
             if lhs != rhs:
                 failures.append(x.to_json())
         elif which == "verschiebung":
             x = random_witt_vector(p, L - 1, d, rng)
-            op_lo = partial_op(p, d, j, r, L - 1)
             lhs = apply_witt(op_hi, verschiebung(x))
             rhs = verschiebung(apply_witt(op_lo, x))
             if lhs != rhs:
                 failures.append(x.to_json())
-        elif which == "filtration":
+        else:  # filtration
             i = rng.randrange(1, L)
             x = random_witt_vector(p, L, d, rng, first_zero=i)
             out = apply_witt(op_hi, x)
             if any(not out.coords[s].is_zero() for s in range(i)):
                 failures.append(x.to_json())
-        else:
-            raise ValueError("unknown relation %r" % (which,))
     return {"relation": which, "p": p, "n": n, "d": d, "r": r,
-            "cases": cases, "failures": failures}
+            "cases": samples, "failures": failures}
 
 
 def image_valuation_check(p, n, d, q_order, samples, rng, j=0):

@@ -11,6 +11,7 @@ from wittkit.cech import (
     WittCochain,
     _h0_cocycles,
     _random_section,
+    _slice_dims,
     _zero_section,
     cech_diff,
     classical_cohomology,
@@ -62,6 +63,33 @@ def test_slice_cohomology_patterns():
         for k in range(1, d + 1):
             hs = slice_cohomology_dims(d, 3, frozenset(range(k)))
             assert hs == [0] * (d + 1)
+
+
+def test_slice_cache_is_bounded_and_hands_out_fresh_lists():
+    assert _slice_dims.cache_info().maxsize is not None
+    first = slice_cohomology_dims(2, 3, {0, 1, 2})
+    first.append(99)
+    first[0] = 7
+    assert slice_cohomology_dims(2, 3, [2, 1, 0]) == [0, 0, 1]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_cached_slices_match_uncached(p):
+    uncached = _slice_dims.__wrapped__
+    for d in range(1, 5):
+        grounds = [None, list(range(d + 1)), list(range(1, d + 1)),
+                   [d - 1, d]]
+        for ground in grounds:
+            points = range(d + 1) if ground is None else ground
+            for k in range(len(points) + 1):
+                for pattern in combinations(points, k):
+                    key = (d, p, frozenset(pattern),
+                           None if ground is None else tuple(ground))
+                    want = list(uncached(*key))
+                    assert slice_cohomology_dims(d, p, set(pattern),
+                                                 ground) == want
+                    assert slice_cohomology_dims(d, p, pattern,
+                                                 ground) == want
 
 
 def test_finlen_module():

@@ -116,6 +116,25 @@ def test_oversized_polys_exit_3_before_any_work(capsys):
     assert "p = 7, n = 4" in err["error"]
 
 
+def test_oversized_drw_basis_exits_3_before_enumerating(capsys, monkeypatch):
+    import wittkit.drw as drw
+    from itertools import product
+
+    def small_product(*ranges):
+        # the d = 1 cells run first and are small; a larger one is the bug
+        if len(ranges) > 1 and len(ranges[0]) > 100:
+            raise AssertionError("an oversized enumeration started")
+        return product(*ranges)
+    monkeypatch.setattr(drw, "product", small_product)
+    code = main(["verify", "drw-identities", "--p", "31", "--n", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["type"] == "ScaleExceeded"
+    assert "bound = 2883 has 8317456 elements" in err["error"]
+
+
 def test_cohomology_line_bundle_command(capsys):
     code, out = run(capsys, "cohomology", "line-bundle", "--p", "2",
                     "--n", "2", "--d", "1", "--a", "-2")

@@ -17,6 +17,8 @@ from wittkit.drw import (
     weight_from_json,
     weight_to_json,
 )
+from wittkit.rings import ScaleExceeded
+from wittkit.witt import _MAX_BASIS_SIZE, _basis_size
 
 
 def W(p, d, **entries):
@@ -120,6 +122,40 @@ def test_enumerate_basis_n1_matches_classical_count(d, i, bound, p=3):
 
         classical += count(box)
     assert len(keys) == classical
+
+
+def test_basis_size_counts_enumerate_basis():
+    for p in (2, 3):
+        for n in (1, 2):
+            for d in range(4):
+                for i in range(d + 2):
+                    for bound in (-1, 0, 1, 2, 5):
+                        keys = enumerate_basis(p, n, d, i, bound)
+                        assert _basis_size(d, i, bound) == len(keys), \
+                            (p, n, d, i, bound)
+
+
+def test_used_drw_cells_are_under_the_basis_limit():
+    # criterion 8 (numerators <= 3p^2), the verify suite at p <= 13 and the
+    # benchmark's cells (numerators <= 22)
+    cells = [(d, 3 * p * p) for p in (2, 3, 5, 7, 11, 13) for d in (1, 2)]
+    cells += [(3, 27), (3, 22), (3, 6)]
+    for d, bound in cells:
+        for i in range(d + 1):
+            assert _basis_size(d, i, bound) <= _MAX_BASIS_SIZE, (d, i, bound)
+
+
+def test_oversized_basis_is_refused_before_any_work(monkeypatch):
+    import wittkit.drw as drw
+
+    def work(*args):
+        raise AssertionError("the enumeration started")
+    monkeypatch.setattr(drw, "product", work)
+    with pytest.raises(ScaleExceeded, match="d = 2, i = 0, bound = 2883"):
+        enumerate_basis(31, 1, 2, 0, 3 * 31 * 31)
+    assert _basis_size(2, 1, 2883) > _MAX_BASIS_SIZE
+    with pytest.raises(ValueError, match="i = -1"):
+        enumerate_basis(3, 1, 2, -1, 4)
 
 
 def _subsets(items, size):

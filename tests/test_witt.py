@@ -966,6 +966,110 @@ def test_trusted_tilde_maps_match_constructor(data):
     assert tilde_w(back) == tilde_w(x)
 
 
+# -- one-pass w-tilde inversion and the zero scalar, against the old routes --
+
+def _ref_tilde_w_inverse(y):
+    """tilde_w_inverse as it stood: separate passes per layer."""
+    p, L = y.p, y.level
+    mod = p ** L
+    f = y.value
+    rem = f.terms  # reduced mod p^L, since f.n == L
+    coords = []
+    for i in range(L):
+        k = p ** (L - 1 - i)
+        pi = p ** i
+        try:
+            layer = sparse.scale(sparse.divexact(rem, pi), 1, p)
+        except IntegralityFailure:
+            raise NotInImage("stray low p-valuation at layer %d" % i) from None
+        root = {}
+        for e, c in layer.items():
+            if any(v % k for v in e):
+                raise NotInImage("layer %d is not a p^%d-th power" % (i, k))
+            root[tuple(v // k for v in e)] = c
+        coords.append(LaurentElem._trusted(p, 1, f.num_vars, root,
+                                           f.allowed_negative))
+        sub = sparse.scale(sparse.power(root, k, mod), -pi, mod)
+        rem = sparse.add(rem, sub, mod)
+    if rem:
+        raise NotInImage("nonzero remainder after peeling")
+    return WittVector(p, L, coords)
+
+
+def _outcome(fn, y):
+    """fn(y) as JSON, or the type and message of what it raised."""
+    try:
+        return fn(y).to_json()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def lifted_elems(draw):
+    """w-tilde images, and images with a term added: of valuation j >= 1,
+    a unit at an exponent off the p^(L-1) lattice, or p^(L-1) times a unit
+    (seen by the last layer only).  Only the off-lattice kind leaves the
+    image: a full peel of layers 0..i-1 leaves rem divisible by p^i, the
+    k-th power of a root being its Frobenius twist mod p, so the two other
+    messages cannot be reached from a reduced input."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    L = draw(st.integers(1, 4 if p == 2 else 3 if p == 3 else 2))
+    nv = draw(st.integers(1, 2))
+    region = draw(st.sets(st.integers(0, nv - 1)))
+    exps = st.tuples(*[st.integers(-2, 2) if v in region
+                       else st.integers(0, 2) for v in range(nv)])
+    x = WittVector(p, L, [
+        LaurentElem(p, 1, nv, draw(st.dictionaries(
+            exps, st.integers(1, p - 1), max_size=2)), region)
+        for _ in range(L)])
+    f = tilde_w(x).value
+    kind = draw(st.sampled_from(["image", "valuation", "power", "remainder"]))
+    if kind == "image":
+        return LiftedElem(p, L, f)
+    e = draw(exps)
+    unit = draw(st.integers(1, p - 1))
+    if kind == "valuation":
+        c = p ** draw(st.integers(1, L - 1)) * unit if L > 1 else unit
+    elif kind == "power":
+        e = tuple(v * p ** (L - 1) for v in e)
+        e = (e[0] + draw(st.integers(1, p - 1)),) + e[1:]
+        c = unit
+    else:
+        c = p ** (L - 1) * unit
+    g = LaurentElem(p, L, nv, {e: c}, region)
+    return LiftedElem(p, L, f + g)
+
+
+@given(lifted_elems())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_tilde_w_inverse_matches_reference(y):
+    assert _outcome(tilde_w_inverse, y) == _outcome(_ref_tilde_w_inverse, y)
+
+
+def test_tilde_w_inverse_fills_zeros_after_an_empty_remainder():
+    p, L = 3, 3
+    z = LaurentElem.zero(p, 1, 1, (0,))
+    u = LaurentElem.monomial(p, 1, 1, (-1,), 2, (0,))
+    for coords in ([z, z, z], [u, z, z], [z, u, z], [u, u, z]):
+        x = WittVector(p, L, coords)
+        back = tilde_w_inverse(tilde_w(x))
+        assert _identical(back, x)
+        assert _identical(back, _ref_tilde_w_inverse(tilde_w(x)))
+    y = LiftedElem(2, 3, LaurentElem.monomial(2, 3, 1, (3,)))
+    with pytest.raises(NotInImage, match="layer 0 is not a p"):
+        tilde_w_inverse(y)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_zero_scalar_matches_ghost_round_trip(data):
+    p, n, coord = data.draw(gate_rings())
+    x = gate_vector_or_zero(data, p, n, coord)
+    want = _ref_from_ghosts(x, [_cscale(0, g) for g in _ref_ghosts(x)])
+    assert _identical(witt_scalar_mul(0, x), want)
+    assert witt_scalar_mul(0, x).is_zero()
+
+
 # -- refusing oversized universal-polynomial builds ----------------------------
 
 @pytest.mark.parametrize("p,n", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4),

@@ -88,6 +88,36 @@ def test_relations_sampled(which, p, n, d):
         assert not rep["failures"], rep
 
 
+def test_check_relation_builds_each_operator_once(monkeypatch):
+    import wittkit.wittdiff as wd
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return partial_op(*args)
+    monkeypatch.setattr(wd, "partial_op", counting)
+    for which, r, ops in (("restriction", 2, 2), ("restriction", 1, 1),
+                          ("frobenius", 4, 2), ("verschiebung", 3, 2),
+                          ("filtration", 2, 1)):
+        built.clear()
+        rep = check_relation(which, 2, 2, 1, r, 4, random.Random(3))
+        assert rep["cases"] == 4 and not rep["failures"]
+        assert len(built) == ops, (which, r, built)
+
+
+def test_unknown_relation_is_refused_before_any_operator(monkeypatch):
+    import wittkit.wittdiff as wd
+
+    def work(*args):
+        raise AssertionError("an operator was built")
+    monkeypatch.setattr(wd, "partial_op", work)
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="unknown relation 'restr'"):
+        check_relation("restr", 2, 1, 1, 2, 3, rng)
+    assert rng.getstate() == state
+
+
 def test_restriction_kills_coprime_orders():
     # p does not divide r: R o d^[r] = 0
     rng = random.Random(7)
