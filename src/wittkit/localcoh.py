@@ -184,7 +184,7 @@ def y_action(i, l_idx, r, c):
     """
     p, n, d, j = c.p, c.n, c.d, c.j
     out = {}
-    for (l, u), coeff in c.terms.items():
+    for (l, u), coeff in c._int_terms().items():
         rem = n - l
         chart_vars = [s for s in range(d + 1) if s != i]
         slot = chart_vars.index(l_idx)
@@ -356,7 +356,7 @@ def parabolic_action(g, x):
     if not parabolic_in_pj(kind, args, j, d):
         raise ValueError("generator does not lie in P_j")
     out = CohClass.zero(p, n, d, j)
-    for (l, u), coeff in x.terms.items():
+    for (l, u), coeff in x._int_terms().items():
         if kind == "torus":
             t = args
             lam = 1

@@ -22,7 +22,11 @@ serve the universal Witt polynomials: with X_j and Y_j of weight p^j every
 exponent met at level i is at most p^i, so with base 2 p^(n-1) + 1 the
 exponent vector (e_0, e_1, ...) packs into sum e_k * base^k without carries,
 and a product of monomials is a sum of keys.  ``add``, ``scale`` and
-``divexact`` do not look at keys and serve both formats.
+``divexact`` do not look at keys and serve both formats.  ``_unpack`` turns
+packed keys back into tuples by half-words: each key is split once at
+``ystep`` (below it the X digits, above it the Y digits), and each half is
+looked up in a per-call memo of digit tuples, since the monomials of a
+universal polynomial share few distinct X and Y parts.
 
 Packed products are segmented along X_0.  The layout passed with them is
 ``base`` and ``ystep``, the place value of Y_0: ``base**n`` for the Witt
@@ -170,16 +174,39 @@ def _pack(poly, base):
     return out
 
 
-def _unpack(poly, base, nvars):
-    """{packed exponent: c} -> {exponent tuple: c} in nvars variables."""
+def _unpack(poly, base, nvars, ystep=None):
+    """{packed exponent: c} -> {exponent tuple: c} in nvars variables.
+
+    Each key is split once at ``ystep``, a power of base (default: the
+    middle variable), and each half is read from a per-call memo of digit
+    tuples.
+    """
+    if ystep is None:
+        ystep = base ** (nvars // 2)
+    low = 0  # the digits below ystep
+    while base ** low < ystep:
+        low += 1
+    lows, highs = {}, {}
     out = {}
     for k, c in poly.items():
-        e = []
-        for _ in range(nvars):
-            k, x = divmod(k, base)
-            e.append(x)
-        out[tuple(e)] = c
+        hi, lo = divmod(k, ystep)
+        el = lows.get(lo)
+        if el is None:
+            el = lows[lo] = _digits(lo, base, low)
+        eh = highs.get(hi)
+        if eh is None:
+            eh = highs[hi] = _digits(hi, base, nvars - low)
+        out[el + eh] = c
     return out
+
+
+def _digits(k, base, count):
+    """The lowest count base-``base`` digits of k, lowest first."""
+    e = []
+    for _ in range(count):
+        k, x = divmod(k, base)
+        e.append(x)
+    return tuple(e)
 
 
 def _pmul(a, b, base, ystep):

@@ -19,10 +19,6 @@ from .linalg import echelon, local_smith_profile, rank_mod_p, smith_normal_form
 from .rings import ScaleExceeded, is_prime
 
 
-def integer_rank(mat):
-    return len([d for d in smith_normal_form(mat) if d])
-
-
 # ----------------------------------------------------------------------
 # the finite groups and their parabolic coset spaces
 # ----------------------------------------------------------------------

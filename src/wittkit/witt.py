@@ -273,6 +273,14 @@ class UniversalWittPolys:
     construction and all coefficients are certified integers.  The work is
     done on packed exponents; the stored polynomials are tuple-keyed dicts
     in the variables X_0..X_{n-1}, Y_0..Y_{n-1} (negation: X only).
+
+    Values in F_p are specialized through a reduced form of each list
+    (:meth:`fp_polys`), built on first use and kept on the instance, which
+    ``build_universal_polys`` shares among its few latest shapes.  On F_p
+    Fermat's little theorem gives x^k = x^(1 + (k-1) mod (p-1)) for k >= 1,
+    x = 0 included, and coefficients only matter mod p; so the reduced form
+    takes the same value at every point of F_p^(2n).  At (5, 4) the sum
+    polynomials shrink from 37,902 terms to 1,012.
     """
 
     def __init__(self, p, n):
@@ -285,13 +293,39 @@ class UniversalWittPolys:
                 " over the limit of %d" % (p, n, cost, _MAX_POLY_COST))
         self.p = p
         self.n = n
-        base = _pack_base(p, n)
+        base, ystep = _layout(p, n)
         sum_t, prod_t, neg_t = self._ghost_targets()
-        self.sum_polys = [_unpack(f, base, 2 * n)
+        self.sum_polys = [_unpack(f, base, 2 * n, ystep)
                           for f in self._solve(sum_t, p)]
-        self.prod_polys = [_unpack(f, base, 2 * n)
+        self.prod_polys = [_unpack(f, base, 2 * n, ystep)
                            for f in self._solve(prod_t, p)]
-        self.neg_polys = [_unpack(f, base, n) for f in self._solve(neg_t, p)]
+        self.neg_polys = [_unpack(f, base, n, ystep)
+                          for f in self._solve(neg_t, p)]
+        self._fp_polys = {}  # name -> reduced form, filled by fp_polys
+
+    def fp_polys(self, name):
+        """The list ``name`` ("sum_polys", ...) reduced for values in F_p.
+
+        Each coefficient is reduced mod p, each exponent k >= 1 becomes
+        1 + (k-1) mod (p-1), and the terms that then coincide are merged,
+        zeros dropped.  Evaluated mod p at F_p values, each reduced
+        polynomial equals the stored one (see the class docstring).
+        """
+        polys = self._fp_polys.get(name)
+        if polys is None:
+            p = self.p
+            # every exponent is at most the top weighted degree p^(n-1)
+            fold = [0] + [1 + k % (p - 1) for k in range(p ** (self.n - 1))]
+            polys = []
+            for f in getattr(self, name):
+                acc = {}
+                for exps, c in f.items():
+                    if c % p:
+                        e = tuple(map(fold.__getitem__, exps))
+                        acc[e] = acc.get(e, 0) + c
+                polys.append({e: v for e, c in acc.items() if (v := c % p)})
+            self._fp_polys[name] = polys
+        return polys
 
     def _ghost_targets(self):
         """Packed ghosts of X + Y, X * Y and -X, level by level."""
@@ -359,7 +393,9 @@ class UniversalWittPolys:
         one dict in place, whose zeros are dropped once at the end.
 
         The universal polynomials have no constant term, so every monomial
-        touches at least one variable.
+        touches at least one variable.  For values in F_p, ``poly`` may be
+        the reduced form from :meth:`fp_polys`: it has the same value mod p
+        at every point of F_p, in far fewer terms.
         """
         laurent = not isinstance(values[0], int)
         powcache = [{} for _ in values]
@@ -575,8 +611,9 @@ def _via_polys(x, polys, vectors):
     vals = [_lift(c) for v in vectors for c in v.coords]
     q = x.p if x._is_char_p() else 0
     upw = build_universal_polys(x.p, x.n)
-    return _vector_from_covers(
-        x, [upw.specialize(f, vals, q) for f in getattr(upw, polys)])
+    fs = (upw.fp_polys(polys) if isinstance(x.coords[0], PrimeFieldElem)
+          else getattr(upw, polys))
+    return _vector_from_covers(x, [upw.specialize(f, vals, q) for f in fs])
 
 
 def witt_add_via_polys(x, y):
@@ -669,11 +706,6 @@ def witt_scalar_mul(c, x):
     if c == 0:
         return _vector_from_covers(x, [0] * x.n)
     return _from_ghosts(x, [_cscale(c, g) for g in _ghosts(x)])
-
-
-def decompose(x):
-    """Coordinates of x, so that x = sum_l V^l([x_{l+1}])."""
-    return list(x.coords)
 
 
 def witt_zero(p, n, like=None):
@@ -787,7 +819,7 @@ def tilde_w_inverse(y):
             else:
                 root[tuple(v // k for v in e)] = c
         if not is_power:
-            raise NotInImage("layer %d is not a p^%d-th power" % (i, k))
+            raise NotInImage("layer %d is not a %d-th power" % (i, k))
         coords.append(LaurentElem._trusted(p, 1, nv, root, neg))
         if root:
             rem = dict(rem)

@@ -141,9 +141,16 @@ def test_y_action_commutes_with_v():
 
 
 def test_y_action_cross_oracle():
-    """Symbolwise action equals the full w-tilde conjugation route."""
+    """Symbolwise action equals the full w-tilde conjugation route.
+
+    The coefficient runs over [1, p^(n-l)), so a symbol may carry a digit
+    other than 1 and spill into deeper levels; the oracle acts on the
+    coefficient-1 symbol and multiplies its image by the coefficient.
+    Reading a stored digit as an integer coefficient first fails this
+    test between the 200th and the 300th draw.
+    """
     rng = random.Random(2)
-    for _ in range(120):
+    for _ in range(400):
         d = rng.choice([2, 3])
         j = rng.randrange(0, d)
         p = rng.choice([2, 3])
@@ -153,7 +160,8 @@ def test_y_action_cross_oracle():
         i = rng.randrange(0, j + 1)
         li = rng.choice([s for s in range(d + 1) if s != i])
         r = rng.randrange(1, p * p + 1)
-        cls = CohClass.symbol(p, n, d, j, l, u)
+        coeff = rng.randrange(1, p ** (n - l))
+        cls = CohClass.symbol(p, n, d, j, l, u, coeff)
         got = y_action(i, li, r, cls)
         chart_vars = [s for s in range(d + 1) if s != i]
         ce = tuple(u[s] for s in chart_vars)
@@ -169,8 +177,52 @@ def test_y_action_cross_oracle():
                     amb[s] = e[k]
                 amb[i] = -sum(amb)
                 key = (l + lev, tuple(amb))
-                raw[key] = raw.get(key, 0) + teich_scalar(cc, p, n - l - lev)
+                raw[key] = (raw.get(key, 0)
+                            + coeff * teich_scalar(cc, p, n - l - lev))
         assert got == CohClass(p, n, d, j, raw)
+
+
+def _random_class(rng, p, n, d, j, symbols=3):
+    """A sum of a few symbols with coefficients in [1, p^(n-l))."""
+    terms = {}
+    for _ in range(symbols):
+        l = rng.randrange(0, n)
+        u = rng.choice(enumerate_index(d, j, 3))
+        terms[(l, u)] = terms.get((l, u), 0) + rng.randrange(1, p ** (n - l))
+    return CohClass(p, n, d, j, terms)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_y_action_is_linear(n):
+    """y(c x) = c y(x) over W_n(F_p), where stored digits differ from
+    their Teichmuller lifts (p = 3, n >= 2)."""
+    p = 3
+    rng = random.Random(31 + n)
+    for _ in range(150):
+        d = rng.choice([2, 3])
+        j = rng.randrange(0, d)
+        x = _random_class(rng, p, n, d, j)
+        c = rng.randrange(1, p ** n)
+        i = rng.randrange(0, j + 1)
+        li = rng.choice([s for s in range(d + 1) if s != i])
+        r = rng.randrange(1, p * p + 1)
+        assert (y_action(i, li, r, x.scalar_mul(c))
+                == y_action(i, li, r, x).scalar_mul(c)), (d, j, c, i, li, r)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_parabolic_action_is_linear(n):
+    """g(c x) = c g(x) for torus and unipotent generators of P_j."""
+    p = 3
+    rng = random.Random(41 + n)
+    for _ in range(60):
+        d = rng.choice([2, 3])
+        j = rng.randrange(0, d)
+        x = _random_class(rng, p, n, d, j)
+        c = rng.randrange(1, p ** n)
+        g = rng.choice(pj_generators(p, d, j))
+        assert (parabolic_action(g, x.scalar_mul(c))
+                == parabolic_action(g, x).scalar_mul(c)), (d, j, c, g)
 
 
 # -- generation ---------------------------------------------------------------

@@ -7,7 +7,6 @@ from wittkit.steinberg import (
     ParabolicCosets,
     acyclicity_check,
     gaussian_flag_count,
-    integer_rank,
     smith_normal_form,
     steinberg_rank,
 )
@@ -51,7 +50,7 @@ def test_coset_counts_match_gaussian_binomials():
 def test_smith_normal_form_basics():
     assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
     assert smith_normal_form([[2, 4], [4, 8]]) == [2]
-    assert integer_rank([[1, 2], [2, 4], [3, 6]]) == 1
+    assert smith_normal_form([[1, 2], [2, 4], [3, 6]]) == [1]  # rank 1
     assert smith_normal_form([[0, 0], [0, 0]]) == []
 
 

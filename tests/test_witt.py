@@ -35,7 +35,6 @@ from wittkit.witt import (
     _reduce_like,
     UniversalWittPolys,
     build_universal_polys,
-    decompose,
     evaluate_teich_expansion,
     frobenius,
     ghost,
@@ -223,6 +222,65 @@ def test_property_specialize_matches_reference(case, which):
                 == _reduce_like(want, coords[0], p))
 
 
+# -- specialization over F_p through the reduced form, against the full one --
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5)
+                                 for n in (1, 2, 3, 4)])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_fp_via_polys_matches_full_specialization(p, n, data):
+    """witt_*_via_polys over F_p, which read the reduced form, equal the
+    stored polynomials specialized term by term mod p.  Digits are drawn
+    with zeros; from n = 2 on the polynomials have exponents >= p, which
+    the reduction folds."""
+    upw = build_universal_polys(p, n)
+    if n >= 2:
+        assert max(max(e) for f in upw.sum_polys + upw.prod_polys
+                   + upw.neg_polys for e in f) >= p
+    digit = st.one_of(st.just(0), st.integers(0, p - 1))
+    x = fp_vec(p, n, [data.draw(digit) for _ in range(n)])
+    y = fp_vec(p, n, [data.draw(digit) for _ in range(n)])
+    xy = [c.value for c in x.coords + y.coords]
+    for got, polys, vals in ((witt_add_via_polys(x, y), upw.sum_polys, xy),
+                             (witt_mul_via_polys(x, y), upw.prod_polys, xy),
+                             (witt_neg_via_polys(x), upw.neg_polys,
+                              xy[:n])):
+        assert [c.value for c in got.coords] == \
+            [upw.specialize(f, vals, p) for f in polys]
+
+
+def test_fp_reduced_form_lives_on_cached_instances():
+    """Only F_p values build the reduced form, lazily, on the instance
+    that the bounded build_universal_polys cache holds."""
+    assert build_universal_polys.cache_parameters()["maxsize"] == 4
+    assert UniversalWittPolys(3, 2)._fp_polys == {}
+    upw = build_universal_polys(3, 2)
+    upw._fp_polys.clear()
+    rng = random.Random(3)
+    xz = WittVector(3, 2, [rng.randrange(-9, 10) for _ in range(2)])
+    xl = rnd_laurent_vec(3, 2, 1, rng)
+    for x in (xz, xl):
+        witt_add_via_polys(x, x)
+        witt_mul_via_polys(x, x)
+        witt_neg_via_polys(x)
+    assert upw._fp_polys == {}
+    x = rnd_fp(3, 2, rng)
+    witt_add_via_polys(x, x)
+    assert list(upw._fp_polys) == ["sum_polys"]
+    assert upw.fp_polys("sum_polys") is upw._fp_polys["sum_polys"]
+    assert build_universal_polys(3, 2) is upw
+
+
+def test_fp_reduced_form_sizes():
+    # known answers: terms of the reduced forms at (5, 4)
+    upw = build_universal_polys(5, 4)
+    assert [sum(map(len, upw.fp_polys(name)))
+            for name in ("sum_polys", "prod_polys", "neg_polys")] == \
+        [1012, 146, 4]
+    assert all(0 < c < 5 and all(e < 5 for e in exps)
+               for f in upw.fp_polys("sum_polys") for exps, c in f.items())
+
+
 # -- ghost components ------------------------------------------------------
 
 def test_ghost_teichmuller():
@@ -335,7 +393,7 @@ def test_decompose_identity():
     rng = random.Random(5)
     for p, n in ((2, 3), (3, 2)):
         x = rnd_laurent_vec(p, n, 2, rng)
-        parts = decompose(x)
+        parts = list(x.coords)  # x = sum_l V^l([x_(l+1)])
         acc = witt_from_int(0, p, n, like=x.coords[0])
         for l, c in enumerate(parts):
             t = teichmuller(c, n - l)
@@ -635,6 +693,36 @@ def test_property_packed_kernel_matches_tuple_route(data):
     for _ in range(k - 1):
         power = _tuple_mul(power, a)
     assert _unpack(_ppow(pa, k, base, ystep), base, nvars) == power
+
+
+def _ref_unpack(poly, base, nvars):
+    """_unpack as it stood: one divmod per digit of every key."""
+    out = {}
+    for k, c in poly.items():
+        e = []
+        for _ in range(nvars):
+            k, x = divmod(k, base)
+            e.append(x)
+        out[tuple(e)] = c
+    return out
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_property_half_word_unpack_matches_digit_loop(data):
+    nvars = data.draw(st.integers(0, 12))
+    max_exp = data.draw(st.integers(0, 6))
+    base = data.draw(st.integers(max_exp + 1, max_exp + 4))
+    # few distinct exponents per variable, so that the halves repeat
+    a = data.draw(st.dictionaries(
+        st.tuples(*[st.sampled_from([0, max_exp])] * nvars),
+        st.integers(-9, 9).filter(bool), max_size=12))
+    pa = _pack(a, base)
+    want = _ref_unpack(pa, base, nvars)
+    assert want == a
+    assert _unpack(pa, base, nvars) == want
+    for split in range(nvars + 1):
+        assert _unpack(pa, base, nvars, base ** split) == want
 
 
 # -- the segmented (Kronecker) product, whatever the dispatch decides ---------
@@ -985,7 +1073,7 @@ def _ref_tilde_w_inverse(y):
         root = {}
         for e, c in layer.items():
             if any(v % k for v in e):
-                raise NotInImage("layer %d is not a p^%d-th power" % (i, k))
+                raise NotInImage("layer %d is not a %d-th power" % (i, k))
             root[tuple(v // k for v in e)] = c
         coords.append(LaurentElem._trusted(p, 1, f.num_vars, root,
                                            f.allowed_negative))
@@ -1056,7 +1144,7 @@ def test_tilde_w_inverse_fills_zeros_after_an_empty_remainder():
         assert _identical(back, x)
         assert _identical(back, _ref_tilde_w_inverse(tilde_w(x)))
     y = LiftedElem(2, 3, LaurentElem.monomial(2, 3, 1, (3,)))
-    with pytest.raises(NotInImage, match="layer 0 is not a p"):
+    with pytest.raises(NotInImage, match="^layer 0 is not a 4-th power$"):
         tilde_w_inverse(y)
 
 
