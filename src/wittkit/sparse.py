@@ -23,10 +23,11 @@ exponent met at level i is at most p^i, so with base 2 p^(n-1) + 1 the
 exponent vector (e_0, e_1, ...) packs into sum e_k * base^k without carries,
 and a product of monomials is a sum of keys.  ``add``, ``scale`` and
 ``divexact`` do not look at keys and serve both formats.  ``_unpack`` turns
-packed keys back into tuples by half-words: each key is split once at
-``ystep`` (below it the X digits, above it the Y digits), and each half is
-looked up in a per-call memo of digit tuples, since the monomials of a
-universal polynomial share few distinct X and Y parts.
+packed keys back into tuples by half-words: each key is split once at the
+middle variable (for the Witt sum and product, below it the X digits,
+above it the Y digits), and each half is looked up in a per-call memo of
+digit tuples, since the monomials of a universal polynomial share few
+distinct X and Y parts.
 
 Packed products are segmented along X_0.  The layout passed with them is
 ``base`` and ``ystep``, the place value of Y_0: ``base**n`` for the Witt
@@ -174,22 +175,18 @@ def _pack(poly, base):
     return out
 
 
-def _unpack(poly, base, nvars, ystep=None):
+def _unpack(poly, base, nvars):
     """{packed exponent: c} -> {exponent tuple: c} in nvars variables.
 
-    Each key is split once at ``ystep``, a power of base (default: the
-    middle variable), and each half is read from a per-call memo of digit
-    tuples.
+    Each key is split once at the middle variable, and each half is read
+    from a per-call memo of digit tuples.
     """
-    if ystep is None:
-        ystep = base ** (nvars // 2)
-    low = 0  # the digits below ystep
-    while base ** low < ystep:
-        low += 1
+    low = nvars // 2  # the digits below the split
+    split = base ** low
     lows, highs = {}, {}
     out = {}
     for k, c in poly.items():
-        hi, lo = divmod(k, ystep)
+        hi, lo = divmod(k, split)
         el = lows.get(lo)
         if el is None:
             el = lows[lo] = _digits(lo, base, low)

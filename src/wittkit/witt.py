@@ -293,14 +293,13 @@ class UniversalWittPolys:
                 " over the limit of %d" % (p, n, cost, _MAX_POLY_COST))
         self.p = p
         self.n = n
-        base, ystep = _layout(p, n)
+        base = _pack_base(p, n)
         sum_t, prod_t, neg_t = self._ghost_targets()
-        self.sum_polys = [_unpack(f, base, 2 * n, ystep)
+        self.sum_polys = [_unpack(f, base, 2 * n)
                           for f in self._solve(sum_t, p)]
-        self.prod_polys = [_unpack(f, base, 2 * n, ystep)
+        self.prod_polys = [_unpack(f, base, 2 * n)
                            for f in self._solve(prod_t, p)]
-        self.neg_polys = [_unpack(f, base, n, ystep)
-                          for f in self._solve(neg_t, p)]
+        self.neg_polys = [_unpack(f, base, n) for f in self._solve(neg_t, p)]
         self._fp_polys = {}  # name -> reduced form, filled by fp_polys
 
     def fp_polys(self, name):

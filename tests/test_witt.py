@@ -721,8 +721,6 @@ def test_property_half_word_unpack_matches_digit_loop(data):
     want = _ref_unpack(pa, base, nvars)
     assert want == a
     assert _unpack(pa, base, nvars) == want
-    for split in range(nvars + 1):
-        assert _unpack(pa, base, nvars, base ** split) == want
 
 
 # -- the segmented (Kronecker) product, whatever the dispatch decides ---------
