@@ -201,36 +201,6 @@ def section_valid(x, a, S):
     return True
 
 
-class WittSection:
-    """A section of W_n O(a) over the intersection of standard charts.
-
-    ``open_set`` is the chart subset, ``twist`` the integer a, and ``value``
-    a WittVector whose l-th coordinate is homogeneous of total degree
-    p^l * a with negative exponents only in the inverted variables.
-    """
-
-    __slots__ = ("open_set", "twist", "value")
-
-    def __init__(self, open_set, twist, value):
-        self.open_set = frozenset(open_set)
-        self.twist = twist
-        self.value = value
-        if not section_valid(value, twist, self.open_set):
-            raise ValueError("section fails degree or support constraints")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WittSection)
-            and self.open_set == other.open_set
-            and self.twist == other.twist
-            and self.value == other.value
-        )
-
-    def __repr__(self):
-        return "WittSection(open=%s, twist=%d)" % (
-            sorted(self.open_set), self.twist)
-
-
 class WittCochain:
     """A Cech q-cochain of W_n O(a) for the standard cover of P^d."""
 
@@ -544,17 +514,6 @@ def witt_structure_sheaf_cohomology(p, d, n):
     for i in range(1, d + 1):
         out[i] = FinLenModule(p, n, [0] * n)
     return out
-
-
-def ses_maps(p, d, n, a):
-    """The cochain-level maps of 0 -> W_(n-1)O(pa) -> W_nO(a) -> O(a) -> 0.
-
-    Returns the pair (v_map, r_map); their structural properties are spot
-    checked by :func:`ses_maps_report`.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return v_map, r_map
 
 
 def ses_maps_report(p, d, n, a, samples, rng):

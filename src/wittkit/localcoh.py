@@ -10,11 +10,9 @@ three-step generation algorithm exhausts I from the finite seed module N.
 
 from __future__ import annotations
 
-from math import comb
-
 from . import sparse
 from .rings import LaurentElem, is_prime
-from .weyl import gen_binom
+from .weyl import ChartAtlas, gen_binom
 # CharTwoUnsupported is re-exported: expansion errors propagate to callers
 from .witt import CharTwoUnsupported, teich_scalar, teichmuller_sum_power
 from .wittdiff import monomial_case_split, v_p
@@ -168,46 +166,25 @@ class CohClass:
         return out
 
 
-def class_reduce(p, n, d, j, raw_terms):
-    """Normalize raw (level, exponent, coefficient) data into a CohClass."""
-    terms = {}
-    for (l, u), c in raw_terms.items():
-        terms[(l, tuple(u))] = terms.get((l, tuple(u)), 0) + c
-    return CohClass(p, n, d, j, terms)
-
-
 def y_action(i, l_idx, r, c):
     """Apply y_{i,l_idx}^[r] to a class.
 
-    Level-0 symbols follow the displayed binomial formula; deeper symbols go
-    through the w-tilde case split in the chart V_i, one monomial at a time.
+    In the chart V_i the operator is the divided derivative along the
+    coordinate of z_{l_idx}.  Each symbol goes through the w-tilde case
+    split of ``wittdiff.monomial_case_split``; at the top level (n - l = 1)
+    that is the displayed binomial formula, with the unit coeff * binom.
     """
     p, n, d, j = c.p, c.n, c.d, c.j
+    atlas = ChartAtlas(d)
+    slot = atlas.chart_vars(i).index(l_idx)
     out = {}
     for (l, u), coeff in c._int_terms().items():
-        rem = n - l
-        chart_vars = [s for s in range(d + 1) if s != i]
-        slot = chart_vars.index(l_idx)
-        chart_u = tuple(u[s] for s in chart_vars)
-        if rem == 1:
-            b = gen_binom(u[l_idx], r) % p
-            if b == 0:
-                continue
-            v = list(u)
-            v[i] += r
-            v[l_idx] -= r
-            key = (l, tuple(v))
-            out[key] = out.get(key, 0) + coeff * b
-            continue
-        res = monomial_case_split(p, rem, slot, r, 0, coeff, chart_u)
+        res = monomial_case_split(p, n - l, slot, r, 0, coeff,
+                                  atlas.to_chart(i, u))
         if res is None:
             continue
         layer, unit, root = res
-        amb = [0] * (d + 1)
-        for k, s in enumerate(chart_vars):
-            amb[s] = root[k]
-        amb[i] = -sum(amb)
-        key = (l + layer, tuple(amb))
+        key = (l + layer, atlas.from_chart(i, root))
         out[key] = out.get(key, 0) + unit
     return CohClass(p, n, d, j, out)
 
@@ -347,43 +324,29 @@ def parabolic_action(g, x):
 
     ``g`` is ("torus", (t_0, ..., t_d)) acting on z^m with eigenvalue
     prod t_s^(-m_s), or ("unipotent", (u, v, c)) substituting
-    z_v -> z_v + c z_u.  Substitution into inverted variables expands as a
-    geometric series truncated exactly by the kill rule; Teichmuller powers
-    of the resulting sums expand through teichmuller_sum_power.
+    z_v -> z_v + c z_u.  The substitution expands z_v^(m_v) by the binomial
+    series sum_k binom(m_v, k) c^k z_v^(m_v-k) z_u^k: a polynomial for
+    m_v >= 0, and for m_v < 0 a series truncated exactly by the kill rule
+    at k < -m_u.  Teichmuller powers of the resulting sums expand through
+    teichmuller_sum_power.  The integer terms of every symbol are summed
+    into one class.
     """
     kind, args = g
     p, n, d, j = x.p, x.n, x.d, x.j
     if not parabolic_in_pj(kind, args, j, d):
         raise ValueError("generator does not lie in P_j")
-    out = CohClass.zero(p, n, d, j)
+    terms = {}
     for (l, u), coeff in x._int_terms().items():
         if kind == "torus":
-            t = args
             lam = 1
             for s in range(d + 1):
-                lam = (lam * pow(t[s] % p, -u[s], p)) % p
-            scal = teich_scalar(lam, p, n - l)
-            out = out + CohClass.symbol(p, n, d, j, l, u, coeff * scal)
-            continue
-        uu, vv, cc = args
-        mv = u[vv]
-        base = {s: e for s, e in enumerate(u) if s != vv}
-        if mv >= 0:
-            # polynomial expansion of (z_v + c z_u)^(m_v)
-            summands = []
-            for k in range(mv + 1):
-                b = (comb(mv, k) * pow(cc % p, k, p)) % p
-                if b == 0:
-                    continue
-                e = list(u)
-                e[vv] = mv - k
-                e[uu] += k
-                summands.append((b, tuple(e)))
+                lam = (lam * pow(args[s] % p, -u[s], p)) % p
+            img = {(l, u): coeff * teich_scalar(lam, p, n - l)}
         else:
-            # kill-rule-truncated geometric series
+            uu, vv, cc = args
+            mv = u[vv]
             summands = []
-            kmax = max(0, -u[uu])
-            for k in range(kmax):
+            for k in range(mv + 1 if mv >= 0 else max(0, -u[uu])):
                 b = (gen_binom(mv, k) * pow(cc % p, k, p)) % p
                 if b == 0:
                     continue
@@ -391,33 +354,27 @@ def parabolic_action(g, x):
                 e[vv] = mv - k
                 e[uu] += k
                 summands.append((b, tuple(e)))
-        out = out + _teich_sum_symbol(p, n, d, j, l, coeff, summands)
-    return out
+            img = _teich_sum_terms(p, n, d, l, coeff, summands)
+        for key, v in img.items():
+            terms[key] = terms.get(key, 0) + v
+    return CohClass(p, n, d, j, terms)
 
 
-def _teich_sum_symbol(p, n, d, j, l, coeff, summands):
-    """coeff * V^l([sum of monomials]) as a CohClass."""
+def _teich_sum_terms(p, n, d, l, coeff, summands):
+    """coeff * V^l([sum of monomials]) as integer terms {(level, u): c}."""
     rem = n - l
-    if not summands:
-        return CohClass.zero(p, n, d, j)
-    if rem == 1 or len(summands) == 1:
+    terms = {}
+    if rem == 1 or len(summands) < 2:
         # level-1 Teichmuller is additive in the class; single monomials
         # are exact at any level
-        terms = {}
-        if len(summands) == 1:
-            b, e = summands[0]
-            scal = teich_scalar(b, p, rem)
-            terms[(l, e)] = coeff * scal
-        else:
-            for b, e in summands:
-                terms[(l, e)] = terms.get((l, e), 0) + coeff * b
-        return CohClass(p, n, d, j, terms)
+        for b, e in summands:
+            terms[(l, e)] = coeff * teich_scalar(b, p, rem)
+        return terms
     monos = [
         LaurentElem.monomial(p, 1, d + 1, e, b, allowed_negative=range(d + 1))
         for b, e in summands
     ]
     expansion = teichmuller_sum_power(monos, 1, rem)
-    terms = {}
     for (lv, exps), c2 in expansion.items():
         scal = 1
         acc = [0] * (d + 1)
@@ -430,7 +387,7 @@ def _teich_sum_symbol(p, n, d, j, l, coeff, summands):
         scal = teich_scalar(scal, p, rem - lv)
         key = (l + lv, tuple(acc))
         terms[key] = terms.get(key, 0) + coeff * c2 * scal
-    return CohClass(p, n, d, j, terms)
+    return terms
 
 
 class GeneratorModule:

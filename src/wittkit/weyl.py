@@ -8,6 +8,12 @@ integral rewrite rules
     d^[r] z^e  = sum_k binom(e, k) z^(e-k) d^[r-k]
 
 so the char-p collapse (d^p = 0 while d^[p] != 0) is automatic.
+
+Operators act on functions through one kernel, ``_act``:
+d^[r] z^u = binom(u, r) z^(u-r).  ``apply`` and ``ChartAtlas.apply_ambient``
+call it, and ``wittdiff.apply_witt`` reaches it through ``apply``.
+``apply_word`` keeps its own loop: it is the sequential oracle that
+``normal_form`` is checked against.
 """
 
 from __future__ import annotations
@@ -260,6 +266,30 @@ def apply_word(word, f):
     return out
 
 
+def _act(op_terms, f_terms, q):
+    """The divided-power action of {(e, r): c} on {u: c_u} modulo q.
+
+    Each term pair contributes c c_u prod_i binom(u_i, r_i) z^(u - r + e),
+    with the generalized binomial; a pair stops at its first binomial that
+    is 0 mod q.  Returns a dict of nonzero residues.
+    """
+    out = {}
+    get = out.get
+    for (e, r), c in op_terms.items():
+        for u, cu in f_terms.items():
+            coeff = c * cu
+            for ui, ri in zip(u, r):
+                if ri:
+                    b = gen_binom(ui, ri) % q
+                    if not b:
+                        break
+                    coeff *= b
+            else:
+                tgt = tuple([ui - ri + ei for ui, ri, ei in zip(u, r, e)])
+                out[tgt] = (get(tgt, 0) + coeff) % q
+    return {t: c for t, c in out.items() if c}
+
+
 def apply(op, f):
     """Evaluate a normal-form operator on a Laurent polynomial.
 
@@ -268,26 +298,7 @@ def apply(op, f):
     """
     if op.num_vars != f.num_vars or op.p != f.p or op.n != f.n:
         raise VariableMismatch("operator/function ring mismatch")
-    q = f.p ** f.n
-    terms = {}
-    for (e, r), c in op.terms.items():
-        for u, cu in f.terms.items():
-            coeff = c * cu
-            ok = True
-            for i in range(op.num_vars):
-                b = gen_binom(u[i], r[i])
-                if b % q == 0:
-                    ok = False
-                    break
-                coeff *= b
-            if not ok:
-                continue
-            tgt = tuple(u[i] - r[i] + e[i] for i in range(op.num_vars))
-            v = (terms.get(tgt, 0) + coeff) % q
-            if v:
-                terms[tgt] = v
-            else:
-                terms.pop(tgt, None)
+    terms = _act(op.terms, f.terms, f.p ** f.n)
     return LaurentElem(f.p, f.n, f.num_vars, terms, f.allowed_negative)
 
 
@@ -404,30 +415,9 @@ class ChartAtlas:
 
         Returns a dict ambient-exponent-vector -> coefficient (mod p^n).
         """
-        c = op.chart
-        w = op.weyl
-        q = w.p ** w.n
-        e_in = self.to_chart(c, u)
-        out = {}
-        for (e, r), coeff in w.terms.items():
-            val = coeff
-            ok = True
-            for i in range(w.num_vars):
-                b = gen_binom(e_in[i], r[i])
-                if b % q == 0:
-                    ok = False
-                    break
-                val *= b
-            if not ok:
-                continue
-            tgt = tuple(e_in[i] - r[i] + e[i] for i in range(w.num_vars))
-            amb = self.from_chart(c, tgt)
-            v = (out.get(amb, 0) + val) % q
-            if v:
-                out[amb] = v
-            else:
-                out.pop(amb, None)
-        return out
+        c, w = op.chart, op.weyl
+        img = _act(w.terms, {self.to_chart(c, u): 1}, w.p ** w.n)
+        return {self.from_chart(c, e): v for e, v in img.items()}
 
 
 def y_operator(i, j, r, d, p, n=1):

@@ -54,9 +54,6 @@ class DuplicateSummand(ValueError):
     pass
 
 
-Mismatch = VariableMismatch
-
-
 # ----------------------------------------------------------------------
 # integer covers: plain ints for scalars, exponent->int dicts for Laurent
 # ----------------------------------------------------------------------
@@ -486,7 +483,7 @@ class WittVector:
     def __init__(self, p, n, coords):
         coords = tuple(coords)
         if len(coords) != n:
-            raise Mismatch("coordinate count != n")
+            raise VariableMismatch("coordinate count != n")
         self.p = p
         self.n = n
         self.coords = coords
@@ -494,24 +491,28 @@ class WittVector:
         for c in coords:
             if isinstance(c, LaurentElem):
                 if c.p != p:
-                    raise Mismatch("coordinate characteristic mismatch")
+                    raise VariableMismatch(
+                        "coordinate characteristic mismatch")
                 if c.n != 1:
-                    raise Mismatch("Laurent coordinates must live over F_p")
+                    raise VariableMismatch(
+                        "Laurent coordinates must live over F_p")
                 if first is None:
                     first = c
                 elif (c.num_vars != first.num_vars
                       or c.allowed_negative != first.allowed_negative):
-                    raise Mismatch("coordinates in different Laurent rings")
+                    raise VariableMismatch(
+                        "coordinates in different Laurent rings")
             elif isinstance(c, PrimeFieldElem) and c.p != p:
-                raise Mismatch("coordinate characteristic mismatch")
+                raise VariableMismatch("coordinate characteristic mismatch")
 
     # -- helpers --------------------------------------------------------
 
     def _check(self, other):
         if self.p != other.p or self.n != other.n:
-            raise Mismatch("incompatible Witt vectors")
+            raise VariableMismatch("incompatible Witt vectors")
         if self.coords and _ring(self.coords[0]) != _ring(other.coords[0]):
-            raise Mismatch("Witt vectors over different coordinate rings")
+            raise VariableMismatch(
+                "Witt vectors over different coordinate rings")
 
     def _is_char_p(self):
         return not self.coords or not isinstance(self.coords[0], int)
@@ -743,7 +744,7 @@ class LiftedElem:
 
     def __init__(self, p, level, value):
         if value.p != p or value.n != level:
-            raise Mismatch("value modulus disagrees with level")
+            raise VariableMismatch("value modulus disagrees with level")
         self.p = p
         self.level = level
         self.value = value
@@ -763,7 +764,7 @@ class LiftedElem:
 def _tilde(x, top, name):
     """sum_i p^i x_(i+1)^(p^(top-i)) in (Z/p^n)[z...], n the length of x."""
     if not isinstance(x.coords[0], LaurentElem):
-        raise Mismatch("%s needs Laurent coordinates" % name)
+        raise VariableMismatch("%s needs Laurent coordinates" % name)
     p, n = x.p, x.n
     q = p ** n
     acc = {}
@@ -908,7 +909,7 @@ def teichmuller_sum_power(summands, i, n):
     r = len(summands)
     for s in summands:
         if s.p != p or s.n != 1:
-            raise Mismatch("summands must share an F_p coefficient ring")
+            raise VariableMismatch("summands must share an F_p coefficient ring")
     if len({tuple(s.sorted_terms()) for s in summands}) != r:
         raise DuplicateSummand("summands must be pairwise distinct")
     if r > 2 and p == 2:
@@ -987,7 +988,7 @@ def v_product_normalize(p, factors):
     m = len(factors[0][1])
     for _, d in factors:
         if len(d) != m:
-            raise Mismatch("exponent vectors of unequal length")
+            raise VariableMismatch("exponent vectors of unequal length")
     ss = [s for s, _ in factors]
     s_max = max(ss)
     t = sum(ss) - s_max

@@ -173,8 +173,8 @@ def monomial_case_split(p, length, j, r, level, scalar, u):
     exps = tuple(
         u[s] * (p ** k) - (r if s == j else 0) for s in range(len(u))
     )
-    vr = v_p(r, p) if r else 0
-    layer = length - 1 - vr if vr <= k else level
+    vr = v_p(r, p)  # None for r = 0: v_p(0) is +infinity
+    layer = length - 1 - vr if vr is not None and vr <= k else level
     step = p ** (length - 1 - layer)
     if any(e % step for e in exps):
         raise NotInImage("case formula produced a non-split monomial")

@@ -28,6 +28,7 @@ from wittkit.cech import (
     ses_maps_report,
     slice_cohomology_dims,
     teich_lift,
+    v_divide,
     v_map,
     witt_cohomology,
     witt_structure_sheaf_cohomology,
@@ -236,31 +237,39 @@ def test_les_rank_consistency():
                         )
 
 
-def test_witt_section_type():
-    from wittkit.cech import WittSection
-    from wittkit.witt import WittVector
+def test_witt_cochain_refuses_bad_section():
     p, n, d, a = 2, 2, 1, -2
     S = frozenset({0, 1})
     good = WittVector(p, n, [
         LaurentElem.monomial(p, 1, d + 1, (-1, -1), 1, S),
         LaurentElem.monomial(p, 1, d + 1, (-3, -1), 1, S),
     ])
-    sec = WittSection(S, a, good)
-    assert sec.open_set == S and sec.twist == a
+    assert WittCochain(p, n, d, a, 1, {S: good}).comps[S] == good
     bad = WittVector(p, n, [
         LaurentElem.monomial(p, 1, d + 1, (-1, -1), 1, S),
         LaurentElem.monomial(p, 1, d + 1, (-1, -1), 1, S),  # wrong degree
     ])
     with pytest.raises(ValueError):
-        WittSection(S, a, bad)
+        WittCochain(p, n, d, a, 1, {S: bad})
 
 
-def test_ses_maps_named_pair():
-    from wittkit.cech import ses_maps
-    vm, rm = ses_maps(2, 1, 2, -1)
-    assert vm is v_map and rm is r_map
+def test_v_divide_inverts_v_map():
+    rng = random.Random(17)
+    for p, d, n, a in ((2, 1, 2, -1), (3, 2, 3, 1)):
+        for q in range(d + 1):
+            comps = {}
+            for S in combinations(range(d + 1), q + 1):
+                S = frozenset(S)
+                comps[S] = _random_section(p, n - 1, d, p * a, S, rng)
+            c = WittCochain(p, n - 1, d, p * a, q, comps)
+            lifted = v_map(c)
+            assert (lifted.n, lifted.a) == (n, a)
+            assert all(f.is_zero() for f in r_map(lifted).values())
+            back = v_divide(lifted)
+            assert (back.n, back.a, back.comps) == (c.n, c.a, c.comps)
+    c = teich_lift(2, 2, 1, 2, _h0_cocycles(2, 1, 2)[0], 0)
     with pytest.raises(ValueError):
-        ses_maps(2, 1, 1, -1)
+        v_divide(c)
 
 
 # -- trusted sections, against the checked constructors they replaced ----------

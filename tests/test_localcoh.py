@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +9,11 @@ from wittkit.localcoh import (
     CoefficientVanished,
     CohClass,
     GeneratorModule,
-    class_reduce,
     enumerate_index,
     generation_run,
     index_seed,
     parabolic_action,
+    parabolic_in_pj,
     pj_generators,
     small_case_crosscheck,
     stability_report,
@@ -30,9 +31,10 @@ from wittkit.witt import (
     CharTwoUnsupported,
     teich_scalar,
     teichmuller,
+    teichmuller_sum_power,
     verschiebung,
 )
-from wittkit.wittdiff import apply_witt, partial_op
+from wittkit.wittdiff import apply_witt, monomial_case_split, partial_op
 
 
 # -- index sets --------------------------------------------------------------
@@ -62,7 +64,7 @@ def test_kill_rule():
 
 
 def test_identity_on_index_region():
-    c = class_reduce(3, 2, 2, 0, {(0, (2, -1, -1)): 1})
+    c = CohClass(3, 2, 2, 0, {(0, (2, -1, -1)): 1})
     assert c.terms == {(0, (2, -1, -1)): 1}
 
 
@@ -126,8 +128,15 @@ def test_y_action_classical_example():
 
 
 def test_y_action_order_zero_is_identity():
-    x = CohClass.symbol(3, 2, 2, 0, 1, (2, -1, -1))
-    assert y_action(0, 1, 0, x) == x
+    """y^[0] is the identity at every level, including n - l >= 2, where
+    v_p(0) must read as +infinity in the case split."""
+    for p in (2, 3):
+        for n in (1, 2, 3):
+            for l in range(n):
+                for coeff in (1, p + 1):
+                    x = CohClass.symbol(p, n, 2, 0, l, (2, -1, -1), coeff)
+                    assert y_action(0, 1, 0, x) == x, (p, n, l, coeff)
+                    assert y_action(2, 0, 0, x) == x, (p, n, l, coeff)
 
 
 def test_y_action_commutes_with_v():
@@ -159,7 +168,7 @@ def test_y_action_cross_oracle():
         l = rng.randrange(0, n)
         i = rng.randrange(0, j + 1)
         li = rng.choice([s for s in range(d + 1) if s != i])
-        r = rng.randrange(1, p * p + 1)
+        r = rng.randrange(0, p * p + 1)
         coeff = rng.randrange(1, p ** (n - l))
         cls = CohClass.symbol(p, n, d, j, l, u, coeff)
         got = y_action(i, li, r, cls)
@@ -514,6 +523,167 @@ def test_stability_radical_defect_at_n2():
     rep = stability_report(3, 2, 2, 0)
     assert rep["failures"]
     assert all("unipotent" in f["generator"] for f in rep["failures"])
+
+
+# -- the class actions against the loops they replaced -------------------------
+#
+# _ref_y_action, _ref_parabolic_action and _ref_teich_sum_symbol are the
+# actions as they stood before the shared chart bookkeeping and the single
+# accumulated class, kept as the reference: renamed, and without their
+# docstrings, comments and one unused variable.
+
+def _ref_y_action(i, l_idx, r, c):
+    p, n, d, j = c.p, c.n, c.d, c.j
+    out = {}
+    for (l, u), coeff in c._int_terms().items():
+        rem = n - l
+        chart_vars = [s for s in range(d + 1) if s != i]
+        slot = chart_vars.index(l_idx)
+        chart_u = tuple(u[s] for s in chart_vars)
+        if rem == 1:
+            b = gen_binom(u[l_idx], r) % p
+            if b == 0:
+                continue
+            v = list(u)
+            v[i] += r
+            v[l_idx] -= r
+            key = (l, tuple(v))
+            out[key] = out.get(key, 0) + coeff * b
+            continue
+        res = monomial_case_split(p, rem, slot, r, 0, coeff, chart_u)
+        if res is None:
+            continue
+        layer, unit, root = res
+        amb = [0] * (d + 1)
+        for k, s in enumerate(chart_vars):
+            amb[s] = root[k]
+        amb[i] = -sum(amb)
+        key = (l + layer, tuple(amb))
+        out[key] = out.get(key, 0) + unit
+    return CohClass(p, n, d, j, out)
+
+
+def _ref_parabolic_action(g, x):
+    kind, args = g
+    p, n, d, j = x.p, x.n, x.d, x.j
+    if not parabolic_in_pj(kind, args, j, d):
+        raise ValueError("generator does not lie in P_j")
+    out = CohClass.zero(p, n, d, j)
+    for (l, u), coeff in x._int_terms().items():
+        if kind == "torus":
+            t = args
+            lam = 1
+            for s in range(d + 1):
+                lam = (lam * pow(t[s] % p, -u[s], p)) % p
+            scal = teich_scalar(lam, p, n - l)
+            out = out + CohClass.symbol(p, n, d, j, l, u, coeff * scal)
+            continue
+        uu, vv, cc = args
+        mv = u[vv]
+        if mv >= 0:
+            summands = []
+            for k in range(mv + 1):
+                b = (comb(mv, k) * pow(cc % p, k, p)) % p
+                if b == 0:
+                    continue
+                e = list(u)
+                e[vv] = mv - k
+                e[uu] += k
+                summands.append((b, tuple(e)))
+        else:
+            summands = []
+            kmax = max(0, -u[uu])
+            for k in range(kmax):
+                b = (gen_binom(mv, k) * pow(cc % p, k, p)) % p
+                if b == 0:
+                    continue
+                e = list(u)
+                e[vv] = mv - k
+                e[uu] += k
+                summands.append((b, tuple(e)))
+        out = out + _ref_teich_sum_symbol(p, n, d, j, l, coeff, summands)
+    return out
+
+
+def _ref_teich_sum_symbol(p, n, d, j, l, coeff, summands):
+    rem = n - l
+    if not summands:
+        return CohClass.zero(p, n, d, j)
+    if rem == 1 or len(summands) == 1:
+        terms = {}
+        if len(summands) == 1:
+            b, e = summands[0]
+            scal = teich_scalar(b, p, rem)
+            terms[(l, e)] = coeff * scal
+        else:
+            for b, e in summands:
+                terms[(l, e)] = terms.get((l, e), 0) + coeff * b
+        return CohClass(p, n, d, j, terms)
+    monos = [
+        LaurentElem.monomial(p, 1, d + 1, e, b, allowed_negative=range(d + 1))
+        for b, e in summands
+    ]
+    expansion = teichmuller_sum_power(monos, 1, rem)
+    terms = {}
+    for (lv, exps), c2 in expansion.items():
+        scal = 1
+        acc = [0] * (d + 1)
+        for (b, e), m in zip(summands, exps):
+            if m == 0:
+                continue
+            scal = (scal * pow(b, m, p)) % p
+            for s in range(d + 1):
+                acc[s] += m * e[s]
+        scal = teich_scalar(scal, p, rem - lv)
+        key = (l + lv, tuple(acc))
+        terms[key] = terms.get(key, 0) + coeff * c2 * scal
+    return CohClass(p, n, d, j, terms)
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _classes(draw):
+    """A class of one to three symbols with coefficients in [1, p^(n-l)),
+    so that stored digits other than 1 and carries to deeper levels occur."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(2, 3))
+    j = draw(st.integers(0, d - 1))
+    index = enumerate_index(d, j, 3)
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        l = draw(st.integers(0, n - 1))
+        u = draw(st.sampled_from(index))
+        terms[(l, u)] = (terms.get((l, u), 0)
+                         + draw(st.integers(1, p ** (n - l) - 1)))
+    return CohClass(p, n, d, j, terms)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_y_action_matches_reference(data):
+    x = data.draw(_classes())
+    i = data.draw(st.integers(0, x.d))
+    li = data.draw(st.sampled_from([s for s in range(x.d + 1) if s != i]))
+    r = data.draw(st.integers(0, x.p * x.p + 1))
+    assert (_outcome(y_action, i, li, r, x)
+            == _outcome(_ref_y_action, i, li, r, x))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_parabolic_action_matches_reference(data):
+    x = data.draw(_classes())
+    g = data.draw(st.sampled_from(pj_generators(x.p, x.d, x.j)))
+    assert (_outcome(parabolic_action, g, x)
+            == _outcome(_ref_parabolic_action, g, x))
 
 
 # -- cross-checks ----------------------------------------------------------------

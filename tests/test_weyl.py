@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wittkit.rings import LaurentElem
+from wittkit.rings import LaurentElem, VariableMismatch
 from wittkit.weyl import (
     ChartAtlas,
     ChartOperator,
@@ -256,3 +258,123 @@ def test_gen_binom():
     assert gen_binom(-3, 2) == 6
     assert gen_binom(4, 2) == 6
     assert gen_binom(1, 5) == 0
+
+
+# -- the action kernel against the loops it replaced ---------------------------
+#
+# _ref_apply and _ref_apply_ambient are weyl.apply and ChartAtlas.apply_ambient
+# as they stood before weyl._act, kept as the reference: renamed, and
+# without their docstrings.
+
+def _ref_apply(op, f):
+    if op.num_vars != f.num_vars or op.p != f.p or op.n != f.n:
+        raise VariableMismatch("operator/function ring mismatch")
+    q = f.p ** f.n
+    terms = {}
+    for (e, r), c in op.terms.items():
+        for u, cu in f.terms.items():
+            coeff = c * cu
+            ok = True
+            for i in range(op.num_vars):
+                b = gen_binom(u[i], r[i])
+                if b % q == 0:
+                    ok = False
+                    break
+                coeff *= b
+            if not ok:
+                continue
+            tgt = tuple(u[i] - r[i] + e[i] for i in range(op.num_vars))
+            v = (terms.get(tgt, 0) + coeff) % q
+            if v:
+                terms[tgt] = v
+            else:
+                terms.pop(tgt, None)
+    return LaurentElem(f.p, f.n, f.num_vars, terms, f.allowed_negative)
+
+
+def _ref_apply_ambient(atlas, op, u):
+    c = op.chart
+    w = op.weyl
+    q = w.p ** w.n
+    e_in = atlas.to_chart(c, u)
+    out = {}
+    for (e, r), coeff in w.terms.items():
+        val = coeff
+        ok = True
+        for i in range(w.num_vars):
+            b = gen_binom(e_in[i], r[i])
+            if b % q == 0:
+                ok = False
+                break
+            val *= b
+        if not ok:
+            continue
+        tgt = tuple(e_in[i] - r[i] + e[i] for i in range(w.num_vars))
+        amb = atlas.from_chart(c, tgt)
+        v = (out.get(amb, 0) + val) % q
+        if v:
+            out[amb] = v
+        else:
+            out.pop(amb, None)
+    return out
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _operators(draw, p, n, nv):
+    """A Weyl element with negative z-exponents at its allowed variables
+    and orders up to p^2 + 1, so that binomials vanish mod p^n."""
+    neg = draw(st.sets(st.integers(0, nv - 1)))
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        e = tuple(draw(st.integers(-3 if i in neg else 0, 3))
+                  for i in range(nv))
+        r = tuple(draw(st.sampled_from([0, 0, 1, 2, p, p * p + 1]))
+                  for _ in range(nv))
+        terms[(e, r)] = draw(st.integers(1, p ** n - 1))
+    return WeylElement(p, n, nv, terms, neg)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_apply_matches_reference(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 3))
+    nv = data.draw(st.integers(1, 3))
+    op = data.draw(_operators(p, n, nv))
+    # mostly the operator's ring; otherwise a ring whose negative region
+    # differs (an image may leave it) or whose level differs (refused)
+    neg = data.draw(st.sampled_from(
+        [op.allowed_negative, frozenset(), frozenset(range(nv))]))
+    fn = data.draw(st.sampled_from([n] * 4 + [n % 3 + 1]))
+    terms = {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        u = tuple(data.draw(st.integers(-4 if i in neg else 0, 2 * p + 1))
+                  for i in range(nv))
+        terms[u] = data.draw(st.integers(1, p ** fn - 1))
+    f = LaurentElem(p, fn, nv, terms, neg)
+    assert _outcome(apply, op, f) == _outcome(_ref_apply, op, f)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_apply_ambient_matches_reference(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 3))
+    d = data.draw(st.integers(1, 3))
+    atlas = ChartAtlas(d)
+    op = ChartOperator(data.draw(st.integers(0, d)),
+                       data.draw(_operators(p, n, d)))
+    u = [data.draw(st.integers(-2 * p, 2 * p)) for _ in range(d)]
+    # degree 0 unless the draw says otherwise (refused by to_chart)
+    u.append(data.draw(st.sampled_from([0] * 5 + [1])) - sum(u))
+    u = tuple(u)
+    assert (_outcome(atlas.apply_ambient, op, u)
+            == _outcome(_ref_apply_ambient, atlas, op, u))

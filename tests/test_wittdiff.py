@@ -136,7 +136,7 @@ def test_monomial_cross_route():
         L = rng.choice([2, 3])
         d = rng.choice([1, 2])
         j = rng.randrange(d)
-        r = rng.randrange(1, p * p + 1)
+        r = rng.randrange(0, p * p + 1)
         lvl = rng.randrange(0, L)
         sc = rng.randrange(1, p ** (L - lvl))
         u = tuple(rng.randrange(-3, 4) for _ in range(d))
