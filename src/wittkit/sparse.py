@@ -29,21 +29,25 @@ above it the Y digits), and each half is looked up in a per-call memo of
 digit tuples, since the monomials of a universal polynomial share few
 distinct X and Y parts.
 
-Packed products are segmented along X_0.  The layout passed with them is
-``base`` and ``ystep``, the place value of Y_0: ``base**n`` for the Witt
-polynomials, in general ``base**k`` with k >= 1 (past the last variable
-there is no Y_0).  X_0 has place value 1.  Each operand is grouped by the key
-(its exponent with the X_0 and Y_0 digits zeroed, x_0 + y_0), and each group
-becomes one integer whose W-bit signed slots hold its coefficients, the
-coefficient of x_0 in slot x_0.  Group pairs multiply as integers, the
-products add up per output key, and each sum is cut back into slots from
-the bottom, a negative slot borrowing one from the next.  Digits never
-carry, since the base exceeds every exponent, and slots never overflow:
-each output coefficient is a sum of at most min(#a, #b) products, so
+Packed products are segmented Kronecker products along a segmentation
+(A, B, w): two variables, by place value, and a weight.  Each operand is
+grouped by the key (its exponent with the A and B digits zeroed, a + w b),
+and each group becomes one integer whose W-bit signed slots hold its
+coefficients, that of b in slot b.  Group pairs multiply as integers, the
+products add up per output key c, and each sum is cut back into the slots
+b = 0..c // w (a = c - w b) from the bottom, a negative slot borrowing one
+from the next.  This is exact for any operand: digits never carry, since
+the base exceeds every exponent, and slots never overflow, since each
+output coefficient is a sum of at most min(#a, #b) products, so
 W = bits(max|a|) + bits(max|b|) + bits(min(#a, #b)) + 2 holds it with its
-sign.  When grouping does not compress, groups_a * groups_b * 4 > #a * #b,
-the product runs term by term; so do the bihomogeneous product
-polynomials, whose groups hold one monomial each.
+sign.  Only the compression depends on the operand, so the layout is
+``base`` and a tuple of candidates, and each product takes the one with
+the fewest groups.  The Witt polynomials pass (Y_0, X_0, 1), which gathers
+the sum polynomials, of weight p^i in X and Y together, and (X_0, X_1, p),
+which gathers the bihomogeneous product polynomials: their X-weight
+x_0 + p x_1 + ... is p^i in every monomial, so x_0 + y_0 would leave one
+monomial per group.  When no candidate compresses, groups_a * groups_b * 4
+> #a * #b, the product runs term by term.
 """
 
 from __future__ import annotations
@@ -206,35 +210,48 @@ def _digits(k, base, count):
     return tuple(e)
 
 
-def _pmul(a, b, base, ystep):
-    """Product of two packed polynomials, segmented when grouping pays."""
+def _pmul(a, b, base, segs):
+    """Product of two packed polynomials, segmented when grouping pays.
+
+    A candidate stops grouping once it cannot beat the best so far.
+    """
     width = _slot_width(a, b)
-    ga = _segments(a, base, ystep, width)
-    gb = _segments(b, base, ystep, width)
-    if 4 * len(ga) * len(gb) > len(a) * len(b):
+    best = None
+    cap = len(a) * len(b) // 4
+    for seg in segs:
+        ga = _segments(a, base, seg, width, cap)
+        gb = ga and _segments(b, base, seg, width, cap // len(ga))
+        if gb:
+            best, cap = (ga, gb, seg), len(ga) * len(gb) - 1
+    if best is None:
         return _pmul_terms(a, b)
-    return _kronecker(ga, gb, ystep, width)
+    return _kronecker(*best, width)
 
 
-def _psquare(a, base, ystep):
+def _psquare(a, base, segs):
     """a * a, each cross product taken once and doubled."""
     width = _slot_width(a, a)
-    ga = _segments(a, base, ystep, width)
-    if 2 * len(ga) > len(a):  # _pmul's test with b = a
+    best = None
+    cap = len(a) // 2  # _pmul's cap with b = a
+    for seg in segs:
+        ga = _segments(a, base, seg, width, cap)
+        if ga:
+            best, cap = (ga, seg), len(ga) - 1
+    if best is None:
         return _psquare_terms(a)
-    return _kronecker(ga, None, ystep, width)
+    return _kronecker(best[0], None, best[1], width)
 
 
-def _ppow(a, k, base, ystep):
+def _ppow(a, k, base, segs):
     """a^k for a packed polynomial and k >= 1, by repeated squaring."""
     out = None
     while True:
         if k & 1:
-            out = a if out is None else _pmul(out, a, base, ystep)
+            out = a if out is None else _pmul(out, a, base, segs)
         k >>= 1
         if not k:
             return out
-        a = _psquare(a, base, ystep)
+        a = _psquare(a, base, segs)
 
 
 def _pmul_terms(a, b):
@@ -266,20 +283,24 @@ def _psquare_terms(a):
     return {e: c for e, c in out.items() if c}
 
 
-def _segments(a, base, ystep, width):
-    """Group a packed polynomial by (rest, x_0 + y_0) into one integer each.
+def _segments(a, base, seg, width, cap):
+    """Group a packed polynomial by (rest, a + w b) into one integer each.
 
-    ``rest`` is the exponent with its X_0 digit (place value 1) and its
-    Y_0 digit (place value ``ystep``) zeroed; the coefficient of x_0 sits
-    in the signed slot x_0 of ``width`` bits.
+    ``seg`` is (A, B, w), the place values of the variables A and B and the
+    weight of B; ``rest`` is the exponent with its A and B digits zeroed,
+    and the coefficient of b sits in the signed slot b of ``width`` bits.
+    None once there are more than ``cap`` groups.
     """
+    aplace, bplace, w = seg
     out = {}
     get = out.get
     for e, c in a.items():
-        x0 = e % base
-        y0 = e // ystep % base
-        key = (e - x0 - y0 * ystep, x0 + y0)
-        out[key] = get(key, 0) + (c << (width * x0))
+        da = e // aplace % base
+        db = e // bplace % base
+        key = (e - da * aplace - db * bplace, da + w * db)
+        out[key] = get(key, 0) + (c << (width * db))
+        if len(out) > cap:
+            return None
     return out
 
 
@@ -290,7 +311,7 @@ def _slot_width(a, b):
     return bits(a) + bits(b) + min(len(a), len(b)).bit_length() + 2
 
 
-def _kronecker(ga, gb, ystep, width):
+def _kronecker(ga, gb, seg, width):
     """Product of two segmented polynomials (gb = None squares ga).
 
     Group pairs multiply as integers and add up per output group, whose
@@ -313,13 +334,14 @@ def _kronecker(ga, gb, ystep, width):
             for (rb, db), vb in sb:
                 key = (ra + rb, da + db)
                 acc[key] = get(key, 0) + va * vb
+    aplace, bplace, w = seg
     out = {}
     mask = (1 << width) - 1
     half = 1 << (width - 1)
-    step = 1 - ystep  # x_0 up by one, y_0 down by one
+    step = bplace - w * aplace  # b up by one, a down by w
     for (rest, d), v in acc.items():
-        e = rest + d * ystep  # the slot x_0 = 0, y_0 = d
-        for _ in range(d + 1):  # x_0 runs from 0 to d
+        e = rest + d * aplace  # the slot b = 0, a = d
+        for _ in range(d // w + 1):  # b runs from 0 to d // w
             c = v & mask
             if c >= half:  # a negative slot: borrow one from the next
                 c -= mask + 1

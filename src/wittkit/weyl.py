@@ -447,17 +447,6 @@ def y_operator_dual(i, j, r, p, n=1):
     )
 
 
-def monomial_y_action(p, i, j, r, u):
-    """Direct binomial formula for y_{ij}^[r] on z^u over F_p."""
-    b = gen_binom(u[j], r) % p
-    if b == 0:
-        return 0, None
-    v = list(u)
-    v[i] += r
-    v[j] -= r
-    return b, tuple(v)
-
-
 def is_global(op, atlas, degree_bound=8):
     """Chart-preservation test for a ChartOperator on P^d.
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 
 from functools import lru_cache
-from math import comb
-from operator import add as _add_exps, mul as _mul
+from math import comb, prod
+from operator import getitem, mul as _mul
 
 from . import sparse
 from .rings import (
@@ -31,7 +31,8 @@ from .rings import (
     VariableMismatch,
     is_prime,
 )
-from .sparse import IntegralityFailure, _pack, _pmul, _ppow, _unpack
+from .sparse import (IntegralityFailure, _digits, _pack, _pmul, _ppow,
+                     _unpack)
 
 
 class TorsionRing(TypeError):
@@ -176,8 +177,8 @@ def _ghost_inverse(ws, p):
 # The universal polynomials are solved and ghost-checked on the
 # Kronecker-packed exponents of wittkit.sparse (base 2 p^(n-1) + 1; the
 # module docstring there says why no digit carries), and stored unpacked.
-# The layout is (base, base^n): X_j sits at place value base^j, Y_j at
-# base^(n+j), and the packed products segment along X_0 and Y_0.
+# X_j sits at place value base^j, Y_j at base^(n+j).  The layout is base
+# and the segmentations (Y_0, X_0, 1) and (X_0, X_1, p) of the products.
 
 def _pack_base(p, n):
     return 2 * p ** (n - 1) + 1
@@ -185,7 +186,7 @@ def _pack_base(p, n):
 
 def _layout(p, n):
     base = _pack_base(p, n)
-    return base, base ** n
+    return base, ((base ** n, 1, 1), (1, base, p))
 
 
 def _poly_ghost(var_offset, p, i, base):
@@ -326,24 +327,24 @@ class UniversalWittPolys:
     def _ghost_targets(self):
         """Packed ghosts of X + Y, X * Y and -X, level by level."""
         p, n = self.p, self.n
-        base, ystep = _layout(p, n)
+        base, segs = _layout(p, n)
         gx = [_poly_ghost(0, p, i, base) for i in range(n)]
         gy = [_poly_ghost(n, p, i, base) for i in range(n)]
         return ([sparse.add(a, b) for a, b in zip(gx, gy)],
-                [_pmul(a, b, base, ystep) for a, b in zip(gx, gy)],
+                [_pmul(a, b, base, segs) for a, b in zip(gx, gy)],
                 [sparse.scale(g, -1) for g in gx])
 
     @staticmethod
     def _solve(target_ghosts, p):
         # ghost inversion with p-th-power chaining across levels
         n = len(target_ghosts)
-        base, ystep = _layout(p, n)
+        base, segs = _layout(p, n)
         coords = []
         powers = {}
         for i in range(n):
             acc = target_ghosts[i]
             for j in range(i):
-                powers[j] = _ppow(powers.get(j, coords[j]), p, base, ystep)
+                powers[j] = _ppow(powers.get(j, coords[j]), p, base, segs)
                 acc = sparse.add(acc, sparse.scale(powers[j], -(p ** j)))
             coords.append(sparse.divexact(acc, p ** i))
         return coords
@@ -355,7 +356,7 @@ class UniversalWittPolys:
         needs polys[j]^(p^(i-j)), one p-th power beyond its level-(i-1) form.
         """
         p, n = self.p, self.n
-        base, ystep = _layout(p, n)
+        base, segs = _layout(p, n)
         jobs = zip(("sum", "product", "negation"),
                    (self.sum_polys, self.prod_polys, self.neg_polys),
                    self._ghost_targets())
@@ -366,7 +367,7 @@ class UniversalWittPolys:
                 acc = None
                 for j in range(i + 1):
                     powers[j] = (polys[j] if j == i
-                                 else _ppow(powers[j], p, base, ystep))
+                                 else _ppow(powers[j], p, base, segs))
                     term = sparse.scale(powers[j], p ** j)
                     acc = term if acc is None else sparse.add(acc, term)
                 if acc != targets[i]:
@@ -381,12 +382,15 @@ class UniversalWittPolys:
         ``values`` are all ints or all tuple-keyed Laurent covers.  With q = 0
         the value is taken over Z.  With q > 0 the values must already be
         reduced mod q and the value is returned reduced mod q: evaluation is
-        a ring map, so the pass reduces on the way.  Each coefficient is
-        reduced mod q and its monomial skipped when that is 0; powers are
-        taken mod q and cached per call; a monomial stops at its first zero
-        factor; two one-term Laurent factors multiply directly (exponents
-        added, coefficients multiplied mod q); Laurent terms are added into
-        one dict in place, whose zeros are dropped once at the end.
+        a ring map, so the pass reduces on the way.
+
+        When every Laurent value is 0 or one term c_i z^(e_i), X^a takes
+        the value (prod c_i^(a_i)) z^(sum a_i e_i), read off per-variable
+        tables by :func:`_specialize_one_term`.  Otherwise each coefficient
+        is reduced mod q and its monomial skipped when that is 0; powers
+        are taken mod q and cached per call; a monomial stops at its first
+        zero factor; Laurent terms are added into one dict in place, whose
+        zeros are dropped once at the end.
 
         The universal polynomials have no constant term, so every monomial
         touches at least one variable.  For values in F_p, ``poly`` may be
@@ -394,6 +398,9 @@ class UniversalWittPolys:
         at every point of F_p, in far fewer terms.
         """
         laurent = not isinstance(values[0], int)
+        if laurent and all(len(v) < 2 for v in values):
+            return _specialize_one_term(poly, values, q,
+                                        self.p ** (self.n - 1))
         powcache = [{} for _ in values]
 
         def vpow(i, k):
@@ -420,12 +427,6 @@ class UniversalWittPolys:
                     f = vpow(i, e)
                     if term is None:
                         term = f
-                    elif laurent and len(term) == 1 == len(f):
-                        (e1, c1), = term.items()
-                        (e2, c2), = f.items()
-                        c1 = c1 * c2 % q if q else c1 * c2
-                        term = ({tuple(map(_add_exps, e1, e2)): c1}
-                                if c1 else {})
                     elif laurent:
                         term = sparse.mul(term, f, q)
                     else:
@@ -445,6 +446,43 @@ class UniversalWittPolys:
         if q:
             return {e: v for e, c in acc.items() if (v := c % q)}
         return {e: c for e, c in acc.items() if c}
+
+
+def _specialize_one_term(poly, values, q, top):
+    """A stored polynomial at Laurent values that are 0 or one term, mod q.
+
+    c X^a takes the coefficient c prod c_i^(a_i), read off per-variable
+    tables of powers up to ``top`` = p^(n-1), which bounds every stored
+    exponent (a zero value has the table 1, 0, 0, ...).  Exponent sums are
+    linear, so each e_i is packed into an integer of signed digits whose
+    base exceeds twice every |sum a_i e_i|: sum a_i is at most the weighted
+    degree, at most 2 top.  Only the distinct result keys are unpacked.
+    """
+    nvars = next((len(e) for v in values for e in v), 0)
+    span = 2 * top * max((abs(x) for v in values for e in v for x in e),
+                         default=0)
+    base = 2 * span + 1
+    tables, shifts = [], []
+    for v in values:
+        e, c = next(iter(v.items()), ((), 0))
+        tables.append([pow(c, k, q) if q else c ** k for k in range(top + 1)])
+        shifts.append(sum(x * base ** j for j, x in enumerate(e)))
+    const = poly.get((0,) * len(values), 0)
+    if const % q if q else const:
+        raise IntegralityFailure("unexpected constant monomial")
+    acc = {}
+    get = acc.get
+    for exps, c in poly.items():
+        if q:
+            c %= q
+            if not c:
+                continue
+        key = sum(map(_mul, exps, shifts))
+        acc[key] = get(key, 0) + c * prod(map(getitem, tables, exps))
+    # digits shifted by span are the unsigned digits of key + offset
+    offset = span * sum(base ** j for j in range(nvars))
+    return {tuple(x - span for x in _digits(k + offset, base, nvars)): v
+            for k, c in acc.items() if (v := c % q if q else c)}
 
 
 @lru_cache(maxsize=4)

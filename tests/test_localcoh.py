@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wittkit.localcoh import (
     CoefficientVanished,
+    _teich_sum_terms,
     CohClass,
     GeneratorModule,
     enumerate_index,
@@ -684,6 +685,15 @@ def test_parabolic_action_matches_reference(data):
     g = data.draw(st.sampled_from(pj_generators(x.p, x.d, x.j)))
     assert (_outcome(parabolic_action, g, x)
             == _outcome(_ref_parabolic_action, g, x))
+
+
+def test_teich_sum_lone_summand_lifts_its_digit():
+    """A lone summand b z^e below the top level is V^l([b z^e]), whose
+    integer value is the Teichmuller lift of b: [2] = 8 in Z/9 and
+    26 in Z/27 at p = 3, not 2."""
+    summand = [(2, (1, -1, 0))]
+    assert _teich_sum_terms(3, 2, 2, 0, 1, summand) == {(0, (1, -1, 0)): 8}
+    assert _teich_sum_terms(3, 3, 2, 0, 1, summand) == {(0, (1, -1, 0)): 26}
 
 
 # -- cross-checks ----------------------------------------------------------------

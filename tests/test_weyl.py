@@ -14,7 +14,6 @@ from wittkit.weyl import (
     apply_word,
     gen_binom,
     is_global,
-    monomial_y_action,
     normal_form,
     rational_z2d_power,
     theta,
@@ -88,8 +87,8 @@ def test_apply_identity_and_examples():
     one = WeylElement.one(3, 1, 2)
     assert apply(one, f) == f
     # y_{01}^{[1]}(z0^2 z1^-1 z2^-1) = -z0^3 z1^-2 z2^-1 at p=3, via binom(-1,1)
-    b, v = monomial_y_action(3, 0, 1, 1, (2, -1, -1))
-    assert (b, v) == (3 - 1, (3, -2, -1))  # -1 = 2 mod 3
+    img = ChartAtlas(2).apply_ambient(y_operator(0, 1, 1, 2, 3), (2, -1, -1))
+    assert img == {(3, -2, -1): 3 - 1}  # -1 = 2 mod 3
     # d^[p](z^p) = 1
     p = 5
     g = LaurentElem.monomial(p, 1, 1, (p,))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittkit import sparse
+from wittkit import sparse, witt
 from wittkit.rings import (
     LaurentElem,
     PrimeFieldElem,
@@ -220,6 +220,67 @@ def test_property_specialize_matches_reference(case, which):
         want = _ref_specialize(f, values)
         assert (_reduce_like(got, coords[0], p)
                 == _reduce_like(want, coords[0], p))
+
+
+# -- one-term Laurent values, against the reference evaluation --------------
+
+@st.composite
+def one_term_cases(draw):
+    """A stored polynomial and Laurent values that are 0 or one term, in 1-3
+    variables with negative exponents, over Z or mod p; in small shapes one
+    value may have two or three terms, which sends the call to the general
+    loop."""
+    p, n = draw(st.sampled_from([(p, n) for p in (2, 3, 5)
+                                 for n in range(1, 5)] + [(2, 6)]))
+    which = draw(st.sampled_from(["sum_polys", "prod_polys", "neg_polys"]))
+    poly = getattr(build_universal_polys(p, n), which)[
+        draw(st.integers(0, n - 1))]
+    q = draw(st.sampled_from([0, p]))
+    nv = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-3, 3)] * nv)
+    coeff = (st.integers(1, p - 1) if q
+             else st.integers(-5, 5).filter(bool))
+    values = [draw(st.dictionaries(exps, coeff, max_size=1))
+              for _ in range(len(next(iter(poly))))]
+    if p ** (n - 1) <= 9 and draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(
+            st.dictionaries(exps, coeff, min_size=2, max_size=3))
+    return p, n, poly, values, q
+
+
+@given(one_term_cases())
+@settings(max_examples=200, deadline=None)
+def test_property_one_term_laurent_specialize_matches_reference(case):
+    p, n, poly, values, q = case
+    upw = build_universal_polys(p, n)
+    calls = []
+
+    def spy(*args, _f=witt._specialize_one_term):
+        calls.append(args)
+        return _f(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witt, "_specialize_one_term", spy)
+        got = upw.specialize(poly, values, q)
+    assert len(calls) == all(len(v) < 2 for v in values)
+    want = _ref_specialize(poly, values)
+    if q:
+        want = {e: v for e, c in want.items() if (v := c % q)}
+    assert got == want
+
+
+def test_one_term_specialize_rejects_constant_monomial():
+    """Like the general loop, the one-term route raises on a constant
+    monomial unless its coefficient vanishes mod q."""
+    upw = build_universal_polys(3, 1)
+    one_term, two_terms = {(1,): 2}, {(1,): 2, (-1,): 1}
+    for values in ([one_term, {}], [two_terms, {}]):
+        with pytest.raises(IntegralityFailure):
+            upw.specialize({(0, 0): 1, (1, 0): 1}, values, 3)
+        with pytest.raises(IntegralityFailure):
+            upw.specialize({(0, 0): 3, (1, 0): 1}, values, 0)
+        assert upw.specialize({(0, 0): 3, (1, 0): 1}, values, 3) == \
+            values[0]
 
 
 # -- specialization over F_p through the reduced form, against the full one --
@@ -684,15 +745,16 @@ def test_property_packed_kernel_matches_tuple_route(data):
     a = data.draw(sparse_polys(nvars, max_exp))
     b = data.draw(sparse_polys(nvars, max_exp))
     base = max(2, k) * max_exp + 1  # above every exponent of a*b and a^k
-    ystep = base ** ((nvars + 1) // 2)  # Y_0 in the middle, or absent
+    w = data.draw(st.sampled_from([2, 3, 5]))
+    segs = _segmentations(nvars, (nvars + 1) // 2, base, w)  # Y_0 mid-way
     pa, pb = _pack(a, base), _pack(b, base)
     assert _unpack(pa, base, nvars) == a
-    assert _unpack(_pmul(pa, pb, base, ystep), base, nvars) == _tuple_mul(a, b)
-    assert _psquare(pa, base, ystep) == _pmul(pa, pa, base, ystep)
+    assert _unpack(_pmul(pa, pb, base, segs), base, nvars) == _tuple_mul(a, b)
+    assert _psquare(pa, base, segs) == _pmul(pa, pa, base, segs)
     power = a
     for _ in range(k - 1):
         power = _tuple_mul(power, a)
-    assert _unpack(_ppow(pa, k, base, ystep), base, nvars) == power
+    assert _unpack(_ppow(pa, k, base, segs), base, nvars) == power
 
 
 def _ref_unpack(poly, base, nvars):
@@ -725,12 +787,18 @@ def test_property_half_word_unpack_matches_digit_loop(data):
 
 # -- the segmented (Kronecker) product, whatever the dispatch decides ---------
 
-def _segmented(a, b, base, ystep):
-    """a * b by the segmented route alone; b = None squares a."""
+def _segmentations(nvars, ny, base, w):
+    """The two candidates of witt._layout in nvars variables: (Y_0, X_0, 1)
+    with Y_0 the variable ny (absent when ny = nvars), and (X_0, X_1, w)."""
+    return (base ** ny, 1, 1), (1, base, w)
+
+
+def _segmented(a, b, base, seg):
+    """a * b by the segmented route alone, along seg; b = None squares a."""
     width = _slot_width(a, a if b is None else b)
-    ga = _segments(a, base, ystep, width)
-    gb = None if b is None else _segments(b, base, ystep, width)
-    return _kronecker(ga, gb, ystep, width)
+    ga = _segments(a, base, seg, width, len(a))
+    gb = None if b is None else _segments(b, base, seg, width, len(b))
+    return _kronecker(ga, gb, seg, width)
 
 
 # small, negative and >= 2^70 coefficients: the last test the signed slots
@@ -741,23 +809,29 @@ big_coefficients = st.one_of(
 
 
 @st.composite
-def segment_polys(draw, nvars, ny, max_exp):
-    """Ordinary sparse operands, or ones homogeneous in X_0 and Y_0 (the
-    variables 0 and ny) whose monomials share their other exponents, so
-    that groups hold many slots."""
-    if draw(st.booleans()):
+def segment_polys(draw, nvars, ny, w, max_exp):
+    """Ordinary sparse operands, or ones whose monomials share their other
+    exponents and are homogeneous either in X_0 and Y_0 (the variables 0
+    and ny) or of weight x_0 + w x_1 in X_0 and X_1 (the variables 0 and
+    1), so that groups hold many slots."""
+    kind = draw(st.sampled_from(["sparse", "x0 + y0", "x0 + w x1"]))
+    if kind == "sparse":
         return draw(st.dictionaries(
             st.tuples(*[st.integers(0, max_exp)] * nvars), big_coefficients,
             max_size=8))
     d = draw(st.integers(0, max_exp))
+    step, other = (1, ny) if kind == "x0 + y0" else (w, 1)
     out = {}
     for rest in draw(st.lists(st.tuples(*[st.integers(0, max_exp)] * nvars),
                               max_size=3)):
-        for x0 in draw(st.sets(st.integers(0, d), max_size=d + 1)):
+        for b in draw(st.sets(st.integers(0, d // step),
+                              max_size=d // step + 1)):
             e = list(rest)
-            e[0] = x0
-            if ny < nvars:
-                e[ny] = d - x0
+            e[0] = d - step * b
+            if other < nvars:
+                e[other] = b
+            elif b:
+                continue
             out[tuple(e)] = draw(big_coefficients)
     return out
 
@@ -767,55 +841,67 @@ def segment_polys(draw, nvars, ny, max_exp):
 def test_property_segmented_product_matches_tuple_route(data):
     nvars = data.draw(st.integers(1, 8))
     ny = data.draw(st.integers(1, nvars))  # ny = nvars: no Y_0, as for -X
+    w = data.draw(st.sampled_from([2, 3, 5]))
     max_exp = data.draw(st.integers(0, 6))
-    a = data.draw(segment_polys(nvars, ny, max_exp))
-    b = data.draw(segment_polys(nvars, ny, max_exp))
+    a = data.draw(segment_polys(nvars, ny, w, max_exp))
+    b = data.draw(segment_polys(nvars, ny, w, max_exp))
     base = 2 * max_exp + 1  # above every exponent of a*b
-    ystep = base ** ny
     pa, pb = _pack(a, base), _pack(b, base)
-    assert _unpack(_segmented(pa, pb, base, ystep), base, nvars) == \
-        _tuple_mul(a, b)
-    assert _unpack(_segmented(pa, None, base, ystep), base, nvars) == \
-        _tuple_mul(a, a)
+    for seg in _segmentations(nvars, ny, base, w):
+        assert _unpack(_segmented(pa, pb, base, seg), base, nvars) == \
+            _tuple_mul(a, b)
+        assert _unpack(_segmented(pa, None, base, seg), base, nvars) == \
+            _tuple_mul(a, a)
 
 
 def test_segmented_product_borrows_from_negative_slots():
     # in X_0, X_1, Y_0 (base 5), each operand one group of x_0 + y_0 = 1:
     # a^2 = 2^160 X_0^2 - 2^81 X_0 Y_0 + Y_0^2 has a negative middle slot,
     # a * b = -2^80 X_0^2 + (2^160 + 1) X_0 Y_0 - 2^80 Y_0^2 negative ends
-    base, ystep = 5, 25
-    a = {1: 2 ** 80, ystep: -1}
-    b = {1: -1, ystep: 2 ** 80}
+    base, seg = 5, (25, 1, 1)
+    a = {1: 2 ** 80, 25: -1}
+    b = {1: -1, 25: 2 ** 80}
     ua, ub = _unpack(a, base, 3), _unpack(b, base, 3)
-    assert len(_segments(a, base, ystep, _slot_width(a, a))) == 1
-    assert _unpack(_segmented(a, None, base, ystep), base, 3) == \
+    assert len(_segments(a, base, seg, _slot_width(a, a), 2)) == 1
+    assert _unpack(_segmented(a, None, base, seg), base, 3) == \
         _tuple_mul(ua, ua)
-    assert _unpack(_segmented(a, b, base, ystep), base, 3) == \
+    assert _unpack(_segmented(a, b, base, seg), base, 3) == \
         _tuple_mul(ua, ub)
-    assert _segmented(a, {}, base, ystep) == {}
-    assert _segmented({}, None, base, ystep) == {}
+    assert _segmented(a, {}, base, seg) == {}
+    assert _segmented({}, None, base, seg) == {}
 
 
-def test_segmented_route_is_taken_by_sum_not_product_polys(monkeypatch):
-    """At (5, 4), S_2's groups hold many monomials; P_2 is bihomogeneous in
-    X and Y, so each of its groups holds one and its products fall back."""
-    upw = build_universal_polys(5, 4)
-    base, ystep = _layout(5, 4)
-    s2 = _pack(upw.sum_polys[2], base)
-    p2 = _pack(upw.prod_polys[2], base)
+def test_segmented_routes_of_sum_and_product_polys(monkeypatch):
+    """Both candidate segmentations are taken where they compress.
+
+    At (5, 4) S_2 is homogeneous in X and Y together, so grouping by
+    x_0 + y_0 gathers its monomials.  The product polynomials P_2 at (5, 4)
+    and P_4 at (2, 6) are bihomogeneous, one monomial per x_0 + y_0 group,
+    and are gathered by x_0 + p x_1 instead.  An operand that compresses
+    under neither still runs term by term."""
     routes = []
     for name in ("_kronecker", "_pmul_terms", "_psquare_terms"):
         def spy(*args, _name=name, _f=getattr(sparse, name)):
-            routes.append(_name)
+            routes.append((_name, args[2]) if _name == "_kronecker"
+                          else (_name,))
             return _f(*args)
         monkeypatch.setattr(sparse, name, spy)
-    _psquare(s2, base, ystep)
-    _pmul(s2, s2, base, ystep)
-    assert routes == ["_kronecker", "_kronecker"]
+    for (p, n), poly, i, seg in (((5, 4), "sum_polys", 2, 0),
+                                 ((5, 4), "prod_polys", 2, 1),
+                                 ((2, 6), "prod_polys", 4, 1)):
+        base, segs = _layout(p, n)
+        a = _pack(getattr(build_universal_polys(p, n), poly)[i], base)
+        routes.clear()
+        _psquare(a, base, segs)
+        _pmul(a, a, base, segs)
+        assert routes == [("_kronecker", segs[seg])] * 2
+    # X_2^k for k = 1..4: each monomial is a group of its own under both
+    base, segs = _layout(5, 4)
+    a = {k * base ** 2: 1 for k in range(1, 5)}
     routes.clear()
-    _psquare(p2, base, ystep)
-    _pmul(p2, p2, base, ystep)
-    assert routes == ["_psquare_terms", "_pmul_terms"]
+    _psquare(a, base, segs)
+    _pmul(a, a, base, segs)
+    assert routes == [("_psquare_terms",), ("_pmul_terms",)]
 
 
 # -- one ghost round trip per operation, against the routes it replaced --------
