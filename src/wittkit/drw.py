@@ -6,13 +6,16 @@ with p^{n-1} r integral, and P = (I_0, ..., I_i) an admissible partition of
 the support.  F, V and d act by exact case formulas; the ring structure is
 out of scope.
 
-An element stores its level data and a sorted tuple of (symbol, coefficient)
-pairs.  The public ``DRWElement`` constructor takes any {symbol: coefficient}
-dict and reduces every coefficient mod p^(n-u); ``act`` and ``scalar_mul``
-reduce only the coefficients they compute, keep the order, and build their
-results with the trusted ``_element``.  What the case formulas read of a
-weight (its minimal valuation and the weights p r and r/p) is carried by the
-weight key itself, so no module-level table or cache is kept.
+Inside an element a symbol is the triple (base, shift, parts): ``shift`` is
+the minimal valuation of r (0 for the zero weight) and ``base`` the sorted
+(j, u, v) triples of r with ``shift`` taken off each v.  F and V multiply and
+divide r by p, so they change only ``shift`` and share ``base`` with the
+symbol they start from; d changes only ``parts``.  An element stores its
+level data and a tuple of (symbol, coefficient) pairs sorted by symbol, each
+coefficient reduced mod p^(n-u), u = max(0, -shift).  The ``DRWElement``
+constructor and ``terms`` speak plain ``Weight.key()`` triples; ``act`` and
+``scalar_mul`` reduce only the coefficients they compute and keep the order
+of the pairs.  No module-level table or cache is kept.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from operator import itemgetter
 
 from .rings import ScaleExceeded, is_prime
 from .witt import _MAX_BASIS_SIZE, _basis_size
+
+_valuation = itemgetter(2)  # of a (j, u, v) weight-key triple
 
 
 class Inadmissible(ValueError):
@@ -75,9 +80,6 @@ class Weight:
 
     def min_valuation(self):
         return min(v for (_, v) in self.entries.values())
-
-    def integral(self):
-        return self.is_zero() or self.min_valuation() >= 0
 
     def admissible(self, n):
         """p^(n-1) r integral."""
@@ -170,46 +172,29 @@ def partition_valid(weight, parts):
     return pos == sorted(pos) and pos == list(range(len(supp)))
 
 
-class _WeightKey(tuple):
-    """A weight key that carries what the case formulas read.
-
-    It is equal to, and hashes as, the plain tuple of (j, u, v) triples.
-    ``min_v`` is the minimal valuation (0 for the zero weight); ``up`` and
-    ``down`` are the keys of p r and r/p, made on first use and linked back,
-    so that V after F (and F after V) returns the key it started from.  The
-    links live as long as the keys, so nothing outlives the elements that
-    use them.
-    """
+def _symbol(triples):
+    """The (base, shift) of a weight key's sorted (j, u, v) triples."""
+    shift = min(map(_valuation, triples), default=0)
+    if not shift:
+        return triples, 0
+    return tuple([(j, u, v - shift) for (j, u, v) in triples]), shift
 
 
-def _weight_key(triples, min_v=None):
-    """The _WeightKey of sorted triples; the zero weight is its own p r."""
-    key = _WeightKey(triples)
-    if min_v is None:
-        min_v = min([v for (_, _, v) in key], default=0)
-    key.min_v = min_v
-    key.up = key.down = None if key else key
-    return key
+def _triples(base, shift):
+    """The weight key of (base, shift): inverse to _symbol."""
+    return tuple([(j, u, v + shift) for (j, u, v) in base])
 
 
-def _up(wkey):
-    up = wkey.up = _weight_key([(j, u, v + 1) for (j, u, v) in wkey],
-                               wkey.min_v + 1)
-    up.down = wkey
-    return up
-
-
-def _down(wkey):
-    down = wkey.down = _weight_key([(j, u, v - 1) for (j, u, v) in wkey],
-                                   wkey.min_v - 1)
-    down.up = wkey
-    return down
-
-
-def _modulus(p, n, min_v):
-    """p^(n-u), u = max(0, -min_v): what annihilates a symbol at level n."""
-    k = n + min_v if min_v < 0 else n
-    return p ** k if k > 0 else 1
+def _reduced(p, n, items):
+    """Sorted (symbol, c mod p^(n-u)) pairs of ``items``, zeros dropped."""
+    out = []
+    for sym, c in items:
+        k = n + sym[1] if sym[1] < 0 else n
+        c = c % p ** k if k > 0 else 0
+        if c:
+            out.append((sym, c))
+    out.sort()
+    return tuple(out)
 
 
 class DRWElement:
@@ -221,31 +206,29 @@ class DRWElement:
     expression the canonical one.
 
     ``space`` is the tuple (p, n, d, degree) and ``pairs`` the tuple of
-    ((weight key, partition), coefficient) pairs sorted by key; ``terms``
-    gives them as a dict.  The constructor reduces and sorts what it is
-    given; ``act`` and ``scalar_mul`` produce reduced pairs in sorted order
-    and build their results with the trusted ``_element``.
+    ((base, shift, partition), coefficient) pairs sorted by symbol, with
+    u = max(0, -shift).  The constructor takes a {(weight key, partition):
+    coefficient} dict, whose weight keys are ``Weight.key()`` triples as
+    ``enumerate_basis`` returns them, and reduces and sorts it; ``terms``
+    gives the pairs back in that form.
     """
 
     __slots__ = ("space", "pairs")
 
     def __init__(self, p, n, d, degree, terms):
-        pairs = []
-        for key, c in terms.items():
-            if type(key[0]) is not _WeightKey:
-                key = (_weight_key(key[0]), key[1])
-            c %= _modulus(p, n, key[0].min_v)
-            if c:
-                pairs.append((key, c))
-        pairs.sort()
         self.space = (p, n, d, degree)
-        self.pairs = tuple(pairs)
+        self.pairs = _reduced(p, n, [(_symbol(triples) + (parts,), c)
+                                     for (triples, parts), c in terms.items()])
 
     p = property(lambda self: self.space[0])
     n = property(lambda self: self.space[1])
     d = property(lambda self: self.space[2])
     degree = property(lambda self: self.space[3])
-    terms = property(lambda self: dict(self.pairs))
+
+    @property
+    def terms(self):
+        return {(_triples(base, shift), parts): c
+                for (base, shift, parts), c in self.pairs}
 
     @classmethod
     def basis(cls, p, n, d, weight, parts, coeff=1):
@@ -262,18 +245,20 @@ class DRWElement:
     def __add__(self, other):
         if self.space != other.space:
             raise Inadmissible("cannot add across levels or degrees")
-        terms = self.terms
-        for k, c in other.pairs:
-            terms[k] = terms.get(k, 0) + c
-        return DRWElement(*self.space, terms)
+        acc = dict(self.pairs)
+        get = acc.get
+        for sym, c in other.pairs:
+            acc[sym] = get(sym, 0) + c
+        return _element(self.space, _reduced(*self.space[:2], acc.items()))
 
     def scalar_mul(self, c):
         p, n = self.space[:2]
+        pn = p ** n
         pairs = []
-        for key, v in self.pairs:
-            v = v * c % _modulus(p, n, key[0].min_v)
+        for sym, v in self.pairs:
+            v = v * c % (p ** (n + sym[1]) if sym[1] < 0 else pn)
             if v:
-                pairs.append((key, v))
+                pairs.append((sym, v))
         return _element(self.space, tuple(pairs))
 
     def __sub__(self, other):
@@ -304,7 +289,7 @@ def _weight_from_key(p, d, key):
     return Weight(p, d, {j: (u, v) for (j, u, v) in key})
 
 
-def act(which, elem):
+def act(which, elem, _new=object.__new__):
     """Linear extension of the F/V/d case formulas.
 
     F is semilinear through the residue map Z/p^n -> Z/p^(n-1); V lifts
@@ -324,63 +309,67 @@ def act(which, elem):
       carries the scalar p^(min valuation) for a nonzero integral weight.
 
     F and V raise Inadmissible when the image weight is not admissible at
-    the new level.
+    the new level.  Each keeps the order of the pairs: F and V move only the
+    shift of a nonzero weight, d only prepends () to the partition.
     """
     p, n, d, degree = elem.space
     out = []
     if which == "F":
-        if n == 1:  # W_0 Omega = 0
-            return _element((p, 0, d, degree), ())
-        for (wkey, parts), c in elem.pairs:
-            up = wkey.up
-            if up is None:
-                up = _up(wkey)
-            min_v = up.min_v  # of p r: r is integral iff min_v >= 1
-            if wkey:
-                if min_v < 1 and parts[0]:
+        n -= 1
+        pn = p ** n
+        for (base, s, parts), c in elem.pairs if n else ():  # W_0 Omega = 0
+            if base:
+                s += 1  # of p r: r is integral iff s >= 1
+                if s < 1 and parts[0]:
                     c *= p
-                if min_v < 2 - n:
+                if s < 1 - n:
                     raise Inadmissible("F image fails admissibility")
-            c %= _modulus(p, n - 1, min_v)
+            c %= p ** (n + s) if s < 0 else pn
             if c:
-                out.append(((up, parts), c))
-        return _element((p, n - 1, d, degree), tuple(out))
-    if which == "V":
-        for (wkey, parts), c in elem.pairs:
-            down = wkey.down
-            if down is None:
-                down = _down(wkey)
-            min_v = down.min_v  # of r/p
-            if wkey and min_v < -n:
-                raise Inadmissible("V image fails admissibility")
-            if min_v >= 0 or not parts[0]:
+                out.append(((base, s, parts), c))
+    elif which == "V":
+        n += 1
+        pn = p ** n
+        for (base, s, parts), c in elem.pairs:
+            if base:
+                s -= 1  # of r/p
+                if s < 1 - n:
+                    raise Inadmissible("V image fails admissibility")
+            if s >= 0 or not parts[0]:
                 c *= p
-            c %= _modulus(p, n + 1, min_v)
+            c %= p ** (n + s) if s < 0 else pn
             if c:
-                out.append(((down, parts), c))
-        return _element((p, n + 1, d, degree), tuple(out))
-    if which == "d":
-        for (wkey, parts), c in elem.pairs:
+                out.append(((base, s, parts), c))
+    elif which == "d":
+        degree += 1
+        pn = p ** n
+        for (base, s, parts), c in elem.pairs:
             if not parts[0]:
                 continue
-            min_v = wkey.min_v
-            if min_v > 0:
-                c *= p ** min_v
-            c %= _modulus(p, n, min_v)
-            if c:
-                out.append(((wkey, ((),) + parts), c))
-        return _element((p, n, d, degree + 1), tuple(out))
-    raise ValueError("unknown operator %r" % (which,))
+            if s > 0:  # the modulus is unchanged, so only this needs reducing
+                c = c * p ** s % pn
+                if not c:
+                    continue
+            out.append(((base, s, ((),) + parts), c))
+    else:
+        raise ValueError("unknown operator %r" % (which,))
+    e = _new(DRWElement)
+    e.space = (p, n, d, degree)
+    e.pairs = tuple(out)
+    return e
 
 
 def enumerate_basis(p, n, d, i, bound):
     """All (weight, partition) pairs at level n and degree i within the bound.
 
     Weights are parametrized by a = p^(n-1) r with componentwise numerators
-    0 <= a_j <= bound; the pairs are returned as DRWElement basis keys.
+    0 <= a_j <= bound; the pairs are (weight key, partition) keys for the
+    DRWElement constructor.
     """
     if not is_prime(p):
         raise ValueError("p = %r is not prime" % (p,))
+    if n < 1:
+        raise ValueError("need n >= 1, got n = %d" % n)
     if i < 0:
         raise ValueError("need degree i >= 0, got i = %d" % i)
     size = _basis_size(d, i, bound)
@@ -400,19 +389,17 @@ def enumerate_basis(p, n, d, i, bound):
         for j in range(d):
             entry[j].append((j, u, v - (n - 1)))
     partitions = {}  # support order -> its partitions; at most sum_k d!/k!
-    valuation = itemgetter(2)
     out = []
     for triples in product(*entry):
-        wkey = [t for t in triples if t]
+        wkey = tuple([t for t in triples if t])
         if len(wkey) < i:
             continue
         # support order: by valuation, ties by index (a stable sort of wkey)
-        order = sorted(wkey, key=valuation)
+        order = sorted(wkey, key=_valuation)
         supp = tuple([j for (j, _, _) in order])
         parts_list = partitions.get(supp)
         if parts_list is None:
             parts_list = partitions[supp] = _partitions(supp, i)
-        wkey = _weight_key(wkey, order[0][2] if order else 0)
         out += [(wkey, parts) for parts in parts_list]
     return out
 

@@ -79,6 +79,11 @@ def test_weyl_nf_laurent_word(capsys):
                   "--d", "0", "--a", "-1"), "d = 0", id="line-bundle-d0"),
     pytest.param(("verify", "drw-identities", "--p", "4", "--n", "1"),
                  "p = 4 is not prime", id="drw-identities-p4"),
+    pytest.param(("verify", "drw-identities", "--p", "2", "--n", "0"),
+                 "need n >= 1, got n = 0", id="drw-identities-n0"),
+    pytest.param(("drw", "basis", "--p", "2", "--n", "0", "--d", "1",
+                  "--i", "0", "--bound", "4"), "need n >= 1, got n = 0",
+                 id="drw-basis-n0"),
     pytest.param(("verify", "localgen", "--p", "4", "--bound", "3"),
                  "p = 4 is not prime", id="localgen-p4"),
     pytest.param(("verify", "cohomology-sweep", "--p", "4", "--n", "1",

@@ -2,6 +2,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittkit.drw import (
     DRWElement,
@@ -16,6 +18,8 @@ from wittkit.drw import (
     t_and_u,
     weight_from_json,
     weight_to_json,
+    _symbol,
+    _triples,
 )
 from wittkit.rings import ScaleExceeded
 from wittkit.witt import _MAX_BASIS_SIZE, _basis_size
@@ -158,6 +162,13 @@ def test_oversized_basis_is_refused_before_any_work(monkeypatch):
         enumerate_basis(3, 1, 2, -1, 4)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_basis_below_level_one_is_refused(n):
+    # W_0 Omega is 0: a basis of it would be checked vacuously
+    with pytest.raises(ValueError, match="need n >= 1, got n = %d" % n):
+        enumerate_basis(2, n, 1, 0, 4)
+
+
 def _subsets(items, size):
     items = list(items)
     if size == 0:
@@ -244,3 +255,132 @@ def test_weight_json_roundtrip():
     w = Weight(3, 3, {0: (2, -1), 2: (1, 1)})
     data = weight_to_json(3, 3, w.key())
     assert weight_from_json(3, 3, data).key() == w.key()
+
+
+# -- the case formulas over plain {(triples, parts): c} dicts ---------------
+
+def _ref_min_v(triples):
+    return min([v for (_, _, v) in triples], default=0)
+
+
+def _ref_reduce(p, n, terms):
+    """Each coefficient mod p^(n-u), u = max(0, -min valuation); no zeros."""
+    out = {}
+    for (triples, parts), c in terms.items():
+        k = n - max(0, -_ref_min_v(triples))
+        c %= p ** k if k > 0 else 1
+        if c:
+            out[(triples, parts)] = c
+    return out
+
+
+def _ref_act(which, p, n, terms):
+    """The level and terms of F, V or d, written from the case formulas."""
+    terms = _ref_reduce(p, n, terms)
+    out = {}
+    if which == "F":
+        level = n - 1
+        for (triples, parts), c in terms.items():
+            r_integral = _ref_min_v(triples) >= 0
+            image = tuple((j, u, v + 1) for (j, u, v) in triples)
+            if image and _ref_min_v(image) < -(level - 1):
+                raise Inadmissible("F image")
+            scalar = p if parts[0] and not r_integral else 1
+            out[(image, parts)] = scalar * c
+    elif which == "V":
+        level = n + 1
+        for (triples, parts), c in terms.items():
+            image = tuple((j, u, v - 1) for (j, u, v) in triples)
+            if image and _ref_min_v(image) < -(level - 1):
+                raise Inadmissible("V image")
+            scalar = p if _ref_min_v(image) >= 0 or not parts[0] else 1
+            out[(image, parts)] = scalar * c
+    else:
+        level = n
+        for (triples, parts), c in terms.items():
+            if parts[0]:
+                scalar = p ** max(0, _ref_min_v(triples))
+                out[(triples, ((),) + parts)] = scalar * c
+    if level < 1:
+        return level, {}
+    return level, _ref_reduce(p, level, out)
+
+
+@st.composite
+def drw_combinations(draw):
+    """A level, a degree and a {(triples, parts): c} dict of basis keys.
+
+    Keys come from enumerate_basis at the level or one above it (so some are
+    inadmissible), half the degree-0 draws add the zero weight, and
+    coefficients run past p^(n-u) and below zero.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 3))
+    i = draw(st.integers(0, d))
+    keys = enumerate_basis(p, n + draw(st.integers(0, 1)), d, i, p + 1)
+    picks = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=6))
+    if i == 0 and draw(st.booleans()):
+        picks.append(((), ((),)))
+    big = p ** (n + 2)
+    terms = {key: draw(st.integers(-big, big)) for key in picks}
+    return p, n, d, i, terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(drw_combinations(), st.sampled_from("FVd"))
+def test_property_act_matches_case_formulas(cell, which):
+    p, n, d, i, terms = cell
+    elem = DRWElement(p, n, d, i, terms)
+    assert elem.terms == _ref_reduce(p, n, terms)
+    try:
+        want = _ref_act(which, p, n, terms)
+    except Inadmissible:
+        with pytest.raises(Inadmissible):
+            act(which, elem)
+        return
+    out = act(which, elem)
+    assert (out.n, out.terms) == want
+    assert out.degree == i + (which == "d")
+    # the same symbols, in the same order, as the constructor makes of them
+    assert out == DRWElement(p, out.n, d, out.degree, want[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(drw_combinations(), st.data())
+def test_property_sum_matches_plain_dicts(cell, data):
+    p, n, d, i, terms = cell
+    other = dict(zip(terms, data.draw(
+        st.lists(st.integers(-p ** 4, p ** 4), min_size=len(terms),
+                 max_size=len(terms)))))
+    total = DRWElement(p, n, d, i, terms) + DRWElement(p, n, d, i, other)
+    merged = {k: terms[k] + other[k] for k in terms}
+    assert total.terms == _ref_reduce(p, n, merged)
+    assert total == DRWElement(p, n, d, i, merged)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(0, 4),
+                       st.tuples(st.integers(1, 50), st.integers(-4, 4)),
+                       max_size=4),
+       st.integers(-6, 6))
+def test_property_symbol_round_trip(entries, shift):
+    triples = tuple((j, u, v) for j, (u, v) in sorted(entries.items()))
+    base, s = _symbol(triples)
+    assert _triples(base, s) == triples
+    assert s == _ref_min_v(triples)
+    if base:
+        assert _ref_min_v(base) == 0
+        assert _symbol(_triples(base, shift)) == (base, shift)
+    else:
+        assert (base, s) == ((), 0)
+
+
+def test_f_and_v_share_the_base_of_a_symbol():
+    w = Weight(3, 2, {0: (2, -1), 1: (1, 0)})
+    e = basis_element(3, 3, 2, w.key(), ((0,), (1,)))
+    (base, shift, _), _ = e.pairs[0]
+    assert shift == -1
+    for image in (act("V", e), act("F", act("V", e)), act("d", e)):
+        (image_base, _, _), _ = image.pairs[0]
+        assert image_base is base

@@ -480,6 +480,32 @@ def test_tilde_w_examples():
     assert w.value.terms == {(2,): 1, (3,): 2}
 
 
+def _ref_tilde(x, top):
+    """sum_i p^i x_(i+1)^(p^(top-i)) mod p^n by power, scale and add."""
+    p, n = x.p, x.n
+    q = p ** n
+    acc = {}
+    for i, c in enumerate(x.coords):
+        t = sparse.scale(sparse.power(c.terms, p ** (top - i), q), p ** i, q)
+        acc = sparse.add(acc, t, q)
+    return acc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_property_tilde_matches_three_pass_reference(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, {2: 4, 3: 3, 5: 2}[p]))
+    nv = data.draw(st.integers(1, 2 if p ** n <= 16 else 1))  # keeps it fast
+    exps = st.tuples(*[st.integers(-2, 3)] * nv)
+    coords = [LaurentElem(p, 1, nv, data.draw(st.dictionaries(
+        exps, st.integers(1, p - 1), max_size=4)), tuple(range(nv)))
+        for _ in range(n)]
+    x = WittVector(p, n, coords)
+    assert tilde_w(x).value.terms == _ref_tilde(x, n - 1)
+    assert tilde_F(x).value.terms == _ref_tilde(x, n)
+
+
 def test_tilde_w_roundtrip_and_not_in_image():
     rng = random.Random(11)
     for p, n in ((2, 2), (3, 2), (2, 3)):
