@@ -308,9 +308,11 @@ def act(which, elem, _new=object.__new__):
     - d prepends an empty I_0, is zero on a symbol whose I_0 is empty, and
       carries the scalar p^(min valuation) for a nonzero integral weight.
 
-    F and V raise Inadmissible when the image weight is not admissible at
-    the new level.  Each keeps the order of the pairs: F and V move only the
-    shift of a nonzero weight, d only prepends () to the partition.
+    Every stored pair has n + shift >= 1 (the constructor drops the rest).
+    F lowers n by one and raises the shift of a nonzero weight by one, V
+    does the reverse, and the zero weight has shift 0, so their images stay
+    admissible.  Each keeps the order of the pairs: F and V move only the
+    shift, d only prepends () to the partition.
     """
     p, n, d, degree = elem.space
     out = []
@@ -322,8 +324,6 @@ def act(which, elem, _new=object.__new__):
                 s += 1  # of p r: r is integral iff s >= 1
                 if s < 1 and parts[0]:
                     c *= p
-                if s < 1 - n:
-                    raise Inadmissible("F image fails admissibility")
             c %= p ** (n + s) if s < 0 else pn
             if c:
                 out.append(((base, s, parts), c))
@@ -333,8 +333,6 @@ def act(which, elem, _new=object.__new__):
         for (base, s, parts), c in elem.pairs:
             if base:
                 s -= 1  # of r/p
-                if s < 1 - n:
-                    raise Inadmissible("V image fails admissibility")
             if s >= 0 or not parts[0]:
                 c *= p
             c %= p ** (n + s) if s < 0 else pn

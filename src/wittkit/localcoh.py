@@ -11,10 +11,11 @@ three-step generation algorithm exhausts I from the finite seed module N.
 from __future__ import annotations
 
 from . import sparse
-from .rings import LaurentElem, is_prime
+from .rings import LaurentElem, ScaleExceeded, graded_basis, is_prime
 from .weyl import ChartAtlas, gen_binom
 # CharTwoUnsupported is re-exported: expansion errors propagate to callers
-from .witt import CharTwoUnsupported, teich_scalar, teichmuller_sum_power
+from .witt import (_MAX_GENERATION_WORK, CharTwoUnsupported,
+                   _generation_work, teich_scalar, teichmuller_sum_power)
 from .wittdiff import monomial_case_split, v_p
 
 
@@ -22,54 +23,20 @@ class CoefficientVanished(ArithmeticError):
     pass
 
 
-def index_membership(u, j):
-    """Is u in the index set I (for the given parabolic cut j)?"""
-    d = len(u) - 1
-    return (
-        sum(u) == 0
-        and all(u[s] >= 0 for s in range(j + 1))
-        and all(u[s] < 0 for s in range(j + 1, d + 1))
-    )
+def _degree_zero(d, j, top, lo, hi):
+    """Total degree 0, entries 0..j in [0, top], the rest in [lo, hi]."""
+    box = [(0, top)] * (j + 1) + [(lo, hi)] * (d - j)
+    return graded_basis(d + 1, 0, box).basis
 
 
 def enumerate_index(d, j, bound):
-    """All of I with every |u_s| <= bound (empty when d = j)."""
-    if d == j:
-        return []
-    out = []
-
-    def rec(s, acc, total):
-        if s == d + 1:
-            if total == 0:
-                u = tuple(acc)
-                if index_membership(u, j):
-                    out.append(u)
-            return
-        lo, hi = (0, bound) if s <= j else (-bound, -1)
-        for v in range(lo, hi + 1):
-            rec(s + 1, acc + [v], total + v)
-
-    rec(0, [], 0)
-    return sorted(out)
+    """All of I with every |u_s| <= bound (empty when d = j), sorted."""
+    return _degree_zero(d, j, bound, -bound, -1) if j < d else []
 
 
 def index_seed(d, j):
     """I_j: the elements of I whose inverted entries are all -1."""
-    if d == j:
-        return []
-    out = []
-    total = d - j
-
-    def rec(s, acc, left):
-        if s == j + 1:
-            if left == 0:
-                out.append(tuple(acc) + (-1,) * (d - j))
-            return
-        for v in range(left + 1):
-            rec(s + 1, acc + [v], left - v)
-
-    rec(0, [], total)
-    return sorted(out)
+    return _degree_zero(d, j, d - j, -1, -1) if j < d else []
 
 
 class CohClass:
@@ -159,12 +126,6 @@ class CohClass:
     def __repr__(self):
         return "CohClass(%d terms)" % len(self.terms)
 
-    def levels(self):
-        out = {}
-        for (l, _), _c in self.terms.items():
-            out[l] = out.get(l, 0) + 1
-        return out
-
 
 def y_action(i, l_idx, r, c):
     """Apply y_{i,l_idx}^[r] to a class.
@@ -197,6 +158,28 @@ def y_action(i, l_idx, r, c):
 _Y, _T, _Y1 = range(3)
 
 
+def _usable_moves(moves, m, floor, p):
+    """(name, s, m - s, claim vanished) for each move of one group from the
+    lowered value m with m - s >= -floor whose coefficient is or is claimed
+    a unit."""
+    out = []
+    for name, kind, s in moves:
+        if m - s < -floor:
+            break  # s rises within a group
+        if kind == _Y:
+            unit = gen_binom(m, s) % p
+            claimed = m % p == p - 1
+        elif kind == _T:
+            unit = gen_binom(m, p) % p
+            claimed = p <= m <= 2 * p - 1
+        else:
+            unit = m % p
+            claimed = 1 <= m <= p - 1
+        if unit or claimed:
+            out.append((name, s, m - s, not unit))
+    return tuple(out)
+
+
 def generation_run(p, d, j, bound, n=1, trace=False, strict_claims=None):
     """Run the three-step generation procedure and report coverage.
 
@@ -214,6 +197,14 @@ def generation_run(p, d, j, bound, n=1, trace=False, strict_claims=None):
     the lowered one is checked, against -floor >= -bound.  A numerator never
     drops below 0 (that move's coefficient is 0) and inverted entries stay in
     [-floor, -1], so at total degree 0 no numerator exceeds floor * (d - j).
+
+    The table is grouped by raised and lowered coordinate.  Whether a move
+    applies depends only on its kind, its step and the lowered value m, so
+    each pass memoises, per group, m -> the moves that apply or whose claim
+    vanished.  Each vector still tries its moves in table order, and each
+    pass pops its frontier from list(reached), so ``steps`` and
+    ``vanished_claims`` keep their order, repeats included.  A run over the
+    work limit (witt._generation_work) is refused before any of it starts.
     """
     if not is_prime(p):
         raise ValueError("p = %r is not prime" % (p,))
@@ -225,66 +216,63 @@ def generation_run(p, d, j, bound, n=1, trace=False, strict_claims=None):
         raise ValueError("need 0 <= j < d, got j = %d, d = %d" % (j, d))
     if strict_claims is None:
         strict_claims = p != 2
-    seeds = index_seed(d, j)
-    reached = set(seeds)
+    work = _generation_work(p, d, j, bound)
+    if work > _MAX_GENERATION_WORK:
+        raise ScaleExceeded(
+            "the generation walk at p = %d, d = %d, j = %d, bound = %d could"
+            " try %d moves, over the limit of %d"
+            % (p, d, j, bound, work, _MAX_GENERATION_WORK))
+    reached = set(index_seed(d, j))
     steps = []
     vanished = []
     target_all = set(enumerate_index(d, j, bound))
     per_iteration = []
 
-    # the move table, in the order the moves are tried; the coefficient of
-    # every move is read off the lowered coordinate
-    table = []
-    for a in range(j + 1):
-        for b in range(j + 1, d + 1):
-            for s in range(1, p + 1):
-                table.append(("y[%d]_%d%d" % (s, a, b), _Y, a, b, s))
-    for a in range(j + 1):
-        for x in range(j + 1):
-            if x != a:
-                table.append(("T^%d y[%d]_%d%d" % (p - 1, p, x, a), _T,
-                              x, a, 1))
-                table.append(("y_%d%d" % (x, a), _Y1, x, a, 1))
+    # the move table in the order the moves are tried, one group per raised
+    # and lowered coordinate: (hi, lo, [(name, kind, s), ...]) with s rising
+    table = [(a, b, [("y[%d]_%d%d" % (s, a, b), _Y, s)
+                     for s in range(1, p + 1)])
+             for a in range(j + 1) for b in range(j + 1, d + 1)]
+    table += [(x, a, [("T^%d y[%d]_%d%d" % (p - 1, p, x, a), _T, 1),
+                      ("y_%d%d" % (x, a), _Y1, 1)])
+              for a in range(j + 1) for x in range(j + 1) if x != a]
 
     r_iter = 0
     floor = 1
     while floor < bound:
         r_iter += 1
         floor = min(r_iter * p + 1, bound)
+        # per group, lowered value m -> its usable moves at this floor
+        walk = [(hi, lo, moves, {}) for hi, lo, moves in table]
         frontier = list(reached)
         while frontier:
             u = frontier.pop()
-            for name, kind, hi, lo, s in table:
+            w = list(u)
+            for hi, lo, moves, memo in walk:
                 m = u[lo]
-                if m - s < -floor:
-                    continue
-                if kind == _Y:
-                    unit = gen_binom(m, s) % p
-                    claimed = m % p == p - 1
-                elif kind == _T:
-                    unit = gen_binom(m, p) % p
-                    claimed = p <= m <= 2 * p - 1
-                else:
-                    unit = m % p
-                    claimed = 1 <= m <= p - 1
-                if not unit:
-                    if claimed:
+                usable = memo.get(m)
+                if usable is None:
+                    usable = memo[m] = _usable_moves(moves, m, floor, p)
+                for name, s, low, vanished_claim in usable:
+                    if vanished_claim:
                         if strict_claims:
                             raise CoefficientVanished(
                                 "claimed unit vanished: %s at %r" % (name, u)
                             )
                         vanished.append({"op": name, "at": list(u)})
-                    continue
-                v = list(u)
-                v[hi] += s
-                v[lo] = m - s
-                v = tuple(v)
-                if v not in reached:
-                    reached.add(v)
-                    frontier.append(v)
-                    if trace:
-                        steps.append({"op": name, "from": list(u),
-                                      "to": list(v)})
+                        continue
+                    w[hi] = u[hi] + s
+                    w[lo] = low
+                    v = tuple(w)
+                    if v not in reached:
+                        reached.add(v)
+                        frontier.append(v)
+                        if trace:
+                            steps.append({"op": name, "from": list(u),
+                                          "to": list(v)})
+                if usable:
+                    w[hi] = u[hi]
+                    w[lo] = m
         box_r = {
             u for u in target_all if all(abs(x) <= floor for x in u)
         }
@@ -498,31 +486,12 @@ def small_case_crosscheck(p, d, j, n, bound):
 
     # box: inverted exponents in [-bound, ..); numerators are then forced
     # into [0, bound*(d-j)] by homogeneity, so nothing is clipped
-    symbols = [
-        u for u in enumerate_index(d, j, bound * (d - j))
-        if all(u[s] >= -bound for s in range(j + 1, d + 1))
-    ]
+    symbols = _degree_zero(d, j, bound * (d - j), -bound, -1)
     per_level_symbols = [len(symbols)] * n
     charts = list(range(j + 1, d + 1))
     top = d - j - 1
-
-    def all_deg0():
-        out = []
-
-        def rec(s, acc, tot):
-            if s == d + 1:
-                if tot == 0:
-                    out.append(tuple(acc))
-                return
-            lo, hi = (0, bound * (d - j)) if s <= j else (-bound, bound)
-            for v in range(lo, hi + 1):
-                rec(s + 1, acc + [v], tot + v)
-
-        rec(0, [], 0)
-        return out
-
     cech_dim = 0
-    for e in all_deg0():
+    for e in _degree_zero(d, j, bound * (d - j), -bound, bound):
         pattern = frozenset(s for s, v in enumerate(e) if v < 0)
         if not pattern <= frozenset(charts):
             continue

@@ -264,6 +264,38 @@ def _basis_size(d, i, bound):
     return comb(d, i) * bound ** i * (bound + 1) ** (d - i)
 
 
+# The most moves localcoh.generation_run may try, by _generation_work.  On a
+# 2-vCPU x86-64 VM, non-strict: (p, d, j, bound) = (5, 4, 1, 11), the
+# benchmark's largest cell, is 1.7e6; (5, 4, 1, 16) 1.1e7 takes 1.7 s;
+# (2, 3, 1, 60) 8.0e7 takes 9.9 s at 92 MB peak RSS, mostly filtering the
+# box of each pass; refused is (5, 4, 1, 26) at 1.2e8, 19.6 s and 187 MB.
+_MAX_GENERATION_WORK = 10 ** 8
+
+
+def _generation_walk_size(d, j, bound):
+    """The number of vectors a full localcoh.generation_run walk reaches.
+
+    The walk reaches the vectors of I whose d - j inverted entries lie in
+    [-bound, -1]; with t their negated sum, C(t + j, j) numerator blocks
+    complete each.  Summing over one entry w in [1, bound] turns C(x + w, a)
+    into C(x + bound + 1, a + 1) - C(x + 1, a + 1); once per inverted entry,
+    with k = d - j, that gives sum_i (-1)^(k-i) C(k, i) C(j + k + i bound,
+    j + k).  The seeds, which have every inverted entry -1, are kept at
+    bound 0 too.  A walk that stops short reaches fewer.
+    """
+    k, bound = d - j, max(bound, 1)
+    return sum((-1) ** (k - i) * comb(k, i) * comb(j + k + i * bound, j + k)
+               for i in range(k + 1))
+
+
+def _generation_work(p, d, j, bound):
+    """An upper bound on the moves localcoh.generation_run tries: each of
+    its ceil((bound - 1) / p) passes (at least one) revisits every reached
+    vector and tries the (j + 1)((d - j) p + 2 j) moves of the table."""
+    return (_generation_walk_size(d, j, bound) * max(1, -(-(bound - 1) // p))
+            * (j + 1) * ((d - j) * p + 2 * j))
+
+
 class UniversalWittPolys:
     """Sum/product/negation polynomials for W_n, built by ghost recursion.
 

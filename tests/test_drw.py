@@ -347,6 +347,24 @@ def test_property_act_matches_case_formulas(cell, which):
 
 
 @settings(max_examples=200, deadline=None)
+@given(drw_combinations(), st.lists(st.sampled_from("FVd+*"), max_size=5),
+       st.integers(-30, 30))
+def test_property_stored_pairs_are_admissible(cell, word, c):
+    """Every pair built by the constructor, act, + or scalar_mul has
+    shift >= 1 - n, so act needs no admissibility check of its images."""
+    p, n, d, i, terms = cell
+    elem = DRWElement(p, n, d, i, terms)
+    for op in word + [None]:
+        assert all(shift >= 1 - elem.n for (_, shift, _), _c in elem.pairs)
+        if op == "+":
+            elem = elem + elem.scalar_mul(c)
+        elif op == "*":
+            elem = elem.scalar_mul(c)
+        elif op:
+            elem = act(op, elem)
+
+
+@settings(max_examples=200, deadline=None)
 @given(drw_combinations(), st.data())
 def test_property_sum_matches_plain_dicts(cell, data):
     p, n, d, i, terms = cell

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import comb
 
 import pytest
@@ -20,7 +21,7 @@ from wittkit.localcoh import (
     stability_report,
     y_action,
 )
-from wittkit.rings import LaurentElem
+from wittkit.rings import LaurentElem, ScaleExceeded
 from wittkit.weyl import (
     ChartAtlas,
     ChartOperator,
@@ -34,6 +35,9 @@ from wittkit.witt import (
     teichmuller,
     teichmuller_sum_power,
     verschiebung,
+    _MAX_GENERATION_WORK,
+    _generation_walk_size,
+    _generation_work,
 )
 from wittkit.wittdiff import apply_witt, monomial_case_split, partial_op
 
@@ -53,6 +57,21 @@ def test_enumerate_index():
     assert (1, 1, -2) in got and (0, 1, -1) in got
     assert all(sum(u) == 0 for u in got)
     assert set(index_seed(2, 1)) <= set(got)
+
+
+def test_enumerate_index_and_seeds_match_brute_force():
+    for d in range(1, 5):
+        for j in range(d):
+            for bound in range(6):
+                want = [
+                    u for u in product(range(-bound, bound + 1), repeat=d + 1)
+                    if sum(u) == 0 and min(u[:j + 1]) >= 0
+                    and max(u[j + 1:]) < 0
+                ]
+                assert enumerate_index(d, j, bound) == want, (d, j, bound)
+                if bound >= d - j:  # every seed numerator is at most d - j
+                    assert index_seed(d, j) == [
+                        u for u in want if set(u[j + 1:]) == {-1}]
 
 
 # -- classes ------------------------------------------------------------------
@@ -426,6 +445,64 @@ def test_generation_matches_reference_search(data):
         except CoefficientVanished as exc:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("cell,kwargs", [
+    ((3, 4, 1, 7), {"trace": True, "strict_claims": False}),
+    ((2, 4, 1, 5), {}),
+    ((5, 4, 1, 11), {}),  # the benchmark's heaviest cell
+])
+def test_generation_matches_reference_search_at_d4(cell, kwargs):
+    assert generation_run(*cell, **kwargs) == \
+        _ref_generation_run(*cell, **kwargs)
+
+
+def _walk_reached(p, d, j, bound):
+    """The vectors a non-strict walk reaches: its seeds and traced steps."""
+    rep = generation_run(p, d, j, bound, trace=True, strict_claims=False)
+    return len(index_seed(d, j)) + len(rep["steps"])
+
+
+def test_generation_walk_size_counts_the_walk():
+    # full walks reach exactly the estimate
+    for cell, size in (((3, 2, 0, 7), 49), ((3, 3, 1, 9), 891),
+                       ((5, 3, 1, 11), 1573)):
+        assert _generation_walk_size(*cell[1:]) == size
+        assert _walk_reached(*cell) == size, cell
+    # elsewhere it is an upper bound
+    assert _generation_walk_size(3, 1, 10) == 1200
+    assert _walk_reached(3, 3, 1, 10) == 891
+    for p in (2, 3):
+        for d in range(1, 4):
+            for j in range(d):
+                for bound in range(2 * p + 2):
+                    assert (_walk_reached(p, d, j, bound)
+                            <= _generation_walk_size(d, j, bound)), \
+                        (p, d, j, bound)
+
+
+def test_used_generation_cells_are_under_the_walk_limit():
+    # criterion 10, verify localgen at p <= 31 (d = 2, bound 2p + 1) and the
+    # benchmark's cells
+    cells = [(3, 2, 0, 7), (3, 2, 1, 7), (3, 3, 1, 7), (5, 2, 0, 11)]
+    cells += [(p, 2, 0, 2 * p + 1) for p in (2, 3, 5, 7, 11, 13, 31)]
+    cells += [(3, 2, 0, 9), (3, 2, 1, 9), (3, 3, 0, 9), (3, 3, 1, 9),
+              (5, 3, 0, 11), (5, 3, 1, 11), (5, 4, 1, 11)]
+    for cell in cells:
+        assert _generation_work(*cell) <= _MAX_GENERATION_WORK, cell
+
+
+def test_oversized_generation_run_is_refused_before_any_work(monkeypatch):
+    import wittkit.localcoh as localcoh
+
+    def work(*args):
+        raise AssertionError("the walk started")
+    monkeypatch.setattr(localcoh, "index_seed", work)
+    monkeypatch.setattr(localcoh, "enumerate_index", work)
+    with pytest.raises(ScaleExceeded,
+                       match="p = 3, d = 4, j = 1, bound = 200"):
+        generation_run(3, 4, 1, 200)
+    assert _generation_work(5, 4, 1, 26) > _MAX_GENERATION_WORK
 
 
 # -- the parabolic action -------------------------------------------------------
