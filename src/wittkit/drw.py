@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import product
 from operator import itemgetter
 
-from .rings import ScaleExceeded, is_prime
+from .rings import ScaleExceeded, is_prime, v_p
 from .witt import _MAX_BASIS_SIZE, _basis_size
 
 _valuation = itemgetter(2)  # of a (j, u, v) weight-key triple
@@ -380,12 +380,9 @@ def enumerate_basis(p, n, d, i, bound):
     # entry[j][a]: the key triple (j, u, v) of r_j = a / p^(n-1), None for 0
     entry = [[None] for _ in range(d)]
     for a in range(1, bound + 1):
-        u, v = a, 0
-        while u % p == 0:
-            u //= p
-            v += 1
+        v = v_p(a, p)
         for j in range(d):
-            entry[j].append((j, u, v - (n - 1)))
+            entry[j].append((j, a // p ** v, v - (n - 1)))
     partitions = {}  # support order -> its partitions; at most sum_k d!/k!
     out = []
     for triples in product(*entry):

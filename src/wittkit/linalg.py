@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from math import gcd
 
+from .rings import v_p
+
 
 def echelon(rows, p, ncols=None):
     """Reduced row echelon form over F_p (p prime).
@@ -133,14 +135,6 @@ def smith_normal_form(mat):
     return diag
 
 
-def _valuation(x, p):
-    e = 0
-    while x % p == 0:
-        x //= p
-        e += 1
-    return e
-
-
 def local_smith_profile(mat, p, n):
     """Elementary divisor exponents of an integer matrix over Z/p^n.
 
@@ -159,7 +153,7 @@ def local_smith_profile(mat, p, n):
         for i, row in enumerate(m):
             for j, x in enumerate(row):
                 if x:
-                    v = _valuation(x, p)
+                    v = v_p(x, p)
                     if best is None or v < best[0]:
                         best = (v, i, j)
         if best is None:

@@ -180,9 +180,10 @@ def _usable_moves(moves, m, floor, p):
     return tuple(out)
 
 
-def generation_run(p, d, j, bound, n=1, trace=False, strict_claims=None):
+def generation_run(p, d, j, bound, trace=False, strict_claims=None):
     """Run the three-step generation procedure and report coverage.
 
+    The generation theorem reduces to n = 1, so the run is over F_p.
     Starting from the seed vectors I_j, the moves are the proof's operator
     repertoire: y_{ab}^[s] for a <= j < b and 1 <= s <= p, and inside the
     numerator block the corrected p-th powers T_{ax}^(p-1) y_{xa}^[p] and the
@@ -208,8 +209,6 @@ def generation_run(p, d, j, bound, n=1, trace=False, strict_claims=None):
     """
     if not is_prime(p):
         raise ValueError("p = %r is not prime" % (p,))
-    if n != 1:
-        raise ValueError("the generation theorem reduces to n = 1")
     if bound < 0:
         raise ValueError("need bound >= 0, got bound = %d" % bound)
     if not 0 <= j < d:

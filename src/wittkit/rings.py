@@ -37,6 +37,17 @@ def is_prime(p):
     return True
 
 
+def v_p(m, p):
+    """The p-adic valuation of an integer; None (+infinity) for 0."""
+    if m == 0:
+        return None
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
+
+
 class PrimeFieldElem:
     """An element of F_p, stored as a reduced residue."""
 

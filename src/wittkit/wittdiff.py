@@ -8,7 +8,7 @@ with R, Phi and V are checked sample-wise and exactly.
 
 from __future__ import annotations
 
-from .rings import LaurentElem
+from .rings import LaurentElem, v_p
 from .weyl import RangeError, WeylElement, apply as weyl_apply, gen_binom
 from .witt import (
     LiftedElem,
@@ -22,16 +22,6 @@ from .witt import (
     witt_phi,
     witt_scalar_mul,
 )
-
-
-def v_p(m, p):
-    if m == 0:
-        return None  # +infinity
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
 
 
 def legendre_factorial_valuation(m, p):

@@ -10,6 +10,7 @@ from wittkit.weyl import (
     ChartOperator,
     RangeError,
     WeylElement,
+    _chart_monomials,
     apply,
     apply_word,
     gen_binom,
@@ -377,3 +378,44 @@ def test_apply_ambient_matches_reference(data):
     u = tuple(u)
     assert (_outcome(atlas.apply_ambient, op, u)
             == _outcome(_ref_apply_ambient, atlas, op, u))
+
+
+# _ref_is_global is weyl.is_global as it stood before its one-pass form:
+# three passes at the bound plus 0, 1 and 2, each revisiting every lower
+# degree.  Kept (renamed, without its docstring) as the reference.
+
+def _ref_is_global(op, atlas, degree_bound=8):
+    d = atlas.d
+    for extra in (0, 1, 2):
+        bound = degree_bound + extra
+        for c in range(d + 1):
+            for e in _chart_monomials(d, bound):
+                u = atlas.from_chart(c, e)
+                img = atlas.apply_ambient(op, u)
+                for v in img:
+                    if any(v[s] < 0 for s in range(d + 1) if s != c):
+                        return False
+    return True
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_is_global_matches_three_pass_reference(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 2))
+    d = data.draw(st.integers(1, 3))
+    c = data.draw(st.integers(0, d))
+    if data.draw(st.booleans()):
+        weyl = data.draw(_operators(p, n, d))
+    else:
+        # a chart monomial times a divided power y_{cj}^[r]: often global
+        j = data.draw(st.integers(0, d).filter(lambda j: j != c))
+        r = data.draw(st.integers(0, p * p + 1))
+        e = tuple(data.draw(st.integers(0, 2)) for _ in range(d))
+        weyl = (WeylElement.monomial(p, n, d, e, (0,) * d)
+                * y_operator(c, j, r, d, p, n).weyl)
+    op = ChartOperator(c, weyl)
+    atlas = ChartAtlas(d)
+    bound = data.draw(st.integers(0, 4))
+    assert (_outcome(is_global, op, atlas, bound)
+            == _outcome(_ref_is_global, op, atlas, bound))
