@@ -104,7 +104,7 @@ def cmd_witt_op(args):
 
 
 def parse_word(text):
-    """Parse 'z0^2 d0[3] z1' into generator tokens."""
+    """Parse 'z0^2 d0[3] z1' into generator tokens; indices are >= 0."""
     word = []
     for tok in text.split():
         try:
@@ -121,6 +121,8 @@ def parse_word(text):
                 else:
                     word.append(("d", int(tok[1:]), 1))
             else:
+                raise ValueError
+            if word[-1][1] < 0:
                 raise ValueError
         except ValueError:
             raise ValueError("bad token %r" % (tok,)) from None

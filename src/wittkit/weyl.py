@@ -9,17 +9,20 @@ integral rewrite rules
 
 so the char-p collapse (d^p = 0 while d^[p] != 0) is automatic.
 
+Products and normal forms go through one kernel, ``_times_generator``,
+which right-multiplies a normal form by one generator z_i^k or d_i^[k].
+``normal_form`` folds a word through it and ``WeylElement.__mul__`` each
+term of its right factor; ``apply_word`` and the tests' ``_ref_mul`` are
+their references.
+
 Operators act on functions through one kernel, ``_act``:
 d^[r] z^u = binom(u, r) z^(u-r).  ``apply`` and ``ChartAtlas.apply_ambient``
 call it, and ``wittdiff.apply_witt`` reaches it through ``apply``.
-``apply_word`` keeps its own loop: it is the sequential oracle that
-``normal_form`` is checked against.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from . import sparse
 from .rings import LaurentElem, NegativeExponentViolation, VariableMismatch
@@ -73,10 +76,6 @@ class WeylElement:
         self.terms = clean
 
     @classmethod
-    def zero(cls, p, n, num_vars, allowed_negative=()):
-        return cls(p, n, num_vars, {}, allowed_negative)
-
-    @classmethod
     def one(cls, p, n, num_vars, allowed_negative=()):
         z = (0,) * num_vars
         return cls(p, n, num_vars, {(z, z): 1}, allowed_negative)
@@ -112,46 +111,21 @@ class WeylElement:
         return self + (-other)
 
     def __mul__(self, other):
-        """Composition self o other, renormalized."""
+        """Composition self o other: self folded through each term of other."""
         if isinstance(other, int):
             return self.scalar_mul(other)
         self._check(other)
         q = self.p ** self.n
         out = {}
-        for (e1, r1), c1 in self.terms.items():
-            for (e2, r2), c2 in other.terms.items():
-                # commute d^[r1] past z^e2, one variable at a time
-                base = c1 * c2
-                choices = []
-                for i in range(self.num_vars):
-                    ch = []
-                    top = min(r1[i], e2[i]) if e2[i] >= 0 else r1[i]
-                    for k in range(0, top + 1):
-                        b = gen_binom(e2[i], k) % q
-                        if b:
-                            ch.append((k, b))
-                    choices.append(ch)
-                stack = [((), 1)]
-                for ch in choices:
-                    stack = [
-                        (ks + (k,), cc * b) for ks, cc in stack for k, b in ch
-                    ]
-                for ks, cc in stack:
-                    e = tuple(a + b - k for a, b, k in zip(e1, e2, ks))
-                    coeff = base * cc
-                    rr = []
-                    for i in range(self.num_vars):
-                        ra = r1[i] - ks[i]
-                        coeff = (coeff * comb(ra + r2[i], ra)) % q
-                        rr.append(ra + r2[i])
-                    if not coeff:
-                        continue
-                    key = (e, tuple(rr))
-                    v = (out.get(key, 0) + coeff) % q
-                    if v:
-                        out[key] = v
-                    else:
-                        out.pop(key, None)
+        get = out.get
+        for (e2, r2), c2 in other.terms.items():
+            acc = self.terms
+            for kind, powers in (("z", e2), ("d", r2)):
+                for i, k in enumerate(powers):
+                    if k:
+                        acc = _times_generator(acc, kind, i, k, q)
+            for key, c in acc.items():
+                out[key] = (get(key, 0) + c * c2) % q
         return WeylElement(self.p, self.n, self.num_vars, out,
                            self.allowed_negative)
 
@@ -185,10 +159,6 @@ class WeylElement:
     def sorted_terms(self):
         return sorted(self.terms.items())
 
-    def order(self):
-        """Maximal total divided-power order among the terms."""
-        return max((sum(r) for (_, r) in self.terms), default=0)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -219,25 +189,60 @@ class WeylElement:
         return cls(obj["p"], obj["n"], obj["vars"], terms, obj.get("neg", ()))
 
 
+def _times_generator(terms, kind, i, k, q):
+    """Right-multiply the normal form {(e, r): c} by z_i^k or d_i^[k] mod q.
+
+    Only variable i moves: d^[r] d_i^[k] = binom(r_i + k, k) d^[r + k e_i],
+    and d^[r] z_i^k = sum_m binom(k, m) z_i^(k-m) d^[r - m e_i] over
+    m <= min(r_i, k), or m <= r_i when k < 0.  Returns nonzero residues.
+    """
+    out = {}
+    if kind == "d":
+        # (e, r) -> (e, r + k e_i) is one-to-one: no two terms meet
+        for (e, r), c in terms.items():
+            ri = r[i]
+            c = c * comb(ri + k, k) % q
+            if c:
+                out[(e, r[:i] + (ri + k,) + r[i + 1:])] = c
+        return out
+    get = out.get
+    for (e, r), c in terms.items():
+        ri, ei = r[i], e[i]
+        for m in range(ri + 1 if k < 0 else min(ri, k) + 1):
+            b = gen_binom(k, m) % q
+            if b:
+                key = (e[:i] + (ei + k - m,) + e[i + 1:],
+                       r[:i] + (ri - m,) + r[i + 1:])
+                out[key] = (get(key, 0) + c * b) % q
+    return {t: c for t, c in out.items() if c}
+
+
 def normal_form(word, p, n, num_vars, allowed_negative=()):
     """Fold a generator word into normal form.
 
-    Tokens are ("z", i, k) for z_i^k and ("d", i, r) for d_i^[r].
+    Tokens are ("z", i, k) for z_i^k and ("d", i, r) for d_i^[r], with
+    0 <= i < num_vars.  Each token is checked as given, before it is
+    folded in, since z_0^-1 z_0 cancels in the result.
     """
-    acc = WeylElement.one(p, n, num_vars, allowed_negative)
+    allowed_negative = frozenset(allowed_negative)
+    q = p ** n
+    zero = (0,) * num_vars
+    terms = {(zero, zero): 1}
     for tok in word:
         kind, i, k = tok
-        e = [0] * num_vars
-        r = [0] * num_vars
-        if kind == "z":
-            e[i] = k
-        elif kind == "d":
-            r[i] = k
-        else:
+        if kind not in ("z", "d"):
             raise ValueError("unknown token %r" % (tok,))
-        acc = acc * WeylElement.monomial(p, n, num_vars, e, r,
-                                         allowed_negative=allowed_negative)
-    return acc
+        if not 0 <= i < num_vars:
+            raise VariableMismatch("token %r: variable outside 0..%d"
+                                   % (tok, num_vars - 1))
+        if k < 0 and kind == "d":
+            raise RangeError("negative divided-power order")
+        if k < 0 and i not in allowed_negative:
+            raise NegativeExponentViolation("negative exponent at variable %d"
+                                            % i)
+        if k:
+            terms = _times_generator(terms, kind, i, k, q)
+    return WeylElement(p, n, num_vars, terms, allowed_negative)
 
 
 def apply_word(word, f):
@@ -340,19 +345,6 @@ def z2d_divided_power(p, n, s, var=0, num_vars=1, allowed_negative=()):
     return WeylElement(p, n, num_vars, terms, allowed_negative)
 
 
-def rational_z2d_power(s, m):
-    """Oracle: coefficient of (1/s!)(z^2 d/dz)^s on z^m, over Q.
-
-    Returns (coefficient, exponent) of the single resulting monomial.
-    """
-    coeff = Fraction(1)
-    e = m
-    for _ in range(s):
-        coeff *= e
-        e += 1
-    return coeff / factorial(s), m + s
-
-
 # ----------------------------------------------------------------------
 # charts on P^d and the y-operators
 # ----------------------------------------------------------------------
@@ -396,19 +388,6 @@ class ChartAtlas:
             u[s] = e[slot]
         u[c] = -sum(u)
         return tuple(u)
-
-    def transition_check(self, samples):
-        """Round-trip sampled monomials through chart triples."""
-        for u in samples:
-            for a in range(self.d + 1):
-                for b in range(self.d + 1):
-                    for c in range(self.d + 1):
-                        v = self.from_chart(b, self.to_chart(b, u))
-                        v = self.from_chart(c, self.to_chart(c, v))
-                        v = self.from_chart(a, self.to_chart(a, v))
-                        if v != tuple(u):
-                            return False
-        return True
 
     def apply_ambient(self, op, u):
         """Apply a ChartOperator to the ambient monomial z^u.

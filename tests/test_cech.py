@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import wittkit.cech as cech
 from wittkit.cech import (
+    HD_MONOMIAL_LIMIT,
     FinLenModule,
     NotACocycle,
     WittCochain,
@@ -129,6 +130,24 @@ def test_independent_top_length_route():
     total, layers = hd_witt_length_by_cech(3, 2, 2, -2)
     res = witt_cohomology(3, 2, 2, -2)
     assert total == res[2].length and layers == list(res[2].layers)
+
+
+def test_independent_top_length_route_scale_guard():
+    # (2, 6, 6, -12) passes witt_cohomology's guard, but its box holds
+    # 4.3e12 top-degree monomials
+    with pytest.raises(ScaleExceeded, match="4277896229313 monomials"):
+        hd_witt_length_by_cech(2, 6, 6, -12)
+    with pytest.raises(ValueError, match="p = 4 is not prime"):
+        hd_witt_length_by_cech(4, 1, 1, -2)
+    with pytest.raises(ValueError, match="d = 0"):
+        hd_witt_length_by_cech(2, 0, 1, -2)
+    # the largest box timed, and every point of the laurent-checks sweep
+    assert layer_sums(2, 3, 4, -12)[1] <= HD_MONOMIAL_LIMIT
+    points = [(p, d, n, a) for p in (2, 3) for d in (1, 2, 3)
+              for n in (1, 2, 3) for a in range(-4, 5)] + [(2, 4, 4, 6)]
+    for p, d, n, a in points:
+        total, layers = hd_witt_length_by_cech(p, d, n, a)
+        assert total == sum(layers) == layer_sums(p, d, n, a)[1]
 
 
 def test_witt_cohomology_never_runs_the_connecting_map(monkeypatch):

@@ -20,6 +20,9 @@ def test_parse_word():
     ]
     with pytest.raises(ValueError):
         parse_word("q7")
+    for text in ("z-1^2", "d-2[3]", "z0 d-1"):
+        with pytest.raises(ValueError, match="bad token"):
+            parse_word(text)
 
 
 def test_witt_polys_command(capsys):
@@ -71,6 +74,10 @@ def test_weyl_nf_laurent_word(capsys):
                  id="argv2"),
     pytest.param(("weyl", "nf", "--word", "", "--p", "5"), "word is empty",
                  id="empty-word"),
+    pytest.param(("weyl", "nf", "--word", "z-1^2", "--p", "3", "--n", "1"),
+                 "'z-1^2'", id="negative-index-alone"),
+    pytest.param(("weyl", "nf", "--word", "z0 z-1", "--p", "3", "--n", "1"),
+                 "'z-1'", id="negative-index-after-z0"),
     pytest.param(("verify", "localgen", "--j", "2"), "j = 2, d = 2",
                  id="localgen-j-not-below-d"),
     pytest.param(("verify", "localgen", "--d", "0"), "j = 0, d = 0",

@@ -1,10 +1,18 @@
+import itertools
+import operator
 import random
+from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittkit.rings import LaurentElem, VariableMismatch
+from wittkit.rings import (
+    LaurentElem,
+    NegativeExponentViolation,
+    VariableMismatch,
+)
 from wittkit.weyl import (
     ChartAtlas,
     ChartOperator,
@@ -16,7 +24,6 @@ from wittkit.weyl import (
     gen_binom,
     is_global,
     normal_form,
-    rational_z2d_power,
     theta,
     y_operator,
     y_operator_dual,
@@ -179,6 +186,19 @@ def test_theta_two_variables_factorizes(p, level):
 
 # -- chart operators and globality -------------------------------------------
 
+def rational_z2d_power(s, m):
+    """Oracle: coefficient of (1/s!)(z^2 d/dz)^s on z^m, over Q.
+
+    Returns (coefficient, exponent) of the single resulting monomial.
+    """
+    coeff = Fraction(1)
+    e = m
+    for _ in range(s):
+        coeff *= e
+        e += 1
+    return coeff / factorial(s), m + s
+
+
 def test_z2d_divided_powers_match_rational_oracle():
     assert z2d_divided_power(5, 1, 2) == WeylElement(
         5, 1, 1, {((4,), (2,)): 1, ((3,), (1,)): 1}
@@ -209,9 +229,14 @@ def test_y_operator_forms():
 
 
 def test_atlas_transitions():
+    """Sampled monomials round-trip through every triple of charts."""
     atlas = ChartAtlas(2)
-    samples = [(0, 0, 0), (2, -1, -1), (1, 2, -3), (-2, 1, 1)]
-    assert atlas.transition_check(samples)
+    for u in [(0, 0, 0), (2, -1, -1), (1, 2, -3), (-2, 1, 1)]:
+        for a, b, c in itertools.product(range(3), repeat=3):
+            v = u
+            for chart in (b, c, a):
+                v = atlas.from_chart(chart, atlas.to_chart(chart, v))
+            assert v == u
 
 
 def test_globality_examples():
@@ -328,12 +353,14 @@ def _outcome(fn, *args):
 
 
 @st.composite
-def _operators(draw, p, n, nv):
+def _operators(draw, p, n, nv, neg=None, max_terms=4):
     """A Weyl element with negative z-exponents at its allowed variables
-    and orders up to p^2 + 1, so that binomials vanish mod p^n."""
-    neg = draw(st.sets(st.integers(0, nv - 1)))
+    (``neg``, drawn when None) and orders up to p^2 + 1, so that binomials
+    vanish mod p^n."""
+    if neg is None:
+        neg = draw(st.sets(st.integers(0, nv - 1)))
     terms = {}
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, max_terms))):
         e = tuple(draw(st.integers(-3 if i in neg else 0, 3))
                   for i in range(nv))
         r = tuple(draw(st.sampled_from([0, 0, 1, 2, p, p * p + 1]))
@@ -419,3 +446,95 @@ def test_is_global_matches_three_pass_reference(data):
     bound = data.draw(st.integers(0, 4))
     assert (_outcome(is_global, op, atlas, bound)
             == _outcome(_ref_is_global, op, atlas, bound))
+
+
+# -- products through the one-generator kernel --------------------------------
+#
+# _ref_mul is WeylElement.__mul__ as it stood before the one-generator fold:
+# every term pair at once, d^[r1] commuted past z^e2 on all variables
+# together.  Kept (renamed, without its docstring) as the reference.
+
+def _ref_mul(self, other):
+    if isinstance(other, int):
+        return self.scalar_mul(other)
+    self._check(other)
+    q = self.p ** self.n
+    out = {}
+    for (e1, r1), c1 in self.terms.items():
+        for (e2, r2), c2 in other.terms.items():
+            # commute d^[r1] past z^e2, one variable at a time
+            base = c1 * c2
+            choices = []
+            for i in range(self.num_vars):
+                ch = []
+                top = min(r1[i], e2[i]) if e2[i] >= 0 else r1[i]
+                for k in range(0, top + 1):
+                    b = gen_binom(e2[i], k) % q
+                    if b:
+                        ch.append((k, b))
+                choices.append(ch)
+            stack = [((), 1)]
+            for ch in choices:
+                stack = [
+                    (ks + (k,), cc * b) for ks, cc in stack for k, b in ch
+                ]
+            for ks, cc in stack:
+                e = tuple(a + b - k for a, b, k in zip(e1, e2, ks))
+                coeff = base * cc
+                rr = []
+                for i in range(self.num_vars):
+                    ra = r1[i] - ks[i]
+                    coeff = (coeff * comb(ra + r2[i], ra)) % q
+                    rr.append(ra + r2[i])
+                if not coeff:
+                    continue
+                key = (e, tuple(rr))
+                v = (out.get(key, 0) + coeff) % q
+                if v:
+                    out[key] = v
+                else:
+                    out.pop(key, None)
+    return WeylElement(self.p, self.n, self.num_vars, out,
+                       self.allowed_negative)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_mul_matches_reference(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 3))
+    nv = data.draw(st.integers(1, 3))
+    a = data.draw(_operators(p, n, nv))
+    b = data.draw(_operators(p, n, nv, a.allowed_negative))
+    assert _outcome(operator.mul, a, b) == _outcome(_ref_mul, a, b)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_pow_matches_reference(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 3))
+    nv = data.draw(st.integers(1, 3))
+    a = data.draw(_operators(p, n, nv, max_terms=2))
+    k = data.draw(st.integers(0, 3))
+    want = WeylElement.one(p, n, nv, a.allowed_negative)
+    for _ in range(k):
+        want = _ref_mul(want, a)
+    assert a ** k == want
+
+
+@pytest.mark.parametrize("i", [1, 2, -1])
+def test_normal_form_refuses_a_variable_outside_the_ring(i):
+    for kind in ("z", "d"):
+        with pytest.raises(VariableMismatch, match="outside 0..0"):
+            normal_form([("z", 0, 1), (kind, i, 1)], 3, 1, 1)
+
+
+def test_normal_form_checks_each_token_before_folding():
+    # z0^-1 z0 cancels in the result, but z0 is not inverted
+    with pytest.raises(NegativeExponentViolation, match="variable 0"):
+        normal_form([("z", 0, -1), ("z", 0, 1)], 3, 1, 1)
+    with pytest.raises(RangeError, match="negative divided-power order"):
+        normal_form([("d", 1, -1)], 3, 1, 2)
+    assert normal_form([("z", 0, -1), ("z", 0, 1)], 3, 1, 1, (0,)) == (
+        WeylElement.one(3, 1, 1, (0,)))
