@@ -521,14 +521,6 @@ def hd_witt_length_by_cech(p, d, n, a):
     return total, layers
 
 
-def witt_structure_sheaf_cohomology(p, d, n):
-    """H^*(P^d, W_n O): W_n(k) in degree 0 and zero above."""
-    out = {0: FinLenModule(p, n, [1] * n)}
-    for i in range(1, d + 1):
-        out[i] = FinLenModule(p, n, [0] * n)
-    return out
-
-
 def ses_maps_report(p, d, n, a, samples, rng):
     """Spot-check the cochain-level maps V and R^{n-1} on random sections.
 

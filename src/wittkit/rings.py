@@ -1,6 +1,9 @@
 """Exact base rings: prime fields, sparse Laurent polynomials over Z/p^n.
 
 Elements are immutable after construction and exact (no floats anywhere).
+``SparseModElem`` is the one sparse ``{key: residue}`` element over Z/p^n;
+its constructor is the ring check (p prime, n >= 1, inverted variables in
+the ring), and ``LaurentElem`` and ``weyl.WeylElement`` subclass it.
 Laurent exponent vectors live in Z^m, with negative exponents allowed only
 for explicitly inverted variables; the ring arithmetic on their terms is
 that of ``wittkit.sparse``.  Graded slices enumerate the exponent vectors of
@@ -109,20 +112,19 @@ class PrimeFieldElem:
         return "PrimeFieldElem(%d, %d)" % (self.p, self.value)
 
 
-class LaurentElem:
-    """A sparse Laurent polynomial over Z/p^n.
-
-    ``terms`` maps exponent tuples (length ``num_vars``) to nonzero residues in
-    [1, p^n).  Indices in ``allowed_negative`` are the only variables permitted
-    to carry negative exponents: the constructor raises
-    ``NegativeExponentViolation`` for any other, and sums, products and
-    powers cannot leave that region.
+class SparseModElem:
+    """A sparse ``{key: residue}`` element over Z/p^n in ``num_vars``
+    variables, those in ``allowed_negative`` inverted: the base of
+    ``LaurentElem`` and ``weyl.WeylElement``.  A subclass adds its key
+    validation loop ``_clean_terms`` (which also reduces mod q and drops
+    zeros), the per-term JSON hooks ``_key_json``/``_json_key`` and its
+    products.
 
     The constructor checks and reduces what it is given: user input and
     random draws go through it.  The trusted ``_trusted`` (any ring) and
     ``_with`` (this element's ring) check nothing and keep the ``terms``
-    dict; their caller guarantees that the keys are tuples of length
-    ``num_vars``, negative only at indices in ``allowed_negative``, and the
+    dict; their caller guarantees that the keys are valid for the
+    subclass, negative only at indices in ``allowed_negative``, and the
     values residues in [1, p^n).  Such terms come from ring arithmetic
     inside one ring, or from an element of a ring whose region the new
     one contains.
@@ -131,61 +133,27 @@ class LaurentElem:
     __slots__ = ("p", "n", "num_vars", "allowed_negative", "terms")
 
     def __init__(self, p, n, num_vars, terms, allowed_negative=()):
+        # the ring check: p prime, n >= 1, inverted variables in the ring
         if not is_prime(p):
             raise ValueError("modulus %r is not prime" % (p,))
         if n < 1:
             raise ValueError("need n >= 1")
-        self.p = p
-        self.n = n
-        self.num_vars = num_vars
-        self.allowed_negative = frozenset(allowed_negative)
-        q = p ** n
-        clean = {}
-        for exps, c in terms.items():
-            exps = tuple(exps)
-            if len(exps) != num_vars:
-                raise VariableMismatch("exponent tuple of wrong length")
-            for i, e in enumerate(exps):
-                if e < 0 and i not in self.allowed_negative:
-                    raise NegativeExponentViolation(
-                        "negative exponent at variable %d" % i
-                    )
-            c %= q
-            if c:
-                clean[exps] = c
-        self.terms = clean
-
-    # -- constructors -------------------------------------------------
+        self.allowed_negative = neg = frozenset(allowed_negative)
+        for i in neg:
+            if not 0 <= i < num_vars:
+                raise VariableMismatch("inverted variable %d outside 0..%d"
+                                       % (i, num_vars - 1))
+        self.p, self.n, self.num_vars = p, n, num_vars
+        self.terms = (self._clean_terms(terms, p ** n, num_vars, neg)
+                      if terms else {})
 
     @classmethod
     def zero(cls, p, n, num_vars, allowed_negative=()):
         return cls(p, n, num_vars, {}, allowed_negative)
 
     @classmethod
-    def one(cls, p, n, num_vars, allowed_negative=()):
-        return cls(p, n, num_vars, {(0,) * num_vars: 1}, allowed_negative)
-
-    @classmethod
-    def monomial(cls, p, n, num_vars, exps, coeff=1, allowed_negative=()):
-        return cls(p, n, num_vars, {tuple(exps): coeff}, allowed_negative)
-
-    # -- ring structure -----------------------------------------------
-
-    def _check(self, other):
-        if (
-            not isinstance(other, LaurentElem)
-            or other.p != self.p
-            or other.n != self.n
-            or other.num_vars != self.num_vars
-            or other.allowed_negative != self.allowed_negative
-        ):
-            raise VariableMismatch("incompatible Laurent elements")
-
-    @classmethod
     def _trusted(cls, p, n, num_vars, terms, allowed_negative,
                  _new=object.__new__):
-        """Trusted constructor: ``terms`` are reduced mod p^n, free of zeros
-        and inside the allowed-negative region (see the class docstring)."""
         out = _new(cls)
         out.p, out.n, out.num_vars = p, n, num_vars
         out.allowed_negative = frozenset(allowed_negative)
@@ -193,52 +161,31 @@ class LaurentElem:
         return out
 
     def _with(self, terms, _new=object.__new__):
-        """Trusted constructor: an element of this ring whose ``terms`` are
-        reduced, free of zeros and inside the allowed-negative region."""
-        out = _new(LaurentElem)
+        out = _new(self.__class__)
         out.p, out.n, out.num_vars = self.p, self.n, self.num_vars
         out.allowed_negative = self.allowed_negative
         out.terms = terms
         return out
 
+    def _check(self, other):
+        if not (isinstance(other, self.__class__) and other.p == self.p
+                and other.n == self.n and other.num_vars == self.num_vars
+                and other.allowed_negative == self.allowed_negative):
+            raise VariableMismatch("incompatible %s operands"
+                                   % self.__class__.__name__)
+
     def __add__(self, other):
         self._check(other)
         return self._with(sparse.add(self.terms, other.terms, self.p ** self.n))
+
+    def scalar_mul(self, c):
+        return self._with(sparse.scale(self.terms, c, self.p ** self.n))
 
     def __neg__(self):
         return self.scalar_mul(-1)
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scalar_mul(other)
-        self._check(other)
-        return self._with(sparse.mul(self.terms, other.terms, self.p ** self.n))
-
-    __rmul__ = __mul__
-
-    def scalar_mul(self, c):
-        return self._with(sparse.scale(self.terms, c, self.p ** self.n))
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative powers of general elements unsupported")
-        if k == 0:
-            return LaurentElem.one(self.p, self.n, self.num_vars,
-                                   self.allowed_negative)
-        return self._with(sparse.power(self.terms, k, self.p ** self.n))
-
-    def frobenius(self):
-        """Coefficientwise-trivial Frobenius x -> x^p (exact for n = 1)."""
-        if self.n != 1:
-            return self ** self.p
-        p = self.p
-        return self._with({tuple(v * p for v in e): c
-                           for e, c in self.terms.items()})
-
-    # -- predicates and views ------------------------------------------
 
     def is_zero(self):
         return not self.terms
@@ -248,7 +195,7 @@ class LaurentElem:
 
     def __eq__(self, other):
         return (
-            isinstance(other, LaurentElem)
+            isinstance(other, self.__class__)
             and self.p == other.p
             and self.n == other.n
             and self.num_vars == other.num_vars
@@ -257,13 +204,97 @@ class LaurentElem:
         )
 
     def __hash__(self):
-        return hash(
-            (self.p, self.n, self.num_vars, self.allowed_negative,
-             tuple(self.sorted_terms()))
-        )
+        return hash((self.p, self.n, self.num_vars, self.allowed_negative,
+                     tuple(self.sorted_terms())))
 
     def __bool__(self):
         return bool(self.terms)
+
+    def to_json(self):
+        return {
+            "p": self.p,
+            "n": self.n,
+            "vars": self.num_vars,
+            "neg": sorted(self.allowed_negative),
+            "terms": [dict(self._key_json(k), c=c)
+                      for k, c in self.sorted_terms()],
+        }
+
+    @classmethod
+    def from_json(cls, obj):
+        terms = {cls._json_key(t): t["c"] for t in obj["terms"]}
+        return cls(obj["p"], obj["n"], obj["vars"], terms, obj.get("neg", ()))
+
+
+class LaurentElem(SparseModElem):
+    """A sparse Laurent polynomial over Z/p^n.
+
+    ``terms`` maps exponent tuples (length ``num_vars``) to nonzero residues in
+    [1, p^n).  Indices in ``allowed_negative`` are the only variables permitted
+    to carry negative exponents: the constructor raises
+    ``NegativeExponentViolation`` for any other, and sums, products and
+    powers cannot leave that region.
+    """
+
+    __slots__ = ()
+
+    def _clean_terms(self, terms, q, nv, neg):
+        # neg lies in the ring, so if it has nv indices no exponent can
+        # leave the region
+        fixed = len(neg) < nv
+        clean = {}
+        for exps, c in terms.items():
+            exps = tuple(exps)
+            if len(exps) != nv:
+                raise VariableMismatch("exponent tuple of wrong length")
+            if fixed:
+                for i, e in enumerate(exps):
+                    if e < 0 and i not in neg:
+                        raise NegativeExponentViolation(
+                            "negative exponent at variable %d" % i)
+            c %= q
+            if c:
+                clean[exps] = c
+        return clean
+
+    @staticmethod
+    def _key_json(e):
+        return {"e": list(e)}
+
+    @staticmethod
+    def _json_key(t):
+        return tuple(t["e"])
+
+    @classmethod
+    def one(cls, p, n, num_vars, allowed_negative=()):
+        return cls(p, n, num_vars, {(0,) * num_vars: 1}, allowed_negative)
+
+    @classmethod
+    def monomial(cls, p, n, num_vars, exps, coeff=1, allowed_negative=()):
+        return cls(p, n, num_vars, {tuple(exps): coeff}, allowed_negative)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self.scalar_mul(other)
+        self._check(other)
+        return self._with(sparse.mul(self.terms, other.terms, self.p ** self.n))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        if k < 0:
+            raise ValueError("negative powers of general elements unsupported")
+        if k == 0:
+            return self._with({(0,) * self.num_vars: 1})
+        return self._with(sparse.power(self.terms, k, self.p ** self.n))
+
+    def frobenius(self):
+        """Coefficientwise-trivial Frobenius x -> x^p (exact for n = 1)."""
+        if self.n != 1:
+            return self ** self.p
+        p = self.p
+        return self._with({tuple(v * p for v in e): c
+                           for e, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -275,22 +306,6 @@ class LaurentElem:
             )
             bits.append("%d%s" % (c, "*" + mon if mon else ""))
         return " + ".join(bits)
-
-    # -- JSON wire format ----------------------------------------------
-
-    def to_json(self):
-        return {
-            "p": self.p,
-            "n": self.n,
-            "vars": self.num_vars,
-            "neg": sorted(self.allowed_negative),
-            "terms": [{"e": list(e), "c": c} for e, c in self.sorted_terms()],
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        terms = {tuple(t["e"]): t["c"] for t in obj["terms"]}
-        return cls(obj["p"], obj["n"], obj["vars"], terms, obj.get("neg", ()))
 
 
 class GradedSlice:

@@ -1,6 +1,8 @@
 """The crystalline Weyl algebra: divided-power differential operators.
 
-Elements are kept in normal form sum c * z^e d^[r] with all z's on the left.
+Elements, ``WeylElement`` on the base ``rings.SparseModElem`` (whose
+constructor is the ring check, and which owns sums, comparison and JSON),
+are kept in normal form sum c * z^e d^[r] with all z's on the left.
 Divided powers d^[r] are primitive symbols; composition goes through the
 integral rewrite rules
 
@@ -24,8 +26,12 @@ from __future__ import annotations
 
 from math import comb
 
-from . import sparse
-from .rings import LaurentElem, NegativeExponentViolation, VariableMismatch
+from .rings import (
+    LaurentElem,
+    NegativeExponentViolation,
+    SparseModElem,
+    VariableMismatch,
+)
 
 
 class RangeError(ValueError):
@@ -41,7 +47,7 @@ def gen_binom(m, k):
     return (-1) ** k * comb(k - m - 1, k)
 
 
-class WeylElement:
+class WeylElement(SparseModElem):
     """A normal-form element of S_m over Z/p^n.
 
     ``terms`` maps (exponent tuple e in Z^m, multi-order r in N^m) to a nonzero
@@ -49,31 +55,33 @@ class WeylElement:
     indices.
     """
 
-    __slots__ = ("p", "n", "num_vars", "allowed_negative", "terms")
+    __slots__ = ()
 
-    def __init__(self, p, n, num_vars, terms, allowed_negative=()):
-        self.p = p
-        self.n = n
-        self.num_vars = num_vars
-        self.allowed_negative = frozenset(allowed_negative)
-        q = p ** n
+    def _clean_terms(self, terms, q, nv, neg):
         clean = {}
         for (e, r), c in terms.items():
-            e = tuple(e)
-            r = tuple(r)
-            if len(e) != num_vars or len(r) != num_vars:
+            e, r = tuple(e), tuple(r)
+            if len(e) != nv or len(r) != nv:
                 raise VariableMismatch("term arity mismatch")
             if any(v < 0 for v in r):
                 raise RangeError("negative divided-power order")
             for i, v in enumerate(e):
-                if v < 0 and i not in self.allowed_negative:
+                if v < 0 and i not in neg:
                     raise NegativeExponentViolation(
                         "negative exponent at variable %d" % i
                     )
             c %= q
             if c:
                 clean[(e, r)] = c
-        self.terms = clean
+        return clean
+
+    @staticmethod
+    def _key_json(key):
+        return {"e": list(key[0]), "order": list(key[1])}
+
+    @staticmethod
+    def _json_key(t):
+        return tuple(t["e"]), tuple(t["order"])
 
     @classmethod
     def one(cls, p, n, num_vars, allowed_negative=()):
@@ -83,32 +91,6 @@ class WeylElement:
     @classmethod
     def monomial(cls, p, n, num_vars, e, r, coeff=1, allowed_negative=()):
         return cls(p, n, num_vars, {(tuple(e), tuple(r)): coeff}, allowed_negative)
-
-    def _check(self, other):
-        if (
-            self.p != other.p
-            or self.n != other.n
-            or self.num_vars != other.num_vars
-            or self.allowed_negative != other.allowed_negative
-        ):
-            raise VariableMismatch("incompatible Weyl elements")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = sparse.add(self.terms, other.terms, self.p ** self.n)
-        return WeylElement(self.p, self.n, self.num_vars, terms,
-                           self.allowed_negative)
-
-    def scalar_mul(self, c):
-        terms = sparse.scale(self.terms, c, self.p ** self.n)
-        return WeylElement(self.p, self.n, self.num_vars, terms,
-                           self.allowed_negative)
-
-    def __neg__(self):
-        return self.scalar_mul(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         """Composition self o other: self folded through each term of other."""
@@ -126,11 +108,9 @@ class WeylElement:
                         acc = _times_generator(acc, kind, i, k, q)
             for key, c in acc.items():
                 out[key] = (get(key, 0) + c * c2) % q
-        return WeylElement(self.p, self.n, self.num_vars, out,
-                           self.allowed_negative)
+        return self._with({t: c for t, c in out.items() if c})
 
-    def __rmul__(self, other):
-        return self.scalar_mul(other)
+    __rmul__ = SparseModElem.scalar_mul
 
     def __pow__(self, k):
         out = WeylElement.one(self.p, self.n, self.num_vars,
@@ -138,26 +118,6 @@ class WeylElement:
         for _ in range(k):
             out = out * self
         return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeylElement)
-            and self.p == other.p
-            and self.n == other.n
-            and self.num_vars == other.num_vars
-            and self.allowed_negative == other.allowed_negative
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.n, self.num_vars,
-                     tuple(sorted(self.terms.items()))))
-
-    def is_zero(self):
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
 
     def __repr__(self):
         if not self.terms:
@@ -168,25 +128,6 @@ class WeylElement:
             dd = "".join("D%d[%d]" % (i, v) for i, v in enumerate(r) if v)
             bits.append("%d%s%s" % (c, mon, dd))
         return " + ".join(bits)
-
-    def to_json(self):
-        return {
-            "p": self.p,
-            "n": self.n,
-            "vars": self.num_vars,
-            "neg": sorted(self.allowed_negative),
-            "terms": [
-                {"e": list(e), "order": list(r), "c": c}
-                for (e, r), c in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        terms = {
-            (tuple(t["e"]), tuple(t["order"])): t["c"] for t in obj["terms"]
-        }
-        return cls(obj["p"], obj["n"], obj["vars"], terms, obj.get("neg", ()))
 
 
 def _times_generator(terms, kind, i, k, q):
@@ -222,12 +163,11 @@ def normal_form(word, p, n, num_vars, allowed_negative=()):
 
     Tokens are ("z", i, k) for z_i^k and ("d", i, r) for d_i^[r], with
     0 <= i < num_vars.  Each token is checked as given, before it is
-    folded in, since z_0^-1 z_0 cancels in the result.
+    folded in, since z_0^-1 z_0 cancels in the result.  The ring is
+    checked once, by building the unit, and the result is built unchecked.
     """
-    allowed_negative = frozenset(allowed_negative)
-    q = p ** n
-    zero = (0,) * num_vars
-    terms = {(zero, zero): 1}
+    one = WeylElement.one(p, n, num_vars, allowed_negative)
+    terms, q = one.terms, p ** n
     for tok in word:
         kind, i, k = tok
         if kind not in ("z", "d"):
@@ -237,12 +177,12 @@ def normal_form(word, p, n, num_vars, allowed_negative=()):
                                    % (tok, num_vars - 1))
         if k < 0 and kind == "d":
             raise RangeError("negative divided-power order")
-        if k < 0 and i not in allowed_negative:
+        if k < 0 and i not in one.allowed_negative:
             raise NegativeExponentViolation("negative exponent at variable %d"
                                             % i)
         if k:
             terms = _times_generator(terms, kind, i, k, q)
-    return WeylElement(p, n, num_vars, terms, allowed_negative)
+    return one._with(terms)
 
 
 def apply_word(word, f):
@@ -303,8 +243,10 @@ def apply(op, f):
     """
     if op.num_vars != f.num_vars or op.p != f.p or op.n != f.n:
         raise VariableMismatch("operator/function ring mismatch")
-    terms = _act(op.terms, f.terms, f.p ** f.n)
-    return LaurentElem(f.p, f.n, f.num_vars, terms, f.allowed_negative)
+    q = f.p ** f.n
+    # f's ring is checked already; the image may still leave its region
+    return f._with(f._clean_terms(_act(op.terms, f.terms, q), q, f.num_vars,
+                                  f.allowed_negative))
 
 
 def theta(p, level, i, j, num_vars=None):
@@ -330,16 +272,12 @@ def theta(p, level, i, j, num_vars=None):
 def z2d_divided_power(p, n, s, var=0, num_vars=1, allowed_negative=()):
     """(z^2 d)^[s] = sum_i binom(s-1, i) z^(2s-i) d^[s-i] in one variable."""
     terms = {}
-    q = p ** n
     for i in range(s):
-        c = comb(s - 1, i) % q
-        if not c:
-            continue
         e = [0] * num_vars
         r = [0] * num_vars
         e[var] = 2 * s - i
         r[var] = s - i
-        terms[(tuple(e), tuple(r))] = c
+        terms[(tuple(e), tuple(r))] = comb(s - 1, i)
     if s == 0:
         return WeylElement.one(p, n, num_vars, allowed_negative)
     return WeylElement(p, n, num_vars, terms, allowed_negative)

@@ -73,12 +73,13 @@ class WittDiffOp:
 
 
 def lift_operator(base, length):
-    """Coefficientwise integer lift of a char-p operator to Z/p^length."""
-    terms = {}
-    for (e, r), c in base.terms.items():
-        terms[(e, r)] = c  # residues 0..p-1 are their own integer lifts
-    lift = WeylElement(base.p, length, base.num_vars, terms,
-                       base.allowed_negative)
+    """Coefficientwise integer lift of an operator over Z/p^n, n <= length,
+    to Z/p^length: its residues are their own integer lifts."""
+    if base.n > length:
+        raise ValueError("cannot lift from n = %d to length %d"
+                         % (base.n, length))
+    lift = WeylElement._trusted(base.p, length, base.num_vars, base.terms,
+                                base.allowed_negative)
     return WittDiffOp(base.p, length, lift, base)
 
 
@@ -98,10 +99,9 @@ def teichmuller_lift_op(base, length):
         poly = LaurentElem(p, length, base.num_vars, coeff_terms,
                            base.allowed_negative)
         realized = poly ** (p ** (length - 1))
-        for e, c in realized.terms.items():
-            key = (e, r)
-            terms[key] = (terms.get(key, 0) + c) % (p ** length)
-    lift = WeylElement(p, length, base.num_vars, terms, base.allowed_negative)
+        terms.update(((e, r), c) for e, c in realized.terms.items())
+    lift = WeylElement._trusted(p, length, base.num_vars, terms,
+                                base.allowed_negative)
     return WittDiffOp(p, length, lift, base)
 
 
@@ -132,8 +132,7 @@ def i_star(op):
         root = tuple(v // step for v in e)
         key = (root, r)
         by_order[key] = (by_order.get(key, 0) + c) % p
-    terms = {k: v for k, v in by_order.items() if v}
-    return WeylElement(p, 1, op.lift.num_vars, terms,
+    return WeylElement(p, 1, op.lift.num_vars, by_order,
                        op.lift.allowed_negative)
 
 

@@ -33,7 +33,6 @@ from wittkit.cech import (
     v_divide,
     v_map,
     witt_cohomology,
-    witt_structure_sheaf_cohomology,
 )
 from wittkit.checks import cohomology_point
 from wittkit.rings import LaurentElem, ScaleExceeded
@@ -162,12 +161,13 @@ def test_witt_cohomology_never_runs_the_connecting_map(monkeypatch):
 
 
 def test_structure_sheaf():
-    res = witt_structure_sheaf_cohomology(2, 1, 3)
+    # H^*(P^d, W_n O) is W_n(k) in degree 0 and zero above
+    res = witt_cohomology(2, 1, 3, 0)
     assert res[0].layers == (1, 1, 1) and res[1].length == 0
-    res = witt_structure_sheaf_cohomology(3, 2, 2)
+    res = witt_cohomology(3, 2, 2, 0)
     assert res[0].length == 2 and res[1].length == 0 and res[2].length == 0
     # n = 1 is the classical case
-    res = witt_structure_sheaf_cohomology(5, 2, 1)
+    res = witt_cohomology(5, 2, 1, 0)
     assert res[0].layers == (1,)
 
 

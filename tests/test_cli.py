@@ -78,6 +78,10 @@ def test_weyl_nf_laurent_word(capsys):
                  "'z-1^2'", id="negative-index-alone"),
     pytest.param(("weyl", "nf", "--word", "z0 z-1", "--p", "3", "--n", "1"),
                  "'z-1'", id="negative-index-after-z0"),
+    pytest.param(("weyl", "nf", "--word", "d0 z0", "--p", "4", "--n", "1"),
+                 "modulus 4 is not prime", id="weyl-nf-p4"),
+    pytest.param(("weyl", "nf", "--word", "d0 z0", "--p", "5", "--n", "0"),
+                 "need n >= 1", id="weyl-nf-n0"),
     pytest.param(("verify", "localgen", "--j", "2"), "j = 2, d = 2",
                  id="localgen-j-not-below-d"),
     pytest.param(("verify", "localgen", "--d", "0"), "j = 0, d = 0",

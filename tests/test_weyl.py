@@ -538,3 +538,99 @@ def test_normal_form_checks_each_token_before_folding():
         normal_form([("d", 1, -1)], 3, 1, 2)
     assert normal_form([("z", 0, -1), ("z", 0, 1)], 3, 1, 1, (0,)) == (
         WeylElement.one(3, 1, 1, (0,)))
+
+
+@pytest.mark.parametrize("cls", [LaurentElem, WeylElement])
+@pytest.mark.parametrize("neg", [(5, -2), (1,), (0, -1)])
+def test_inverted_variables_outside_the_ring_are_refused(cls, neg):
+    with pytest.raises(VariableMismatch, match="outside 0..0"):
+        cls(3, 1, 1, {}, neg)
+
+
+# -- the shared sparse base against the checked constructor it replaced --------
+#
+# _ref_weyl_terms is the term loop of WeylElement.__init__ as it stood before
+# WeylElement became a subclass of rings.SparseModElem, kept as the reference.
+
+def _ref_weyl_terms(p, n, num_vars, terms, allowed_negative=()):
+    allowed_negative = frozenset(allowed_negative)
+    q = p ** n
+    clean = {}
+    for (e, r), c in terms.items():
+        e = tuple(e)
+        r = tuple(r)
+        if len(e) != num_vars or len(r) != num_vars:
+            raise VariableMismatch("term arity mismatch")
+        if any(v < 0 for v in r):
+            raise RangeError("negative divided-power order")
+        for i, v in enumerate(e):
+            if v < 0 and i not in allowed_negative:
+                raise NegativeExponentViolation(
+                    "negative exponent at variable %d" % i
+                )
+        c %= q
+        if c:
+            clean[(e, r)] = c
+    return clean
+
+
+@st.composite
+def _raw_terms(draw, p, n, nv, neg):
+    """A term dict as a caller might pass it: coefficients outside [0, p^n)
+    and multiples of p^n, and now and then a key the ring refuses (a
+    negative order, a negative exponent at a variable that is not
+    inverted, or the wrong arity)."""
+    q = p ** n
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        bad = draw(st.sampled_from([None] * 12 + ["r", "e", "arity"]))
+        e = [draw(st.integers(-3 if i in neg else 0, 3)) for i in range(nv)]
+        r = [draw(st.integers(0, p + 1)) for _ in range(nv)]
+        slot = draw(st.integers(0, nv - 1))
+        if bad == "r":
+            r[slot] = -1
+        elif bad == "e":
+            e[slot] = -1
+        elif bad == "arity":
+            r.append(0)
+        terms[(tuple(e), tuple(r))] = draw(
+            st.sampled_from([0, q, -q, 1, -1])
+            | st.integers(-2 * q, 2 * q))
+    return terms
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_weyl_element_matches_reference_terms(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 3))
+    nv = data.draw(st.integers(1, 3))
+    neg = data.draw(st.sets(st.integers(0, nv - 1)))
+    raws, refs = [], []
+    for _ in range(2):
+        raw = data.draw(_raw_terms(p, n, nv, neg))
+        ref = _outcome(_ref_weyl_terms, p, n, nv, raw, neg)
+        assert _outcome(lambda: WeylElement(p, n, nv, raw, neg).terms) == ref
+        raws.append(raw)
+        refs.append(ref)
+    if not all(isinstance(ref, dict) for ref in refs):
+        return
+    ref_a, ref_b = refs
+    a, b = (WeylElement(p, n, nv, raw, neg) for raw in raws)
+    keys = set(ref_a) | set(ref_b)
+    assert (a + b).terms == _ref_weyl_terms(
+        p, n, nv, {k: ref_a.get(k, 0) + ref_b.get(k, 0) for k in keys}, neg)
+    c = data.draw(st.integers(-2 * p ** n, 2 * p ** n))
+    assert a.scalar_mul(c).terms == _ref_weyl_terms(
+        p, n, nv, {k: c * v for k, v in ref_a.items()}, neg)
+    assert (a - b).terms == _ref_weyl_terms(
+        p, n, nv, {k: ref_a.get(k, 0) - ref_b.get(k, 0) for k in keys}, neg)
+    assert (a == b) == (ref_a == ref_b)
+    same = WeylElement(p, n, nv, ref_a, neg)
+    assert a == same and hash(a) == hash(same)
+    doc = a.to_json()
+    assert doc == {"p": p, "n": n, "vars": nv, "neg": sorted(neg),
+                   "terms": [{"e": list(e), "order": list(r), "c": v}
+                             for (e, r), v in sorted(ref_a.items())]}
+    back = WeylElement.from_json(doc)
+    assert back == a and hash(back) == hash(a)

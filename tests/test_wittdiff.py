@@ -48,6 +48,13 @@ def test_lift_coefficients():
     assert op.lift.terms == {((1,), (2,)): 1}
 
 
+def test_lift_refuses_a_shorter_length():
+    base = WeylElement.monomial(3, 3, 1, (1,), (2,), 10)
+    assert lift_operator(base, 3).lift.terms == {((1,), (2,)): 10}
+    with pytest.raises(ValueError, match="cannot lift from n = 3"):
+        lift_operator(base, 2)
+
+
 def test_apply_witt_spec_examples():
     # p = 2, n = 1 (operators over Z/4 on W_2)
     x = verschiebung(teichmuller(t_mono(3), 1))
