@@ -7,9 +7,7 @@ The computation mirrors the V-filtration induction: the short exact sequence
 has long exact sequences whose connecting maps vanish, so lengths assemble
 as sums of classical layer dimensions (see :func:`witt_cohomology` for why).
 Classical slice cohomology is done by honest F_p linear algebra per
-multidegree sign pattern.  The sequence is also realized on explicit Cech
-cochains for the standard cover; the tests run the Teichmuller-lifted
-connecting map out of H^0 on them and check that it is zero.
+multidegree sign pattern.
 """
 
 from __future__ import annotations
@@ -18,18 +16,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .linalg import echelon, rank_mod_p
-from .rings import LaurentElem, ScaleExceeded, graded_basis, is_prime
-from .witt import (
-    WittVector,
-    witt_add,
-    witt_sub,
-    witt_sum,
-)
-
-
-class NotACocycle(ValueError):
-    pass
+from .linalg import rank_mod_p
+from .rings import ScaleExceeded, graded_basis, is_prime
 
 
 class FinLenModule:
@@ -167,262 +155,11 @@ def classical_cohomology_via_cech(d, m, i, p):
     return total
 
 
-def h0_monomials(d, m):
-    """Harmonic basis of H^0(O(m)): exponent vectors >= 0 with sum m."""
-    if m < 0:
-        return []
-    return list(graded_basis(d + 1, m, [(0, m)] * (d + 1)))
-
-
 def hd_monomials(d, m):
     """Harmonic basis of H^d(O(m)): exponent vectors <= -1 with sum m."""
     if -m - 1 < d:
         return []
     return list(graded_basis(d + 1, m, [(m + d, -1)] * (d + 1)))
-
-
-# ----------------------------------------------------------------------
-# Witt Cech cochains
-# ----------------------------------------------------------------------
-
-def _zero_section(p, n, d, S):
-    z = LaurentElem._trusted(p, 1, d + 1, {}, S)
-    return WittVector(p, n, [z] * n)
-
-
-def section_valid(x, a, S):
-    """Degree homogeneity: coordinate l is homogeneous of degree p^l * a."""
-    for l, c in enumerate(x.coords):
-        want = (x.p ** l) * a
-        if any(sum(e) != want for e in c.terms):
-            return False
-        if any(
-            e[i] < 0 and i not in S for e in c.terms for i in range(len(e))
-        ):
-            return False
-    return True
-
-
-class WittCochain:
-    """A Cech q-cochain of W_n O(a) for the standard cover of P^d."""
-
-    __slots__ = ("p", "n", "d", "a", "q", "comps")
-
-    def __init__(self, p, n, d, a, q, comps):
-        self.p = p
-        self.n = n
-        self.d = d
-        self.a = a
-        self.q = q
-        self.comps = {}
-        for S in combinations(range(d + 1), q + 1):
-            S = frozenset(S)
-            x = comps.get(S)
-            if x is None:
-                x = _zero_section(p, n, d, S)
-            elif not section_valid(x, a, S):
-                raise ValueError("section fails degree or support constraints")
-            self.comps[S] = x
-
-    def is_zero(self):
-        return all(x.is_zero() for x in self.comps.values())
-
-
-def restrict_section(x, S):
-    """Widen the allowed-negative set of all coordinates to S.
-
-    x is a section over a subset of S (a cochain component), so its terms
-    are reduced and have negative exponents only in S: the coordinates are
-    built trusted, sharing x's terms.
-    """
-    return WittVector(
-        x.p, x.n,
-        [LaurentElem._trusted(c.p, 1, c.num_vars, c.terms, S)
-         for c in x.coords],
-    )
-
-
-def cech_diff(c):
-    """The alternating Witt-sum Cech differential.
-
-    Each component is the sum of the even faces minus the sum of the odd
-    ones, so it takes three ghost round trips at most.  A component whose
-    faces are all zero is left to the cochain, which fills in zero.
-    """
-    out = {}
-    for S in combinations(range(c.d + 1), c.q + 2):
-        Sf = frozenset(S)
-        faces = [c.comps[Sf - {s}] for s in S]
-        if all(x.is_zero() for x in faces):
-            continue
-        faces = [restrict_section(x, Sf) for x in faces]
-        out[Sf] = witt_sub(witt_sum(faces[0::2]), witt_sum(faces[1::2]))
-    return WittCochain(c.p, c.n, c.d, c.a, c.q + 1, out)
-
-
-def v_map(c):
-    """V: C(W_{n-1}O(pa)) -> C(W_n O(a)), prepend a zero coordinate."""
-    out = {}
-    for S, x in c.comps.items():
-        zero = LaurentElem.zero(c.p, 1, c.d + 1, S)
-        out[S] = WittVector(c.p, c.n + 1, (zero,) + x.coords)
-    return WittCochain(c.p, c.n + 1, c.d, c.a // c.p, c.q, out)
-
-
-def r_map(c):
-    """R^{n-1}: take the first coordinate as a classical O(a)-cochain."""
-    return {S: x.coords[0] for S, x in c.comps.items()}
-
-
-def v_divide(c):
-    """Inverse of v_map on cochains with vanishing first coordinates."""
-    out = {}
-    for S, x in c.comps.items():
-        if not x.coords[0].is_zero():
-            raise ValueError("cochain is not in the image of V")
-        out[S] = WittVector(c.p, c.n - 1, x.coords[1:])
-    return WittCochain(c.p, c.n - 1, c.d, c.a * c.p, c.q, out)
-
-
-def teich_lift(p, n, d, a, classical, q):
-    """Coordinatewise Teichmuller lift of a classical cochain."""
-    out = {}
-    for S, f in classical.items():
-        zero = LaurentElem.zero(p, 1, d + 1, frozenset(S))
-        g = LaurentElem(p, 1, d + 1, f.terms, frozenset(S))
-        out[frozenset(S)] = WittVector(p, n, [g] + [zero] * (n - 1))
-    return WittCochain(p, n, d, a, q, out)
-
-
-def classical_cochain_diff(p, d, classical, q):
-    """Classical F_p Cech differential on multidegree dictionaries."""
-    out = {}
-    for S in combinations(range(d + 1), q + 2):
-        Sf = frozenset(S)
-        acc = LaurentElem.zero(p, 1, d + 1, Sf)
-        for pos, s in enumerate(sorted(S)):
-            T = Sf - {s}
-            f = classical[T]
-            f = LaurentElem(p, 1, d + 1, f.terms, Sf)
-            acc = acc + (f if pos % 2 == 0 else -f)
-        out[Sf] = acc
-    return out
-
-
-def classical_solve(p, d, q, classical_rhs):
-    """Solve the classical Cech equation d(x) = rhs degreewise.
-
-    Returns (solution cochain dict, residual cochain dict); the residual is
-    the unsolvable harmonic part.  Each multidegree is one slice system
-    solved by elimination on [mat | rhs] with pivots kept out of the rhs
-    column; where it is inconsistent, no solution is recorded and the
-    residual is rhs - mat * x for the x that elimination reads off.
-    """
-    multidegrees = set()
-    for S, f in classical_rhs.items():
-        multidegrees.update(f.terms)
-    sol = {
-        frozenset(S): {} for S in combinations(range(d + 1), q)
-    } if q >= 1 else {}
-    residual = {S: {} for S in classical_rhs}
-    for e in sorted(multidegrees):
-        pattern = frozenset(i for i, v in enumerate(e) if v < 0)
-        spaces, diffs = slice_complex(d, pattern)
-        tgt = spaces[q]
-        res = [classical_rhs[S].terms.get(e, 0) % p for S in tgt]
-        src = spaces[q - 1] if q >= 1 else []
-        if src:
-            mat = diffs[q - 1]
-            rows, pivots = echelon(
-                [row + [v] for row, v in zip(mat, res)], p, ncols=len(src))
-            x = [0] * len(src)
-            for row, col in zip(rows, pivots):
-                x[col] = row[-1]
-            res = [(v - sum(a * b for a, b in zip(row, x))) % p
-                   for row, v in zip(mat, res)]
-            if not any(res):
-                for S, v in zip(src, x):
-                    if v:
-                        sol[S][e] = v
-        for S, v in zip(tgt, res):
-            if v:
-                residual[S][e] = v
-    sol_c = {
-        S: LaurentElem(p, 1, d + 1, terms, S) for S, terms in sol.items()
-    }
-    res_c = {
-        S: LaurentElem(p, 1, d + 1, terms, S) for S, terms in residual.items()
-    }
-    return sol_c, res_c
-
-
-def witt_cochain_sub(c1, c2):
-    out = {}
-    for S, x in c1.comps.items():
-        out[S] = witt_sub(x, c2.comps[S])
-    return WittCochain(c1.p, c1.n, c1.d, c1.a, c1.q, out)
-
-
-def harmonic_residual_layers(c):
-    """Peel a Witt cocycle through the V-filtration.
-
-    Returns a list (one entry per level) of dicts mapping harmonic monomials
-    to F_p coefficients; the cocycle is a Cech coboundary modulo higher
-    filtration exactly when every entry is empty.  Level l sees the classical
-    complex for O(p^l a).
-    """
-    p, d = c.p, c.d
-    layers = []
-    cur = c
-    for level in range(c.n):
-        bottom = r_map(cur)
-        sol, res = classical_solve(p, d, cur.q, bottom)
-        res_terms = {}
-        for S, f in res.items():
-            for e, v in f.terms.items():
-                res_terms[(tuple(sorted(S)), e)] = v
-        layers.append(res_terms)
-        # subtract the Cech differential of the Teichmuller-lifted solution
-        # and the lift of the residual, then divide by V
-        sub = teich_lift(p, cur.n, d, cur.a, sol, cur.q - 1) if cur.q >= 1 else None
-        if sub is not None:
-            cur = witt_cochain_sub(cur, cech_diff(sub))
-        res_lift = teich_lift(p, cur.n, d, cur.a, res, cur.q)
-        cur = witt_cochain_sub(cur, res_lift)
-        if level < c.n - 1:
-            cur = v_divide(cur)
-    return layers
-
-
-def connecting_map(p, n, d, a, i, cocycle_basis):
-    """The LES connecting map H^i(O(a)) -> H^(i+1)(W_(n-1)O(pa)).
-
-    Each basis cocycle is Teichmuller-lifted, pushed through the alternating
-    Witt Cech differential, divided by V, and its class extracted layer by
-    layer.  Returns a column-per-input matrix of layer coordinates.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2 for a nontrivial V-layer")
-    columns = []
-    for classical in cocycle_basis:
-        full = {
-            frozenset(S): classical.get(frozenset(S),
-                                        LaurentElem.zero(p, 1, d + 1,
-                                                         frozenset(S)))
-            for S in combinations(range(d + 1), i + 1)
-        }
-        chk = classical_cochain_diff(p, d, full, i)
-        if any(not f.is_zero() for f in chk.values()):
-            raise NotACocycle("input class is not a cocycle")
-        lifted = teich_lift(p, n, d, a, full, i)
-        delta = cech_diff(lifted)
-        top = r_map(delta)
-        if any(not f.is_zero() for f in top.values()):
-            raise NotACocycle("Witt differential does not vanish classically")
-        divided = v_divide(delta)
-        layers = harmonic_residual_layers(divided)
-        columns.append(layers)
-    return columns
 
 
 # ----------------------------------------------------------------------
@@ -477,18 +214,6 @@ def layer_sums(p, d, n, a):
     return h0, hd
 
 
-def _h0_cocycles(p, d, a):
-    """Global-section cocycles of O(a) as constant C^0 cochains."""
-    basis = []
-    for e in h0_monomials(d, a):
-        comp = {}
-        for s in range(d + 1):
-            S = frozenset([s])
-            comp[S] = LaurentElem.monomial(p, 1, d + 1, e, 1, S)
-        basis.append(comp)
-    return basis
-
-
 # the 156,566 top-degree monomials of (p, d, n, a) = (2, 3, 4, -12) take
 # 1.2-1.9 s on a 2-core x86_64 VM
 HD_MONOMIAL_LIMIT = 200_000
@@ -519,55 +244,3 @@ def hd_witt_length_by_cech(p, d, n, a):
         layers.append(dim)
         total += dim
     return total, layers
-
-
-def ses_maps_report(p, d, n, a, samples, rng):
-    """Spot-check the cochain-level maps V and R^{n-1} on random sections.
-
-    Verifies additivity of V, the ring-map property of R, and R o V = 0.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    failures = []
-    cases = 0
-    for _ in range(samples):
-        S = frozenset(rng.sample(range(d + 1), rng.randrange(1, d + 2)))
-        x = _random_section(p, n - 1, d, p * a, S, rng)
-        y = _random_section(p, n - 1, d, p * a, S, rng)
-        zero = LaurentElem.zero(p, 1, d + 1, S)
-        vx = WittVector(p, n, (zero,) + x.coords)
-        vy = WittVector(p, n, (zero,) + y.coords)
-        vxy = WittVector(p, n, (zero,) + witt_add(x, y).coords)
-        cases += 1
-        if witt_add(vx, vy) != vxy:
-            failures.append("V additivity")
-        if vx.coords[0] != zero:
-            failures.append("R o V != 0")
-        u = _random_section(p, n, d, 0, S, rng)
-        w = _random_section(p, n, d, 0, S, rng)
-        if witt_add(u, w).coords[0] != u.coords[0] + w.coords[0]:
-            failures.append("R additivity")
-        from .witt import witt_mul
-        if witt_mul(u, w).coords[0] != u.coords[0] * w.coords[0]:
-            failures.append("R multiplicativity")
-    return {"cases": cases, "failures": failures}
-
-
-def _random_section(p, n, d, a, S, rng):
-    coords = []
-    Ss = sorted(S)
-    for l in range(n):
-        deg = (p ** l) * a
-        terms = {}
-        for _ in range(rng.randrange(0, 3)):
-            e = [0] * (d + 1)
-            for idx in range(d + 1):
-                if idx in S:
-                    e[idx] = rng.randrange(-2, 3)
-                else:
-                    e[idx] = rng.randrange(0, 3)
-            gap = deg - sum(e)
-            e[Ss[0]] += gap
-            terms[tuple(e)] = rng.randrange(1, p)
-        coords.append(LaurentElem(p, 1, d + 1, terms, S))
-    return WittVector(p, n, coords)

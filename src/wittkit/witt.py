@@ -594,7 +594,7 @@ class WittVector:
             return 0
         if isinstance(c, PrimeFieldElem):
             return PrimeFieldElem(self.p, 0)
-        return LaurentElem.zero(self.p, 1, c.num_vars, c.allowed_negative)
+        return c._with({})  # c is over F_p: __init__ checks c.n == 1
 
     def is_zero(self):
         return not any(map(_lift, self.coords))
