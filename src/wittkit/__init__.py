@@ -4,7 +4,7 @@ Submodules
 ----------
 sparse     ring arithmetic on sparse {exponent: coefficient} dicts
 rings      prime fields, sparse Laurent polynomials over Z/p^n
-witt       truncated p-typical Witt vectors, w-tilde, Teichmuller expansions
+witt       truncated p-typical Witt vectors, w-tilde and its inverse
 weyl       the crystalline Weyl algebra of divided-power operators
 wittdiff   Witt differential operators and their structure relations
 drw        the de Rham-Witt complex of affine space (symbolic basis)

@@ -15,23 +15,18 @@ from math import gcd
 from .rings import v_p
 
 
-def echelon(rows, p, ncols=None):
+def echelon(rows, p):
     """Reduced row echelon form over F_p (p prime).
 
     Returns ``(reduced, pivots)``: the reduced rows that carry a pivot, as
     tuples with entries in [0, p), and the column of each row's leading 1.
-    Pivots are taken only in the first ``ncols`` columns (default: all);
-    later columns, such as the right-hand side of a system, are carried
-    along.  The pivot row for a column is the first remaining row with a
-    nonzero entry there, so the result is a fixed function of the input
-    row order.
+    The pivot row for a column is the first remaining row with a nonzero
+    entry there, so the result is a fixed function of the input row order.
     """
     m = [list(r) for r in rows]
-    if ncols is None:
-        ncols = len(m[0]) if m else 0
     pivots = []
     r = 0
-    for col in range(ncols):
+    for col in range(len(m[0]) if m else 0):
         for piv in range(r, len(m)):
             if m[piv][col] % p:
                 break

@@ -11,11 +11,9 @@ three-step generation algorithm exhausts I from the finite seed module N.
 from __future__ import annotations
 
 from . import sparse
-from .rings import LaurentElem, ScaleExceeded, graded_basis, is_prime
+from .rings import ScaleExceeded, graded_basis, is_prime
 from .weyl import ChartAtlas, gen_binom
-# CharTwoUnsupported is re-exported: expansion errors propagate to callers
-from .witt import (_MAX_GENERATION_WORK, CharTwoUnsupported,
-                   _generation_work, teich_scalar, teichmuller_sum_power)
+from .witt import _MAX_GENERATION_WORK, _generation_work, teich_scalar
 from .wittdiff import monomial_case_split, v_p
 
 
@@ -314,9 +312,9 @@ def parabolic_action(g, x):
     z_v -> z_v + c z_u.  The substitution expands z_v^(m_v) by the binomial
     series sum_k binom(m_v, k) c^k z_v^(m_v-k) z_u^k: a polynomial for
     m_v >= 0, and for m_v < 0 a series truncated exactly by the kill rule
-    at k < -m_u.  Teichmuller powers of the resulting sums expand through
-    teichmuller_sum_power.  The integer terms of every symbol are summed
-    into one class.
+    at k < -m_u.  The Teichmuller lift of each resulting sum is read off
+    its image under w~ (_teich_sum_terms), for every prime p, p = 2
+    included.  The integer terms of every symbol are summed into one class.
     """
     kind, args = g
     p, n, d, j = x.p, x.n, x.d, x.j
@@ -332,7 +330,7 @@ def parabolic_action(g, x):
         else:
             uu, vv, cc = args
             mv = u[vv]
-            summands = []
+            q = {}
             for k in range(mv + 1 if mv >= 0 else max(0, -u[uu])):
                 b = (gen_binom(mv, k) * pow(cc % p, k, p)) % p
                 if b == 0:
@@ -340,40 +338,32 @@ def parabolic_action(g, x):
                 e = list(u)
                 e[vv] = mv - k
                 e[uu] += k
-                summands.append((b, tuple(e)))
-            img = _teich_sum_terms(p, n, d, l, coeff, summands)
+                q[tuple(e)] = b
+            img = _teich_sum_terms(p, n, l, coeff, q)
         for key, v in img.items():
             terms[key] = terms.get(key, 0) + v
     return CohClass(p, n, d, j, terms)
 
 
-def _teich_sum_terms(p, n, d, l, coeff, summands):
-    """coeff * V^l([sum of monomials]) as integer terms {(level, u): c}."""
-    rem = n - l
+def _teich_sum_terms(p, n, l, coeff, q):
+    """coeff * V^l([q]) for q = {e: b} as integer terms {(level, u): c}.
+
+    Read off w~, the injective ring map W_m(F_p[z^+-1]) -> (Z/p^m)[z^+-1]
+    with m = n - l: it sends [q] to q^(p^(m-1)) and V^k([z^u]) to
+    p^k z^(p^(m-1-k) u).  So a term C z^v of q^(p^(m-1)) mod p^m is
+    (C / p^k) V^k([z^(v / p^(m-1-k))]) for the least k with p^(m-1-k) | v,
+    and p^k divides C.  Any prime and any number of summands.
+    """
+    m = n - l
     terms = {}
-    if rem == 1 or len(summands) < 2:
-        # level-1 Teichmuller is additive in the class; single monomials
-        # are exact at any level
-        for b, e in summands:
-            terms[(l, e)] = coeff * teich_scalar(b, p, rem)
-        return terms
-    monos = [
-        LaurentElem.monomial(p, 1, d + 1, e, b, allowed_negative=range(d + 1))
-        for b, e in summands
-    ]
-    expansion = teichmuller_sum_power(monos, 1, rem)
-    for (lv, exps), c2 in expansion.items():
-        scal = 1
-        acc = [0] * (d + 1)
-        for (b, e), m in zip(summands, exps):
-            if m == 0:
-                continue
-            scal = (scal * pow(b, m, p)) % p
-            for s in range(d + 1):
-                acc[s] += m * e[s]
-        scal = teich_scalar(scal, p, rem - lv)
-        key = (l + lv, tuple(acc))
-        terms[key] = terms.get(key, 0) + coeff * c2 * scal
+    for v, c in sparse.power(q, p ** (m - 1), p ** m).items():
+        for k in range(m):
+            s = p ** (m - 1 - k)
+            if not any(x % s for x in v):
+                break
+        c, r = divmod(c, p ** k)
+        assert not r, "w~ image term not divisible by p^k"
+        terms[(l + k, tuple(x // s for x in v))] = coeff * c
     return terms
 
 

@@ -47,14 +47,6 @@ class LengthUnderflow(ValueError):
     pass
 
 
-class CharTwoUnsupported(ValueError):
-    pass
-
-
-class DuplicateSummand(ValueError):
-    pass
-
-
 # ----------------------------------------------------------------------
 # integer covers: plain ints for scalars, exponent->int dicts for Laurent
 # ----------------------------------------------------------------------
@@ -918,160 +910,9 @@ def tilde_F(x):
 
 
 # ----------------------------------------------------------------------
-# Teichmuller powers of sums (the section-6 expansion machine)
+# Teichmuller scalars
 # ----------------------------------------------------------------------
 
 def teich_scalar(c, p, m):
     """Integer representative of the Teichmuller scalar [c] in W_m(F_p) = Z/p^m."""
     return pow(c % p, p ** (m - 1), p ** m)
-
-
-@lru_cache(maxsize=64)
-def _expand2(p, i, n):
-    """Universal expansion of [A+B]^i in W_n over F_p[A,B].
-
-    Returns a dict (level l, (e1, e2)) -> coefficient mod p^(n-l) with
-    e1 + e2 = p^l * i, produced by the recursive layer-peeling argument.
-    Coefficients act as integer scalars through W_m(F_p) = Z/p^m.  The
-    result is shared between callers and must not be mutated.
-    """
-
-    def expand_poly(q, m, degree):
-        # q: LaurentElem (2 vars, F_p), homogeneous of the given degree
-        out = {}
-        if q.is_zero():
-            return out
-        head_vectors = []
-        for (e1, e2), c in q.sorted_terms():
-            assert e1 + e2 == degree, "inhomogeneous layer in Teichmuller peel"
-            k = (0, (e1, e2))
-            out[k] = (out.get(k, 0) + teich_scalar(c, p, m)) % (p ** m)
-            mono = LaurentElem.monomial(p, 1, 2, (e1, e2), c)
-            head_vectors.append(teichmuller(mono, m))
-        head = witt_sum(head_vectors)
-        tail = witt_sub(teichmuller(q, m), head)
-        assert tail.coords[0].is_zero(), "head does not match the top layer"
-        for idx in range(1, m):
-            t = tail.coords[idx]
-            if t.is_zero():
-                continue
-            sub = expand_poly(t, m - idx, degree * (p ** idx))
-            for (l2, exps), c2 in sub.items():
-                lev = idx + l2
-                k = (lev, exps)
-                out[k] = (out.get(k, 0) + c2) % (p ** (m - lev))
-        return out
-
-    a_plus_b = LaurentElem(p, 1, 2, {(1, 0): 1, (0, 1): 1})
-    raw = expand_poly(a_plus_b ** i, n, i)
-    out = {}
-    for (l, exps), c in raw.items():
-        c %= p ** (n - l)
-        if c:
-            out[(l, exps)] = c
-    return out
-
-
-def teichmuller_sum_power(summands, i, n):
-    """Expand [a_1 + ... + a_r]^i as a combination of V^l(prod [a_j]^(m_j)).
-
-    Input summands are pairwise distinct LaurentElems over F_p.  The result is
-    a dict (level l, exponent tuple m) -> integer coefficient mod p^(n-l),
-    with sum(m) = p^l * i for every term.  More than two summands require
-    p != 2.
-    """
-    if not summands:
-        raise ValueError("need at least one summand")
-    p = summands[0].p
-    r = len(summands)
-    for s in summands:
-        if s.p != p or s.n != 1:
-            raise VariableMismatch("summands must share an F_p coefficient ring")
-    if len({tuple(s.sorted_terms()) for s in summands}) != r:
-        raise DuplicateSummand("summands must be pairwise distinct")
-    if r > 2 and p == 2:
-        raise CharTwoUnsupported(
-            "more than two summands need odd characteristic"
-        )
-    if i == 0:
-        return {(0, (0,) * r): 1}
-    if r == 1:
-        return {(0, (i,)): 1}
-
-    def expand_multi(count, power, depth):
-        if power == 0:
-            return {(0, (0,) * count): 1}
-        if count == 1:
-            return {(0, (power,)): 1}
-        out = {}
-        for (l, (e_head, e_last)), c in _expand2(p, power, depth).items():
-            if e_head == 0:
-                k = (l, (0,) * (count - 1) + (e_last,))
-                out[k] = (out.get(k, 0) + c) % (p ** (depth - l))
-                continue
-            sub = expand_multi(count - 1, e_head, depth - l)
-            for (l2, exps), c2 in sub.items():
-                lev = l + l2
-                exps_full = tuple(exps) + (e_last * (p ** l2),)
-                k = (lev, exps_full)
-                v = (out.get(k, 0) + c * c2) % (p ** (depth - lev))
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
-        return out
-
-    raw = expand_multi(r, i, n)
-    out = {}
-    for (l, exps), c in raw.items():
-        c %= p ** (n - l)
-        if c:
-            assert sum(exps) == (p ** l) * i
-            out[(l, exps)] = c
-    return out
-
-
-def evaluate_teich_expansion(expansion, summands, n):
-    """Oracle evaluation of a teichmuller_sum_power result via Witt arithmetic."""
-    p = summands[0].p
-    acc = None
-    for (l, exps), c in sorted(expansion.items()):
-        prod = None
-        for a, m in zip(summands, exps):
-            if m == 0:
-                continue
-            t = teichmuller(a, n - l)
-            f = t
-            for _ in range(m - 1):
-                f = witt_mul(f, t)
-            prod = f if prod is None else witt_mul(prod, f)
-        if prod is None:
-            prod = witt_from_int(1, p, n - l, like=summands[0])
-        prod = witt_scalar_mul(c, prod)
-        for _ in range(l):
-            prod = verschiebung(prod)
-        acc = prod if acc is None else witt_add(acc, prod)
-    return acc
-
-
-def v_product_normalize(p, factors):
-    """Collapse prod_i V^(s_i)([a]^(d_i)) to (power of p, s_max, exponent vector).
-
-    Returns (t, s, dd) so that the product equals p^t * V^s([a]^dd), with
-    s = max(s_i), t the sum of the remaining s_i and dd = sum p^(s-s_i) d_i.
-    """
-    if not factors:
-        raise ValueError("need at least one factor")
-    m = len(factors[0][1])
-    for _, d in factors:
-        if len(d) != m:
-            raise VariableMismatch("exponent vectors of unequal length")
-    ss = [s for s, _ in factors]
-    s_max = max(ss)
-    t = sum(ss) - s_max
-    dd = [0] * m
-    for s, d in factors:
-        scale = p ** (s_max - s)
-        for j in range(m):
-            dd[j] += scale * d[j]
-    return (t, s_max, tuple(dd))

@@ -173,6 +173,18 @@ def test_localcoh_generate_command(capsys):
     assert data["reached"] == data["target"]
 
 
+def test_localcoh_stability_command_at_p2(capsys):
+    # Teichmuller sums of more than two summands at p = 2 are read off w~;
+    # the unipotent radical escapes N at n = 2, hence exit status 1
+    code, out = run(capsys, "localcoh", "stability", "--p", "2", "--n", "2",
+                    "--d", "3", "--j", "0")
+    assert code == 1
+    data = json.loads(out)
+    assert data["cases"] == 33
+    assert data["failures"]
+    assert all("unipotent" in f["generator"] for f in data["failures"])
+
+
 def test_steinberg_command(capsys):
     code, out = run(capsys, "steinberg", "--q", "2", "--dim", "3", "--I", "")
     assert code == 0

@@ -112,16 +112,16 @@ def test_solve_by_substitution_and_consistency(mat, p, data):
         return
     ncols = len(mat[0])
     rhs = [data.draw(st.integers(0, p - 1)) for _ in mat]
-    rows, pivots = echelon([r + [b] for r, b in zip(mat, rhs)], p,
-                           ncols=ncols)
-    assert all(col < ncols for col in pivots)
-    x = [0] * ncols
+    # the augmented system is consistent iff no pivot lies in the last column
+    rows, pivots = echelon([r + [b] for r, b in zip(mat, rhs)], p)
+    consistent = ncols not in pivots
+    x = [0] * (ncols + 1)
     for row, col in zip(rows, pivots):
         x[col] = row[-1]
     solves = [all((sum(a * v for a, v in zip(r, y)) - b) % p == 0
                   for r, b in zip(mat, rhs))
               for y in product(range(p), repeat=ncols)]
-    consistent = any(solves)
+    assert consistent == any(solves)
     assert consistent == (
         rank_mod_p([r + [b] for r, b in zip(mat, rhs)], p)
         == rank_mod_p(mat, p))
@@ -167,7 +167,7 @@ def test_edge_shapes():
     assert echelon([], 3) == ((), ())
     assert rank_mod_p([[], []], 2) == 0
     assert rank_mod_p([[0, 3], [6, 0]], 3) == 0
-    assert echelon([[2, 4, 1]], 5, ncols=2) == (((1, 2, 3),), (0,))
+    assert echelon([[2, 4, 1]], 5) == (((1, 2, 3),), (0,))
     assert local_smith_profile([[4, 2], [2, 0]], 2, 3) == [1, 1]
     assert local_smith_profile([[8]], 2, 3) == []
     assert local_smith_profile([], 2, 3) == []

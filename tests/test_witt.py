@@ -14,8 +14,6 @@ from wittkit.rings import (
 from wittkit.sparse import (IntegralityFailure, _kronecker, _pack, _pmul,
                             _ppow, _psquare, _segments, _slot_width, _unpack)
 from wittkit.witt import (
-    CharTwoUnsupported,
-    DuplicateSummand,
     LiftedElem,
     NotInImage,
     TorsionRing,
@@ -24,7 +22,6 @@ from wittkit.witt import (
     _cmul,
     _cpow,
     _cscale,
-    _expand2,
     _ghost_from_covers,
     _ghost_inverse,
     _MAX_POLY_COST,
@@ -35,16 +32,13 @@ from wittkit.witt import (
     _reduce_like,
     UniversalWittPolys,
     build_universal_polys,
-    evaluate_teich_expansion,
     frobenius,
     ghost,
     restrict,
     teichmuller,
-    teichmuller_sum_power,
     tilde_F,
     tilde_w,
     tilde_w_inverse,
-    v_product_normalize,
     verschiebung,
     witt_add,
     witt_add_via_polys,
@@ -115,7 +109,6 @@ def test_universal_poly_term_count_p5_n4():
 
 @pytest.mark.parametrize("cached,calls", [
     (build_universal_polys, [(p, n) for p in (2, 3, 5, 7) for n in (1, 2)]),
-    (_expand2, [(2, i, 1) for i in range(1, 80)]),
 ])
 def test_process_caches_are_bounded(cached, calls):
     bound = cached.cache_parameters()["maxsize"]
@@ -592,59 +585,24 @@ def test_tilde_F_surjective_injective_on_closed_forms_deg6():
     assert got == closed
 
 
-# -- Teichmuller sums and V-products ---------------------------------------
+# -- V-products ------------------------------------------------------------
 
-def test_teich_sum_two_summands_p2():
-    a = LaurentElem.monomial(2, 1, 2, (1, 0))
-    b = LaurentElem.monomial(2, 1, 2, (0, 1))
-    exp = teichmuller_sum_power([a, b], 1, 2)
-    assert exp == {(0, (1, 0)): 1, (0, (0, 1)): 1, (1, (1, 1)): 1}
-    s = LaurentElem(2, 1, 2, {(1, 0): 1, (0, 1): 1})
-    assert evaluate_teich_expansion(exp, [a, b], 2) == teichmuller(s, 2)
-
-
-def test_teich_sum_power_zero_is_unit():
-    a = LaurentElem.monomial(3, 1, 2, (1, 0))
-    b = LaurentElem.monomial(3, 1, 2, (0, 1))
-    assert teichmuller_sum_power([a, b], 0, 2) == {(0, (0, 0)): 1}
-
-
-@pytest.mark.parametrize("i,n", [(1, 2), (2, 2), (1, 3)])
-def test_teich_sum_three_summands_oracle(i, n):
-    monos = [
-        LaurentElem.monomial(3, 1, 3, tuple(int(k == v) for k in range(3)))
-        for v in range(3)
-    ]
-    exp = teichmuller_sum_power(monos, i, n)
-    assert all(sum(e) == (3 ** l) * i for (l, e) in exp)
-    s = LaurentElem(3, 1, 3, {tuple(int(k == v) for k in range(3)): 1
-                              for v in range(3)})
-    acc = teichmuller(s, n)
-    t = acc
-    for _ in range(i - 1):
-        acc = witt_mul(acc, t)
-    assert evaluate_teich_expansion(exp, monos, n) == acc
-
-
-def test_teich_sum_guards():
-    monos = [
-        LaurentElem.monomial(2, 1, 3, tuple(int(k == v) for k in range(3)))
-        for v in range(3)
-    ]
-    with pytest.raises(CharTwoUnsupported):
-        teichmuller_sum_power(monos, 1, 2)
-    a = LaurentElem.monomial(3, 1, 1, (1,))
-    with pytest.raises(DuplicateSummand):
-        teichmuller_sum_power([a, a], 1, 2)
+def _v_product(p, factors):
+    """prod_i V^(s_i)([a]^(d_i)) = p^t V^s([a]^dd) with s = max(s_i), t the
+    sum of the other s_i and dd = sum p^(s - s_i) d_i, as (t, s, dd)."""
+    s_max = max(s for s, _ in factors)
+    dd = tuple(sum(p ** (s_max - s) * d[j] for s, d in factors)
+               for j in range(len(factors[0][1])))
+    return sum(s for s, _ in factors) - s_max, s_max, dd
 
 
 def test_v_product_normalize():
     # V(x) V(y) = p V(xy)
-    assert v_product_normalize(3, [(1, (1,)), (1, (2,))]) == (1, 1, (3,))
+    assert _v_product(3, [(1, (1,)), (1, (2,))]) == (1, 1, (3,))
     # s = (1, 2): p^1 V^2([a]^(p d1 + d2))
-    assert v_product_normalize(2, [(1, (1,)), (2, (3,))]) == (1, 2, (5,))
+    assert _v_product(2, [(1, (1,)), (2, (3,))]) == (1, 2, (5,))
     # single factor unchanged
-    assert v_product_normalize(5, [(2, (4, 1))]) == (0, 2, (4, 1))
+    assert _v_product(5, [(2, (4, 1))]) == (0, 2, (4, 1))
 
 
 def test_v_product_oracle():
@@ -655,7 +613,7 @@ def test_v_product_oracle():
         factors = [
             (rng.randrange(0, 2), (rng.randrange(0, 3),)) for _ in range(2)
         ]
-        t_pow, s_max, dd = v_product_normalize(p, factors)
+        t_pow, s_max, dd = _v_product(p, factors)
         prod = None
         for s, dvec in factors:
             f = teichmuller(a, n - s)
