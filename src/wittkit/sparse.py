@@ -5,6 +5,9 @@ coefficient.  ``q = 0`` means arithmetic over Z; any other ``q`` means
 arithmetic in Z/q, and then the operands must already be reduced mod q.
 The functions never mutate their operands, but may return one of them
 (``power(a, 1)`` is ``a``), so results are shared and must not be mutated.
+The one exception is ``add_into``, which adds into its first argument in
+place: that dict must be the caller's own, made by it and shared with no
+one, and may hold zeros until the caller drops them (``divexact`` does).
 
 ``power`` has closed forms for short operands, which the Laurent covers
 raise to p-th powers by the hundred thousand: zero is returned at once, a
@@ -21,13 +24,13 @@ conversion would cost more than it saves.  Kronecker-packed integer keys
 serve the universal Witt polynomials: with X_j and Y_j of weight p^j every
 exponent met at level i is at most p^i, so with base 2 p^(n-1) + 1 the
 exponent vector (e_0, e_1, ...) packs into sum e_k * base^k without carries,
-and a product of monomials is a sum of keys.  ``add``, ``scale`` and
-``divexact`` do not look at keys and serve both formats.  ``_unpack`` turns
-packed keys back into tuples by half-words: each key is split once at the
-middle variable (for the Witt sum and product, below it the X digits,
-above it the Y digits), and each half is looked up in a per-call memo of
-digit tuples, since the monomials of a universal polynomial share few
-distinct X and Y parts.
+and a product of monomials is a sum of keys.  ``add``, ``scale``,
+``add_into`` and ``divexact`` do not look at keys and serve both formats.
+``_unpack`` turns packed keys back into tuples by half-words: each key is
+split once at the middle variable (for the Witt sum and product, below it
+the X digits, above it the Y digits), and each half is looked up in a
+per-call memo of digit tuples, since the monomials of a universal
+polynomial share few distinct X and Y parts.
 
 Packed products are segmented Kronecker products along a segmentation
 (A, B, w): two variables, by place value, and a weight.  Each operand is
@@ -82,6 +85,16 @@ def scale(a, c, q=0):
     if not c:
         return {}
     return {e: c0 * c for e, c0 in a.items()}
+
+
+def add_into(acc, terms, k):
+    """acc += k * terms in place over Z; terms yields (exponent, coeff) pairs.
+
+    No scaled or summed copy is made; coefficients that cancel stay as 0.
+    """
+    get = acc.get
+    for e, c in terms:
+        acc[e] = get(e, 0) + k * c
 
 
 def mul(a, b, q=0):
@@ -154,13 +167,14 @@ def _binomial_power(a, k, q):
 
 
 def divexact(a, k):
-    """a / k over Z; raises IntegralityFailure unless k divides a."""
+    """a / k over Z, zeros dropped; raises IntegralityFailure unless k | a."""
     out = {}
     for e, c in a.items():
         v, r = divmod(c, k)
         if r:
             raise IntegralityFailure("non-exact division by %d" % k)
-        out[e] = v
+        if v:
+            out[e] = v
     return out
 
 
@@ -170,13 +184,16 @@ def divexact(a, k):
 
 def _pack(poly, base):
     """{exponent tuple: c} -> {packed exponent: c}."""
-    out = {}
+    return dict(_packed(poly, base))
+
+
+def _packed(poly, base):
+    """The terms of a tuple-keyed polynomial with packed keys, one by one."""
     for e, c in poly.items():
         k = 0
         for x in reversed(e):
             k = k * base + x
-        out[k] = c
-    return out
+        yield k, c
 
 
 def _unpack(poly, base, nvars):

@@ -31,8 +31,8 @@ from .rings import (
     VariableMismatch,
     is_prime,
 )
-from .sparse import (IntegralityFailure, _digits, _pack, _pmul, _ppow,
-                     _unpack)
+from .sparse import (IntegralityFailure, _digits, _pack, _packed, _pmul,
+                     _ppow, _unpack, add_into)
 
 
 class TorsionRing(TypeError):
@@ -361,17 +361,20 @@ class UniversalWittPolys:
 
     @staticmethod
     def _solve(target_ghosts, p):
-        # ghost inversion with p-th-power chaining across levels
+        # ghost inversion; p-th powers chained across levels, summed in place
         n = len(target_ghosts)
         base, segs = _layout(p, n)
         coords = []
-        powers = {}
+        powers = []  # powers[j] = coords[j]^(p^(i-1-j)) at level i
         for i in range(n):
-            acc = target_ghosts[i]
+            acc = dict(target_ghosts[i])
             for j in range(i):
-                powers[j] = _ppow(powers.get(j, coords[j]), p, base, segs)
-                acc = sparse.add(acc, sparse.scale(powers[j], -(p ** j)))
+                powers[j] = _ppow(powers[j], p, base, segs)
+                add_into(acc, powers[j].items(), -(p ** j))
+                if i == n - 1:
+                    powers[j] = None
             coords.append(sparse.divexact(acc, p ** i))
+            powers.append(coords[i])
         return coords
 
     def check_ghost_compat(self):
@@ -379,6 +382,17 @@ class UniversalWittPolys:
 
         Powers are chained across ghost levels: at level i the j-th summand
         needs polys[j]^(p^(i-j)), one p-th power beyond its level-(i-1) form.
+        Every power is recomputed from the stored polynomials, never taken
+        from the build.  Level i adds the p^j polys[j]^(p^(i-j)) and minus
+        the target into one dict, and holds iff all of it is 0.
+
+        Held at one time, besides the stored polynomials and the targets:
+        that dict and the chained powers of one family; polys[i] is packed
+        only when level i is reached.  At the top level each power is added
+        as soon as it is made and then dropped, and the top polynomial is
+        added while it is packed, so no packed copy of it is kept; that
+        level holds one new power (with its squarings) at a time, besides
+        the level-(n-2) powers not yet raised.
         """
         p, n = self.p, self.n
         base, segs = _layout(p, n)
@@ -386,16 +400,22 @@ class UniversalWittPolys:
                    (self.sum_polys, self.prod_polys, self.neg_polys),
                    self._ghost_targets())
         for name, polys, targets in jobs:
-            polys = [_pack(f, base) for f in polys]
-            powers = {}
+            powers = []
             for i in range(n):
-                acc = None
-                for j in range(i + 1):
-                    powers[j] = (polys[j] if j == i
-                                 else _ppow(powers[j], p, base, segs))
-                    term = sparse.scale(powers[j], p ** j)
-                    acc = term if acc is None else sparse.add(acc, term)
-                if acc != targets[i]:
+                top = i == n - 1
+                acc = {}
+                for j in range(i):
+                    powers[j] = _ppow(powers[j], p, base, segs)
+                    add_into(acc, powers[j].items(), p ** j)
+                    if top:
+                        powers[j] = None
+                if top:
+                    add_into(acc, _packed(polys[i], base), p ** i)
+                else:
+                    powers.append(_pack(polys[i], base))
+                    add_into(acc, powers[i].items(), p ** i)
+                add_into(acc, targets[i].items(), -1)
+                if any(acc.values()):
                     raise IntegralityFailure(
                         "%s polynomial ghost mismatch at %d" % (name, i)
                     )
@@ -536,9 +556,10 @@ class WittVector:
     """A length-n p-typical Witt vector with exact coordinates.
 
     Coordinates are all plain ints (ring Z), all PrimeFieldElem, or all
-    LaurentElem over F_p; mixing is rejected.  Laurent coordinates share one
-    ring (variables and allowed-negative region), and two vectors combine
-    only over the same coordinate ring, as Laurent elements do.
+    LaurentElem over F_p in one ring (variables and allowed-negative
+    region); the constructor raises VariableMismatch on anything else.  Two
+    vectors combine only over the same coordinate ring, as Laurent elements
+    do.
     """
 
     __slots__ = ("p", "n", "coords")
@@ -550,23 +571,22 @@ class WittVector:
         self.p = p
         self.n = n
         self.coords = coords
-        first = None  # the first Laurent coordinate
-        for c in coords:
-            if isinstance(c, LaurentElem):
-                if c.p != p:
+        first = coords[0] if coords else 0
+        kind = type(first)
+        if kind is LaurentElem:
+            ring = p, 1, first.num_vars, first.allowed_negative
+            for c in coords:
+                if type(c) is not kind or (
+                        c.p, c.n, c.num_vars, c.allowed_negative) != ring:
                     raise VariableMismatch(
-                        "coordinate characteristic mismatch")
-                if c.n != 1:
-                    raise VariableMismatch(
-                        "Laurent coordinates must live over F_p")
-                if first is None:
-                    first = c
-                elif (c.num_vars != first.num_vars
-                      or c.allowed_negative != first.allowed_negative):
-                    raise VariableMismatch(
-                        "coordinates in different Laurent rings")
-            elif isinstance(c, PrimeFieldElem) and c.p != p:
-                raise VariableMismatch("coordinate characteristic mismatch")
+                        "coordinates not all Laurent over F_p in one ring")
+        elif kind is PrimeFieldElem:
+            for c in coords:
+                if type(c) is not kind or c.p != p:
+                    raise VariableMismatch("coordinates not all in F_p")
+        elif kind is not int or any(type(c) is not int for c in coords):
+            raise VariableMismatch(
+                "coordinates must be all ints, all in F_p or all Laurent")
 
     # -- helpers --------------------------------------------------------
 

@@ -9,7 +9,7 @@ with R, Phi and V are checked sample-wise and exactly.
 from __future__ import annotations
 
 from .rings import LaurentElem, v_p
-from .weyl import RangeError, WeylElement, apply as weyl_apply, gen_binom
+from .weyl import WeylElement, apply as weyl_apply, gen_binom
 from .witt import (
     LiftedElem,
     NotInImage,
@@ -22,34 +22,6 @@ from .witt import (
     witt_phi,
     witt_scalar_mul,
 )
-
-
-def legendre_factorial_valuation(m, p):
-    """v_p(m!) = sum_i floor(m / p^i)."""
-    total = 0
-    q = p
-    while q <= m:
-        total += m // q
-        q *= p
-    return total
-
-
-def valuation_binom(w, z, p):
-    """Exact v_p(binom(w, z)) together with the lower bound v_p(w) - v_p(z).
-
-    The inequality v_p(binom(w,z)) >= v_p(w) - v_p(z) is asserted.
-    """
-    if not (0 < z <= w):
-        raise RangeError("need 0 < z <= w")
-    val = (
-        legendre_factorial_valuation(w, p)
-        - legendre_factorial_valuation(z, p)
-        - legendre_factorial_valuation(w - z, p)
-    )
-    bound = v_p(w, p) - v_p(z, p)
-    if val < bound:
-        raise ArithmeticError("valuation lemma violated")
-    return val, bound
 
 
 class WittDiffOp:
@@ -251,22 +223,6 @@ def check_relation(which, p, n, d, r, samples, rng, j=0):
                 failures.append(x.to_json())
     return {"relation": which, "p": p, "n": n, "d": d, "r": r,
             "cases": samples, "failures": failures}
-
-
-def image_valuation_check(p, n, d, q_order, samples, rng, j=0):
-    """Images of an order-q operator land in V^(n - v_p(q)) W_(n+1)(A)."""
-    L = n + 1
-    vq = v_p(q_order, p)
-    if vq is None or vq > n:
-        raise ValueError("need v_p(q) <= n")
-    op = partial_op(p, d, j, q_order, L)
-    failures = []
-    for _ in range(samples):
-        x = random_witt_vector(p, L, d, rng)
-        out = apply_witt(op, x)
-        if any(not out.coords[s].is_zero() for s in range(n - vq)):
-            failures.append(x.to_json())
-    return {"order": q_order, "cases": samples, "failures": failures}
 
 
 def random_witt_vector(p, length, d, rng, first_zero=0, poly_only=False):

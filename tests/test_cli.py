@@ -44,6 +44,20 @@ def test_witt_op_roundtrip(tmp_path, capsys):
     assert data["result"]["coords"] == [0, 1]  # [1]+[1] = (0,1) in W_2(F_2)
 
 
+def test_witt_op_refuses_mixed_coordinates(tmp_path, capsys):
+    laurent = LaurentElem(3, 1, 1, {(1,): 1}, (0,)).to_json()
+    vec = {"p": 3, "n": 2, "coords": [laurent, 1]}
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps({"vectors": [vec, vec]}))
+    code = main(["witt", "op", "--op", "add", "--in", str(f)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["type"] == "VariableMismatch"
+    assert "not all Laurent" in err["error"]
+
+
 def test_weyl_nf_command(capsys):
     code, out = run(capsys, "weyl", "nf", "--word", "d0 z0", "--p", "5")
     data = json.loads(out)

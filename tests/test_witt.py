@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,40 @@ def test_process_caches_are_bounded(cached, calls):
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2)])
 def test_ghost_compat_symbolic(p, n):
     assert build_universal_polys(p, n).check_ghost_compat()
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (2, 4)])
+@pytest.mark.parametrize("family,name", [("sum_polys", "sum"),
+                                         ("prod_polys", "product"),
+                                         ("neg_polys", "negation")])
+@pytest.mark.parametrize("where", ["bottom", "middle", "top"])
+def test_ghost_check_catches_a_corrupted_coefficient(p, n, family, name,
+                                                      where):
+    # a fresh instance: the one cached by build_universal_polys stays intact
+    u = UniversalWittPolys(p, n)
+    assert u.check_ghost_compat()
+    i = {"bottom": 0, "middle": n // 2, "top": n - 1}[where]
+    poly = getattr(u, family)[i]
+    e = min(poly)
+    poly[e] += 1
+    message = "^%s polynomial ghost mismatch at %d$" % (name, i)
+    with pytest.raises(IntegralityFailure, match=message):
+        u.check_ghost_compat()
+
+
+def test_ghost_check_peak_memory_stays_below_the_stored_polys():
+    # the check streams its ghost sums and drops the top level's powers:
+    # at (2, 5) its transient peak is about 0.7 times the stored polynomials
+    tracemalloc.start()
+    try:
+        u = UniversalWittPolys(2, 5)
+        stored = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert u.check_ghost_compat()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - stored <= stored
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -1076,6 +1111,24 @@ def test_vectors_over_different_coordinate_rings_are_rejected():
         witt_sum([zero_y, x])
     with pytest.raises(VariableMismatch):
         witt_add(fp_vec(p, 2, [1, 2]), WittVector(p, 2, [1, 2]))
+
+
+def test_mixed_coordinates_are_rejected():
+    p = 3
+    f = LaurentElem(p, 1, 1, {(1,): 1}, (0,))
+    over_z9 = LaurentElem(p, 2, 1, {(1,): 1}, (0,))
+    over_f5 = LaurentElem(5, 1, 1, {(1,): 1}, (0,))
+    one = PrimeFieldElem(p, 1)
+    for coords in ([one, 5], [5, one], ["x", 1], [1, "x"], ["x", "x"],
+                   [f, 1], [1, f], [f, one], [one, f], [1.0, 1.0],
+                   [one, PrimeFieldElem(5, 1)], [f, over_z9],
+                   [over_z9, over_z9], [over_f5, over_f5]):
+        with pytest.raises(VariableMismatch):
+            WittVector(p, 2, coords)
+    for coords in ([1, 5], [one, one], [f, f * 0]):
+        assert WittVector(p, 2, coords).coords == tuple(coords)
+    x = fp_vec(p, 2, [1, 5])
+    assert witt_add(x, x) == witt_add_via_polys(x, x) == fp_vec(p, 2, [2, 2])
 
 
 @given(st.data())

@@ -16,15 +16,12 @@ from wittkit.wittdiff import (
     apply_witt_monomial,
     check_relation,
     i_star,
-    image_valuation_check,
-    legendre_factorial_valuation,
     lift_independence_check,
     lift_operator,
     partial_op,
     random_witt_vector,
     teichmuller_lift_op,
     v_p,
-    valuation_binom,
 )
 
 
@@ -188,6 +185,50 @@ def test_frobenius_power_compatibility():
 
 
 # -- valuations ---------------------------------------------------------------
+
+def legendre_factorial_valuation(m, p):
+    """v_p(m!) = sum_i floor(m / p^i)."""
+    total = 0
+    q = p
+    while q <= m:
+        total += m // q
+        q *= p
+    return total
+
+
+def valuation_binom(w, z, p):
+    """Exact v_p(binom(w, z)) together with the lower bound v_p(w) - v_p(z).
+
+    The inequality v_p(binom(w,z)) >= v_p(w) - v_p(z) is asserted.
+    """
+    if not (0 < z <= w):
+        raise RangeError("need 0 < z <= w")
+    val = (
+        legendre_factorial_valuation(w, p)
+        - legendre_factorial_valuation(z, p)
+        - legendre_factorial_valuation(w - z, p)
+    )
+    bound = v_p(w, p) - v_p(z, p)
+    if val < bound:
+        raise ArithmeticError("valuation lemma violated")
+    return val, bound
+
+
+def image_valuation_check(p, n, d, q_order, samples, rng, j=0):
+    """Images of an order-q operator land in V^(n - v_p(q)) W_(n+1)(A)."""
+    L = n + 1
+    vq = v_p(q_order, p)
+    if vq is None or vq > n:
+        raise ValueError("need v_p(q) <= n")
+    op = partial_op(p, d, j, q_order, L)
+    failures = []
+    for _ in range(samples):
+        x = random_witt_vector(p, L, d, rng)
+        out = apply_witt(op, x)
+        if any(not out.coords[s].is_zero() for s in range(n - vq)):
+            failures.append(x.to_json())
+    return {"order": q_order, "cases": samples, "failures": failures}
+
 
 def test_valuation_binom_examples():
     assert valuation_binom(4, 2, 2) == (1, 1)
