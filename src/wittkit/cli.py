@@ -69,17 +69,15 @@ def cmd_witt_polys(args):
     upw = witt.build_universal_polys(args.p, args.n)
     upw.check_ghost_compat()
 
-    def encode(polys):
-        return [
-            [{"e": list(e), "c": c} for e, c in sorted(poly.items())]
-            for poly in polys
-        ]
+    def encode(name):
+        return [[{"e": list(e), "c": c} for e, c in sorted(poly.items())]
+                for poly in upw.unpacked(name)]
 
     _emit({
         "p": args.p, "n": args.n,
-        "sum": encode(upw.sum_polys),
-        "prod": encode(upw.prod_polys),
-        "neg": encode(upw.neg_polys),
+        "sum": encode("sum_polys"),
+        "prod": encode("prod_polys"),
+        "neg": encode("neg_polys"),
         "ghost_compatible": True,
     }, args)
 
@@ -88,6 +86,8 @@ def cmd_witt_op(args):
     data = _load_json(args.infile)
     xs = [witt.WittVector.from_json(v) for v in data["vectors"]]
     op = args.op
+    if len(xs) < (2 if op in ("add", "mul") else 1):
+        raise ValueError("--op %s: too few vectors (%d)" % (op, len(xs)))
     if op == "add":
         out = witt.witt_add(xs[0], xs[1])
     elif op == "mul":

@@ -21,16 +21,16 @@ Two exponent formats exist.  Tuple keys (one integer per variable, negative
 entries allowed) serve the Laurent covers of Witt vectors, ``LaurentElem``
 and the Weyl algebra: their products are small and many, so a per-call
 conversion would cost more than it saves.  Kronecker-packed integer keys
-serve the universal Witt polynomials: with X_j and Y_j of weight p^j every
-exponent met at level i is at most p^i, so with base 2 p^(n-1) + 1 the
-exponent vector (e_0, e_1, ...) packs into sum e_k * base^k without carries,
-and a product of monomials is a sum of keys.  ``add``, ``scale``,
-``add_into`` and ``divexact`` do not look at keys and serve both formats.
-``_unpack`` turns packed keys back into tuples by half-words: each key is
-split once at the middle variable (for the Witt sum and product, below it
-the X digits, above it the Y digits), and each half is looked up in a
-per-call memo of digit tuples, since the monomials of a universal
-polynomial share few distinct X and Y parts.
+serve the universal Witt polynomials, also as stored: with X_j and Y_j of
+weight p^j every exponent met at level i is at most p^i, so with base
+2 p^(n-1) + 1 the exponent vector (e_0, e_1, ...) packs into
+sum e_k * base^k without carries, and a product of monomials is a sum of
+keys.  ``add``, ``scale``, ``add_into`` and ``divexact`` do not look at
+keys and serve both formats.  ``_half_words`` reads packed keys by halves:
+each key is split once at the middle variable (for the Witt sum and
+product, below it the X digits, above it the Y digits), and each half is
+looked up in a memo, since the monomials of a universal polynomial share
+few distinct X and Y parts.
 
 Packed products are segmented Kronecker products along a segmentation
 (A, B, w): two variables, by place value, and a weight.  Each operand is
@@ -182,48 +182,45 @@ def divexact(a, k):
 # packed exponents
 # ----------------------------------------------------------------------
 
-def _pack(poly, base):
-    """{exponent tuple: c} -> {packed exponent: c}."""
-    return dict(_packed(poly, base))
-
-
-def _packed(poly, base):
-    """The terms of a tuple-keyed polynomial with packed keys, one by one."""
-    for e, c in poly.items():
-        k = 0
-        for x in reversed(e):
-            k = k * base + x
-        yield k, c
-
-
 def _unpack(poly, base, nvars):
-    """{packed exponent: c} -> {exponent tuple: c} in nvars variables.
-
-    Each key is split once at the middle variable, and each half is read
-    from a per-call memo of digit tuples.
-    """
-    low = nvars // 2  # the digits below the split
-    split = base ** low
-    lows, highs = {}, {}
+    """{packed exponent: c} -> {exponent tuple: c} in nvars variables."""
+    split, lows, highs = _half_words(base, nvars)
     out = {}
     for k, c in poly.items():
         hi, lo = divmod(k, split)
-        el = lows.get(lo)
-        if el is None:
-            el = lows[lo] = _digits(lo, base, low)
-        eh = highs.get(hi)
-        if eh is None:
-            eh = highs[hi] = _digits(hi, base, nvars - low)
-        out[el + eh] = c
+        out[lows[lo] + highs[hi]] = c
     return out
+
+
+def _half_words(base, nvars, value=lambda digits, first: digits):
+    """(split, lows, highs): packed keys in nvars variables read by halves.
+
+    hi, lo = divmod(k, split) splits k at the middle variable; lows[lo] and
+    highs[hi] are value(digits, first) of the half's exponent tuple and the
+    index of its first variable, made on first lookup (default: the tuple).
+    """
+    low = nvars // 2  # the digits below the split
+    return (base ** low, _HalfWords(base, low, 0, value),
+            _HalfWords(base, nvars - low, low, value))
+
+
+class _HalfWords(dict):
+    """The memo of one half of :func:`_half_words`."""
+
+    def __init__(self, *args):
+        self.args = args  # base, count, first, value
+
+    def __missing__(self, k):
+        base, count, first, value = self.args
+        v = self[k] = value(_digits(k, base, count), first)
+        return v
 
 
 def _digits(k, base, count):
     """The lowest count base-``base`` digits of k, lowest first."""
-    e = []
-    for _ in range(count):
-        k, x = divmod(k, base)
-        e.append(x)
+    e = [0] * count
+    for i in range(count):
+        k, e[i] = divmod(k, base)
     return tuple(e)
 
 

@@ -31,8 +31,8 @@ from .rings import (
     VariableMismatch,
     is_prime,
 )
-from .sparse import (IntegralityFailure, _digits, _pack, _packed, _pmul,
-                     _ppow, _unpack, add_into)
+from .sparse import (IntegralityFailure, _digits, _half_words, _pmul, _ppow,
+                     _unpack, add_into)
 
 
 class TorsionRing(TypeError):
@@ -166,9 +166,9 @@ def _ghost_inverse(ws, p):
 # universal polynomials, on packed exponents
 # ----------------------------------------------------------------------
 #
-# The universal polynomials are solved and ghost-checked on the
-# Kronecker-packed exponents of wittkit.sparse (base 2 p^(n-1) + 1; the
-# module docstring there says why no digit carries), and stored unpacked.
+# The universal polynomials are solved, ghost-checked, stored and
+# specialized on the Kronecker-packed exponents of wittkit.sparse (base
+# 2 p^(n-1) + 1; the module docstring there says why no digit carries).
 # X_j sits at place value base^j, Y_j at base^(n+j).  The layout is base
 # and the segmentations (Y_0, X_0, 1) and (X_0, X_1, p) of the products.
 
@@ -293,9 +293,10 @@ class UniversalWittPolys:
 
     The recursion solves p^i * S_i = w_i(X) + w_i(Y) - sum_{j<i} p^j S_j^(p^(i-j))
     over Z with a hard exactness assertion, so ghost compatibility holds by
-    construction and all coefficients are certified integers.  The work is
-    done on packed exponents; the stored polynomials are tuple-keyed dicts
-    in the variables X_0..X_{n-1}, Y_0..Y_{n-1} (negation: X only).
+    construction and all coefficients are certified integers.  The stored
+    polynomials are dicts on the packed exponents of ``_layout`` in the
+    variables X_0..X_{n-1}, Y_0..Y_{n-1} (negation: X only), as the solve
+    leaves them; :meth:`unpacked` gives them with exponent tuples.
 
     Values in F_p are specialized through a reduced form of each list
     (:meth:`fp_polys`), built on first use and kept on the instance, which
@@ -316,14 +317,17 @@ class UniversalWittPolys:
                 " over the limit of %d" % (p, n, cost, _MAX_POLY_COST))
         self.p = p
         self.n = n
-        base = _pack_base(p, n)
         sum_t, prod_t, neg_t = self._ghost_targets()
-        self.sum_polys = [_unpack(f, base, 2 * n)
-                          for f in self._solve(sum_t, p)]
-        self.prod_polys = [_unpack(f, base, 2 * n)
-                           for f in self._solve(prod_t, p)]
-        self.neg_polys = [_unpack(f, base, n) for f in self._solve(neg_t, p)]
+        self.sum_polys = self._solve(sum_t, p)
+        self.prod_polys = self._solve(prod_t, p)
+        self.neg_polys = self._solve(neg_t, p)
         self._fp_polys = {}  # name -> reduced form, filled by fp_polys
+
+    def unpacked(self, name):
+        """The list ``name`` ("sum_polys", ...) keyed by exponent tuples."""
+        nvars = self.n if name == "neg_polys" else 2 * self.n
+        return [_unpack(f, _pack_base(self.p, self.n), nvars)
+                for f in getattr(self, name)]
 
     def fp_polys(self, name):
         """The list ``name`` ("sum_polys", ...) reduced for values in F_p.
@@ -335,15 +339,21 @@ class UniversalWittPolys:
         """
         polys = self._fp_polys.get(name)
         if polys is None:
-            p = self.p
+            p, n = self.p, self.n
             # every exponent is at most the top weighted degree p^(n-1)
-            fold = [0] + [1 + k % (p - 1) for k in range(p ** (self.n - 1))]
+            fold = [0] + [1 + k % (p - 1) for k in range(p ** (n - 1))]
+            base = _pack_base(p, n)
+            nvars = n if name == "neg_polys" else 2 * n
+            places = [base ** j for j in range(nvars)]
+            split, lows, highs = _half_words(base, nvars, lambda d, first: sum(
+                map(_mul, map(fold.__getitem__, d), places[first:])))
             polys = []
             for f in getattr(self, name):
                 acc = {}
-                for exps, c in f.items():
+                for k, c in f.items():
                     if c % p:
-                        e = tuple(map(fold.__getitem__, exps))
+                        hi, lo = divmod(k, split)
+                        e = lows[lo] + highs[hi]  # the folded packed key
                         acc[e] = acc.get(e, 0) + c
                 polys.append({e: v for e, c in acc.items() if (v := c % p)})
             self._fp_polys[name] = polys
@@ -387,12 +397,11 @@ class UniversalWittPolys:
         the target into one dict, and holds iff all of it is 0.
 
         Held at one time, besides the stored polynomials and the targets:
-        that dict and the chained powers of one family; polys[i] is packed
-        only when level i is reached.  At the top level each power is added
-        as soon as it is made and then dropped, and the top polynomial is
-        added while it is packed, so no packed copy of it is kept; that
-        level holds one new power (with its squarings) at a time, besides
-        the level-(n-2) powers not yet raised.
+        that dict and the chained powers of one family, whose first power
+        is the stored polynomial itself.  At the top level each power is
+        added as soon as it is made and then dropped, so that level holds
+        one new power (with its squarings) at a time, besides the
+        level-(n-2) powers not yet raised.
         """
         p, n = self.p, self.n
         base, segs = _layout(p, n)
@@ -409,11 +418,8 @@ class UniversalWittPolys:
                     add_into(acc, powers[j].items(), p ** j)
                     if top:
                         powers[j] = None
-                if top:
-                    add_into(acc, _packed(polys[i], base), p ** i)
-                else:
-                    powers.append(_pack(polys[i], base))
-                    add_into(acc, powers[i].items(), p ** i)
+                powers.append(polys[i])
+                add_into(acc, polys[i].items(), p ** i)
                 add_into(acc, targets[i].items(), -1)
                 if any(acc.values()):
                     raise IntegralityFailure(
@@ -443,9 +449,11 @@ class UniversalWittPolys:
         at every point of F_p, in far fewer terms.
         """
         laurent = not isinstance(values[0], int)
+        base = _pack_base(self.p, self.n)
         if laurent and all(len(v) < 2 for v in values):
             return _specialize_one_term(poly, values, q,
-                                        self.p ** (self.n - 1))
+                                        self.p ** (self.n - 1), base)
+        split, lows, highs = _half_words(base, len(values))
         powcache = [{} for _ in values]
 
         def vpow(i, k):
@@ -461,13 +469,14 @@ class UniversalWittPolys:
             return f
 
         acc = {} if laurent else 0
-        for exps, c in poly.items():
+        for k, c in poly.items():
             if q:
                 c %= q
                 if not c:
                     continue
             term = None
-            for i, e in enumerate(exps):
+            hi, lo = divmod(k, split)
+            for i, e in enumerate(lows[lo] + highs[hi]):
                 if e:
                     f = vpow(i, e)
                     if term is None:
@@ -493,7 +502,7 @@ class UniversalWittPolys:
         return {e: c for e, c in acc.items() if c}
 
 
-def _specialize_one_term(poly, values, q, top):
+def _specialize_one_term(poly, values, q, top, base):
     """A stored polynomial at Laurent values that are 0 or one term, mod q.
 
     c X^a takes the coefficient c prod c_i^(a_i), read off per-variable
@@ -501,32 +510,38 @@ def _specialize_one_term(poly, values, q, top):
     exponent (a zero value has the table 1, 0, 0, ...).  Exponent sums are
     linear, so each e_i is packed into an integer of signed digits whose
     base exceeds twice every |sum a_i e_i|: sum a_i is at most the weighted
-    degree, at most 2 top.  Only the distinct result keys are unpacked.
+    degree, at most 2 top.  Both are taken per half-word of the stored key
+    (packed in ``base``); only the distinct result keys are unpacked.
     """
     nvars = next((len(e) for v in values for e in v), 0)
     span = 2 * top * max((abs(x) for v in values for e in v for x in e),
                          default=0)
-    base = 2 * span + 1
+    zbase = 2 * span + 1
     tables, shifts = [], []
     for v in values:
         e, c = next(iter(v.items()), ((), 0))
         tables.append([pow(c, k, q) if q else c ** k for k in range(top + 1)])
-        shifts.append(sum(x * base ** j for j, x in enumerate(e)))
-    const = poly.get((0,) * len(values), 0)
+        shifts.append(sum(x * zbase ** j for j, x in enumerate(e)))
+    const = poly.get(0, 0)
     if const % q if q else const:
         raise IntegralityFailure("unexpected constant monomial")
+    split, lows, highs = _half_words(base, len(values), lambda d, first: (
+        prod(map(getitem, tables[first:], d)),
+        sum(map(_mul, shifts[first:], d))))
     acc = {}
     get = acc.get
-    for exps, c in poly.items():
+    for k, c in poly.items():
         if q:
             c %= q
             if not c:
                 continue
-        key = sum(map(_mul, exps, shifts))
-        acc[key] = get(key, 0) + c * prod(map(getitem, tables, exps))
+        hi, lo = divmod(k, split)
+        (cl, kl), (ch, kh) = lows[lo], highs[hi]
+        key = kl + kh
+        acc[key] = get(key, 0) + c * cl * ch
     # digits shifted by span are the unsigned digits of key + offset
-    offset = span * sum(base ** j for j in range(nvars))
-    return {tuple(x - span for x in _digits(k + offset, base, nvars)): v
+    offset = span * sum(zbase ** j for j in range(nvars))
+    return {tuple(x - span for x in _digits(k + offset, zbase, nvars)): v
             for k, c in acc.items() if (v := c % q if q else c)}
 
 
@@ -642,8 +657,10 @@ class WittVector:
         for c in obj["coords"]:
             if isinstance(c, dict):
                 coords.append(LaurentElem.from_json(c))
-            else:
+            elif type(c) is int:  # not a bool, a float or a string
                 coords.append(PrimeFieldElem(obj["p"], c))
+            else:
+                raise VariableMismatch("coordinate %r is not an int" % (c,))
         return cls(obj["p"], obj["n"], coords)
 
 

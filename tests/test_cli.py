@@ -58,6 +58,32 @@ def test_witt_op_refuses_mixed_coordinates(tmp_path, capsys):
     assert "not all Laurent" in err["error"]
 
 
+def _vec(*coords):
+    return {"p": 3, "n": 2, "coords": list(coords)}
+
+
+@pytest.mark.parametrize("op,vectors,kind,needle", [
+    ("add", [_vec(1, 2)], "ValueError", "--op add: too few vectors (1)"),
+    ("mul", [_vec(1, 2)], "ValueError", "--op mul: too few vectors (1)"),
+    ("frob", [], "ValueError", "--op frob: too few vectors (0)"),
+    ("add", [_vec(1.5, 1)] * 2, "VariableMismatch", "coordinate 1.5 "),
+    ("add", [_vec("a", 1)] * 2, "VariableMismatch", "coordinate 'a' "),
+    ("mul", [_vec(1, True)] * 2, "VariableMismatch", "coordinate True "),
+])
+def test_witt_op_refuses_bad_input(tmp_path, capsys, op, vectors, kind,
+                                   needle):
+    """Too few vectors for the op, and F_p coordinates that are not ints,
+    exit 3 with a JSON error before any arithmetic."""
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps({"vectors": vectors}))
+    code = main(["witt", "op", "--op", op, "--in", str(f)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["type"] == kind and needle in err["error"]
+
+
 def test_weyl_nf_command(capsys):
     code, out = run(capsys, "weyl", "nf", "--word", "d0 z0", "--p", "5")
     data = json.loads(out)

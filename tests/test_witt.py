@@ -12,8 +12,8 @@ from wittkit.rings import (
     ScaleExceeded,
     VariableMismatch,
 )
-from wittkit.sparse import (IntegralityFailure, _kronecker, _pack, _pmul,
-                            _ppow, _psquare, _segments, _slot_width, _unpack)
+from wittkit.sparse import (IntegralityFailure, _kronecker, _pmul, _ppow,
+                            _psquare, _segments, _slot_width, _unpack)
 from wittkit.witt import (
     LiftedElem,
     NotInImage,
@@ -28,6 +28,7 @@ from wittkit.witt import (
     _MAX_POLY_COST,
     _layout,
     _lift,
+    _pack_base,
     _poly_cost,
     _poly_terms_bound,
     _reduce_like,
@@ -52,6 +53,17 @@ from wittkit.witt import (
     witt_sub,
     witt_sum,
 )
+
+
+def _pack(poly, base):
+    """{exponent tuple: c} -> {packed exponent: c}."""
+    out = {}
+    for e, c in poly.items():
+        k = 0
+        for x in reversed(e):
+            k = k * base + x
+        out[k] = c
+    return out
 
 
 def fp_vec(p, n, vals):
@@ -80,25 +92,25 @@ def rnd_laurent_vec(p, n, nv, rng, neg=True):
 # -- universal polynomials -------------------------------------------------
 
 def test_sum_polys_p2():
-    u = build_universal_polys(2, 2)
-    assert u.sum_polys[0] == {(1, 0, 0, 0): 1, (0, 0, 1, 0): 1}
-    assert u.sum_polys[1] == {(0, 1, 0, 0): 1, (0, 0, 0, 1): 1,
-                              (1, 0, 1, 0): -1}
+    sum_polys = build_universal_polys(2, 2).unpacked("sum_polys")
+    assert sum_polys[0] == {(1, 0, 0, 0): 1, (0, 0, 1, 0): 1}
+    assert sum_polys[1] == {(0, 1, 0, 0): 1, (0, 0, 0, 1): 1,
+                            (1, 0, 1, 0): -1}
 
 
 def test_sum_poly_p3():
     u = build_universal_polys(3, 2)
-    assert u.sum_polys[1] == {
+    assert u.unpacked("sum_polys")[1] == {
         (0, 1, 0, 0): 1, (0, 0, 0, 1): 1,
         (2, 0, 1, 0): -1, (1, 0, 2, 0): -1,
     }
 
 
 def test_prod_polys_p2():
-    u = build_universal_polys(2, 2)
-    assert u.prod_polys[0] == {(1, 0, 1, 0): 1}
-    assert u.prod_polys[1] == {(2, 0, 0, 1): 1, (0, 1, 2, 0): 1,
-                               (0, 1, 0, 1): 2}
+    prod_polys = build_universal_polys(2, 2).unpacked("prod_polys")
+    assert prod_polys[0] == {(1, 0, 1, 0): 1}
+    assert prod_polys[1] == {(2, 0, 0, 1): 1, (0, 1, 2, 0): 1,
+                             (0, 1, 0, 1): 2}
 
 
 def test_universal_poly_term_count_p5_n4():
@@ -147,7 +159,8 @@ def test_ghost_check_catches_a_corrupted_coefficient(p, n, family, name,
 
 def test_ghost_check_peak_memory_stays_below_the_stored_polys():
     # the check streams its ghost sums and drops the top level's powers:
-    # at (2, 5) its transient peak is about 0.7 times the stored polynomials
+    # at (2, 5) its transient peak is about 0.7 times the tuple-keyed
+    # polynomials, and the packed ones it stores take half their bytes
     tracemalloc.start()
     try:
         u = UniversalWittPolys(2, 5)
@@ -155,9 +168,33 @@ def test_ghost_check_peak_memory_stays_below_the_stored_polys():
         tracemalloc.reset_peak()
         assert u.check_ghost_compat()
         peak = tracemalloc.get_traced_memory()[1]
+        before = tracemalloc.get_traced_memory()[0]
+        tupled = [u.unpacked(name)
+                  for name in ("sum_polys", "prod_polys", "neg_polys")]
+        tuple_keyed = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert peak - stored <= stored
+    assert sum(map(len, tupled)) == 15
+    assert peak - stored <= tuple_keyed
+    assert stored <= 0.6 * tuple_keyed
+
+
+@given(st.sampled_from([(p, n) for p in (2, 3, 5) for n in (1, 2, 3)]),
+       st.sampled_from(["sum_polys", "prod_polys", "neg_polys"]))
+@settings(max_examples=30, deadline=None)
+def test_property_unpacked_reads_the_stored_polys(shape, name):
+    """The tuple-keyed accessor is the stored packed polynomials read digit
+    by digit, and packs back to them."""
+    p, n = shape
+    upw = build_universal_polys(p, n)
+    stored = getattr(upw, name)
+    base = _pack_base(p, n)
+    nvars = n if name == "neg_polys" else 2 * n
+    got = upw.unpacked(name)
+    assert got == [_unpack(f, base, nvars) for f in stored]
+    assert got == [_ref_unpack(f, base, nvars) for f in stored]
+    assert [_pack(f, base) for f in got] == stored
+    assert all(len(e) == nvars for f in got for e in f)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -238,14 +275,14 @@ def specialize_cases(draw):
 def test_property_specialize_matches_reference(case, which):
     p, n, coords = case
     upw = build_universal_polys(p, n)
-    polys = getattr(upw, which + "_polys")
+    name = which + "_polys"
     if which == "neg":
         coords = coords[:n]
     values = [_lift(c) for c in coords]
     q = 0 if isinstance(coords[0], int) else p
-    for f in polys:
+    for f, ref in zip(getattr(upw, name), upw.unpacked(name)):
         got = upw.specialize(f, values, q)
-        want = _ref_specialize(f, values)
+        want = _ref_specialize(ref, values)
         assert (_reduce_like(got, coords[0], p)
                 == _reduce_like(want, coords[0], p))
 
@@ -261,7 +298,7 @@ def one_term_cases(draw):
     p, n = draw(st.sampled_from([(p, n) for p in (2, 3, 5)
                                  for n in range(1, 5)] + [(2, 6)]))
     which = draw(st.sampled_from(["sum_polys", "prod_polys", "neg_polys"]))
-    poly = getattr(build_universal_polys(p, n), which)[
+    poly = build_universal_polys(p, n).unpacked(which)[
         draw(st.integers(0, n - 1))]
     q = draw(st.sampled_from([0, p]))
     nv = draw(st.integers(1, 3))
@@ -289,7 +326,7 @@ def test_property_one_term_laurent_specialize_matches_reference(case):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(witt, "_specialize_one_term", spy)
-        got = upw.specialize(poly, values, q)
+        got = upw.specialize(_pack(poly, _pack_base(p, n)), values, q)
     assert len(calls) == all(len(v) < 2 for v in values)
     want = _ref_specialize(poly, values)
     if q:
@@ -301,14 +338,15 @@ def test_one_term_specialize_rejects_constant_monomial():
     """Like the general loop, the one-term route raises on a constant
     monomial unless its coefficient vanishes mod q."""
     upw = build_universal_polys(3, 1)
+    base = _pack_base(3, 1)
+    one, three = (_pack({(0, 0): c, (1, 0): 1}, base) for c in (1, 3))
     one_term, two_terms = {(1,): 2}, {(1,): 2, (-1,): 1}
     for values in ([one_term, {}], [two_terms, {}]):
         with pytest.raises(IntegralityFailure):
-            upw.specialize({(0, 0): 1, (1, 0): 1}, values, 3)
+            upw.specialize(one, values, 3)
         with pytest.raises(IntegralityFailure):
-            upw.specialize({(0, 0): 3, (1, 0): 1}, values, 0)
-        assert upw.specialize({(0, 0): 3, (1, 0): 1}, values, 3) == \
-            values[0]
+            upw.specialize(three, values, 0)
+        assert upw.specialize(three, values, 3) == values[0]
 
 
 # -- specialization over F_p through the reduced form, against the full one --
@@ -324,8 +362,8 @@ def test_fp_via_polys_matches_full_specialization(p, n, data):
     the reduction folds."""
     upw = build_universal_polys(p, n)
     if n >= 2:
-        assert max(max(e) for f in upw.sum_polys + upw.prod_polys
-                   + upw.neg_polys for e in f) >= p
+        assert max(max(e) for name in ("sum_polys", "prod_polys", "neg_polys")
+                   for f in upw.unpacked(name) for e in f) >= p
     digit = st.one_of(st.just(0), st.integers(0, p - 1))
     x = fp_vec(p, n, [data.draw(digit) for _ in range(n)])
     y = fp_vec(p, n, [data.draw(digit) for _ in range(n)])
@@ -367,7 +405,8 @@ def test_fp_reduced_form_sizes():
             for name in ("sum_polys", "prod_polys", "neg_polys")] == \
         [1012, 146, 4]
     assert all(0 < c < 5 and all(e < 5 for e in exps)
-               for f in upw.fp_polys("sum_polys") for exps, c in f.items())
+               for f in upw.fp_polys("sum_polys")
+               for exps, c in _unpack(f, _pack_base(5, 4), 8).items())
 
 
 # -- ghost components ------------------------------------------------------
@@ -909,7 +948,7 @@ def test_segmented_routes_of_sum_and_product_polys(monkeypatch):
                                  ((5, 4), "prod_polys", 2, 1),
                                  ((2, 6), "prod_polys", 4, 1)):
         base, segs = _layout(p, n)
-        a = _pack(getattr(build_universal_polys(p, n), poly)[i], base)
+        a = getattr(build_universal_polys(p, n), poly)[i]
         routes.clear()
         _psquare(a, base, segs)
         _pmul(a, a, base, segs)
