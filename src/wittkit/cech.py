@@ -159,7 +159,7 @@ def hd_monomials(d, m):
     """Harmonic basis of H^d(O(m)): exponent vectors <= -1 with sum m."""
     if -m - 1 < d:
         return []
-    return list(graded_basis(d + 1, m, [(m + d, -1)] * (d + 1)))
+    return graded_basis(d + 1, m, [(m + d, -1)] * (d + 1))
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ import os
 import random
 import sys
 import time
+from itertools import islice
 
 from . import (cech, checks, drw, localcoh, rings, steinberg, weyl, witt,
                wittdiff)
@@ -25,17 +26,20 @@ class UnknownSuite(ValueError):
 
 
 def _emit(report, args):
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if getattr(args, "format", "json") == "table":
-        text = _tabulate(report)
+    # JSON is written in blocks, never held whole: a generation report can
+    # list 10^5 missing vectors
     out = getattr(args, "out", None)
-    if out:
-        outdir = os.environ.get("WITTKIT_OUT_DIR", "")
-        path = os.path.join(outdir, out) if outdir else out
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+    fh = (open(os.path.join(os.environ.get("WITTKIT_OUT_DIR", ""), out), "w")
+          if out else sys.stdout)
+    if getattr(args, "format", "json") == "table":
+        fh.write(_tabulate(report))
     else:
-        print(text)
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+        while block := "".join(islice(chunks, 1 << 16)):
+            fh.write(block)
+    fh.write("\n")
+    if out:
+        fh.close()
 
 
 def _tabulate(report, prefix=""):
@@ -84,7 +88,10 @@ def cmd_witt_polys(args):
 
 def cmd_witt_op(args):
     data = _load_json(args.infile)
-    xs = [witt.WittVector.from_json(v) for v in data["vectors"]]
+    vectors = data.get("vectors") if isinstance(data, dict) else None
+    if not isinstance(vectors, list):
+        raise rings.VariableMismatch("the input needs a \"vectors\" list")
+    xs = [witt.WittVector.from_json(v) for v in vectors]
     op = args.op
     if len(xs) < (2 if op in ("add", "mul") else 1):
         raise ValueError("--op %s: too few vectors (%d)" % (op, len(xs)))
@@ -96,10 +103,8 @@ def cmd_witt_op(args):
         out = witt.frobenius(xs[0])
     elif op == "versch":
         out = witt.verschiebung(xs[0])
-    elif op == "teich":
+    else:  # teich
         out = witt.teichmuller(xs[0].coords[0], xs[0].n)
-    else:
-        raise ValueError("unknown op %r" % (op,))
     _emit({"op": op, "result": out.to_json()}, args)
 
 

@@ -24,7 +24,7 @@ class CoefficientVanished(ArithmeticError):
 def _degree_zero(d, j, top, lo, hi):
     """Total degree 0, entries 0..j in [0, top], the rest in [lo, hi]."""
     box = [(0, top)] * (j + 1) + [(lo, hi)] * (d - j)
-    return graded_basis(d + 1, 0, box).basis
+    return graded_basis(d + 1, 0, box)
 
 
 def enumerate_index(d, j, bound):
@@ -178,6 +178,14 @@ def _usable_moves(moves, m, floor, p):
     return tuple(out)
 
 
+def _box_size(d, j, floor):
+    """len(enumerate_index(d, j, floor)), counting sums of j + 1 numerators
+    in [0, floor] against negated sums of d - j entries in [-floor, -1]."""
+    num = sparse.power({(e,): 1 for e in range(floor + 1)}, j + 1)
+    inv = sparse.power({(e,): 1 for e in range(1, floor + 1)}, d - j)
+    return sum(c * inv.get(t, 0) for t, c in num.items())
+
+
 def generation_run(p, d, j, bound, trace=False, strict_claims=None):
     """Run the three-step generation procedure and report coverage.
 
@@ -189,8 +197,10 @@ def generation_run(p, d, j, bound, trace=False, strict_claims=None):
     coefficient is a unit mod p; moves the proof asserts to be units raise
     CoefficientVanished if the assertion fails (under the theorem hypothesis
     p != 2; the experimental p = 2 mode records the falsified claims
-    instead).  Coverage is compared against the brute-force enumeration of I
-    within the bound after each iteration.
+    instead).  Each pass records its ``floor``, the size ``box`` of I
+    within it and how many of those it ``covered``; ``target`` and
+    ``reached`` count the same at the bound.  Sizes are counted, not
+    listed: I is enumerated only to list the ``missing`` vectors, if any.
 
     A move raises a numerator and lowers another entry by the same step; only
     the lowered one is checked, against -floor >= -bound.  A numerator never
@@ -222,7 +232,6 @@ def generation_run(p, d, j, bound, trace=False, strict_claims=None):
     reached = set(index_seed(d, j))
     steps = []
     vanished = []
-    target_all = set(enumerate_index(d, j, bound))
     per_iteration = []
 
     # the move table in the order the moves are tried, one group per raised
@@ -270,21 +279,19 @@ def generation_run(p, d, j, bound, trace=False, strict_claims=None):
                 if usable:
                     w[hi] = u[hi]
                     w[lo] = m
-        box_r = {
-            u for u in target_all if all(abs(x) <= floor for x in u)
-        }
-        missing_r = box_r - reached
-        per_iteration.append(
-            {"iteration": r_iter, "floor": floor,
-             "covered": len(box_r) - len(missing_r), "box": len(box_r),
-             "missing": sorted(missing_r)}
-        )
-    missing = sorted(target_all - reached)
+        # walked vectors have numerators >= 0 and inverted entries < 0, so
+        # those in the box are those with every |u_s| <= floor
+        covered = sum(max(u) <= floor >= -min(u) for u in reached)
+        per_iteration.append({"iteration": r_iter, "floor": floor,
+                              "covered": covered,
+                              "box": _box_size(d, j, floor)})
+    target = _box_size(d, j, bound)
+    covered = sum(max(u) <= bound >= -min(u) for u in reached)
+    missing = [list(u) for u in enumerate_index(d, j, bound)
+               if u not in reached] if covered < target else []
     report = {
         "p": p, "d": d, "j": j, "bound": bound,
-        "target": len(target_all),
-        "reached": len(target_all) - len(missing),
-        "missing": [list(u) for u in missing],
+        "target": target, "reached": covered, "missing": missing,
         "iterations": per_iteration,
         "vanished_claims": vanished,
     }

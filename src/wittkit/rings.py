@@ -6,12 +6,13 @@ its constructor is the ring check (p prime, n >= 1, inverted variables in
 the ring), and ``LaurentElem`` and ``weyl.WeylElement`` subclass it.
 Laurent exponent vectors live in Z^m, with negative exponents allowed only
 for explicitly inverted variables; the ring arithmetic on their terms is
-that of ``wittkit.sparse``.  Graded slices enumerate the exponent vectors of
+that of ``wittkit.sparse``.  ``graded_basis`` lists the exponent vectors of
 one total degree inside a box.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 from . import sparse
@@ -112,6 +113,10 @@ class PrimeFieldElem:
         return "PrimeFieldElem(%d, %d)" % (self.p, self.value)
 
 
+# one shared frozenset per region, in a least-recently-used table of 64
+_region = lru_cache(maxsize=64)(lambda neg: neg)
+
+
 class SparseModElem:
     """A sparse ``{key: residue}`` element over Z/p^n in ``num_vars``
     variables, those in ``allowed_negative`` inverted: the base of
@@ -119,6 +124,10 @@ class SparseModElem:
     validation loop ``_clean_terms`` (which also reduces mod q and drops
     zeros), the per-term JSON hooks ``_key_json``/``_json_key`` and its
     products.
+
+    ``allowed_negative`` is interned by ``_region``, so the elements of
+    one ring share one frozenset.  Regions compare by value, so a region
+    that left that bounded table and came back as a new object matches.
 
     The constructor checks and reduces what it is given: user input and
     random draws go through it.  The trusted ``_trusted`` (any ring) and
@@ -138,7 +147,7 @@ class SparseModElem:
             raise ValueError("modulus %r is not prime" % (p,))
         if n < 1:
             raise ValueError("need n >= 1")
-        self.allowed_negative = neg = frozenset(allowed_negative)
+        self.allowed_negative = neg = _region(frozenset(allowed_negative))
         for i in neg:
             if not 0 <= i < num_vars:
                 raise VariableMismatch("inverted variable %d outside 0..%d"
@@ -156,7 +165,9 @@ class SparseModElem:
                  _new=object.__new__):
         out = _new(cls)
         out.p, out.n, out.num_vars = p, n, num_vars
-        out.allowed_negative = frozenset(allowed_negative)
+        out.allowed_negative = (
+            allowed_negative if type(allowed_negative) is frozenset
+            else _region(frozenset(allowed_negative)))
         out.terms = terms
         return out
 
@@ -308,23 +319,6 @@ class LaurentElem(SparseModElem):
         return " + ".join(bits)
 
 
-class GradedSlice:
-    """All exponent vectors of a fixed total degree inside a finite box."""
-
-    __slots__ = ("degree", "box", "basis")
-
-    def __init__(self, degree, box, basis):
-        self.degree = degree
-        self.box = tuple(tuple(b) for b in box)
-        self.basis = list(basis)
-
-    def __len__(self):
-        return len(self.basis)
-
-    def __iter__(self):
-        return iter(self.basis)
-
-
 def graded_basis(d, m, box):
     """Exponent vectors in Z^d with total degree m, inside per-variable bounds.
 
@@ -350,7 +344,7 @@ def graded_basis(d, m, box):
 
     rec(0, m, [])
     out.sort()
-    return GradedSlice(m, box, out)
+    return out
 
 
 def stars_and_bars(d, m):

@@ -258,9 +258,10 @@ def _basis_size(d, i, bound):
 
 # The most moves localcoh.generation_run may try, by _generation_work.  On a
 # 2-vCPU x86-64 VM, non-strict: (p, d, j, bound) = (5, 4, 1, 11), the
-# benchmark's largest cell, is 1.7e6; (5, 4, 1, 16) 1.1e7 takes 1.7 s;
-# (2, 3, 1, 60) 8.0e7 takes 9.9 s at 92 MB peak RSS, mostly filtering the
-# box of each pass; refused is (5, 4, 1, 26) at 1.2e8, 19.6 s and 187 MB.
+# benchmark's largest cell, is 1.7e6; (5, 4, 1, 16) 1.1e7 takes 0.9 s;
+# (2, 3, 1, 60) 8.0e7 takes 1.0 s at 51 MiB peak RSS, since its walk
+# reaches 96 vectors and each pass's box is counted, not listed; refused
+# is (5, 4, 1, 26) at 1.2e8, 13 s and 161 MiB.
 _MAX_GENERATION_WORK = 10 ** 8
 
 
@@ -653,6 +654,12 @@ class WittVector:
 
     @classmethod
     def from_json(cls, obj):
+        if not (isinstance(obj, dict) and type(obj.get("p")) is int
+                and type(obj.get("n")) is int
+                and isinstance(obj.get("coords"), list)):
+            raise VariableMismatch(
+                "a Witt vector needs int \"p\" and \"n\" and a \"coords\""
+                " list, got %r" % (obj,))
         coords = []
         for c in obj["coords"]:
             if isinstance(c, dict):

@@ -69,6 +69,14 @@ def _vec(*coords):
     ("add", [_vec(1.5, 1)] * 2, "VariableMismatch", "coordinate 1.5 "),
     ("add", [_vec("a", 1)] * 2, "VariableMismatch", "coordinate 'a' "),
     ("mul", [_vec(1, True)] * 2, "VariableMismatch", "coordinate True "),
+    # malformed vector objects
+    ("frob", [{"p": 3, "n": 2, "coords": True}], "VariableMismatch",
+     "a Witt vector needs"),
+    ("frob", [{"p": 3, "coords": [1, 2]}], "VariableMismatch",
+     "a Witt vector needs"),
+    ("frob", [{"p": "3", "n": 2, "coords": [1, 2]}], "VariableMismatch",
+     "a Witt vector needs"),
+    ("frob", [[1, 2]], "VariableMismatch", "a Witt vector needs"),
 ])
 def test_witt_op_refuses_bad_input(tmp_path, capsys, op, vectors, kind,
                                    needle):
@@ -82,6 +90,19 @@ def test_witt_op_refuses_bad_input(tmp_path, capsys, op, vectors, kind,
     assert captured.out == ""
     err = json.loads(captured.err)
     assert err["type"] == kind and needle in err["error"]
+
+
+@pytest.mark.parametrize("doc", [{}, {"vectors": {}}, [_vec(1, 2)], 7])
+def test_witt_op_refuses_input_without_vectors(tmp_path, capsys, doc):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(doc))
+    code = main(["witt", "op", "--op", "frob", "--in", str(f)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["type"] == "VariableMismatch"
+    assert '"vectors" list' in err["error"]
 
 
 def test_weyl_nf_command(capsys):

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittkit.rings import (
-    GradedSlice,
     LaurentElem,
     NegativeExponentViolation,
     PrimeFieldElem,
@@ -107,13 +106,12 @@ def test_graded_basis_stars_and_bars(d, m):
     # non-binding box
     slice_ = graded_basis(d, m, [(0, m)] * d)
     assert len(slice_) == stars_and_bars(d, m)
-    assert slice_.basis == sorted(slice_.basis)
+    assert slice_ == sorted(slice_)
 
 
 def test_graded_slice_invariant():
     s = graded_basis(2, 3, [(0, 2)] * 2)
     assert all(sum(e) == 3 for e in s)
-    assert isinstance(s, GradedSlice)
 
 
 def test_json_roundtrip():
@@ -121,3 +119,21 @@ def test_json_roundtrip():
     assert LaurentElem.from_json(f.to_json()) == f
     assert f.to_json()["terms"] == sorted(f.to_json()["terms"],
                                           key=lambda t: t["e"])
+
+
+def test_elements_of_one_ring_share_their_region():
+    a = LaurentElem(3, 1, 3, {(1, -1, 0): 1}, (1, 2))
+    b = LaurentElem(3, 2, 3, {(0, 0, -2): 2}, [2, 1])
+    c = LaurentElem._trusted(3, 1, 3, {}, range(1, 3))
+    assert a.allowed_negative is b.allowed_negative is c.allowed_negative
+    assert (a * a).allowed_negative is a.allowed_negative
+
+
+def test_region_table_stays_bounded():
+    from wittkit.rings import _region
+    cap = _region.cache_info().maxsize
+    # every subset of 0..6 is a region of the ring in 7 variables
+    for mask in range(2 * cap):
+        neg = [i for i in range(7) if mask >> i & 1]
+        LaurentElem.zero(5, 1, 7, neg)
+    assert _region.cache_info().currsize == cap
