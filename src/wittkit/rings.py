@@ -233,8 +233,13 @@ class SparseModElem:
 
     @classmethod
     def from_json(cls, obj):
-        terms = {cls._json_key(t): t["c"] for t in obj["terms"]}
-        return cls(obj["p"], obj["n"], obj["vars"], terms, obj.get("neg", ()))
+        try:
+            terms = {cls._json_key(t): t["c"] for t in obj["terms"]}
+            ring = obj["p"], obj["n"], obj["vars"]
+        except (KeyError, TypeError):
+            raise VariableMismatch("malformed %s object %r"
+                                   % (cls.__name__, obj)) from None
+        return cls(*ring, terms, obj.get("neg", ()))
 
 
 class LaurentElem(SparseModElem):

@@ -1,19 +1,21 @@
 """Truncated p-typical Witt vectors with exact arithmetic.
 
-Arithmetic is performed by lifting coordinates to a torsion-free cover (Z or
-Z[z^{+-1}]), transporting through ghost components, and inverting the ghost map
-with exact integer divisions.  The values so produced coincide with
-specializations of the universal addition/multiplication polynomials, which are
-also constructed explicitly (and cross-checked in the test suite).
+Over Z and F_p, arithmetic lifts coordinates to Z, transports them through
+ghost components, and inverts the ghost map with exact integer divisions.
+Laurent vectors go through the injective ring map w-tilde: W_n(A) ->
+(Z/p^n)[z^{+-1}] instead, and back by peeling (:func:`tilde_w_inverse`).
+The values so produced coincide with specializations of the universal
+addition/multiplication polynomials, which are also constructed explicitly
+(and cross-checked in the test suite).
 
 The ghost map and its inverse chain p-th powers across levels (the power
 needed at level i is the p-th power of the one used at level i-1) and skip
-zero coordinates.  Since the ghost map is additive, a difference, a sum of
+zero coordinates.  Since both maps are additive, a difference, a sum of
 many vectors and a multiple by an integer each take one round trip:
-ghosts are combined once and inverted once.
+images are combined once and inverted once.
 
-Conventions: a vector of length n has coordinates (a_1, ..., a_n); ghost
-components are w_i = sum_{j<=i} p^j a_{j+1}^{p^(i-j)} for 0 <= i < n.
+Conventions: a vector of length n >= 1 has coordinates (a_1, ..., a_n);
+ghost components are w_i = sum_{j<=i} p^j a_{j+1}^{p^(i-j)} for 0 <= i < n.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, prod
-from operator import getitem, mul as _mul
+from operator import add as _add, getitem, mul as _mul, sub as _sub
 
 from . import sparse
 from .rings import (
@@ -48,7 +50,8 @@ class LengthUnderflow(ValueError):
 
 
 # ----------------------------------------------------------------------
-# integer covers: plain ints for scalars, exponent->int dicts for Laurent
+# integer covers: plain ints for Z and F_p; exponent->int dicts for the
+# Laurent values of the universal polynomials
 # ----------------------------------------------------------------------
 
 def _lift(c):
@@ -57,14 +60,14 @@ def _lift(c):
     if isinstance(c, PrimeFieldElem):
         return c.value
     if isinstance(c, LaurentElem):
-        return c.terms  # shared: the cover arithmetic never mutates
+        return c.terms  # shared: specialize never mutates
     raise TypeError("unsupported coordinate type %r" % type(c))
 
 
 def _reduce_like(cover, template, p):
     """The coordinate in template's ring that the cover reduces to.
 
-    A Laurent cover computed from coordinates of template's ring has its
+    A Laurent cover specialized at coordinates of template's ring has its
     negative exponents inside that ring's region, so it only needs its
     coefficients reduced mod p.
     """
@@ -73,12 +76,8 @@ def _reduce_like(cover, template, p):
     if isinstance(template, PrimeFieldElem):
         return PrimeFieldElem(p, cover % p)
     if isinstance(template, LaurentElem):
-        if isinstance(cover, int):
-            cover = {(0,) * template.num_vars: cover}
-        return LaurentElem._trusted(
-            p, 1, template.num_vars,
-            {e: v for e, c in cover.items() if (v := c % p)},
-            template.allowed_negative)
+        return template._with({e: v for e, c in cover.items()
+                               if (v := c % p)})
     raise TypeError("unsupported coordinate type %r" % type(template))
 
 
@@ -88,64 +87,28 @@ def _vector_from_covers(x, covers):
                                  for c, t in zip(covers, x.coords)])
 
 
-def _cadd(a, b):
-    if isinstance(a, int):
-        return a + b
-    return sparse.add(a, b)
-
-
-def _cmul(a, b):
-    if isinstance(a, int):
-        return a * b
-    return sparse.mul(a, b)
-
-
-def _cscale(k, a):
-    if isinstance(a, int):
-        return k * a
-    return sparse.scale(a, k)
-
-
-def _cpow(a, k):
-    if isinstance(a, int):
-        return a ** k
-    return sparse.power(a, k)
-
-
-def _cdivexact(a, k):
-    if isinstance(a, int):
-        q, r = divmod(a, k)
-        if r:
-            raise IntegralityFailure("non-exact division by %d" % k)
-        return q
-    return sparse.divexact(a, k)
-
-
 def _ghost_from_covers(covers, p):
-    """Ghost components of a lifted coordinate tuple.
+    """Ghost components of a tuple of integers.
 
     Powers are chained across levels: at level i the j-th summand needs
     covers[j]^(p^(i-j)), one p-th power beyond its level-(i-1) form.
     Zero covers contribute nothing and are skipped.
     """
-    zero = 0 if not covers or isinstance(covers[0], int) else {}
     powers = list(covers)
     ws = []
     for i in range(len(covers)):
-        acc = None
+        acc = 0
         for j in range(i + 1):
-            if not powers[j]:
-                continue
-            if j < i:
-                powers[j] = _cpow(powers[j], p)
-            t = _cscale(p ** j, powers[j])
-            acc = t if acc is None else _cadd(acc, t)
-        ws.append(zero if acc is None else acc)
+            if powers[j]:
+                if j < i:
+                    powers[j] **= p
+                acc += p ** j * powers[j]
+        ws.append(acc)
     return ws
 
 
 def _ghost_inverse(ws, p):
-    """Recover Witt coordinates over a torsion-free ring from ghost values.
+    """Recover integer Witt coordinates from ghost values.
 
     The p-th powers of the coordinates already found are chained across
     levels as in :func:`_ghost_from_covers`.
@@ -155,10 +118,13 @@ def _ghost_inverse(ws, p):
     for i, acc in enumerate(ws):
         for j in range(i):
             if powers[j]:
-                powers[j] = _cpow(powers[j], p)
-                acc = _cadd(acc, _cscale(-(p ** j), powers[j]))
-        coords.append(_cdivexact(acc, p ** i))
-        powers.append(coords[-1])
+                powers[j] **= p
+                acc -= p ** j * powers[j]
+        c, r = divmod(acc, p ** i)
+        if r:
+            raise IntegralityFailure("non-exact division by %d" % p ** i)
+        coords.append(c)
+        powers.append(c)
     return coords
 
 
@@ -569,7 +535,7 @@ def _ring(c):
 
 
 class WittVector:
-    """A length-n p-typical Witt vector with exact coordinates.
+    """A length-n p-typical Witt vector with exact coordinates, n >= 1.
 
     Coordinates are all plain ints (ring Z), all PrimeFieldElem, or all
     LaurentElem over F_p in one ring (variables and allowed-negative
@@ -582,12 +548,13 @@ class WittVector:
 
     def __init__(self, p, n, coords):
         coords = tuple(coords)
-        if len(coords) != n:
-            raise VariableMismatch("coordinate count != n")
+        if n < 1 or len(coords) != n:
+            raise VariableMismatch("need n >= 1 and n coordinates, got n ="
+                                   " %r and %d" % (n, len(coords)))
         self.p = p
         self.n = n
         self.coords = coords
-        first = coords[0] if coords else 0
+        first = coords[0]
         kind = type(first)
         if kind is LaurentElem:
             ring = p, 1, first.num_vars, first.allowed_negative
@@ -609,12 +576,12 @@ class WittVector:
     def _check(self, other):
         if self.p != other.p or self.n != other.n:
             raise VariableMismatch("incompatible Witt vectors")
-        if self.coords and _ring(self.coords[0]) != _ring(other.coords[0]):
+        if _ring(self.coords[0]) != _ring(other.coords[0]):
             raise VariableMismatch(
                 "Witt vectors over different coordinate rings")
 
     def _is_char_p(self):
-        return not self.coords or not isinstance(self.coords[0], int)
+        return not isinstance(self.coords[0], int)
 
     def zero_coord(self):
         c = self.coords[0]
@@ -625,7 +592,7 @@ class WittVector:
         return c._with({})  # c is over F_p: __init__ checks c.n == 1
 
     def is_zero(self):
-        return not any(map(_lift, self.coords))
+        return not any(self.coords)
 
     def __eq__(self, other):
         return (
@@ -672,11 +639,18 @@ class WittVector:
 
 
 def _ghosts(x):
+    """x's ghost components over Z or F_p (lifted to Z); for a Laurent
+    vector the one-entry list [w-tilde(x)].  Both maps are injective ring
+    maps, so + - * and integer multiples act on the entries."""
+    if isinstance(x.coords[0], LaurentElem):
+        return [tilde_w(x).value]
     return _ghost_from_covers([_lift(c) for c in x.coords], x.p)
 
 
 def _from_ghosts(x, ws):
-    """The vector over x's coordinate ring with ghost components ws."""
+    """The vector over x's coordinate ring with images ws (see _ghosts)."""
+    if isinstance(x.coords[0], LaurentElem):
+        return tilde_w_inverse(LiftedElem(x.p, x.n, ws[0]))
     return _vector_from_covers(x, _ghost_inverse(ws, x.p))
 
 
@@ -686,20 +660,16 @@ def _binop(x, y, combine):
                             for a, b in zip(_ghosts(x), _ghosts(y))])
 
 
-def _csub(a, b):
-    return _cadd(a, _cscale(-1, b))
-
-
 def witt_add(x, y):
-    return _binop(x, y, _cadd)
+    return _binop(x, y, _add)
 
 
 def witt_mul(x, y):
-    return _binop(x, y, _cmul)
+    return _binop(x, y, _mul)
 
 
 def witt_neg(x):
-    return _from_ghosts(x, [_cscale(-1, g) for g in _ghosts(x)])
+    return _from_ghosts(x, [-g for g in _ghosts(x)])
 
 
 def witt_sub(x, y):
@@ -710,7 +680,7 @@ def witt_sub(x, y):
     if y.is_zero():
         x._check(y)
         return x
-    return _binop(x, y, _csub)
+    return _binop(x, y, _sub)
 
 
 def _via_polys(x, polys, vectors):
@@ -747,15 +717,9 @@ def ghost(x):
 
 def teichmuller(a, n):
     """[a] = (a, 0, ..., 0)."""
-    if isinstance(a, PrimeFieldElem):
-        p = a.p
-        zero = PrimeFieldElem(p, 0)
-    elif isinstance(a, LaurentElem):
-        p = a.p
-        zero = LaurentElem.zero(p, 1, a.num_vars, a.allowed_negative)
-    else:
+    if not isinstance(a, (PrimeFieldElem, LaurentElem)):
         raise TypeError("teichmuller needs a char-p coordinate")
-    return WittVector(p, n, [a] + [zero] * (n - 1))
+    return WittVector(a.p, n, [a] + [a * 0] * (n - 1))
 
 
 def verschiebung(x):
@@ -763,8 +727,6 @@ def verschiebung(x):
 
 
 def restrict(x):
-    if x.n < 1:
-        raise LengthUnderflow("cannot restrict a length-0 vector")
     if x.n == 1:
         raise LengthUnderflow("restriction would produce length 0")
     return WittVector(x.p, x.n - 1, x.coords[:-1])
@@ -795,13 +757,16 @@ def witt_phi(x):
 
 
 def witt_from_int(c, p, n, like=None):
-    """Image of the integer c in W_n(F_p) (or the like-typed constant ring)."""
-    cz = _ghost_inverse([c] * n, p)
-    if like is None:
-        template = PrimeFieldElem(p, 0)
-    else:
-        template = like
-    return WittVector(p, n, [_reduce_like(v, template, p) for v in cz])
+    """Image of the integer c in W_n(F_p) (or the like-typed constant ring).
+
+    Over Laurent coordinates it is the vector w-tilde takes to c.
+    """
+    if isinstance(like, LaurentElem):
+        one = LaurentElem.one(p, n, like.num_vars, like.allowed_negative)
+        return tilde_w_inverse(LiftedElem(p, n, one * c))
+    template = PrimeFieldElem(p, 0) if like is None else like
+    return WittVector(p, n, [_reduce_like(v, template, p)
+                             for v in _ghost_inverse([c] * n, p)])
 
 
 def witt_scalar_mul(c, x):
@@ -811,8 +776,8 @@ def witt_scalar_mul(c, x):
     0 x is the zero vector of x's ring, with no round trip.
     """
     if c == 0:
-        return _vector_from_covers(x, [0] * x.n)
-    return _from_ghosts(x, [_cscale(c, g) for g in _ghosts(x)])
+        return WittVector(x.p, x.n, [x.zero_coord()] * x.n)
+    return _from_ghosts(x, [c * g for g in _ghosts(x)])
 
 
 def witt_zero(p, n, like=None):
@@ -836,7 +801,7 @@ def witt_sum(vectors, p=None, n=None, like=None):
         return it[0] if it else x
     total = _ghosts(it[0])
     for v in it[1:]:
-        total = [_cadd(a, b) for a, b in zip(total, _ghosts(v))]
+        total = [a + b for a, b in zip(total, _ghosts(v))]
     return _from_ghosts(x, total)
 
 

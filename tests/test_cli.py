@@ -77,6 +77,15 @@ def _vec(*coords):
     ("frob", [{"p": "3", "n": 2, "coords": [1, 2]}], "VariableMismatch",
      "a Witt vector needs"),
     ("frob", [[1, 2]], "VariableMismatch", "a Witt vector needs"),
+    # length 0, and Laurent coordinates without terms or a coefficient
+    ("versch", [{"p": 3, "n": 0, "coords": []}], "VariableMismatch",
+     "need n >= 1"),
+    ("teich", [{"p": 3, "n": 0, "coords": []}], "VariableMismatch",
+     "need n >= 1"),
+    ("frob", [_vec({"p": 3, "n": 1}, 1)], "VariableMismatch",
+     "malformed LaurentElem"),
+    ("frob", [_vec({"p": 3, "n": 1, "vars": 1, "terms": [{"e": [1]}]}, 1)],
+     "VariableMismatch", "malformed LaurentElem"),
 ])
 def test_witt_op_refuses_bad_input(tmp_path, capsys, op, vectors, kind,
                                    needle):
@@ -103,6 +112,40 @@ def test_witt_op_refuses_input_without_vectors(tmp_path, capsys, doc):
     err = json.loads(captured.err)
     assert err["type"] == "VariableMismatch"
     assert '"vectors" list' in err["error"]
+
+
+_POLY = {"p": 3, "n": 1, "vars": 1, "terms": [{"e": [1], "c": 1}]}
+_OP = {"p": 3, "n": 1, "vars": 1,
+       "terms": [{"e": [0], "order": [1], "c": 1}]}
+
+
+@pytest.mark.parametrize("argv,op,poly,cls", [
+    (("weyl", "apply"), dict(_OP, terms=[{"c": 1}]), _POLY, "WeylElement"),
+    (("weyl", "apply"), dict(_OP, terms=[{"e": [0], "c": 1}]), _POLY,
+     "WeylElement"),
+    (("weyl", "apply"), dict(_OP, terms=[7]), _POLY, "WeylElement"),
+    (("weyl", "apply"), _OP, {"p": 3, "n": 1, "terms": []}, "LaurentElem"),
+    (("weyl", "apply"), _OP, [1], "LaurentElem"),
+    (("wdiff", "lift", "--n", "1"), {"n": 1, "vars": 1, "terms": []}, None,
+     "WeylElement"),
+])
+def test_malformed_sparse_elements_exit_3(tmp_path, capsys, argv, op, poly,
+                                          cls):
+    """A Weyl or Laurent object missing p, n, vars or terms, or a term
+    missing e, order or c, is refused with a JSON error."""
+    args = list(argv)
+    for flag, obj in (("--op", op), ("--poly", poly)):
+        if obj is not None:
+            f = tmp_path / (flag[2:] + ".json")
+            f.write_text(json.dumps(obj))
+            args += [flag, str(f)]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["type"] == "VariableMismatch"
+    assert "malformed %s" % cls in err["error"]
 
 
 def test_weyl_nf_command(capsys):

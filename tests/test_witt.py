@@ -19,10 +19,6 @@ from wittkit.witt import (
     NotInImage,
     TorsionRing,
     WittVector,
-    _cadd,
-    _cmul,
-    _cpow,
-    _cscale,
     _ghost_from_covers,
     _ghost_inverse,
     _MAX_POLY_COST,
@@ -87,6 +83,126 @@ def rnd_laurent_vec(p, n, nv, rng, neg=True):
             terms[e] = rng.randrange(1, p)
         coords.append(LaurentElem(p, 1, nv, terms, allowed))
     return WittVector(p, n, coords)
+
+
+# -- the ghost route over integer covers: the reference for Laurent vectors --
+#
+# Coordinates lift to covers in Z or Z[z^{+-1}] (exponent->int dicts), ghost
+# components are combined there and the ghost map is inverted with exact
+# divisions.  It never touches w-tilde, so it checks the library's Laurent
+# arithmetic, which goes through w-tilde.
+
+def _cadd(a, b):
+    return a + b if isinstance(a, int) else sparse.add(a, b)
+
+
+def _cmul(a, b):
+    return a * b if isinstance(a, int) else sparse.mul(a, b)
+
+
+def _cscale(k, a):
+    return k * a if isinstance(a, int) else sparse.scale(a, k)
+
+
+def _cpow(a, k):
+    return a ** k if isinstance(a, int) else sparse.power(a, k)
+
+
+def _cdivexact(a, k):
+    if isinstance(a, int):
+        q, r = divmod(a, k)
+        if r:
+            raise IntegralityFailure("non-exact division by %d" % k)
+        return q
+    return sparse.divexact(a, k)
+
+
+def _ref_ghost_from_covers(covers, p):
+    """Ghost components of integer or Laurent covers, powers chained."""
+    zero = 0 if isinstance(covers[0], int) else {}
+    powers = list(covers)
+    ws = []
+    for i in range(len(covers)):
+        acc = None
+        for j in range(i + 1):
+            if not powers[j]:
+                continue
+            if j < i:
+                powers[j] = _cpow(powers[j], p)
+            t = _cscale(p ** j, powers[j])
+            acc = t if acc is None else _cadd(acc, t)
+        ws.append(zero if acc is None else acc)
+    return ws
+
+
+def _ref_ghost_inverse(ws, p):
+    """Integer or Laurent covers with ghost components ws."""
+    coords = []
+    powers = []
+    for i, acc in enumerate(ws):
+        for j in range(i):
+            if powers[j]:
+                powers[j] = _cpow(powers[j], p)
+                acc = _cadd(acc, _cscale(-(p ** j), powers[j]))
+        coords.append(_cdivexact(acc, p ** i))
+        powers.append(coords[-1])
+    return coords
+
+
+def _ref_reduce_like(cover, template, p):
+    """The coordinate in template's ring, through the checked constructors."""
+    if isinstance(template, int):
+        return cover
+    if isinstance(template, PrimeFieldElem):
+        return PrimeFieldElem(p, cover % p)
+    if isinstance(cover, int):
+        cover = {(0,) * template.num_vars: cover}
+    return LaurentElem(p, 1, template.num_vars, cover,
+                       template.allowed_negative)
+
+
+def _ref_from_ghosts(x, ws):
+    covers = _ref_ghost_inverse(ws, x.p)
+    return WittVector(x.p, x.n, [_ref_reduce_like(c, t, x.p)
+                                 for c, t in zip(covers, x.coords)])
+
+
+def _ref_ghosts(x):
+    return _ref_ghost_from_covers([_lift(c) for c in x.coords], x.p)
+
+
+def _ref_binop(x, y, combine):
+    x._check(y)
+    return _ref_from_ghosts(x, list(map(combine, _ref_ghosts(x),
+                                        _ref_ghosts(y))))
+
+
+def _ref_witt_sub(x, y):
+    """One ghost round trip, zero or not."""
+    return _ref_binop(x, y, lambda a, b: _cadd(a, _cscale(-1, b)))
+
+
+def _ref_witt_sum(vectors):
+    """Every summand through the ghost map."""
+    if len(vectors) == 1:
+        return vectors[0]
+    x = vectors[0]
+    total = _ref_ghosts(x)
+    for v in vectors[1:]:
+        x._check(v)
+        total = [_cadd(a, b) for a, b in zip(total, _ref_ghosts(v))]
+    return _ref_from_ghosts(x, total)
+
+
+def _ref_witt_from_int(c, p, n, like):
+    return WittVector(p, n, [_ref_reduce_like(v, like, p)
+                             for v in _ref_ghost_inverse([c] * n, p)])
+
+
+def _identical(u, v):
+    """Equal, with the same coordinate types and Laurent rings."""
+    return (u == v and u.to_json() == v.to_json()
+            and [type(c) for c in u.coords] == [type(c) for c in v.coords])
 
 
 # -- universal polynomials -------------------------------------------------
@@ -588,10 +704,11 @@ def test_tilde_w_ring_homomorphism():
     for _ in range(20):
         x = rnd_laurent_vec(3, 2, 1, rng, neg=False)
         y = rnd_laurent_vec(3, 2, 1, rng, neg=False)
-        assert tilde_w(witt_add(x, y)).value == (
+        # against the ghost route: witt_add and witt_mul go through tilde_w
+        assert tilde_w(_ref_binop(x, y, _cadd)).value == (
             tilde_w(x).value + tilde_w(y).value
         )
-        assert tilde_w(witt_mul(x, y)).value == (
+        assert tilde_w(_ref_binop(x, y, _cmul)).value == (
             tilde_w(x).value * tilde_w(y).value
         )
 
@@ -1046,58 +1163,14 @@ def test_chained_ghost_map_matches_direct_formula(data):
     x = gate_vector(data, p, n, coord)
     covers = [_lift(c) for c in x.coords]
     direct = _direct_ghosts(covers, p)
-    assert _ghost_from_covers(covers, p) == direct
-    assert _ghost_inverse(direct, p) == covers
+    assert _ref_ghost_from_covers(covers, p) == direct
+    assert _ref_ghost_inverse(direct, p) == covers
+    if isinstance(covers[0], int):  # the library's ghost route
+        assert _ghost_from_covers(covers, p) == direct
+        assert _ghost_inverse(direct, p) == covers
 
 
 # -- zero shortcuts and trusted coordinates, against the routes they replaced --
-
-def _ref_reduce_like(cover, template, p):
-    """witt._reduce_like as it stood, through the checked constructors."""
-    if isinstance(template, int):
-        return cover
-    if isinstance(template, PrimeFieldElem):
-        return PrimeFieldElem(p, cover % p)
-    if isinstance(cover, int):
-        cover = {(0,) * template.num_vars: cover}
-    return LaurentElem(p, 1, template.num_vars, cover,
-                       template.allowed_negative)
-
-
-def _ref_from_ghosts(x, ws):
-    covers = _ghost_inverse(ws, x.p)
-    return WittVector(x.p, x.n, [_ref_reduce_like(c, t, x.p)
-                                 for c, t in zip(covers, x.coords)])
-
-
-def _ref_ghosts(x):
-    return _ghost_from_covers([_lift(c) for c in x.coords], x.p)
-
-
-def _ref_witt_sub(x, y):
-    """witt_sub as it stood: one ghost round trip, zero or not."""
-    x._check(y)
-    return _ref_from_ghosts(x, [_cadd(a, _cscale(-1, b)) for a, b
-                                in zip(_ref_ghosts(x), _ref_ghosts(y))])
-
-
-def _ref_witt_sum(vectors):
-    """witt_sum as it stood: every summand through the ghost map."""
-    if len(vectors) == 1:
-        return vectors[0]
-    x = vectors[0]
-    total = _ref_ghosts(x)
-    for v in vectors[1:]:
-        x._check(v)
-        total = [_cadd(a, b) for a, b in zip(total, _ref_ghosts(v))]
-    return _ref_from_ghosts(x, total)
-
-
-def _identical(u, v):
-    """Equal, with the same coordinate types and Laurent rings."""
-    return (u == v and u.to_json() == v.to_json()
-            and [type(c) for c in u.coords] == [type(c) for c in v.coords])
-
 
 def gate_vector_or_zero(data, p, n, coord):
     x = gate_vector(data, p, n, coord)
@@ -1182,7 +1255,10 @@ def test_trusted_reduce_like_matches_constructor(data):
     cover = data.draw(st.one_of(
         st.integers(-50, 50),
         st.dictionaries(exps, st.integers(-50, 50).filter(bool), max_size=5)))
-    got = _reduce_like(cover, template, p)
+    if isinstance(cover, int):  # a constant: witt_from_int peels tilde_w
+        got = witt_from_int(cover, p, 1, like=template).coords[0]
+    else:
+        got = _reduce_like(cover, template, p)
     want = _ref_reduce_like(cover, template, p)
     assert got == want
     assert got.allowed_negative == want.allowed_negative == frozenset(region)
@@ -1316,6 +1392,47 @@ def test_zero_scalar_matches_ghost_round_trip(data):
     want = _ref_from_ghosts(x, [_cscale(0, g) for g in _ref_ghosts(x)])
     assert _identical(witt_scalar_mul(0, x), want)
     assert witt_scalar_mul(0, x).is_zero()
+
+
+@st.composite
+def laurent_op_cases(draw):
+    """Laurent vectors over one ring with an inverted region, 1-2 variables,
+    a list of summands and an integer scalar."""
+    p, n = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
+                                 (5, 2)]))
+    nv = draw(st.integers(1, 2))
+    region = draw(st.sets(st.integers(0, nv - 1)))
+    exps = st.tuples(*[st.integers(-2, 2) if i in region
+                       else st.integers(0, 2) for i in range(nv)])
+    coord = st.builds(lambda terms: LaurentElem(p, 1, nv, terms, region),
+                      st.dictionaries(exps, st.integers(1, p - 1),
+                                      max_size=2))
+    vector = st.builds(lambda cs: WittVector(p, n, cs),
+                       st.lists(coord, min_size=n, max_size=n))
+    return (draw(vector), draw(vector), draw(st.lists(vector, min_size=1,
+                                                      max_size=3)),
+            draw(st.integers(-p ** n, p ** n)))
+
+
+@given(laurent_op_cases())
+@settings(max_examples=150, deadline=None)
+def test_laurent_ops_match_ghost_reference(case):
+    x, y, vs, c = case
+    p, n = x.p, x.n
+    gx = _ref_ghosts(x)
+    pairs = [
+        (witt_add(x, y), _ref_binop(x, y, _cadd)),
+        (witt_mul(x, y), _ref_binop(x, y, _cmul)),
+        (witt_sub(x, y), _ref_witt_sub(x, y)),
+        (witt_neg(x), _ref_from_ghosts(x, [_cscale(-1, g) for g in gx])),
+        (witt_scalar_mul(c, x),
+         _ref_from_ghosts(x, [_cscale(c, g) for g in gx])),
+        (witt_sum(vs), _ref_witt_sum(vs)),
+        (witt_from_int(c, p, n, like=x.coords[0]),
+         _ref_witt_from_int(c, p, n, x.coords[0])),
+    ]
+    for got, want in pairs:
+        assert _identical(got, want)
 
 
 # -- refusing oversized universal-polynomial builds ----------------------------
