@@ -235,11 +235,21 @@ class SparseModElem:
     def from_json(cls, obj):
         try:
             terms = {cls._json_key(t): t["c"] for t in obj["terms"]}
-            ring = obj["p"], obj["n"], obj["vars"]
+            cls._ints(terms.values())
+            ring = cls._ints([obj["p"], obj["n"], obj["vars"]])
+            neg = cls._ints(obj.get("neg", ()))
         except (KeyError, TypeError):
             raise VariableMismatch("malformed %s object %r"
                                    % (cls.__name__, obj)) from None
-        return cls(*ring, terms, obj.get("neg", ()))
+        return cls(*ring, terms, neg)
+
+    @staticmethod
+    def _ints(values):
+        """values as a tuple of plain ints (no bools); TypeError otherwise."""
+        values = tuple(values)
+        if not all(type(v) is int for v in values):
+            raise TypeError("not all ints: %r" % (values,))
+        return values
 
 
 class LaurentElem(SparseModElem):
@@ -277,9 +287,9 @@ class LaurentElem(SparseModElem):
     def _key_json(e):
         return {"e": list(e)}
 
-    @staticmethod
-    def _json_key(t):
-        return tuple(t["e"])
+    @classmethod
+    def _json_key(cls, t):
+        return cls._ints(t["e"])
 
     @classmethod
     def one(cls, p, n, num_vars, allowed_negative=()):

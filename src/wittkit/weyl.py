@@ -25,6 +25,7 @@ call it, and ``wittdiff.apply_witt`` reaches it through ``apply``.
 from __future__ import annotations
 
 from math import comb
+from operator import add as _add
 
 from .rings import (
     LaurentElem,
@@ -79,9 +80,9 @@ class WeylElement(SparseModElem):
     def _key_json(key):
         return {"e": list(key[0]), "order": list(key[1])}
 
-    @staticmethod
-    def _json_key(t):
-        return tuple(t["e"]), tuple(t["order"])
+    @classmethod
+    def _json_key(cls, t):
+        return cls._ints(t["e"]), cls._ints(t["order"])
 
     @classmethod
     def one(cls, p, n, num_vars, allowed_negative=()):
@@ -221,16 +222,17 @@ def _act(op_terms, f_terms, q):
     out = {}
     get = out.get
     for (e, r), c in op_terms.items():
+        orders = [(i, ri) for i, ri in enumerate(r) if ri]
+        shift = [ei - ri for ei, ri in zip(e, r)]
         for u, cu in f_terms.items():
             coeff = c * cu
-            for ui, ri in zip(u, r):
-                if ri:
-                    b = gen_binom(ui, ri) % q
-                    if not b:
-                        break
-                    coeff *= b
+            for i, ri in orders:
+                b = gen_binom(u[i], ri) % q
+                if not b:
+                    break
+                coeff *= b
             else:
-                tgt = tuple([ui - ri + ei for ui, ri, ei in zip(u, r, e)])
+                tgt = tuple(map(_add, u, shift))
                 out[tgt] = (get(tgt, 0) + coeff) % q
     return {t: c for t, c in out.items() if c}
 
@@ -244,9 +246,12 @@ def apply(op, f):
     if op.num_vars != f.num_vars or op.p != f.p or op.n != f.n:
         raise VariableMismatch("operator/function ring mismatch")
     q = f.p ** f.n
-    # f's ring is checked already; the image may still leave its region
-    return f._with(f._clean_terms(_act(op.terms, f.terms, q), q, f.num_vars,
-                                  f.allowed_negative))
+    out = _act(op.terms, f.terms, q)
+    # f's ring is checked already, and _act returns nonzero residues; the
+    # image may leave f's region unless every variable is inverted
+    if len(f.allowed_negative) < f.num_vars:
+        out = f._clean_terms(out, q, f.num_vars, f.allowed_negative)
+    return f._with(out)
 
 
 def theta(p, level, i, j, num_vars=None):

@@ -868,48 +868,52 @@ def tilde_w_inverse(y):
 
     Layer i is rem / p^i mod p; its exponents must be multiples of
     k = p^(L-1-i), and its k-th root is x_(i+1).  One pass over rem takes
-    the layer, then p^i x_(i+1)^k is subtracted from rem in place.  Once
-    rem is zero, the coordinates left are zero.
+    the layer, then p^i x_(i+1)^k is subtracted from rem.  Once rem is
+    zero, the coordinates left are zero.  The last layer, k = 1, is taken
+    in closed form: rem is reduced mod p^L and divisible by p^(L-1), so
+    each residue is p^(L-1) times a unit below p, x_L = rem / p^(L-1), and
+    subtracting p^(L-1) x_L would leave nothing: no remainder survives.
     """
     p, L = y.p, y.level
     mod = p ** L
     f = y.value
     nv, neg = f.num_vars, f.allowed_negative
-    rem = f.terms  # reduced mod p^L, since f.n == L; copied before a change
+    rem = f.terms  # reduced mod p^L, since f.n == L
     coords = []
-    for i in range(L):
+    for i in range(L - 1):
         if not rem:
-            coords += [LaurentElem._trusted(p, 1, nv, {}, neg)] * (L - i)
             break
         k = p ** (L - 1 - i)
         pi = p ** i
         root = {}
         is_power = True
         for e, c in rem.items():
-            c, r = divmod(c, pi)
-            if r:
-                raise NotInImage("stray low p-valuation at layer %d" % i)
+            if i:
+                c, r = divmod(c, pi)
+                if r:
+                    raise NotInImage("stray low p-valuation at layer %d" % i)
             c %= p
             if not c:
                 continue
-            if any(v % k for v in e):
-                is_power = False  # raised once no term has a stray valuation
+            for v in e:
+                if v % k:
+                    is_power = False  # raised after the valuation checks
+                    break
             else:
-                root[tuple(v // k for v in e)] = c
+                root[tuple([v // k for v in e])] = c
         if not is_power:
             raise NotInImage("layer %d is not a %d-th power" % (i, k))
         coords.append(LaurentElem._trusted(p, 1, nv, root, neg))
         if root:
-            rem = dict(rem)
-            get = rem.get
-            for e, c in sparse.power(root, k, mod).items():
-                v = (get(e, 0) - pi * c) % mod
-                if v:
-                    rem[e] = v
-                else:
-                    rem.pop(e, None)
-    if rem:
-        raise NotInImage("nonzero remainder after peeling")
+            sub = sparse.scale(sparse.power(root, k, mod), -pi, mod)
+            rem = sparse.add(rem, sub, mod)
+    else:  # the last layer, k = 1, unless rem ran out first
+        pi = p ** (L - 1)
+        if any(c % pi for c in rem.values()):
+            raise NotInImage("stray low p-valuation at layer %d" % (L - 1))
+        coords.append(LaurentElem._trusted(
+            p, 1, nv, {e: c // pi for e, c in rem.items()}, neg))
+    coords += [LaurentElem._trusted(p, 1, nv, {}, neg)] * (L - len(coords))
     return WittVector(p, L, coords)
 
 

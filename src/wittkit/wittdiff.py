@@ -15,7 +15,6 @@ from .witt import (
     NotInImage,
     WittVector,
     restrict,
-    teichmuller,
     tilde_w,
     tilde_w_inverse,
     verschiebung,
@@ -53,28 +52,6 @@ def lift_operator(base, length):
     lift = WeylElement._trusted(base.p, length, base.num_vars, base.terms,
                                 base.allowed_negative)
     return WittDiffOp(base.p, length, lift, base)
-
-
-def teichmuller_lift_op(base, length):
-    """The Teichmuller lift [sum b_r d^[r]] = sum [b_r] d^[r].
-
-    The Witt scalar [b_r] acts through w-tilde as the p^(length-1)-th power
-    of a coefficient lift, so the realized operator has coefficients
-    lift(b_r)^(p^(length-1)).
-    """
-    p = base.p
-    by_order = {}
-    for (e, r), c in base.terms.items():
-        by_order.setdefault(r, {})[e] = c
-    terms = {}
-    for r, coeff_terms in by_order.items():
-        poly = LaurentElem(p, length, base.num_vars, coeff_terms,
-                           base.allowed_negative)
-        realized = poly ** (p ** (length - 1))
-        terms.update(((e, r), c) for e, c in realized.terms.items())
-    lift = WeylElement._trusted(p, length, base.num_vars, terms,
-                                base.allowed_negative)
-    return WittDiffOp(p, length, lift, base)
 
 
 def partial_op(p, num_vars, j, r, length):
@@ -144,22 +121,6 @@ def monomial_case_split(p, length, j, r, level, scalar, u):
     unit = n_coef // (p ** layer)
     root = tuple(e // step for e in exps)
     return (layer, unit, root)
-
-
-def apply_witt_monomial(p, length, j, r, level, scalar, u, num_vars):
-    """Second-route evaluation returning an honest WittVector."""
-    res = monomial_case_split(p, length, j, r, level, scalar, u)
-    if res is None:
-        zero = LaurentElem.zero(p, 1, num_vars,
-                                allowed_negative=range(num_vars))
-        return WittVector(p, length, [zero] * length)
-    layer, unit, root = res
-    mono = LaurentElem.monomial(p, 1, num_vars, root, 1,
-                                allowed_negative=range(num_vars))
-    out = witt_scalar_mul(unit, teichmuller(mono, length - layer))
-    for _ in range(layer):
-        out = verschiebung(out)
-    return out
 
 
 # ----------------------------------------------------------------------

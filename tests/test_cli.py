@@ -62,6 +62,14 @@ def _vec(*coords):
     return {"p": 3, "n": 2, "coords": list(coords)}
 
 
+def _laurent_vec(e=(1,), c=1, **ring):
+    """A length-1 vector over F_3[z^+-1] with one term c z^e; ring entries
+    override the coordinate's p, n, vars and neg."""
+    coord = dict({"p": 3, "n": 1, "vars": 1, "neg": [0]}, **ring)
+    coord["terms"] = [{"e": list(e), "c": c}]
+    return {"p": 3, "n": 1, "coords": [coord]}
+
+
 @pytest.mark.parametrize("op,vectors,kind,needle", [
     ("add", [_vec(1, 2)], "ValueError", "--op add: too few vectors (1)"),
     ("mul", [_vec(1, 2)], "ValueError", "--op mul: too few vectors (1)"),
@@ -86,6 +94,17 @@ def _vec(*coords):
      "malformed LaurentElem"),
     ("frob", [_vec({"p": 3, "n": 1, "vars": 1, "terms": [{"e": [1]}]}, 1)],
      "VariableMismatch", "malformed LaurentElem"),
+    # Laurent coordinates whose values are not plain ints
+    ("teich", [_laurent_vec(c="x")], "VariableMismatch",
+     "malformed LaurentElem"),
+    ("teich", [_laurent_vec(e=[1.5])], "VariableMismatch",
+     "malformed LaurentElem"),
+    ("teich", [_laurent_vec(c=1.5)], "VariableMismatch",
+     "malformed LaurentElem"),
+    ("teich", [_laurent_vec(p="3")], "VariableMismatch",
+     "malformed LaurentElem"),
+    ("teich", [_laurent_vec(neg=[True])], "VariableMismatch",
+     "malformed LaurentElem"),
 ])
 def test_witt_op_refuses_bad_input(tmp_path, capsys, op, vectors, kind,
                                    needle):
@@ -128,11 +147,20 @@ _OP = {"p": 3, "n": 1, "vars": 1,
     (("weyl", "apply"), _OP, [1], "LaurentElem"),
     (("wdiff", "lift", "--n", "1"), {"n": 1, "vars": 1, "terms": []}, None,
      "WeylElement"),
+    # values that are not plain ints
+    (("weyl", "apply"), dict(_OP, terms=[{"e": [0], "order": [True], "c": 1}]),
+     _POLY, "WeylElement"),
+    (("weyl", "apply"), _OP, dict(_POLY, neg=["0"]), "LaurentElem"),
+    (("weyl", "apply"), _OP, dict(_POLY, vars=1.0), "LaurentElem"),
+    (("wdiff", "lift", "--n", "1"),
+     dict(_OP, terms=[{"e": [0], "order": [1], "c": 1.5}]), None,
+     "WeylElement"),
 ])
 def test_malformed_sparse_elements_exit_3(tmp_path, capsys, argv, op, poly,
                                           cls):
-    """A Weyl or Laurent object missing p, n, vars or terms, or a term
-    missing e, order or c, is refused with a JSON error."""
+    """A Weyl or Laurent object missing p, n, vars or terms, a term
+    missing e, order or c, or any of these that is not a plain int (or a
+    list of them), is refused with a JSON error."""
     args = list(argv)
     for flag, obj in (("--op", op), ("--poly", poly)):
         if obj is not None:

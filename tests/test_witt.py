@@ -1337,7 +1337,7 @@ def lifted_elems(draw):
     k-th power of a root being its Frobenius twist mod p, so the two other
     messages cannot be reached from a reduced input."""
     p = draw(st.sampled_from([2, 3, 5]))
-    L = draw(st.integers(1, 4 if p == 2 else 3 if p == 3 else 2))
+    L = draw(st.integers(1, 3 if p == 5 else 4))
     nv = draw(st.integers(1, 2))
     region = draw(st.sets(st.integers(0, nv - 1)))
     exps = st.tuples(*[st.integers(-2, 2) if v in region

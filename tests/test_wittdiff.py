@@ -5,6 +5,7 @@ import pytest
 from wittkit.rings import LaurentElem
 from wittkit.weyl import RangeError, WeylElement, apply as weyl_apply
 from wittkit.witt import (
+    WittVector,
     restrict,
     teichmuller,
     verschiebung,
@@ -13,14 +14,13 @@ from wittkit.witt import (
 from wittkit.wittdiff import (
     WittDiffOp,
     apply_witt,
-    apply_witt_monomial,
     check_relation,
     i_star,
     lift_independence_check,
     lift_operator,
+    monomial_case_split,
     partial_op,
     random_witt_vector,
-    teichmuller_lift_op,
     v_p,
 )
 
@@ -131,6 +131,22 @@ def test_restriction_kills_coprime_orders():
         x = random_witt_vector(p, n + 1, d, rng)
         out = restrict(apply_witt(op, x))
         assert out.is_zero()
+
+
+def apply_witt_monomial(p, length, j, r, level, scalar, u, num_vars):
+    """Second-route evaluation returning an honest WittVector."""
+    res = monomial_case_split(p, length, j, r, level, scalar, u)
+    if res is None:
+        zero = LaurentElem.zero(p, 1, num_vars,
+                                allowed_negative=range(num_vars))
+        return WittVector(p, length, [zero] * length)
+    layer, unit, root = res
+    mono = LaurentElem.monomial(p, 1, num_vars, root, 1,
+                                allowed_negative=range(num_vars))
+    out = witt_scalar_mul(unit, teichmuller(mono, length - layer))
+    for _ in range(layer):
+        out = verschiebung(out)
+    return out
 
 
 def test_monomial_cross_route():
@@ -263,6 +279,28 @@ def test_image_valuation():
 
 
 # -- Teichmuller lifts of operators -------------------------------------------
+
+def teichmuller_lift_op(base, length):
+    """The Teichmuller lift [sum b_r d^[r]] = sum [b_r] d^[r].
+
+    The Witt scalar [b_r] acts through w-tilde as the p^(length-1)-th power
+    of a coefficient lift, so the realized operator has coefficients
+    lift(b_r)^(p^(length-1)).
+    """
+    p = base.p
+    by_order = {}
+    for (e, r), c in base.terms.items():
+        by_order.setdefault(r, {})[e] = c
+    terms = {}
+    for r, coeff_terms in by_order.items():
+        poly = LaurentElem(p, length, base.num_vars, coeff_terms,
+                           base.allowed_negative)
+        realized = poly ** (p ** (length - 1))
+        terms.update(((e, r), c) for e, c in realized.terms.items())
+    lift = WeylElement._trusted(p, length, base.num_vars, terms,
+                                base.allowed_negative)
+    return WittDiffOp(p, length, lift, base)
+
 
 def test_teichmuller_lift_identity_order_zero():
     base = WeylElement.monomial(3, 1, 1, (0,), (1,))
