@@ -187,12 +187,20 @@ def cmd_drw_basis(args):
 
 def cmd_drw_act(args):
     data = _load_json(args.elem)
-    p, n, d = data["p"], data["n"], data["d"]
-    terms = {}
-    for t in data["terms"]:
-        w = drw.weight_from_json(p, d, t["weight"])
-        parts = tuple(tuple(b) for b in t["partition"])
-        terms[(w.key(), parts)] = t["c"]
+    try:
+        p, n, d = data["p"], data["n"], data["d"]
+        terms = {}
+        for t in data["terms"]:
+            key = (drw.weight_from_json(p, d, t["weight"]).key(),
+                   tuple(tuple(b) for b in t["partition"]))
+            if type(t["c"]) is not int:  # a float, a string or a bool
+                raise rings.VariableMismatch("c = %r is not an int" % (t["c"],))
+            if key in terms:
+                raise rings.VariableMismatch("symbol listed twice: %r" % (t,))
+            terms[key] = t["c"]
+    except (KeyError, TypeError):
+        raise rings.VariableMismatch(
+            "malformed drw element %r" % (data,)) from None
     degree = len(next(iter(terms))[1]) - 1 if terms else data.get("degree", 0)
     elem = drw.DRWElement(p, n, d, degree, terms)
     out = drw.act(args.which, elem)

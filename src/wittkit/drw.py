@@ -15,13 +15,16 @@ level data and a tuple of (symbol, coefficient) pairs sorted by symbol, each
 coefficient reduced mod p^(n-u), u = max(0, -shift).  The ``DRWElement``
 constructor and ``terms`` speak plain ``Weight.key()`` triples; ``act`` and
 ``scalar_mul`` reduce only the coefficients they compute and keep the order
-of the pairs.  No module-level table or cache is kept.
+of the pairs.  No module-level table or cache is kept, and the basis of a
+cell is a ``BasisKeys`` sequence that makes each key when it is asked for.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import product
-from operator import itemgetter
+from math import comb
+from operator import index, itemgetter
 
 from .rings import ScaleExceeded, is_prime, v_p
 from .witt import _MAX_BASIS_SIZE, _basis_size
@@ -69,28 +72,6 @@ class Weight:
         """Support in the canonical order (valuation, then index)."""
         return sorted(self.entries, key=lambda j: (self.entries[j][1], j))
 
-    def is_zero(self):
-        return not self.entries
-
-    def scale_p(self, k):
-        """The weight p^k * r."""
-        return Weight(
-            self.p, self.d, {j: (u, v + k) for j, (u, v) in self.entries.items()}
-        )
-
-    def min_valuation(self):
-        return min(v for (_, v) in self.entries.values())
-
-    def admissible(self, n):
-        """p^(n-1) r integral."""
-        return self.is_zero() or self.min_valuation() >= -(n - 1)
-
-    def restrict(self, subset):
-        return Weight(
-            self.p, self.d,
-            {j: uv for j, uv in self.entries.items() if j in subset},
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, Weight)
@@ -107,15 +88,6 @@ class Weight:
             self.p,
             {j: "%d*p^%d" % (u, v) for j, (u, v) in sorted(self.entries.items())},
         )
-
-
-def t_and_u(weight, subset=None):
-    """t(I) = -min valuation over I (0 for the zero weight); u = max(0, t)."""
-    w = weight if subset is None else weight.restrict(subset)
-    if w.is_zero():
-        return 0, 0
-    t = -w.min_valuation()
-    return t, max(0, t)
 
 
 def enumerate_partitions(weight, i):
@@ -157,19 +129,6 @@ def _partitions(supp, i):
         return [(supp,)]
     return ([cut(sizes, True) for sizes in compos(L, i)]
             + [cut(sizes, False) for sizes in compos(L, i + 1)])
-
-
-def partition_valid(weight, parts):
-    """Check conditions i)-iv) for a candidate partition."""
-    supp = weight.support()
-    flat = [j for blk in parts for j in blk]
-    if sorted(flat) != sorted(supp):
-        return False
-    if any(len(blk) == 0 for blk in parts[1:]):
-        return False
-    order = {j: k for k, j in enumerate(supp)}
-    pos = [order[j] for j in flat]
-    return pos == sorted(pos) and pos == list(range(len(supp)))
 
 
 def _symbol(triples):
@@ -229,15 +188,6 @@ class DRWElement:
     def terms(self):
         return {(_triples(base, shift), parts): c
                 for (base, shift, parts), c in self.pairs}
-
-    @classmethod
-    def basis(cls, p, n, d, weight, parts, coeff=1):
-        if not weight.admissible(n):
-            raise Inadmissible("p^(n-1) r is not integral")
-        if not partition_valid(weight, parts):
-            raise Inadmissible("invalid partition")
-        # the degree equals the number of e^1 factors, i.e. len(parts) - 1
-        return cls(p, n, d, len(parts) - 1, {(weight.key(), parts): coeff})
 
     def is_zero(self):
         return not self.pairs
@@ -362,7 +312,7 @@ def enumerate_basis(p, n, d, i, bound):
 
     Weights are parametrized by a = p^(n-1) r with componentwise numerators
     0 <= a_j <= bound; the pairs are (weight key, partition) keys for the
-    DRWElement constructor.
+    DRWElement constructor, made one at a time by a ``BasisKeys``.
     """
     if not is_prime(p):
         raise ValueError("p = %r is not prime" % (p,))
@@ -376,31 +326,69 @@ def enumerate_basis(p, n, d, i, bound):
             "the basis at d = %d, i = %d, bound = %d has %d elements, over "
             "the limit of %d" % (d, i, bound, size, _MAX_BASIS_SIZE))
     if i > d:
-        return []
+        return BasisKeys(d, i, 0, 0, [])
     # entry[j][a]: the key triple (j, u, v) of r_j = a / p^(n-1), None for 0
     entry = [[None] for _ in range(d)]
     for a in range(1, bound + 1):
         v = v_p(a, p)
         for j in range(d):
             entry[j].append((j, a // p ** v, v - (n - 1)))
-    partitions = {}  # support order -> its partitions; at most sum_k d!/k!
-    out = []
-    for triples in product(*entry):
-        wkey = tuple([t for t in triples if t])
-        if len(wkey) < i:
-            continue
+    return BasisKeys(d, i, max(bound, 0), size, entry)
+
+
+class BasisKeys(Sequence):
+    """The keys of ``enumerate_basis``, in the order of the product of the
+    digits a_0, ..., a_(d-1) (last fastest, 0 first), each weight followed
+    by its partitions.
+
+    Only the ``entry`` table and the partitions of each support order met so
+    far are kept.  ``keys[k]`` decodes one digit at a time: below a prefix
+    lies first the block of the digit 0, then ``bound`` equal blocks, one
+    per nonzero digit, and what is left of k indexes the partitions.
+    """
+
+    def __init__(self, d, i, bound, size, entry):
+        self.d, self.i, self.bound, self.size = d, i, bound, size
+        self.entry = entry
+        self.partitions = {}  # support order -> its partitions; <= sum d!/k!
+
+    def __len__(self):
+        return self.size
+
+    def _parts(self, wkey):
         # support order: by valuation, ties by index (a stable sort of wkey)
-        order = sorted(wkey, key=_valuation)
-        supp = tuple([j for (j, _, _) in order])
-        parts_list = partitions.get(supp)
-        if parts_list is None:
-            parts_list = partitions[supp] = _partitions(supp, i)
-        out += [(wkey, parts) for parts in parts_list]
-    return out
+        supp = tuple([j for (j, _, _) in sorted(wkey, key=_valuation)])
+        parts = self.partitions.get(supp)
+        if parts is None:
+            parts = self.partitions[supp] = _partitions(supp, self.i)
+        return parts
 
+    def __iter__(self):
+        for triples in product(*self.entry):
+            wkey = tuple([t for t in triples if t])
+            if len(wkey) >= self.i:
+                for parts in self._parts(wkey):
+                    yield wkey, parts
 
-def basis_element(p, n, d, wkey, parts):
-    return DRWElement.basis(p, n, d, _weight_from_key(p, d, wkey), parts)
+    def __getitem__(self, k):
+        k = index(k)
+        if k < 0:
+            k += self.size
+        if not 0 <= k < self.size:
+            raise IndexError("basis index out of range")
+        # below[r][t]: the keys under a prefix with t nonzero digits and r
+        # free ones, each free digit 0 or one of ``bound`` nonzero values
+        below = [[comb(t, self.i) for t in range(self.d + 1)]]
+        for r in range(1, self.d):
+            below.append([below[r - 1][t] + self.bound * below[r - 1][t + 1]
+                          for t in range(self.d + 1 - r)])
+        wkey = ()
+        for row, counts in zip(self.entry, reversed(below)):
+            zero = counts[len(wkey)]
+            if k >= zero:
+                a, k = divmod(k - zero, counts[len(wkey) + 1])
+                wkey += (row[a + 1],)
+        return wkey, self._parts(wkey)[k]
 
 
 def weight_to_json(p, d, wkey):

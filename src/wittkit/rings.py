@@ -234,13 +234,16 @@ class SparseModElem:
     @classmethod
     def from_json(cls, obj):
         try:
-            terms = {cls._json_key(t): t["c"] for t in obj["terms"]}
+            pairs = [(cls._json_key(t), t["c"]) for t in obj["terms"]]
+            terms = dict(pairs)
             cls._ints(terms.values())
             ring = cls._ints([obj["p"], obj["n"], obj["vars"]])
             neg = cls._ints(obj.get("neg", ()))
         except (KeyError, TypeError):
             raise VariableMismatch("malformed %s object %r"
                                    % (cls.__name__, obj)) from None
+        if len(terms) < len(pairs):
+            raise VariableMismatch("a term is listed twice in %r" % (obj,))
         return cls(*ring, terms, neg)
 
     @staticmethod

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wittkit import checks
+from wittkit import checks, drw
 from wittkit.cli import UnknownSuite, main, parse_word, run_suite
 from wittkit.rings import LaurentElem
 from wittkit.weyl import WeylElement, apply, apply_word
@@ -174,6 +174,97 @@ def test_malformed_sparse_elements_exit_3(tmp_path, capsys, argv, op, poly,
     err = json.loads(captured.err)
     assert err["type"] == "VariableMismatch"
     assert "malformed %s" % cls in err["error"]
+
+
+_TWICE = [{"e": [1], "c": 1}] * 2
+
+
+@pytest.mark.parametrize("argv,files", [
+    (("witt", "op", "--op", "teich"),
+     {"--in": {"vectors": [{"p": 3, "n": 1, "coords": [
+         dict(_POLY, neg=[0], terms=_TWICE)]}]}}),
+    (("weyl", "apply"), {"--op": _OP, "--poly": dict(_POLY, terms=_TWICE)}),
+    (("wdiff", "lift", "--n", "1"),
+     {"--op": dict(_OP, terms=[{"e": [0], "order": [1], "c": 1}] * 2)}),
+], ids=["witt-op", "weyl-apply", "wdiff-lift"])
+def test_duplicate_sparse_terms_exit_3(tmp_path, capsys, argv, files):
+    """A term listed twice is refused, not read as one copy of it."""
+    args = list(argv)
+    for flag, obj in files.items():
+        f = tmp_path / (flag[2:] + ".json")
+        f.write_text(json.dumps(obj))
+        args += [flag, str(f)]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["type"] == "VariableMismatch"
+    assert "listed twice" in err["error"]
+
+
+def _drw_doc(p, n, d, terms):
+    return {"p": p, "n": n, "d": d, "terms": [
+        {"weight": drw.weight_to_json(p, d, wkey),
+         "partition": [list(b) for b in parts], "c": c}
+        for (wkey, parts), c in terms]}
+
+
+def _drw_act(tmp_path, capsys, which, doc):
+    f = tmp_path / "elem.json"
+    f.write_text(json.dumps(doc))
+    code = main(["drw", "act", "--which", which, "--elem", str(f)])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("which", "FVd")
+def test_drw_act_round_trip(tmp_path, capsys, which):
+    p, n, d, i = 3, 2, 2, 1
+    keys = drw.enumerate_basis(p, n, d, i, 2 * p)
+    terms = [(keys[5], 2), (keys[-7], 4)]
+    code, captured = _drw_act(tmp_path, capsys, which,
+                              _drw_doc(p, n, d, terms))
+    assert code == 0
+    out = json.loads(captured.out)
+    want = drw.act(which, drw.DRWElement(p, n, d, i, dict(terms)))
+    assert want.terms and (out["n"], out["degree"]) == (want.n, want.degree)
+    got = {(drw.weight_from_json(p, d, t["weight"]).key(),
+            tuple(tuple(b) for b in t["partition"])): t["c"]
+           for t in out["terms"]}
+    assert got == want.terms
+
+
+_KEY = (((0, 1, 0), (1, 2, -1)), ((1,), (0,)))
+_ONE = _drw_doc(3, 2, 2, [(_KEY, 1)])
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize("doc,needle", [
+    (_without(_ONE, "p"), "malformed drw element"),
+    (_without(_ONE, "terms"), "malformed drw element"),
+    ([1], "malformed drw element"),
+    (dict(_ONE, terms=[_without(_ONE["terms"][0], "weight")]),
+     "malformed drw element"),
+    (dict(_ONE, terms=[_without(_ONE["terms"][0], "partition")]),
+     "malformed drw element"),
+    (dict(_ONE, terms=[_without(_ONE["terms"][0], "c")]),
+     "malformed drw element"),
+    (_drw_doc(3, 2, 2, [(_KEY, 1.5)]), "is not an int"),
+    (_drw_doc(3, 2, 2, [(_KEY, "1")]), "is not an int"),
+    (_drw_doc(3, 2, 2, [(_KEY, True)]), "is not an int"),
+    (_drw_doc(3, 2, 2, [(_KEY, 1), (_KEY, 1)]), "symbol listed twice"),
+])
+def test_drw_act_refuses_bad_input(tmp_path, capsys, doc, needle):
+    """A document or term missing a key, a c that is not an int and a
+    symbol given twice exit 3 with a JSON error."""
+    code, captured = _drw_act(tmp_path, capsys, "d", doc)
+    assert code == 3
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["type"] == "VariableMismatch" and needle in err["error"]
 
 
 def test_weyl_nf_command(capsys):

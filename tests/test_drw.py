@@ -1,4 +1,7 @@
 import random
+import tracemalloc
+from collections.abc import Sequence
+from itertools import product
 from math import comb
 
 import pytest
@@ -11,22 +14,67 @@ from wittkit.drw import (
     SupportTooSmall,
     Weight,
     act,
-    basis_element,
     enumerate_basis,
     enumerate_partitions,
-    partition_valid,
-    t_and_u,
     weight_from_json,
     weight_to_json,
+    _partitions,
     _symbol,
     _triples,
 )
-from wittkit.rings import ScaleExceeded
+from wittkit.rings import ScaleExceeded, v_p
 from wittkit.witt import _MAX_BASIS_SIZE, _basis_size
 
 
 def W(p, d, **entries):
     return Weight(p, d, {int(k[1:]): v for k, v in entries.items()})
+
+
+# -- weight helpers and the checked constructor of one basis symbol ---------
+
+def scale_p(weight, k):
+    """The weight p^k * r."""
+    return Weight(weight.p, weight.d,
+                  {j: (u, v + k) for j, (u, v) in weight.entries.items()})
+
+
+def restrict(weight, subset):
+    return Weight(weight.p, weight.d,
+                  {j: uv for j, uv in weight.entries.items() if j in subset})
+
+
+def t_and_u(weight, subset=None):
+    """t(I) = -min valuation over I (0 for the zero weight); u = max(0, t)."""
+    w = weight if subset is None else restrict(weight, subset)
+    if not w.entries:
+        return 0, 0
+    t = -min(v for (_, v) in w.entries.values())
+    return t, max(0, t)
+
+
+def partition_valid(weight, parts):
+    """Check conditions i)-iv) for a candidate partition."""
+    supp = weight.support()
+    flat = [j for blk in parts for j in blk]
+    if sorted(flat) != sorted(supp):
+        return False
+    if any(len(blk) == 0 for blk in parts[1:]):
+        return False
+    order = {j: k for k, j in enumerate(supp)}
+    pos = [order[j] for j in flat]
+    return pos == sorted(pos) and pos == list(range(len(supp)))
+
+
+def basis_element(p, n, d, wkey, parts):
+    """The symbol e_n(1, r, P) of a weight key and a partition, refused
+    unless p^(n-1) r is integral and P is valid."""
+    weight = Weight(p, d, {j: (u, v) for (j, u, v) in wkey})
+    if wkey and min(v for (_, _, v) in wkey) < -(n - 1):
+        raise Inadmissible("p^(n-1) r is not integral")
+    if not partition_valid(weight, parts):
+        raise Inadmissible("invalid partition")
+    # the degree equals the number of e^1 factors, i.e. len(parts) - 1
+    return DRWElement(p, n, d, len(parts) - 1, {(weight.key(), parts): 1})
 
 
 def test_t_and_u_examples():
@@ -39,7 +87,7 @@ def test_support_order():
     w = Weight(3, 3, {0: (1, 1), 1: (2, 0), 2: (1, 0)})
     assert w.support() == [1, 2, 0]
     # stable under multiplication by p
-    assert w.scale_p(5).support() == [1, 2, 0]
+    assert scale_p(w, 5).support() == [1, 2, 0]
 
 
 def test_partitions_counts():
@@ -101,7 +149,8 @@ def test_act_f_scalar_p_branch():
 
 
 def test_enumerate_basis_shape():
-    assert enumerate_basis(2, 1, 1, 2, 4) == []  # i > d
+    empty = enumerate_basis(2, 1, 1, 2, 4)  # i > d
+    assert len(empty) == 0 and list(empty) == []
     keys = enumerate_basis(2, 2, 1, 0, 4)
     # weights r with 2r integral, numerator of 2r up to 4: r in {0,1/2,1,3/2,2}
     assert len(keys) == 5
@@ -137,6 +186,79 @@ def test_basis_size_counts_enumerate_basis():
                         keys = enumerate_basis(p, n, d, i, bound)
                         assert _basis_size(d, i, bound) == len(keys), \
                             (p, n, d, i, bound)
+
+
+def _ref_enumerate_basis(p, n, d, i, bound):
+    """The whole key list, built as enumerate_basis did before it returned
+    a lazy sequence: the reference for its keys and their order."""
+    if i > d:
+        return []
+    entry = [[None] for _ in range(d)]
+    for a in range(1, bound + 1):
+        v = v_p(a, p)
+        for j in range(d):
+            entry[j].append((j, a // p ** v, v - (n - 1)))
+    partitions = {}
+    out = []
+    for triples in product(*entry):
+        wkey = tuple([t for t in triples if t])
+        if len(wkey) < i:
+            continue
+        order = sorted(wkey, key=lambda t: t[2])
+        supp = tuple([j for (j, _, _) in order])
+        parts_list = partitions.get(supp)
+        if parts_list is None:
+            parts_list = partitions[supp] = _partitions(supp, i)
+        out += [(wkey, parts) for parts in parts_list]
+    return out
+
+
+def test_basis_keys_match_the_list_builder():
+    """Every key, by iteration and at every index, negative ones included,
+    on p in {2, 3, 5}, n <= 3, d <= 3, i <= d + 1 and five bounds."""
+    for p in (2, 3, 5):
+        for n, d, bound in product((1, 2, 3), range(4),
+                                   sorted({0, 1, 2, p, 2 * p + 1})):
+            for i in range(d + 2):
+                cell = (p, n, d, i, bound)
+                want = _ref_enumerate_basis(*cell)
+                keys = enumerate_basis(*cell)
+                assert isinstance(keys, Sequence)
+                assert len(keys) == len(want), cell
+                assert list(keys) == want, cell
+                assert [keys[k] for k in range(len(want))] == want, cell
+                assert [keys[-1 - k] for k in range(len(want))] \
+                    == want[::-1], cell
+                for k in (len(want), -len(want) - 1):
+                    with pytest.raises(IndexError):
+                        keys[k]
+
+
+_REF_CELLS = {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.data())
+def test_property_basis_keys_index_like_the_list(i, data):
+    cell = (3, 2, 3, i, 22)
+    if cell not in _REF_CELLS:
+        _REF_CELLS[cell] = _ref_enumerate_basis(*cell)
+    want = _REF_CELLS[cell]
+    k = data.draw(st.integers(-len(want), len(want) - 1))
+    # a fresh sequence each time, so each index is decoded from scratch
+    assert enumerate_basis(*cell)[k] == want[k]
+
+
+def test_enumerating_a_large_cell_keeps_no_keys():
+    # the list of the 34,914 keys alone took about 2.9 MiB at peak
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_basis(3, 2, 3, 1, 22))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 34914
+    assert peak < 256 * 1024
 
 
 def test_used_drw_cells_are_under_the_basis_limit():
