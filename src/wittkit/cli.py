@@ -188,11 +188,19 @@ def cmd_drw_basis(args):
 def cmd_drw_act(args):
     data = _load_json(args.elem)
     try:
-        p, n, d = data["p"], data["n"], data["d"]
+        p, n, d = rings.SparseModElem._ints([data["p"], data["n"], data["d"]])
         terms = {}
         for t in data["terms"]:
-            key = (drw.weight_from_json(p, d, t["weight"]).key(),
-                   tuple(tuple(b) for b in t["partition"]))
+            weight = drw.weight_from_json(p, d, t["weight"])
+            parts = tuple(tuple(b) for b in t["partition"])
+            # drw._partitions(support, len(parts) - 1) holds the support in
+            # order cut into blocks, of which only the first may be empty
+            if not (parts and sum(parts, ()) == tuple(weight.support())
+                    and all(parts[1:])):
+                raise rings.VariableMismatch(
+                    "partition %r does not split the support %r in order"
+                    % (t["partition"], weight.support()))
+            key = (weight.key(), parts)
             if type(t["c"]) is not int:  # a float, a string or a bool
                 raise rings.VariableMismatch("c = %r is not an int" % (t["c"],))
             if key in terms:
@@ -201,7 +209,11 @@ def cmd_drw_act(args):
     except (KeyError, TypeError):
         raise rings.VariableMismatch(
             "malformed drw element %r" % (data,)) from None
-    degree = len(next(iter(terms))[1]) - 1 if terms else data.get("degree", 0)
+    degrees = {len(parts) - 1 for _, parts in terms}
+    if len(degrees) > 1:
+        raise rings.VariableMismatch("terms of degrees %s in one element"
+                                     % sorted(degrees))
+    degree = degrees.pop() if terms else data.get("degree", 0)
     elem = drw.DRWElement(p, n, d, degree, terms)
     out = drw.act(args.which, elem)
     _emit({

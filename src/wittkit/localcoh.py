@@ -3,18 +3,23 @@
 H~^(d-j) is realized as the span of symbols V^l([z^u]) where u runs over the
 index set I (nonnegative exponents on z_0..z_j, strictly negative on the
 rest, total degree zero); monomials with a nonnegative exponent in the
-inverted block lie in the Cech image and are killed.  The parabolic P_j and
-the global divided-power operators y_{il}^[r] act on these symbols, and the
-three-step generation algorithm exhausts I from the finite seed module N.
+inverted block lie in the Cech image and are killed.  A class is held as its
+w~ image, a sparse Laurent polynomial over Z/p^n from which one peel reads
+the symbols back.  The parabolic P_j and the global divided-power operators
+y_{il}^[r] act on that image, substitutions and derivatives before the kill
+rule, and the three-step generation algorithm exhausts I from the finite
+seed module N.
 """
 
 from __future__ import annotations
 
+from math import prod
+
 from . import sparse
-from .rings import ScaleExceeded, graded_basis, is_prime
-from .weyl import ChartAtlas, gen_binom
-from .witt import _MAX_GENERATION_WORK, _generation_work, teich_scalar
-from .wittdiff import monomial_case_split, v_p
+from .rings import ScaleExceeded, SparseModElem, graded_basis, is_prime, v_p
+from .weyl import _act, gen_binom
+from .witt import (_MAX_GENERATION_WORK, _MAX_STABILITY_WORK, _generation_work,
+                   _stability_work, teich_scalar)
 
 
 class CoefficientVanished(ArithmeticError):
@@ -37,52 +42,44 @@ def index_seed(d, j):
     return _degree_zero(d, j, d - j, -1, -1) if j < d else []
 
 
-class CohClass:
-    """A finite combination of symbols V^l([lambda z^u]) in local cohomology.
+class CohClass(SparseModElem):
+    """A finite combination of symbols V^l([lambda z^u]) in local cohomology,
+    held as its image under w~, the injective map to (Z/p^n)[z^+-1] that
+    sends V^l([lambda z^u]) to p^l omega(lambda) z^(p^(n-1-l) u).
 
-    Internally a term (l, u) -> lambda means V^l([lambda z^u]) with lambda a
-    unit of F_p.  Integer coefficients fed to the constructor are decomposed
-    into Teichmuller digits: c = sum omega(lambda_i) p^i pushes the digit i
-    to the symbol (l+i, p^i u), since p V^l([M]) = V^(l+1)([M^p]).  Killed
-    monomials (a nonnegative exponent in the inverted block) are dropped.
-    This makes the stored expression canonical.
+    ``terms`` maps d + 1 exponents to residues mod p^n; z_(j+1)..z_d are
+    inverted, and killed monomials (a nonnegative exponent in the inverted
+    block: the Cech image) are dropped.  The constructor takes integer
+    coefficients {(l, u): c}, meaning sum c V^l([z^u]); ``symbols`` reads
+    the canonical Teichmuller digits {(l, u): lambda} back.
     """
 
-    __slots__ = ("p", "n", "d", "j", "terms")
+    __slots__ = ()
+
+    d = property(lambda self: self.num_vars - 1)
+    j = property(lambda self: self.num_vars - 1 - len(self.allowed_negative))
 
     def __init__(self, p, n, d, j, terms):
-        self.p = p
-        self.n = n
-        self.d = d
-        self.j = j
-        # accumulate integer coefficients per symbol, lowest level first
-        acc = {}
+        image = {}
         for (l, u), c in terms.items():
-            if l >= n:
-                continue
-            u = tuple(u)
-            if any(u[s] >= 0 for s in range(j + 1, d + 1)):
-                continue  # kill rule: the monomial lies in the Cech image
-            if any(u[s] < 0 for s in range(j + 1)):
-                raise ValueError("negative numerator exponent in a class")
-            if sum(u) != 0:
-                raise ValueError("class symbols must have total degree zero")
-            key = (l, u)
-            acc[key] = acc.get(key, 0) + c
+            if l < n:
+                v = tuple(x * p ** (n - 1 - l) for x in u)
+                image[v] = image.get(v, 0) + c * p ** l
+        super().__init__(p, n, d + 1, image, range(j + 1, d + 1))
+
+    def _clean_terms(self, terms, q, nv, neg):
         clean = {}
-        for l in range(n):
-            for (ll, u) in sorted(k for k in acc if k[0] == l):
-                c = acc.pop((ll, u)) % (p ** (n - l))
-                if not c:
-                    continue
-                lam = c % p
-                if lam:
-                    clean[(l, u)] = lam
-                carry = (c - teich_scalar(lam, p, n - l)) // p
-                if carry and l + 1 < n:
-                    key = (l + 1, tuple(v * p for v in u))
-                    acc[key] = acc.get(key, 0) + carry
-        self.terms = clean
+        for v, c in terms.items():
+            if any(v[s] >= 0 for s in neg):
+                continue  # kill rule: the monomial lies in the Cech image
+            if any(v[s] < 0 for s in range(nv - len(neg))):
+                raise ValueError("negative numerator exponent in a class")
+            if sum(v) != 0:
+                raise ValueError("class symbols must have total degree zero")
+            c %= q
+            if c:
+                clean[v] = c
+        return clean
 
     @classmethod
     def symbol(cls, p, n, d, j, l, u, coeff=1):
@@ -92,60 +89,38 @@ class CohClass:
     def zero(cls, p, n, d, j):
         return cls(p, n, d, j, {})
 
-    def is_zero(self):
-        return not self.terms
-
-    def _int_terms(self):
-        """Stored digits as plain integer coefficients (omega lifts)."""
-        return {
-            (l, u): teich_scalar(lam, self.p, self.n - l)
-            for (l, u), lam in self.terms.items()
-        }
-
-    def __add__(self, other):
-        terms = sparse.add(self._int_terms(), other._int_terms())
-        return CohClass(self.p, self.n, self.d, self.j, terms)
-
-    def scalar_mul(self, c):
-        terms = sparse.scale(self._int_terms(), c)
-        return CohClass(self.p, self.n, self.d, self.j, terms)
-
-    def __sub__(self, other):
-        return self + other.scalar_mul(-1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CohClass)
-            and (self.p, self.n, self.d, self.j) ==
-            (other.p, other.n, other.d, other.j)
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        return "CohClass(%d terms)" % len(self.terms)
+    def symbols(self):
+        """The peel: a term C z^v lies at the least level k with p^(n-1-k)
+        dividing v, and the Teichmuller digits lambda_i of C / p^k give the
+        symbols (k + i, v / p^(n-1-k-i))."""
+        p, n = self.p, self.n
+        out = {}
+        for v, c in self.terms.items():
+            k = next(k for k in range(n)
+                     if not any(x % p ** (n - 1 - k) for x in v))
+            c, r = divmod(c, p ** k)
+            assert not r, "w~ image term not divisible by p^k"
+            for l in range(k, n):
+                lam = c % p
+                if lam:
+                    out[(l, tuple(x // p ** (n - 1 - l) for x in v))] = lam
+                c = (c - teich_scalar(lam, p, n - l)) // p
+        return out
 
 
 def y_action(i, l_idx, r, c):
-    """Apply y_{i,l_idx}^[r] to a class.
-
-    In the chart V_i the operator is the divided derivative along the
-    coordinate of z_{l_idx}.  Each symbol goes through the w-tilde case
-    split of ``wittdiff.monomial_case_split``; at the top level (n - l = 1)
-    that is the displayed binomial formula, with the unit coeff * binom.
-    """
-    p, n, d, j = c.p, c.n, c.d, c.j
-    atlas = ChartAtlas(d)
-    slot = atlas.chart_vars(i).index(l_idx)
-    out = {}
-    for (l, u), coeff in c._int_terms().items():
-        res = monomial_case_split(p, n - l, slot, r, 0, coeff,
-                                  atlas.to_chart(i, u))
-        if res is None:
-            continue
-        layer, unit, root = res
-        key = (l + layer, atlas.from_chart(i, root))
-        out[key] = out.get(key, 0) + unit
-    return CohClass(p, n, d, j, out)
+    """Apply y_{i,l_idx}^[r], the divided derivative along z_(l_idx) / z_i
+    in the chart V_i.  On degree-0 monomials it is z_i^r d_(l_idx)^[r], and
+    a Witt differential operator acts on w~ images as its lift does
+    (``wittdiff.apply_witt``): so ``weyl._act`` on the image, then the kill
+    rule."""
+    if i == l_idx:
+        raise ValueError("y_{ii} is not a root operator")
+    e, order = (tuple(r * (s == t) for s in range(c.num_vars))
+                for t in (i, l_idx))
+    q = c.p ** c.n
+    out = _act({(e, order): 1}, c.terms, q)
+    return c._with(c._clean_terms(out, q, c.num_vars, c.allowed_negative))
 
 
 # ----------------------------------------------------------------------
@@ -312,66 +287,36 @@ def parabolic_in_pj(kind, args, j, d):
 
 
 def parabolic_action(g, x):
-    """Act by a P_j generator on a CohClass.
+    """Act by a P_j generator on a CohClass, through its w~ image.
 
-    ``g`` is ("torus", (t_0, ..., t_d)) acting on z^m with eigenvalue
-    prod t_s^(-m_s), or ("unipotent", (u, v, c)) substituting
-    z_v -> z_v + c z_u.  The substitution expands z_v^(m_v) by the binomial
-    series sum_k binom(m_v, k) c^k z_v^(m_v-k) z_u^k: a polynomial for
-    m_v >= 0, and for m_v < 0 a series truncated exactly by the kill rule
-    at k < -m_u.  The Teichmuller lift of each resulting sum is read off
-    its image under w~ (_teich_sum_terms), for every prime p, p = 2
-    included.  The integer terms of every symbol are summed into one class.
+    ``g`` is ("torus", (t_0, ..., t_d)), acting on z^m by the eigenvalue
+    prod t_s^(-m_s), or ("unipotent", (u, v, c)), substituting
+    z_v -> z_v + c z_u.  w~ commutes with ring maps lifted to the integers,
+    so a term C z^m is multiplied by the Teichmuller lift of its eigenvalue,
+    or z_v^(m_v) is expanded as sum_k binom(m_v, k) c^k z_v^(m_v-k) z_u^k:
+    for m_v < 0, u and v are both inverted and the kill rule ends the series
+    at k < -m_u.  It kills after the lift, since [a + b] != [a] + [b].
     """
     kind, args = g
     p, n, d, j = x.p, x.n, x.d, x.j
     if not parabolic_in_pj(kind, args, j, d):
         raise ValueError("generator does not lie in P_j")
-    terms = {}
-    for (l, u), coeff in x._int_terms().items():
-        if kind == "torus":
-            lam = 1
-            for s in range(d + 1):
-                lam = (lam * pow(args[s] % p, -u[s], p)) % p
-            img = {(l, u): coeff * teich_scalar(lam, p, n - l)}
-        else:
-            uu, vv, cc = args
-            mv = u[vv]
-            q = {}
-            for k in range(mv + 1 if mv >= 0 else max(0, -u[uu])):
-                b = (gen_binom(mv, k) * pow(cc % p, k, p)) % p
-                if b == 0:
-                    continue
-                e = list(u)
-                e[vv] = mv - k
-                e[uu] += k
-                q[tuple(e)] = b
-            img = _teich_sum_terms(p, n, l, coeff, q)
-        for key, v in img.items():
-            terms[key] = terms.get(key, 0) + v
-    return CohClass(p, n, d, j, terms)
-
-
-def _teich_sum_terms(p, n, l, coeff, q):
-    """coeff * V^l([q]) for q = {e: b} as integer terms {(level, u): c}.
-
-    Read off w~, the injective ring map W_m(F_p[z^+-1]) -> (Z/p^m)[z^+-1]
-    with m = n - l: it sends [q] to q^(p^(m-1)) and V^k([z^u]) to
-    p^k z^(p^(m-1-k) u).  So a term C z^v of q^(p^(m-1)) mod p^m is
-    (C / p^k) V^k([z^(v / p^(m-1-k))]) for the least k with p^(m-1-k) | v,
-    and p^k divides C.  Any prime and any number of summands.
-    """
-    m = n - l
-    terms = {}
-    for v, c in sparse.power(q, p ** (m - 1), p ** m).items():
-        for k in range(m):
-            s = p ** (m - 1 - k)
-            if not any(x % s for x in v):
-                break
-        c, r = divmod(c, p ** k)
-        assert not r, "w~ image term not divisible by p^k"
-        terms[(l + k, tuple(x // s for x in v))] = coeff * c
-    return terms
+    q = p ** n
+    if kind == "torus":
+        return x._with({m: c * teich_scalar(
+            prod(pow(t, -e, p) for t, e in zip(args, m)), p, n) % q
+            for m, c in x.terms.items()})
+    uu, vv, cc = args
+    out = {}
+    for m, c in x.terms.items():
+        mv = m[vv]
+        b = 1  # binom(m_v, k), exact from term to term
+        for k in range(mv + 1 if mv >= 0 else max(0, -m[uu])):
+            e = m[:vv] + (mv - k,) + m[vv + 1:]
+            e = e[:uu] + (m[uu] + k,) + e[uu + 1:]
+            out[e] = out.get(e, 0) + c * b * pow(cc, k, q)
+            b = b * (mv - k) // (k + 1)
+    return x._with(x._clean_terms(out, q, x.num_vars, x.allowed_negative))
 
 
 class GeneratorModule:
@@ -410,7 +355,7 @@ class GeneratorModule:
 
     def contains(self, x):
         return all(
-            self.contains_symbol(l, u) for (l, u) in x.terms
+            self.contains_symbol(l, u) for (l, u) in x.symbols()
         )
 
 
@@ -443,7 +388,23 @@ def pj_generators(p, d, j):
 
 
 def stability_report(p, n, d, j):
-    """Check g.N subset N for every elementary P_j generator."""
+    """Check g.N subset N for every elementary P_j generator.
+
+    A run over the work limit (witt._stability_work) is refused before any
+    of it starts.
+    """
+    if not is_prime(p):
+        raise ValueError("p = %r is not prime" % (p,))
+    if n < 1:
+        raise ValueError("need n >= 1, got n = %d" % n)
+    if not 0 <= j < d:
+        raise ValueError("need 0 <= j < d, got j = %d, d = %d" % (j, d))
+    work = _stability_work(p, n, d, j)
+    if work > _MAX_STABILITY_WORK:
+        raise ScaleExceeded(
+            "the stability check at p = %d, n = %d, d = %d, j = %d could"
+            " expand %d series terms, over the limit of %d"
+            % (p, n, d, j, work, _MAX_STABILITY_WORK))
     mod = GeneratorModule(p, n, d, j)
     failures = []
     gens = pj_generators(p, d, j)

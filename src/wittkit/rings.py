@@ -3,7 +3,8 @@
 Elements are immutable after construction and exact (no floats anywhere).
 ``SparseModElem`` is the one sparse ``{key: residue}`` element over Z/p^n;
 its constructor is the ring check (p prime, n >= 1, inverted variables in
-the ring), and ``LaurentElem`` and ``weyl.WeylElement`` subclass it.
+the ring), and ``LaurentElem``, ``weyl.WeylElement`` and
+``localcoh.CohClass`` subclass it.
 Laurent exponent vectors live in Z^m, with negative exponents allowed only
 for explicitly inverted variables; the ring arithmetic on their terms is
 that of ``wittkit.sparse``.  ``graded_basis`` lists the exponent vectors of
@@ -120,10 +121,10 @@ _region = lru_cache(maxsize=64)(lambda neg: neg)
 class SparseModElem:
     """A sparse ``{key: residue}`` element over Z/p^n in ``num_vars``
     variables, those in ``allowed_negative`` inverted: the base of
-    ``LaurentElem`` and ``weyl.WeylElement``.  A subclass adds its key
-    validation loop ``_clean_terms`` (which also reduces mod q and drops
-    zeros), the per-term JSON hooks ``_key_json``/``_json_key`` and its
-    products.
+    ``LaurentElem``, ``weyl.WeylElement`` and ``localcoh.CohClass``.  A
+    subclass adds its key validation loop ``_clean_terms`` (which also
+    reduces mod q and drops zeros), the per-term JSON hooks
+    ``_key_json``/``_json_key`` and its products.
 
     ``allowed_negative`` is interned by ``_region``, so the elements of
     one ring share one frozenset.  Regions compare by value, so a region

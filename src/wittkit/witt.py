@@ -255,6 +255,29 @@ def _generation_work(p, d, j, bound):
             * (j + 1) * ((d - j) * p + 2 * j))
 
 
+# The most series terms localcoh.stability_report may expand, by
+# _stability_work.  On a 2-vCPU x86-64 VM, (p, n, d, j) = (5, 2, 6, 3) at
+# 1.8e6 and (2, 4, 7, 6) at 1.6e6 take 6.0 and 7.6 s; refused are
+# (7, 3, 4, 1) at 2.9e6, 5.3 s if run, and (7, 4, 6, 0) at 4.7e6, whose
+# generator series run to 2,059 terms.
+_MAX_STABILITY_WORK = 2 * 10 ** 6
+
+
+def _stability_work(p, n, d, j):
+    """An upper bound on the series terms localcoh.stability_report expands.
+
+    It is |generators of N| * |P_j generators| * the longest series.  N
+    holds, for each level l < n and each r <= l, the C(p^r (d - j) + j, j)
+    sums of p^r seeds; P_j has 2 (p - 1) torus generators and p - 1
+    unipotent ones per root outside the block u <= j < v; and the w~ image
+    of a generator has no entry larger than p^(n-1) (d - j) in absolute
+    value, so a substituted series has at most one term more.
+    """
+    gens = sum((n - r) * comb(p ** r * (d - j) + j, j) for r in range(n))
+    pj = (p - 1) * (2 + (d + 1) * d - (j + 1) * (d - j))
+    return gens * pj * (p ** (n - 1) * (d - j) + 1)
+
+
 class UniversalWittPolys:
     """Sum/product/negation polynomials for W_n, built by ghost recursion.
 

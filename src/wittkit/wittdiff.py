@@ -9,7 +9,7 @@ with R, Phi and V are checked sample-wise and exactly.
 from __future__ import annotations
 
 from .rings import LaurentElem, v_p
-from .weyl import WeylElement, apply as weyl_apply, gen_binom
+from .weyl import WeylElement, apply as weyl_apply
 from .witt import (
     LiftedElem,
     NotInImage,
@@ -92,35 +92,6 @@ def apply_witt(op, x):
     y = tilde_w(x)
     z = weyl_apply(op.lift, y.value)
     return tilde_w_inverse(LiftedElem(op.p, op.length, z))
-
-
-def monomial_case_split(p, length, j, r, level, scalar, u):
-    """The explicit case formula on scalar * V^level([z^u]).
-
-    With k = length-1-level, the image monomial
-    p^level * binom(u_j p^k, r) z^(u p^k - r e_j) reenters the Witt vectors
-    at layer length-1-v_p(r) when v_p(r) <= k, and at the original layer
-    otherwise.  Returns (layer, unit, root exponent vector) or None when the
-    image vanishes.
-    """
-    k = length - 1 - level
-    n_coef = scalar * (p ** level) * gen_binom(u[j] * (p ** k), r)
-    n_coef %= p ** length
-    if n_coef == 0:
-        return None
-    exps = tuple(
-        u[s] * (p ** k) - (r if s == j else 0) for s in range(len(u))
-    )
-    vr = v_p(r, p)  # None for r = 0: v_p(0) is +infinity
-    layer = length - 1 - vr if vr is not None and vr <= k else level
-    step = p ** (length - 1 - layer)
-    if any(e % step for e in exps):
-        raise NotInImage("case formula produced a non-split monomial")
-    if n_coef % (p ** layer):
-        raise NotInImage("case formula coefficient valuation too small")
-    unit = n_coef // (p ** layer)
-    root = tuple(e // step for e in exps)
-    return (layer, unit, root)
 
 
 # ----------------------------------------------------------------------

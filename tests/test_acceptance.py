@@ -335,8 +335,10 @@ def test_criterion_10_generation_algorithm():
     reason="falsified claim at n = 2: the unipotent radical of P_j "
            "escapes N — z_0 -> z_0 + z_1 on [z^(2,-1,-1)] produces the "
            "cross term V([z^(5,-2,-3)]), a nonzero class outside N (its "
-           "level-1 digit lies in neither chart subring); the Levi and "
-           "torus generators do stabilize N — see the README",
+           "level-1 digit lies in neither chart subring); so does the "
+           "Levi block of z_1, z_2 at j = 0 — z_2 -> z_2 + z_1 gives "
+           "V([2 z^(6,-2,-4)]) and V([2 z^(6,-1,-5)]); the torus "
+           "stabilizes N — see the README",
 )
 def test_criterion_11_n_stability():
     t0 = time.time()

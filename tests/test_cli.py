@@ -1,4 +1,5 @@
 import json
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -256,15 +257,46 @@ def _without(obj, key):
     (_drw_doc(3, 2, 2, [(_KEY, "1")]), "is not an int"),
     (_drw_doc(3, 2, 2, [(_KEY, True)]), "is not an int"),
     (_drw_doc(3, 2, 2, [(_KEY, 1), (_KEY, 1)]), "symbol listed twice"),
+    (dict(_ONE, n="2"), "malformed drw element"),
+    # the support order of _KEY's weight is 1, 0 (valuation -1 first)
+    (_drw_doc(3, 2, 2, [((_KEY[0], ((0,), (1,))), 1)]),
+     "does not split the support [1, 0] in order"),
+    (_drw_doc(3, 2, 2, [((_KEY[0], ()), 1)]), "does not split the support"),
+    (_drw_doc(3, 2, 2, [(_KEY, 1), ((_KEY[0], ((1, 0),)), 1)]),
+     "terms of degrees [0, 1] in one element"),
 ])
 def test_drw_act_refuses_bad_input(tmp_path, capsys, doc, needle):
-    """A document or term missing a key, a c that is not an int and a
-    symbol given twice exit 3 with a JSON error."""
+    """A document or term missing a key, a p, n, d or c that is not an int,
+    a symbol given twice, a partition that is not one of drw._partitions
+    for its support order and terms of two degrees exit 3 with a JSON
+    error."""
     code, captured = _drw_act(tmp_path, capsys, "d", doc)
     assert code == 3
     assert captured.out == ""
     err = json.loads(captured.err)
     assert err["type"] == "VariableMismatch" and needle in err["error"]
+
+
+def test_drw_act_accepts_exactly_drw_partitions(tmp_path, capsys):
+    """Every sequence of one to four blocks that concatenates to an order of
+    a support in order (1, 0, 2) is accepted by drw act exactly when it is
+    one of drw._partitions for its degree."""
+    weight = [[1, 0], [2, -1], [1, 1]]
+    supp = (1, 0, 2)
+    seen = set()
+    for order in permutations(supp):
+        for blocks in range(1, 5):
+            for cuts in combinations_with_replacement(range(4), blocks - 1):
+                ends = (0,) + cuts + (3,)
+                parts = tuple(order[a:b] for a, b in zip(ends, ends[1:]))
+                member = parts in drw._partitions(supp, blocks - 1)
+                seen.add(member)
+                doc = {"p": 3, "n": 2, "d": 3, "terms": [
+                    {"weight": weight, "partition": [list(b) for b in parts],
+                     "c": 1}]}
+                code, _ = _drw_act(tmp_path, capsys, "d", doc)
+                assert code == (0 if member else 3), parts
+    assert seen == {True, False}
 
 
 def test_weyl_nf_command(capsys):
@@ -331,6 +363,14 @@ def test_weyl_nf_laurent_word(capsys):
     pytest.param(("verify", "wdiff-relations", "--p", "2", "--n", "1",
                   "--samples", "0"), "samples = 0",
                  id="wdiff-relations-no-samples"),
+    pytest.param(("localcoh", "stability", "--p", "3", "--n", "2", "--d", "2",
+                  "--j", "2"), "j = 2, d = 2", id="stability-j-not-below-d"),
+    pytest.param(("localcoh", "stability", "--p", "3", "--n", "2", "--d", "0",
+                  "--j", "0"), "j = 0, d = 0", id="stability-d0"),
+    pytest.param(("localcoh", "stability", "--p", "3", "--n", "0", "--d", "2",
+                  "--j", "0"), "need n >= 1, got n = 0", id="stability-n0"),
+    pytest.param(("localcoh", "stability", "--p", "4", "--n", "2", "--d", "2",
+                  "--j", "0"), "p = 4 is not prime", id="stability-p4"),
 ])
 def test_library_errors_exit_3_with_json(capsys, argv, needle):
     code = main(list(argv))
@@ -353,6 +393,17 @@ def test_oversized_polys_exit_3_before_any_work(capsys):
     err = json.loads(lines[0])
     assert err["type"] == "ScaleExceeded"
     assert "p = 7, n = 4" in err["error"]
+
+
+def test_oversized_stability_exits_3(capsys):
+    code = main(["localcoh", "stability", "--p", "7", "--n", "4", "--d", "6",
+                 "--j", "0"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["type"] == "ScaleExceeded"
+    assert "4694520 series terms" in err["error"]
 
 
 def test_oversized_drw_basis_exits_3_before_enumerating(capsys, monkeypatch):

@@ -1,16 +1,16 @@
 import random
-from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from test_wittdiff import monomial_case_split
+from wittkit import sparse
 from wittkit.localcoh import (
     CoefficientVanished,
     _box_size,
-    _teich_sum_terms,
     CohClass,
     GeneratorModule,
     enumerate_index,
@@ -23,7 +23,7 @@ from wittkit.localcoh import (
     stability_report,
     y_action,
 )
-from wittkit.rings import LaurentElem, ScaleExceeded, VariableMismatch
+from wittkit.rings import LaurentElem, ScaleExceeded
 from wittkit.weyl import (
     ChartAtlas,
     ChartOperator,
@@ -34,16 +34,19 @@ from wittkit.weyl import (
 from wittkit.witt import (
     teich_scalar,
     teichmuller,
+    tilde_w,
     verschiebung,
     witt_mul,
     witt_scalar_mul,
     witt_sub,
     witt_sum,
     _MAX_GENERATION_WORK,
+    _MAX_STABILITY_WORK,
     _generation_walk_size,
     _generation_work,
+    _stability_work,
 )
-from wittkit.wittdiff import apply_witt, monomial_case_split, partial_op
+from wittkit.wittdiff import apply_witt, partial_op
 
 
 # -- index sets --------------------------------------------------------------
@@ -89,12 +92,13 @@ def test_kill_rule():
 
 def test_identity_on_index_region():
     c = CohClass(3, 2, 2, 0, {(0, (2, -1, -1)): 1})
-    assert c.terms == {(0, (2, -1, -1)): 1}
+    assert c.symbols() == {(0, (2, -1, -1)): 1}
+    assert c.terms == {(6, -3, -3): 1}  # the w~ image z^(p^(n-1) u)
 
 
 def test_p_rescale():
     c = CohClass.symbol(3, 2, 2, 0, 0, (2, -1, -1)).scalar_mul(3)
-    assert c.terms == {(1, (6, -3, -3)): 1}
+    assert c.symbols() == {(1, (6, -3, -3)): 1}
     # p^n * anything dies
     assert CohClass.symbol(3, 2, 2, 0, 0, (2, -1, -1)).scalar_mul(9).is_zero()
 
@@ -129,7 +133,7 @@ def test_class_addition_matches_witt_arithmetic():
             w = x if w is None else witt_add(w, x)
         # evaluate the canonical class back and compare
         parts = []
-        for (l, u), lam in sorted(cl.terms.items()):
+        for (l, u), lam in sorted(cl.symbols().items()):
             ce = tuple(u[s] for s in chart_vars)
             mono = LaurentElem.monomial(p, 1, d, ce, lam,
                                         allowed_negative=range(d))
@@ -148,7 +152,7 @@ def test_class_addition_matches_witt_arithmetic():
 def test_y_action_classical_example():
     x = CohClass.symbol(3, 1, 2, 0, 0, (2, -1, -1))
     out = y_action(0, 1, 1, x)
-    assert out.terms == {(0, (3, -2, -1)): 2}  # binom(-1,1) = -1 = 2 mod 3
+    assert out.symbols() == {(0, (3, -2, -1)): 2}  # binom(-1,1) = -1 = 2 mod 3
 
 
 def test_y_action_order_zero_is_identity():
@@ -170,7 +174,8 @@ def test_y_action_commutes_with_v():
         x0 = CohClass.symbol(p, n - 1, 2, 0, 0, (2, -1, -1))
         lhs = y_action(0, 1, 1, x1)
         rhs = y_action(0, 1, 1, x0)
-        assert lhs.terms == {(l + 1, u): c for (l, u), c in rhs.terms.items()}
+        assert lhs.symbols() == {(l + 1, u): c
+                                 for (l, u), c in rhs.symbols().items()}
 
 
 def test_y_action_cross_oracle():
@@ -213,6 +218,14 @@ def test_y_action_cross_oracle():
                 raw[key] = (raw.get(key, 0)
                             + coeff * teich_scalar(cc, p, n - l - lev))
         assert got == CohClass(p, n, d, j, raw)
+        # and term by term on the image, where w~(V^l(y)) = p^l w~(y)
+        want = {}
+        for e, cc in tilde_w(out).value.terms.items():
+            v = ChartAtlas(d).from_chart(i, e)
+            cc = coeff * p ** l * cc % p ** n
+            if cc and max(v[j + 1:]) < 0:
+                want[v] = cc
+        assert got.terms == want
 
 
 def _random_class(rng, p, n, d, j, symbols=3):
@@ -539,9 +552,9 @@ def test_unipotent_truncated_geometric_series():
     c = 2
     x = CohClass.symbol(p, 1, d, j, 0, (3, -2, -1))
     out = parabolic_action(("unipotent", (1, 2, c)), x)
-    assert len(out.terms) == 2  # truncation at k < -m_1 = 2
+    assert len(out.symbols()) == 2  # truncation at k < -m_1 = 2
     prod = {}
-    for (l, u), lam in out.terms.items():
+    for (l, u), lam in out.symbols().items():
         assert l == 0
         for add_idx, mult in ((2, 1), (1, c)):
             v = list(u)
@@ -561,13 +574,42 @@ def test_unipotent_char_two_guard():
     x = CohClass.symbol(2, 2, 2, 1, 0, (3, 0, -3))
     img = parabolic_action(("unipotent", (1, 0, 1)), x)
     q = _laurent(2, {(3 - k, k, -3): 1 for k in range(4)})
-    assert _witt_value(2, 2, img._int_terms()) == teichmuller(q, 2)
+    assert _witt_value(2, 2, img.symbols()) == teichmuller(q, 2)
 
 
 def test_pj_membership_guard():
     x = CohClass.symbol(3, 1, 2, 0, 0, (2, -1, -1))
     with pytest.raises(ValueError):
         parabolic_action(("unipotent", (0, 2, 1)), x)  # u <= j < v forbidden
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (5, 2), (2, 2), (2, 3)])
+def test_pj_group_law(p, n):
+    """On every level-0 symbol [z^u] of I with entries up to 2p at d = 2,
+    j = 0: x(a) x(b) = x(a + b) for x(c): z_2 -> z_2 + c z_1, and the GL_2
+    Weyl relation, x_12(1) x_21(-1) x_12(1) sends [z^u] to
+    -(-1)^(p^(n-1) u_1) [z^(u_0,u_2,u_1)].
+
+    The sign is that of the integer matrix on the w~ image z^(p^(n-1) u),
+    times the -1 of swapping the two inverted coordinates of the Cech
+    class; for odd p it is -(-1)^(u_1), and at p = 2 it is -1 in W_n(F_2)
+    from n = 2 on.  An action that cuts the series before the Teichmuller
+    lift breaks both laws from n = 2 on: at (p, n) = (3, 2) the Weyl
+    relation held on 7 of the 15 symbols.
+    """
+    d, j = 2, 0
+
+    def x(c, cls, root=(1, 2)):
+        return parabolic_action(("unipotent", root + (c,)), cls)
+
+    for u in enumerate_index(d, j, 2 * p):
+        cls = CohClass.symbol(p, n, d, j, 0, u)
+        for a in range(1, p):
+            for b in range(1, p):
+                assert x(a, x(b, cls)) == x((a + b) % p, cls), (u, a, b)
+        sign = -(-1) ** (p ** (n - 1) * u[1] % 2)
+        want = CohClass.symbol(p, n, d, j, 0, (u[0], u[2], u[1]), sign)
+        assert x(1, x(-1, x(1, cls), (2, 1))) == want, u
 
 
 def test_generator_module_membership():
@@ -581,7 +623,17 @@ def test_generator_module_membership():
 
 
 def test_stability_levi_and_torus():
-    """N is closed under the torus and both Levi blocks at n <= 2."""
+    """N is closed under the torus and both Levi blocks at n = 1, and under
+    the torus at n = 2; the Levi block GL_2 of z_1, z_2 escapes N at
+    (p, n, d, j) = (3, 2, 2, 0).
+
+    z_2 -> z_2 + c z_1 on [z^(2,-1,-1)] expands z_2^(-3) in the w~ image
+    z^(6,-3,-3); its level-1 cross terms V([2 z^(6,-2,-4)]) and
+    V([2 z^(6,-1,-5)]) (c = 1) have inverted entries that are not all
+    equal, so they lie outside N.  Swapping z_1 and z_2 gives the same for
+    z_1 -> z_1 + c z_2.
+    """
+    escapes = set()
     for j in (0, 1):
         for n in (1, 2):
             mod = GeneratorModule(3, n, 2, j)
@@ -593,7 +645,14 @@ def test_stability_levi_and_torus():
             for (l, w) in mod.generators():
                 x = CohClass.symbol(3, n, 2, j, l, w)
                 for g in gens:
-                    assert mod.contains(parabolic_action(g, x)), (g, l, w)
+                    if not mod.contains(parabolic_action(g, x)):
+                        escapes.add((j, n, g, l, w))
+    assert escapes == {(0, 2, ("unipotent", g), 0, (2, -1, -1))
+                       for g in ((1, 2, 1), (1, 2, 2), (2, 1, 1), (2, 1, 2))}
+    x = CohClass.symbol(3, 2, 2, 0, 0, (2, -1, -1))
+    img = parabolic_action(("unipotent", (1, 2, 1)), x)
+    assert {(1, (6, -2, -4)): 2, (1, (6, -1, -5)): 2}.items() <= (
+        img.symbols().items())
 
 
 def test_stability_full_at_n1():
@@ -613,27 +672,67 @@ def test_stability_radical_defect_at_n2():
     img = parabolic_action(("unipotent", (1, 0, 1)), x)
     mod = GeneratorModule(3, 2, 2, 0)
     assert not mod.contains(img)
-    assert (1, (5, -2, -3)) in img.terms
+    assert (1, (5, -2, -3)) in img.symbols()
     rep = stability_report(3, 2, 2, 0)
     assert rep["failures"]
     assert all("unipotent" in f["generator"] for f in rep["failures"])
 
 
-# -- the class actions against the loops they replaced -------------------------
+@pytest.mark.parametrize("cell", [
+    (3, 1, 2, 0), (3, 2, 2, 0), (3, 2, 2, 1), (3, 3, 2, 0), (5, 2, 2, 0),
+    (2, 2, 3, 0), (2, 2, 3, 1), (2, 3, 3, 2), (3, 2, 4, 1), (5, 1, 3, 1),
+])
+def test_stability_work_bounds_the_series_expanded(monkeypatch, cell):
+    """witt._stability_work bounds the series terms stability_report
+    expands, and is within a factor 4 of them on these cells.
+
+    A substitution on a one-term class gives one exponent per series term,
+    so the terms are counted as the exponents handed to the kill rule, less
+    the one term of each generator symbol of N; torus generators add none.
+    """
+    seen = []
+    clean = CohClass._clean_terms
+
+    def counted(self, terms, *args):
+        seen.append(len(terms))
+        return clean(self, terms, *args)
+    monkeypatch.setattr(CohClass, "_clean_terms", counted)
+    stability_report(*cell)
+    series = sum(seen) - len(GeneratorModule(*cell).generators())
+    assert 0 < series <= _stability_work(*cell) <= 4 * series, series
+
+
+def test_oversized_stability_report_is_refused_before_any_work(monkeypatch):
+    def work(*args):
+        raise AssertionError("the check started")
+    monkeypatch.setattr(GeneratorModule, "generators", work)
+    with pytest.raises(ScaleExceeded, match="p = 7, n = 4, d = 6, j = 0"):
+        stability_report(7, 4, 6, 0)
+    # criterion 11 and every stability run of the tests stay under the limit
+    cells = [(3, n, 2, j) for n in (1, 2, 3) for j in (0, 1)]
+    cells += [(5, 2, 2, 0), (2, 2, 3, 0), (3, 2, 4, 1), (5, 1, 3, 1)]
+    for cell in cells:
+        assert _stability_work(*cell) <= _MAX_STABILITY_WORK, cell
+
+
+# -- the class actions against independent routes -------------------------------
 #
-# _ref_y_action, _ref_parabolic_action and _ref_teich_sum_symbol are the
-# actions as they stood before the shared chart bookkeeping and the single
-# accumulated class, kept as the reference: renamed, and without their
-# docstrings, comments and one unused variable.  _ref_expand2 and
-# _ref_teichmuller_sum_power are the universal expansion of [A + B]^i and
-# its recursion over the summands that the Teichmuller sums went through
-# before they were read off w~; they refuse p = 2 with more than two
-# summands.
+# _ref_y_action is y_action as it stood before classes were held as their w~
+# image, kept as the reference: the case formula of monomial_case_split on
+# each symbol, renamed, and without its docstring and comments.
+# _ref_parabolic_action is route (b), Witt arithmetic in W_n of the Laurent
+# ring over F_p: each symbol V^l([lambda z^u]) goes to V^l([g(lambda z^u)]),
+# where a series in an inverted coordinate is cut at
+# K = p^(n-1) (sum |u_neg| + 1) + 2 terms, far past the last term that
+# reaches an unkilled monomial of the image; the Witt sum is then peeled
+# into symbols level by level with witt_sub and witt_sum, and the kill rule
+# comes last, so nothing is cut before the Teichmuller lift.
 
 def _ref_y_action(i, l_idx, r, c):
     p, n, d, j = c.p, c.n, c.d, c.j
     out = {}
-    for (l, u), coeff in c._int_terms().items():
+    for (l, u), lam in c.symbols().items():
+        coeff = teich_scalar(lam, p, n - l)
         rem = n - l
         chart_vars = [s for s in range(d + 1) if s != i]
         slot = chart_vars.index(l_idx)
@@ -661,174 +760,56 @@ def _ref_y_action(i, l_idx, r, c):
     return CohClass(p, n, d, j, out)
 
 
+def _laurent(p, terms):
+    nv = len(next(iter(terms)))
+    return LaurentElem(p, 1, nv, terms, tuple(range(nv)))
+
+
+def _lifted(p, m, k, q):
+    """V^k([q]) in W_m for q = {exponent: coefficient} over F_p."""
+    x = teichmuller(_laurent(p, q), m - k)
+    for _ in range(k):
+        x = verschiebung(x)
+    return x
+
+
+def _witt_value(p, m, symbols):
+    """sum V^k([lambda z^w]) over the symbols {(k, w): lambda}, in W_m of
+    the Laurent ring over F_p, by Witt arithmetic alone."""
+    return witt_sum([_lifted(p, m, k, {w: lam})
+                     for (k, w), lam in symbols.items()])
+
+
 def _ref_parabolic_action(g, x):
     kind, args = g
     p, n, d, j = x.p, x.n, x.d, x.j
     if not parabolic_in_pj(kind, args, j, d):
         raise ValueError("generator does not lie in P_j")
-    out = CohClass.zero(p, n, d, j)
-    for (l, u), coeff in x._int_terms().items():
+    parts = []
+    for (l, u), lam in x.symbols().items():
         if kind == "torus":
-            t = args
-            lam = 1
-            for s in range(d + 1):
-                lam = (lam * pow(t[s] % p, -u[s], p)) % p
-            scal = teich_scalar(lam, p, n - l)
-            out = out + CohClass.symbol(p, n, d, j, l, u, coeff * scal)
-            continue
-        uu, vv, cc = args
-        mv = u[vv]
-        if mv >= 0:
-            summands = []
-            for k in range(mv + 1):
-                b = (comb(mv, k) * pow(cc % p, k, p)) % p
-                if b == 0:
-                    continue
-                e = list(u)
-                e[vv] = mv - k
-                e[uu] += k
-                summands.append((b, tuple(e)))
+            q = {u: lam * prod(pow(t, -e, p) for t, e in zip(args, u))}
         else:
-            summands = []
-            kmax = max(0, -u[uu])
-            for k in range(kmax):
-                b = (gen_binom(mv, k) * pow(cc % p, k, p)) % p
-                if b == 0:
-                    continue
+            uu, vv, cc = args
+            mv = u[vv]
+            cut = p ** (n - 1) * (sum(-e for e in u if e < 0) + 1) + 2
+            q = {}
+            for k in range(mv + 1 if mv >= 0 else cut):
                 e = list(u)
-                e[vv] = mv - k
+                e[vv] -= k
                 e[uu] += k
-                summands.append((b, tuple(e)))
-        out = out + _ref_teich_sum_symbol(p, n, d, j, l, coeff, summands)
-    return out
-
-
-class CharTwoUnsupported(ValueError):
-    pass
-
-
-@lru_cache(maxsize=64)
-def _ref_expand2(p, i, n):
-
-    def expand_poly(q, m, degree):
-        out = {}
-        if q.is_zero():
-            return out
-        head_vectors = []
-        for (e1, e2), c in q.sorted_terms():
-            assert e1 + e2 == degree, "inhomogeneous layer in Teichmuller peel"
-            k = (0, (e1, e2))
-            out[k] = (out.get(k, 0) + teich_scalar(c, p, m)) % (p ** m)
-            mono = LaurentElem.monomial(p, 1, 2, (e1, e2), c)
-            head_vectors.append(teichmuller(mono, m))
-        head = witt_sum(head_vectors)
-        tail = witt_sub(teichmuller(q, m), head)
-        assert tail.coords[0].is_zero(), "head does not match the top layer"
-        for idx in range(1, m):
-            t = tail.coords[idx]
-            if t.is_zero():
-                continue
-            sub = expand_poly(t, m - idx, degree * (p ** idx))
-            for (l2, exps), c2 in sub.items():
-                lev = idx + l2
-                k = (lev, exps)
-                out[k] = (out.get(k, 0) + c2) % (p ** (m - lev))
-        return out
-
-    a_plus_b = LaurentElem(p, 1, 2, {(1, 0): 1, (0, 1): 1})
-    raw = expand_poly(a_plus_b ** i, n, i)
-    out = {}
-    for (l, exps), c in raw.items():
-        c %= p ** (n - l)
-        if c:
-            out[(l, exps)] = c
-    return out
-
-
-def _ref_teichmuller_sum_power(summands, i, n):
-    if not summands:
-        raise ValueError("need at least one summand")
-    p = summands[0].p
-    r = len(summands)
-    for s in summands:
-        if s.p != p or s.n != 1:
-            raise VariableMismatch("summands must share an F_p coefficient ring")
-    if len({tuple(s.sorted_terms()) for s in summands}) != r:
-        raise ValueError("summands must be pairwise distinct")
-    if r > 2 and p == 2:
-        raise CharTwoUnsupported(
-            "more than two summands need odd characteristic"
-        )
-    if i == 0:
-        return {(0, (0,) * r): 1}
-    if r == 1:
-        return {(0, (i,)): 1}
-
-    def expand_multi(count, power, depth):
-        if power == 0:
-            return {(0, (0,) * count): 1}
-        if count == 1:
-            return {(0, (power,)): 1}
-        out = {}
-        for (l, (e_head, e_last)), c in _ref_expand2(p, power, depth).items():
-            if e_head == 0:
-                k = (l, (0,) * (count - 1) + (e_last,))
-                out[k] = (out.get(k, 0) + c) % (p ** (depth - l))
-                continue
-            sub = expand_multi(count - 1, e_head, depth - l)
-            for (l2, exps), c2 in sub.items():
-                lev = l + l2
-                exps_full = tuple(exps) + (e_last * (p ** l2),)
-                k = (lev, exps_full)
-                v = (out.get(k, 0) + c * c2) % (p ** (depth - lev))
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
-        return out
-
-    raw = expand_multi(r, i, n)
-    out = {}
-    for (l, exps), c in raw.items():
-        c %= p ** (n - l)
-        if c:
-            assert sum(exps) == (p ** l) * i
-            out[(l, exps)] = c
-    return out
-
-
-def _ref_teich_sum_symbol(p, n, d, j, l, coeff, summands):
-    rem = n - l
-    if not summands:
-        return CohClass.zero(p, n, d, j)
-    if rem == 1 or len(summands) == 1:
-        terms = {}
-        if len(summands) == 1:
-            b, e = summands[0]
-            scal = teich_scalar(b, p, rem)
-            terms[(l, e)] = coeff * scal
-        else:
-            for b, e in summands:
-                terms[(l, e)] = terms.get((l, e), 0) + coeff * b
-        return CohClass(p, n, d, j, terms)
-    monos = [
-        LaurentElem.monomial(p, 1, d + 1, e, b, allowed_negative=range(d + 1))
-        for b, e in summands
-    ]
-    expansion = _ref_teichmuller_sum_power(monos, 1, rem)
+                q[tuple(e)] = lam * gen_binom(mv, k) * cc ** k
+        parts.append(_lifted(p, n, l, q))
     terms = {}
-    for (lv, exps), c2 in expansion.items():
-        scal = 1
-        acc = [0] * (d + 1)
-        for (b, e), m in zip(summands, exps):
-            if m == 0:
-                continue
-            scal = (scal * pow(b, m, p)) % p
-            for s in range(d + 1):
-                acc[s] += m * e[s]
-        scal = teich_scalar(scal, p, rem - lv)
-        key = (l + lv, tuple(acc))
-        terms[key] = terms.get(key, 0) + coeff * c2 * scal
+    if parts:
+        total = witt_sum(parts)
+        for l in range(n):
+            coord = total.coords[l].terms
+            if coord:
+                total = witt_sub(total, witt_sum(
+                    [_lifted(p, n, l, {e: c}) for e, c in coord.items()]))
+            for e, c in coord.items():
+                terms[(l, e)] = teich_scalar(c, p, n - l)
     return CohClass(p, n, d, j, terms)
 
 
@@ -843,7 +824,7 @@ def _outcome(fn, *args):
 @st.composite
 def _classes(draw):
     """A class of one to three symbols with coefficients in [1, p^(n-l)),
-    so that stored digits other than 1 and carries to deeper levels occur."""
+    so that digits other than 1 and carries to deeper levels occur."""
     p = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(1, 3))
     d = draw(st.integers(2, 3))
@@ -874,45 +855,41 @@ def test_y_action_matches_reference(data):
 def test_parabolic_action_matches_reference(data):
     x = data.draw(_classes())
     g = data.draw(st.sampled_from(pj_generators(x.p, x.d, x.j)))
-    want = _outcome(_ref_parabolic_action, g, x)
-    # the reference cannot expand these; the Witt oracle below covers them
-    assume(not (isinstance(want, tuple) and want[0] is CharTwoUnsupported))
-    assert _outcome(parabolic_action, g, x) == want
+    # at p = 5, n = 3 a generator mixing two inverted coordinates sends the
+    # reference through Witt sums of series of about 100 terms raised to the
+    # 25th power: 30-90 s a draw on a 2-vCPU VM.  Every other draw is kept.
+    assume(not (x.p ** (x.n - 1) == 25 and g[0] == "unipotent"
+                and g[1][1] > x.j))
+    assert (_outcome(parabolic_action, g, x)
+            == _outcome(_ref_parabolic_action, g, x))
 
 
 def test_teich_sum_lone_summand_lifts_its_digit():
     """A lone summand b z^e below the top level is V^l([b z^e]), whose
-    integer value is the Teichmuller lift of b: [2] = 8 in Z/9 and
-    26 in Z/27 at p = 3, not 2."""
+    image carries the Teichmuller lift of b: [2] = 8 in Z/9 and 26 in Z/27
+    at p = 3, not 2; the peel reads the digit 2 back."""
     q = {(1, -1, 0): 2}
-    assert _teich_sum_terms(3, 2, 0, 1, q) == {(0, (1, -1, 0)): 8}
-    assert _teich_sum_terms(3, 3, 0, 1, q) == {(0, (1, -1, 0)): 26}
+    assert sparse.power(q, 3, 9) == {(3, -3, 0): 8}
+    assert sparse.power(q, 9, 27) == {(9, -9, 0): 26}
+    for m in (2, 3):
+        assert _assert_teich_sum(3, m, q) == {(0, (1, -1, 0)): 2}
 
 
-# -- Teichmuller sums read off w~, against Witt arithmetic ----------------------
+# -- Teichmuller sums read off w~ by the peel, against Witt arithmetic -----------
 
-def _laurent(p, terms):
-    nv = len(next(iter(terms)))
-    return LaurentElem(p, 1, nv, terms, tuple(range(nv)))
-
-
-def _witt_value(p, m, terms):
-    """sum c V^k([z^w]) over the integer terms {(k, w): c}, in W_m of the
-    Laurent ring over F_p, by Witt arithmetic alone."""
-    parts = []
-    for (k, w), c in terms.items():
-        x = witt_scalar_mul(c, teichmuller(_laurent(p, {w: 1}), m - k))
-        for _ in range(k):
-            x = verschiebung(x)
-        parts.append(x)
-    return witt_sum(parts)
+def _peel(p, m, image):
+    """CohClass's peel on a w~ image in W_m of a Laurent ring with every
+    variable inverted, where nothing is killed."""
+    nv = len(next(iter(image)))
+    return CohClass._trusted(p, m, nv, image, range(nv)).symbols()
 
 
 def _assert_teich_sum(p, m, q):
-    terms = _teich_sum_terms(p, m, 0, 1, q)
+    """The peel of [q]'s image q^(p^(m-1)) mod p^m against Witt arithmetic."""
+    symbols = _peel(p, m, sparse.power(q, p ** (m - 1), p ** m))
     want = teichmuller(_laurent(p, q), m)
-    assert _witt_value(p, m, terms) == want, (p, m, q)
-    return terms
+    assert _witt_value(p, m, symbols) == want, (p, m, q)
+    return symbols
 
 
 def test_teich_sum_two_summands_p2():
@@ -925,7 +902,7 @@ def test_teich_sum_two_summands_p2():
 def test_teich_sum_three_summands_oracle(i, n):
     # [z_0 + z_1 + z_2]^i = [(z_0 + z_1 + z_2)^i] over F_3
     s = _laurent(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
-    terms = _teich_sum_terms(3, n, 0, 1, (s ** i).terms)
+    terms = _peel(3, n, sparse.power((s ** i).terms, 3 ** (n - 1), 3 ** n))
     assert all(sum(w) == 3 ** k * i for (k, w) in terms)
     t = acc = teichmuller(s, n)
     for _ in range(i - 1):
@@ -953,7 +930,7 @@ def test_teich_sum_of_a_long_substitution():
     assert len(q) == 8
     _assert_teich_sum(5, 3, q)
     x = CohClass.symbol(5, 3, 2, 0, 0, (8, -4, -4))
-    assert len(parabolic_action(("unipotent", (1, 0, 1)), x).terms) == 93
+    assert len(parabolic_action(("unipotent", (1, 0, 1)), x).symbols()) == 93
 
 
 # -- cross-checks ----------------------------------------------------------------

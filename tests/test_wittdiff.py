@@ -3,8 +3,9 @@ import random
 import pytest
 
 from wittkit.rings import LaurentElem
-from wittkit.weyl import RangeError, WeylElement, apply as weyl_apply
+from wittkit.weyl import RangeError, WeylElement, apply as weyl_apply, gen_binom
 from wittkit.witt import (
+    NotInImage,
     WittVector,
     restrict,
     teichmuller,
@@ -18,7 +19,6 @@ from wittkit.wittdiff import (
     i_star,
     lift_independence_check,
     lift_operator,
-    monomial_case_split,
     partial_op,
     random_witt_vector,
     v_p,
@@ -131,6 +131,37 @@ def test_restriction_kills_coprime_orders():
         x = random_witt_vector(p, n + 1, d, rng)
         out = restrict(apply_witt(op, x))
         assert out.is_zero()
+
+
+def monomial_case_split(p, length, j, r, level, scalar, u):
+    """The explicit case formula on scalar * V^level([z^u]).
+
+    With k = length-1-level, the image monomial
+    p^level * binom(u_j p^k, r) z^(u p^k - r e_j) reenters the Witt vectors
+    at layer length-1-v_p(r) when v_p(r) <= k, and at the original layer
+    otherwise.  Returns (layer, unit, root exponent vector) or None when the
+    image vanishes.  It is the second route for ``apply_witt`` on a
+    monomial here, and ``localcoh.y_action``'s reference in
+    tests/test_localcoh.py.
+    """
+    k = length - 1 - level
+    n_coef = scalar * (p ** level) * gen_binom(u[j] * (p ** k), r)
+    n_coef %= p ** length
+    if n_coef == 0:
+        return None
+    exps = tuple(
+        u[s] * (p ** k) - (r if s == j else 0) for s in range(len(u))
+    )
+    vr = v_p(r, p)  # None for r = 0: v_p(0) is +infinity
+    layer = length - 1 - vr if vr is not None and vr <= k else level
+    step = p ** (length - 1 - layer)
+    if any(e % step for e in exps):
+        raise NotInImage("case formula produced a non-split monomial")
+    if n_coef % (p ** layer):
+        raise NotInImage("case formula coefficient valuation too small")
+    unit = n_coef // (p ** layer)
+    root = tuple(e // step for e in exps)
+    return (layer, unit, root)
 
 
 def apply_witt_monomial(p, length, j, r, level, scalar, u, num_vars):
