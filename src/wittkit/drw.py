@@ -36,10 +36,6 @@ class Inadmissible(ValueError):
     pass
 
 
-class SupportTooSmall(ValueError):
-    pass
-
-
 class Weight:
     """A weight function j -> r_j = u_j * p^(v_j) with p not dividing u_j.
 
@@ -90,20 +86,12 @@ class Weight:
         )
 
 
-def enumerate_partitions(weight, i):
-    """All partitions (I_0, ..., I_i) of supp(r) in P^(i)_r.
+def _partitions(supp, i):
+    """All partitions (I_0, ..., I_i) in P^(i)_r of a support in its order.
 
     These correspond to ordered compositions of |supp(r)| into i positive
     parts (I_0 empty) plus compositions into i+1 positive parts.
     """
-    supp = weight.support()
-    if len(supp) < i:
-        raise SupportTooSmall("support smaller than the target degree")
-    return _partitions(tuple(supp), i)
-
-
-def _partitions(supp, i):
-    """The partitions of enumerate_partitions for a support in its order."""
     L = len(supp)
 
     def compos(total, parts):

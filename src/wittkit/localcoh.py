@@ -16,7 +16,8 @@ from __future__ import annotations
 from math import prod
 
 from . import sparse
-from .rings import ScaleExceeded, SparseModElem, graded_basis, is_prime, v_p
+from .rings import (ScaleExceeded, SparseModElem, VariableMismatch,
+                    graded_basis, is_prime, v_p)
 from .weyl import _act, gen_binom
 from .witt import (_MAX_GENERATION_WORK, _MAX_STABILITY_WORK, _generation_work,
                    _stability_work, teich_scalar)
@@ -62,6 +63,8 @@ class CohClass(SparseModElem):
     def __init__(self, p, n, d, j, terms):
         image = {}
         for (l, u), c in terms.items():
+            if l < 0 or len(u) != d + 1:
+                raise VariableMismatch("no symbol V^%r([z^%r])" % (l, u))
             if l < n:
                 v = tuple(x * p ** (n - 1 - l) for x in u)
                 image[v] = image.get(v, 0) + c * p ** l
@@ -89,23 +92,56 @@ class CohClass(SparseModElem):
     def zero(cls, p, n, d, j):
         return cls(p, n, d, j, {})
 
-    def symbols(self):
-        """The peel: a term C z^v lies at the least level k with p^(n-1-k)
-        dividing v, and the Teichmuller digits lambda_i of C / p^k give the
-        symbols (k + i, v / p^(n-1-k-i))."""
+    def coefficients(self):
+        """The constructor's form {(l, u): c}: an image term C z^v at the least
+        l with p^(n-1-l) | v, as u = v / p^(n-1-l) and c = C / p^l."""
         p, n = self.p, self.n
         out = {}
         for v, c in self.terms.items():
-            k = next(k for k in range(n)
-                     if not any(x % p ** (n - 1 - k) for x in v))
-            c, r = divmod(c, p ** k)
-            assert not r, "w~ image term not divisible by p^k"
+            l = next(l for l in range(n)
+                     if not any(x % p ** (n - 1 - l) for x in v))
+            c, r = divmod(c, p ** l)
+            assert not r, "w~ image term not divisible by p^l"
+            out[(l, tuple(x // p ** (n - 1 - l) for x in v))] = c
+        return out
+
+    def symbols(self):
+        """The peel: the Teichmuller digits lambda_i of a coefficient c at
+        (k, u) give the symbols (k + i, p^i u)."""
+        p, n = self.p, self.n
+        out = {}
+        for (k, u), c in self.coefficients().items():
             for l in range(k, n):
                 lam = c % p
                 if lam:
-                    out[(l, tuple(x // p ** (n - 1 - l) for x in v))] = lam
+                    out[(l, tuple(x * p ** (l - k) for x in u))] = lam
                 c = (c - teich_scalar(lam, p, n - l)) // p
         return out
+
+    def to_json(self):
+        return {"p": self.p, "n": self.n, "d": self.d, "j": self.j,
+                "terms": [{"l": l, "u": list(u), "c": c} for (l, u), c
+                          in sorted(self.coefficients().items())]}
+
+    @classmethod
+    def from_json(cls, obj):
+        try:
+            pairs = [((cls._ints([t["l"]])[0], cls._ints(t["u"])), t["c"])
+                     for t in obj["terms"]]
+            terms = dict(pairs)
+            cls._ints(terms.values())
+            ring = cls._ints([obj["p"], obj["n"], obj["d"], obj["j"]])
+        except (KeyError, TypeError):
+            raise VariableMismatch("malformed CohClass object %r"
+                                   % (obj,)) from None
+        if len(terms) < len(pairs):
+            raise VariableMismatch("a term is listed twice in %r" % (obj,))
+        return cls(*ring, terms)
+
+    def __repr__(self):
+        return "CohClass(p=%d, n=%d, d=%d, j=%d, symbols=%r)" % (
+            self.p, self.n, self.d, self.j,
+            dict(sorted(self.symbols().items())))
 
 
 def y_action(i, l_idx, r, c):
@@ -418,47 +454,3 @@ def stability_report(p, n, d, j):
                 failures.append({"generator": repr(g), "symbol": [l, list(w)]})
     return {"p": p, "n": n, "d": d, "j": j, "cases": cases,
             "failures": failures}
-
-
-# ----------------------------------------------------------------------
-# cross-check against the Cech side
-# ----------------------------------------------------------------------
-
-def small_case_crosscheck(p, d, j, n, bound):
-    """Compare symbol counts with the complement-cover Cech computation.
-
-    For d - j in {1, 2} the complement P^d minus P^j is covered by the charts
-    D_+(z_s), s > j.  Every V-layer of W_n O on the complement sees the same
-    untwisted classical complex, so the level-l symbol count in a box must
-    equal the top cohomology of the chart-cover slice complexes, computed
-    degree by degree with honest F_p rank arithmetic (minus the constants
-    when d - j = 1, where H~ is a cokernel of W_n(k)).
-    """
-    if d == j:
-        return {"match": True, "symbols_per_level": [], "cech_per_level": [],
-                "note": "zero module"}
-    if d - j not in (1, 2):
-        raise ValueError("crosscheck is desk-scale: d - j in {1, 2}")
-    from .cech import slice_cohomology_dims
-
-    # box: inverted exponents in [-bound, ..); numerators are then forced
-    # into [0, bound*(d-j)] by homogeneity, so nothing is clipped
-    symbols = _degree_zero(d, j, bound * (d - j), -bound, -1)
-    per_level_symbols = [len(symbols)] * n
-    charts = list(range(j + 1, d + 1))
-    top = d - j - 1
-    cech_dim = 0
-    for e in _degree_zero(d, j, bound * (d - j), -bound, bound):
-        pattern = frozenset(s for s, v in enumerate(e) if v < 0)
-        if not pattern <= frozenset(charts):
-            continue
-        hs = slice_cohomology_dims(d, p, pattern, ground=charts)
-        cech_dim += hs[top]
-    if d - j == 1:
-        cech_dim -= 1  # quotient by the constants W_n(k)
-    cech_per_level = [cech_dim] * n
-    return {
-        "match": cech_per_level == per_level_symbols,
-        "symbols_per_level": per_level_symbols,
-        "cech_per_level": cech_per_level,
-    }

@@ -5,9 +5,11 @@ coefficient.  ``q = 0`` means arithmetic over Z; any other ``q`` means
 arithmetic in Z/q, and then the operands must already be reduced mod q.
 The functions never mutate their operands, but may return one of them
 (``power(a, 1)`` is ``a``), so results are shared and must not be mutated.
-The one exception is ``add_into``, which adds into its first argument in
-place: that dict must be the caller's own, made by it and shared with no
-one, and may hold zeros until the caller drops them (``divexact`` does).
+The exceptions are ``add_into``, which adds into its first argument in
+place, and the packed products' ``acc`` argument, into which they add k
+times the product as ``add_into`` would, instead of returning it: that
+dict must be the caller's own, made by it and shared with no one, and may
+hold zeros until the caller drops them (``divexact`` does).
 
 ``power`` has closed forms for short operands, which the Laurent covers
 raise to p-th powers by the hundred thousand: zero is returned at once, a
@@ -43,9 +45,11 @@ from the next.  This is exact for any operand: digits never carry, since
 the base exceeds every exponent, and slots never overflow, since each
 output coefficient is a sum of at most min(#a, #b) products, so
 W = bits(max|a|) + bits(max|b|) + bits(min(#a, #b)) + 2 holds it with its
-sign.  Only the compression depends on the operand, so the layout is
-``base`` and a tuple of candidates, and each product takes the one with
-the fewest groups.  The Witt polynomials pass (Y_0, X_0, 1), which gathers
+sign.  The slots add into a dict the caller owns ({} for a plain product),
+and each sum is popped as it is cut, so its integer is freed once read.
+Only the compression depends on the operand, so the layout is ``base``
+and a tuple of candidates, and each product takes the one with the
+fewest groups.  The Witt polynomials pass (Y_0, X_0, 1), which gathers
 the sum polynomials, of weight p^i in X and Y together, and (X_0, X_1, p),
 which gathers the bihomogeneous product polynomials: their X-weight
 x_0 + p x_1 + ... is p^i in every monomial, so x_0 + y_0 would leave one
@@ -224,10 +228,12 @@ def _digits(k, base, count):
     return tuple(e)
 
 
-def _pmul(a, b, base, segs):
+def _pmul(a, b, base, segs, acc=None, k=1):
     """Product of two packed polynomials, segmented when grouping pays.
 
-    A candidate stops grouping once it cannot beat the best so far.
+    A candidate stops grouping once it cannot beat the best so far.  With
+    ``acc``, k times the product is added into acc, as add_into(acc,
+    a * b, k) adds it, and acc is returned in place of the product.
     """
     width = _slot_width(a, b)
     best = None
@@ -238,12 +244,12 @@ def _pmul(a, b, base, segs):
         if gb:
             best, cap = (ga, gb, seg), len(ga) * len(gb) - 1
     if best is None:
-        return _pmul_terms(a, b)
-    return _kronecker(*best, width)
+        return _pmul_terms(a, b, acc, k)
+    return _kronecker(*best, width, acc, k)
 
 
-def _psquare(a, base, segs):
-    """a * a, each cross product taken once and doubled."""
+def _psquare(a, base, segs, acc=None, k=1):
+    """a * a, each cross product taken once and doubled; acc as in _pmul."""
     width = _slot_width(a, a)
     best = None
     cap = len(a) // 2  # _pmul's cap with b = a
@@ -252,24 +258,39 @@ def _psquare(a, base, segs):
         if ga:
             best, cap = (ga, seg), len(ga) - 1
     if best is None:
-        return _psquare_terms(a)
-    return _kronecker(best[0], None, best[1], width)
+        return _psquare_terms(a, acc, k)
+    return _kronecker(best[0], None, best[1], width, acc, k)
 
 
-def _ppow(a, k, base, segs):
-    """a^k for a packed polynomial and k >= 1, by repeated squaring."""
+def _ppow(a, power, base, segs, acc=None, k=1):
+    """a^power for a packed polynomial and power >= 1, by repeated squaring.
+
+    With ``acc``, the last product lands in acc as in _pmul, so that the
+    power itself is never held; power 1 is added as add_into adds it.
+    """
     out = None
-    while True:
-        if k & 1:
+    while power > 1:
+        if power & 1:
             out = a if out is None else _pmul(out, a, base, segs)
-        k >>= 1
-        if not k:
-            return out
+        power >>= 1
+        if power == 1 and out is None:  # a power of two: a square is last
+            return _psquare(a, base, segs, acc, k)
         a = _psquare(a, base, segs)
+    if out is None:
+        return _landed(a, acc, k)
+    return _pmul(out, a, base, segs, acc, k)
 
 
-def _pmul_terms(a, b):
-    """a * b term by term."""
+def _landed(product, acc, k):
+    """product itself, or acc after add_into(acc, product, k)."""
+    if acc is None:
+        return product
+    add_into(acc, product.items(), k)
+    return acc
+
+
+def _pmul_terms(a, b, acc=None, k=1):
+    """a * b term by term; ``acc`` as in _pmul."""
     if len(a) < len(b):  # the short factor in the inner loop runs faster
         a, b = b, a
     out = {}
@@ -279,11 +300,11 @@ def _pmul_terms(a, b):
         for e2, c2 in terms:
             e = e1 + e2
             out[e] = get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
+    return _landed({e: c for e, c in out.items() if c}, acc, k)
 
 
-def _psquare_terms(a):
-    """a * a term by term."""
+def _psquare_terms(a, acc=None, k=1):
+    """a * a term by term; ``acc`` as in _pmul."""
     terms = list(a.items())
     out = {}
     get = out.get
@@ -294,7 +315,7 @@ def _psquare_terms(a):
         for e2, c2 in terms[idx + 1:]:
             e = e1 + e2
             out[e] = get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
+    return _landed({e: c for e, c in out.items() if c}, acc, k)
 
 
 def _segments(a, base, seg, width, cap):
@@ -325,35 +346,40 @@ def _slot_width(a, b):
     return bits(a) + bits(b) + min(len(a), len(b)).bit_length() + 2
 
 
-def _kronecker(ga, gb, seg, width):
+def _kronecker(ga, gb, seg, width, acc=None, k=1):
     """Product of two segmented polynomials (gb = None squares ga).
 
-    Group pairs multiply as integers and add up per output group, whose
-    integer is then cut back into signed slots.
+    Group pairs multiply as integers and add up per output group.  Each
+    group's integer is cut back into signed slots, which add k times their
+    coefficients into ``acc`` (by default {}, then the product, as no two
+    slots share a key), and is dropped once read.  Returns acc.
     """
-    acc = {}
-    get = acc.get
+    sums = {}
+    get = sums.get
     sa = list(ga.items())
     if gb is None:
         for idx, ((ra, da), va) in enumerate(sa):
             key = (ra + ra, da + da)
-            acc[key] = get(key, 0) + va * va
+            sums[key] = get(key, 0) + va * va
             va += va
             for (rb, db), vb in sa[idx + 1:]:
                 key = (ra + rb, da + db)
-                acc[key] = get(key, 0) + va * vb
+                sums[key] = get(key, 0) + va * vb
     else:
         sb = list(gb.items())
         for (ra, da), va in sa:
             for (rb, db), vb in sb:
                 key = (ra + rb, da + db)
-                acc[key] = get(key, 0) + va * vb
+                sums[key] = get(key, 0) + va * vb
     aplace, bplace, w = seg
-    out = {}
+    if acc is None:
+        acc = {}
+    get = acc.get
     mask = (1 << width) - 1
     half = 1 << (width - 1)
     step = bplace - w * aplace  # b up by one, a down by w
-    for (rest, d), v in acc.items():
+    while sums:
+        (rest, d), v = sums.popitem()
         e = rest + d * aplace  # the slot b = 0, a = d
         for _ in range(d // w + 1):  # b runs from 0 to d // w
             c = v & mask
@@ -361,6 +387,6 @@ def _kronecker(ga, gb, seg, width):
                 c -= mask + 1
             v = (v - c) >> width
             if c:
-                out[e] = c
+                acc[e] = get(e, 0) + k * c
             e += step
-    return out
+    return acc

@@ -278,6 +278,28 @@ def _stability_work(p, n, d, j):
     return gens * pj * (p ** (n - 1) * (d - j) + 1)
 
 
+# The most term products wittdiff.check_relation may take, by
+# _relation_work.  On a 2-vCPU x86-64 VM, with 5 samples, wdiff verify takes
+# 0.3 s on the Frobenius relation at (p, n, d) = (3, 5, 3) and (2, 8, 2),
+# 3.0e7 and 1.0e7 per order r; refused are the Frobenius relation at
+# (3, 6, 3), 8.2e8, and the restriction at (5, 4, 2), 1.5e11, both still
+# running after 25 s, and at (3, 5, 3), 1.9e9, 0.4 s on one seed, over 300 s
+# on the next.
+_MAX_RELATION_WORK = 2 * 10 ** 8
+
+
+def _relation_work(which, p, n, samples):
+    """An estimate of the term products wittdiff.check_relation takes.
+
+    Each sample restricts d_j^[r] to W_L, L = n + 1, by a w~ round trip,
+    and the Teichmuller powers of the peel back dominate.  Measured on
+    random draws with d <= 3 and r <= p^2, a sample took at most (p^L)^3 / 6
+    of them, and one of the Frobenius relation, whose operator meets p-th
+    powers, at most (p^L)^3 / 400: so samples (p^L)^3, over 64 for that one.
+    """
+    return samples * p ** (3 * n + 3) // (64 if which == "frobenius" else 1)
+
+
 class UniversalWittPolys:
     """Sum/product/negation polynomials for W_n, built by ghost recursion.
 
@@ -361,7 +383,8 @@ class UniversalWittPolys:
 
     @staticmethod
     def _solve(target_ghosts, p):
-        # ghost inversion; p-th powers chained across levels, summed in place
+        # ghost inversion; p-th powers chained across levels, summed in place;
+        # the top level's powers are never held: each last product lands in acc
         n = len(target_ghosts)
         base, segs = _layout(p, n)
         coords = []
@@ -369,10 +392,12 @@ class UniversalWittPolys:
         for i in range(n):
             acc = dict(target_ghosts[i])
             for j in range(i):
-                powers[j] = _ppow(powers[j], p, base, segs)
-                add_into(acc, powers[j].items(), -(p ** j))
                 if i == n - 1:
+                    _ppow(powers[j], p, base, segs, acc, -(p ** j))
                     powers[j] = None
+                else:
+                    powers[j] = _ppow(powers[j], p, base, segs)
+                    add_into(acc, powers[j].items(), -(p ** j))
             coords.append(sparse.divexact(acc, p ** i))
             powers.append(coords[i])
         return coords
@@ -388,10 +413,11 @@ class UniversalWittPolys:
 
         Held at one time, besides the stored polynomials and the targets:
         that dict and the chained powers of one family, whose first power
-        is the stored polynomial itself.  At the top level each power is
-        added as soon as it is made and then dropped, so that level holds
-        one new power (with its squarings) at a time, besides the
-        level-(n-2) powers not yet raised.
+        is the stored polynomial itself.  At the top level no power is
+        held at all: the last squaring or product of each lands in the
+        level sum slot by slot, and each group integer of that product is
+        dropped once read.  So that level holds the dict, the level-(n-2)
+        powers not yet raised and the squarings of one power at a time.
         """
         p, n = self.p, self.n
         base, segs = _layout(p, n)
@@ -401,13 +427,14 @@ class UniversalWittPolys:
         for name, polys, targets in jobs:
             powers = []
             for i in range(n):
-                top = i == n - 1
                 acc = {}
                 for j in range(i):
-                    powers[j] = _ppow(powers[j], p, base, segs)
-                    add_into(acc, powers[j].items(), p ** j)
-                    if top:
+                    if i == n - 1:
+                        _ppow(powers[j], p, base, segs, acc, p ** j)
                         powers[j] = None
+                    else:
+                        powers[j] = _ppow(powers[j], p, base, segs)
+                        add_into(acc, powers[j].items(), p ** j)
                 powers.append(polys[i])
                 add_into(acc, polys[i].items(), p ** i)
                 add_into(acc, targets[i].items(), -1)

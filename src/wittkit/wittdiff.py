@@ -8,12 +8,14 @@ with R, Phi and V are checked sample-wise and exactly.
 
 from __future__ import annotations
 
-from .rings import LaurentElem, v_p
+from .rings import LaurentElem, ScaleExceeded, v_p
 from .weyl import WeylElement, apply as weyl_apply
 from .witt import (
+    _MAX_RELATION_WORK,
     LiftedElem,
     NotInImage,
     WittVector,
+    _relation_work,
     restrict,
     tilde_w,
     tilde_w_inverse,
@@ -112,6 +114,12 @@ def check_relation(which, p, n, d, r, samples, rng, j=0):
         raise ValueError("need samples >= 1, got samples = %d" % samples)
     if which not in RELATIONS:
         raise ValueError("unknown relation %r" % (which,))
+    work = _relation_work(which, p, n, samples)
+    if work > _MAX_RELATION_WORK:
+        raise ScaleExceeded(
+            "the %s relation at p = %d, n = %d with %d samples would take"
+            " about %d term products, over the limit of %d"
+            % (which, p, n, samples, work, _MAX_RELATION_WORK))
     L = n + 1
     op_hi = partial_op(p, d, j, r, L)
     op_lo = None  # the right-hand side's operator, where there is one

@@ -406,6 +406,19 @@ def test_oversized_stability_exits_3(capsys):
     assert "4694520 series terms" in err["error"]
 
 
+@pytest.mark.parametrize("relation,p,n,d", [("frob", 3, 6, 3),
+                                             ("restr", 5, 4, 2)])
+def test_oversized_wdiff_verify_exits_3(capsys, relation, p, n, d):
+    code = main(["wdiff", "verify", "--relation", relation, "--p", str(p),
+                 "--n", str(n), "--d", str(d), "--samples", "5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["type"] == "ScaleExceeded"
+    assert "p = %d, n = %d with 5 samples" % (p, n) in err["error"]
+
+
 def test_oversized_drw_basis_exits_3_before_enumerating(capsys, monkeypatch):
     import wittkit.drw as drw
     from itertools import product

@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 from wittkit.drw import (
     DRWElement,
     Inadmissible,
-    SupportTooSmall,
     Weight,
     act,
     enumerate_basis,
-    enumerate_partitions,
     weight_from_json,
     weight_to_json,
     _partitions,
@@ -31,6 +29,18 @@ def W(p, d, **entries):
 
 
 # -- weight helpers and the checked constructor of one basis symbol ---------
+
+class SupportTooSmall(ValueError):
+    pass
+
+
+def enumerate_partitions(weight, i):
+    """All partitions (I_0, ..., I_i) of supp(r) in P^(i)_r."""
+    supp = weight.support()
+    if len(supp) < i:
+        raise SupportTooSmall("support smaller than the target degree")
+    return _partitions(tuple(supp), i)
+
 
 def scale_p(weight, k):
     """The weight p^k * r."""

@@ -25,10 +25,50 @@ from wittkit.weyl import (
     is_global,
     normal_form,
     theta,
-    y_operator,
-    y_operator_dual,
-    z2d_divided_power,
 )
+
+
+# -- test-only operators: (z^2 d)^[s] and the y-operators in two charts ------
+
+def z2d_divided_power(p, n, s, var=0, num_vars=1, allowed_negative=()):
+    """(z^2 d)^[s] = sum_i binom(s-1, i) z^(2s-i) d^[s-i] in one variable."""
+    terms = {}
+    for i in range(s):
+        e = [0] * num_vars
+        r = [0] * num_vars
+        e[var] = 2 * s - i
+        r[var] = s - i
+        terms[(tuple(e), tuple(r))] = comb(s - 1, i)
+    if s == 0:
+        return WeylElement.one(p, n, num_vars, allowed_negative)
+    return WeylElement(p, n, num_vars, terms, allowed_negative)
+
+
+def y_operator(i, j, r, d, p, n=1):
+    """The divided power y_{ij}^[r], raising z_i and lowering z_j.
+
+    Expressed as the plain divided derivative d^[r] with respect to the
+    coordinate z_{j,i} of the chart V_i, where its action on monomials is
+    z^u -> binom(u_j, r) z^(u + r e_i - r e_j).
+    """
+    if not (0 <= i <= d and 0 <= j <= d) or i == j:
+        raise RangeError("invalid root indices")
+    atlas = ChartAtlas(d)
+    slot = atlas.chart_vars(i).index(j)
+    rr = [0] * d
+    rr[slot] = r
+    return ChartOperator(i, WeylElement.monomial(p, n, d, (0,) * d, rr))
+
+
+def y_operator_dual(i, j, r, p, n=1):
+    """y_{ij}^[r] written in the chart V_j of the (i, j)-line (P^1 picture).
+
+    For r = 1 this is -z^2 d/dz in the coordinate z_{ij}; higher divided
+    powers expand through (z^2 d)^[s].
+    """
+    return ChartOperator(
+        j, z2d_divided_power(p, n, r).scalar_mul((-1) ** r)
+    )
 
 
 def D(p, nv, var, r, n=1):

@@ -13,7 +13,8 @@ from wittkit.rings import (
     VariableMismatch,
 )
 from wittkit.sparse import (IntegralityFailure, _kronecker, _pmul, _ppow,
-                            _psquare, _segments, _slot_width, _unpack)
+                            _psquare, _segments, _slot_width, _unpack,
+                            add_into)
 from wittkit.witt import (
     LiftedElem,
     NotInImage,
@@ -293,6 +294,23 @@ def test_ghost_check_peak_memory_stays_below_the_stored_polys():
     assert sum(map(len, tupled)) == 15
     assert peak - stored <= tuple_keyed
     assert stored <= 0.6 * tuple_keyed
+
+
+def test_ghost_check_transient_stays_below_the_stored_polys_at_2_6():
+    # the top level adds each power's last product into its level sum slot
+    # by slot: at (2, 6) the check's transient peak is about 0.9 times the
+    # stored polynomials, where building each of those powers whole took
+    # 1.4 times them
+    tracemalloc.start()
+    try:
+        u = UniversalWittPolys(2, 6)
+        stored = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert u.check_ghost_compat()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - stored < stored
 
 
 @given(st.sampled_from([(p, n) for p in (2, 3, 5) for n in (1, 2, 3)]),
@@ -968,12 +986,12 @@ def _segmentations(nvars, ny, base, w):
     return (base ** ny, 1, 1), (1, base, w)
 
 
-def _segmented(a, b, base, seg):
+def _segmented(a, b, base, seg, acc=None, k=1):
     """a * b by the segmented route alone, along seg; b = None squares a."""
     width = _slot_width(a, a if b is None else b)
     ga = _segments(a, base, seg, width, len(a))
     gb = None if b is None else _segments(b, base, seg, width, len(b))
-    return _kronecker(ga, gb, seg, width)
+    return _kronecker(ga, gb, seg, width, acc, k)
 
 
 # small, negative and >= 2^70 coefficients: the last test the signed slots
@@ -1027,6 +1045,46 @@ def test_property_segmented_product_matches_tuple_route(data):
             _tuple_mul(a, b)
         assert _unpack(_segmented(pa, None, base, seg), base, nvars) == \
             _tuple_mul(a, a)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_property_products_add_into_an_accumulator(data):
+    """_pmul, _psquare and _ppow with an accumulator add k times the product
+    into it exactly as add_into does, cancelled terms left as zeros.  The
+    dispatch mostly falls back to the term-by-term loops on these operands,
+    so both segmentations are also forced, as _segmented does."""
+    nvars = data.draw(st.integers(1, 6))
+    ny = data.draw(st.integers(1, nvars))
+    w = data.draw(st.sampled_from([2, 3, 5]))
+    max_exp = data.draw(st.integers(0, 6))
+    power = data.draw(st.integers(1, 5))
+    a = data.draw(segment_polys(nvars, ny, w, max_exp))
+    b = data.draw(segment_polys(nvars, ny, w, max_exp))
+    base = max(2, power) * max_exp + 1  # above every exponent of a*b and a^k
+    segs = _segmentations(nvars, ny, base, w)
+    pa, pb = _pack(a, base), _pack(b, base)
+    k = data.draw(st.integers(-30, 30).filter(bool))
+
+    def lands(run, product):
+        # terms the product cancels, and others it may meet or miss
+        cancelled = data.draw(st.sets(st.sampled_from(sorted(product)))
+                              if product else st.just(set()))
+        acc = data.draw(st.dictionaries(
+            st.integers(0, base ** nvars), big_coefficients, max_size=4))
+        acc.update({e: -k * product[e] for e in cancelled})
+        want = dict(acc)
+        add_into(want, product.items(), k)
+        assert run(acc) is acc
+        assert acc == want  # zeros included
+
+    for f, args in ((_pmul, (pa, pb)), (_psquare, (pa,)),
+                    (_ppow, (pa, power))):
+        lands(lambda acc: f(*args, base, segs, acc, k), f(*args, base, segs))
+    for seg in segs:
+        for other in (pb, None):
+            lands(lambda acc: _segmented(pa, other, base, seg, acc, k),
+                  _segmented(pa, other, base, seg))
 
 
 def test_segmented_product_borrows_from_negative_slots():

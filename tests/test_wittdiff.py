@@ -2,15 +2,18 @@ import random
 
 import pytest
 
-from wittkit.rings import LaurentElem
+from wittkit import checks, sparse
+from wittkit.rings import LaurentElem, ScaleExceeded
 from wittkit.weyl import RangeError, WeylElement, apply as weyl_apply, gen_binom
 from wittkit.witt import (
+    _MAX_RELATION_WORK,
     NotInImage,
     WittVector,
     restrict,
     teichmuller,
     verschiebung,
     witt_scalar_mul,
+    _relation_work,
 )
 from wittkit.wittdiff import (
     WittDiffOp,
@@ -120,6 +123,48 @@ def test_unknown_relation_is_refused_before_any_operator(monkeypatch):
     with pytest.raises(ValueError, match="unknown relation 'restr'"):
         check_relation("restr", 2, 1, 1, 2, 3, rng)
     assert rng.getstate() == state
+
+
+def test_relation_work_bounds_the_term_products(monkeypatch):
+    """witt._relation_work bounds the term products check_relation's
+    products take, on every relation and order r <= p^2 of small cells."""
+    counted = [0]
+
+    def counting(a, b, q=0, _mul=sparse.mul):
+        counted[0] += len(a) * len(b)
+        return _mul(a, b, q)
+    monkeypatch.setattr(sparse, "mul", counting)
+    for which in checks.RELATIONS:
+        for p, n, d in ((2, 1, 2), (2, 3, 3), (3, 2, 2), (3, 3, 3),
+                        (2, 5, 2)):
+            for r in range(1, p * p + 1):
+                counted[0] = 0
+                check_relation(which, p, n, d, r, 5, random.Random(r))
+                assert counted[0] <= _relation_work(which, p, n, 5), \
+                    (which, p, n, d, r, counted[0])
+
+
+def test_oversized_relation_check_is_refused_before_any_sample(monkeypatch):
+    import wittkit.wittdiff as wd
+
+    def work(*args):
+        raise AssertionError("an operator was built")
+    monkeypatch.setattr(wd, "partial_op", work)
+    rng = random.Random(1)
+    state = rng.getstate()
+    for which, p, n, d in (("frobenius", 3, 6, 3), ("restriction", 5, 4, 2),
+                           ("restriction", 3, 5, 3)):
+        with pytest.raises(ScaleExceeded, match="p = %d, n = %d" % (p, n)):
+            checks.wdiff_relation(which, p, n, d, 5, rng)
+    assert rng.getstate() == state
+    # what runs in 0.3 s stays under the limit, and so do criterion 5
+    # (100 samples, p <= 3, n <= 3), verify wdiff-relations at its default
+    # p = 3, n = 3 and 100 samples, and the benchmark (50 samples)
+    assert _relation_work("frobenius", 3, 5, 5) <= _MAX_RELATION_WORK
+    assert _relation_work("frobenius", 2, 8, 5) <= _MAX_RELATION_WORK
+    for which in checks.RELATIONS:
+        for p in (2, 3):
+            assert _relation_work(which, p, 3, 100) <= _MAX_RELATION_WORK
 
 
 def test_restriction_kills_coprime_orders():
