@@ -154,7 +154,7 @@ def cmd_weyl_apply(args):
 def cmd_wdiff_lift(args):
     base = weyl.WeylElement.from_json(_load_json(args.op))
     lifted = wittdiff.lift_operator(base, args.n + 1)
-    _emit({"lift": lifted.lift.to_json(),
+    _emit({"lift": lifted.to_json(),
            "provenance": base.to_json()}, args)
 
 
@@ -270,12 +270,15 @@ def cmd_steinberg(args):
     # the Borel); the complex runs over the removed set Delta \ I
     inside = {int(x) for x in args.I.split(",") if x != ""}
     full = set(range(args.dim - 1))
+    if not inside <= full:
+        raise ValueError("I names roots %s outside 0..%d"
+                         % (sorted(inside - full), args.dim - 2))
     target = tuple(sorted(full - inside))
     if not target:
         raise ValueError("I must be a proper subset of the simple roots")
     ring = "Z" if args.ring == "Z" else "Zpn"
     rep = steinberg.acyclicity_check(args.q, args.dim - 1, target,
-                                     ring=ring, n=args.n, p=args.q)
+                                     ring=ring, n=args.n)
     rank = steinberg.steinberg_rank(args.q, args.dim - 1, target)
     _emit({"ranks": rank, "homology": rep["homology"],
            "free": rep["cokernel_torsion_free"], "exact": rep["exact"]}, args)

@@ -306,6 +306,8 @@ def enumerate_basis(p, n, d, i, bound):
         raise ValueError("p = %r is not prime" % (p,))
     if n < 1:
         raise ValueError("need n >= 1, got n = %d" % n)
+    if d < 0:
+        raise ValueError("need d >= 0, got d = %d" % d)
     if i < 0:
         raise ValueError("need degree i >= 0, got i = %d" % i)
     size = _basis_size(d, i, bound)

@@ -226,9 +226,9 @@ def homology_lengths(cx):
     return out
 
 
-def acyclicity_check(q, d, removed_target, ring="Z", n=1, p=None):
+def acyclicity_check(q, d, removed_target, ring="Z", n=1):
     """Homology vanishing at every interior node, plus cokernel data."""
-    cx = InductionComplex(q, d, removed_target, ring=ring, n=n, p=p)
+    cx = InductionComplex(q, d, removed_target, ring=ring, n=n)
     hom = homology_lengths(cx)
     exact = all(h[0] == 0 and h[1] == 0 for h in hom)
     last = cx.matrices[-1]

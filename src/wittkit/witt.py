@@ -693,14 +693,14 @@ def _ghosts(x):
     vector the one-entry list [w-tilde(x)].  Both maps are injective ring
     maps, so + - * and integer multiples act on the entries."""
     if isinstance(x.coords[0], LaurentElem):
-        return [tilde_w(x).value]
+        return [tilde_w(x)]
     return _ghost_from_covers([_lift(c) for c in x.coords], x.p)
 
 
 def _from_ghosts(x, ws):
     """The vector over x's coordinate ring with images ws (see _ghosts)."""
     if isinstance(x.coords[0], LaurentElem):
-        return tilde_w_inverse(LiftedElem(x.p, x.n, ws[0]))
+        return tilde_w_inverse(ws[0])
     return _vector_from_covers(x, _ghost_inverse(ws, x.p))
 
 
@@ -813,7 +813,7 @@ def witt_from_int(c, p, n, like=None):
     """
     if isinstance(like, LaurentElem):
         one = LaurentElem.one(p, n, like.num_vars, like.allowed_negative)
-        return tilde_w_inverse(LiftedElem(p, n, one * c))
+        return tilde_w_inverse(one * c)
     template = PrimeFieldElem(p, 0) if like is None else like
     return WittVector(p, n, [_reduce_like(v, template, p)
                              for v in _ghost_inverse([c] * n, p)])
@@ -859,30 +859,6 @@ def witt_sum(vectors, p=None, n=None, like=None):
 # the maps w-tilde and F-tilde
 # ----------------------------------------------------------------------
 
-class LiftedElem:
-    """An element of (Z/p^level)[z...], the target of the w-tilde map."""
-
-    __slots__ = ("p", "level", "value")
-
-    def __init__(self, p, level, value):
-        if value.p != p or value.n != level:
-            raise VariableMismatch("value modulus disagrees with level")
-        self.p = p
-        self.level = level
-        self.value = value
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LiftedElem)
-            and self.p == other.p
-            and self.level == other.level
-            and self.value == other.value
-        )
-
-    def __repr__(self):
-        return "LiftedElem(p=%d, level=%d, %r)" % (self.p, self.level, self.value)
-
-
 def _tilde(x, top, name):
     """sum_i p^i x_(i+1)^(p^(top-i)) in (Z/p^n)[z...], n the length of x.
 
@@ -900,21 +876,20 @@ def _tilde(x, top, name):
             acc[e] = (get(e, 0) + pi * v) % q
     acc = {e: v for e, v in acc.items() if v}
     f = x.coords[0]
-    return LiftedElem(p, n, LaurentElem._trusted(p, n, f.num_vars, acc,
-                                                 f.allowed_negative))
+    return LaurentElem._trusted(p, n, f.num_vars, acc, f.allowed_negative)
 
 
 def tilde_w(x):
     """w-tilde: W_L(A) -> (Z/p^L)[z...], (f_1..f_L) -> sum p^i f_i+1^(p^(L-1-i)).
 
-    Defined on Laurent-coordinate vectors; the value does not depend on the
-    choice of coordinate lifts.
+    Defined on Laurent-coordinate vectors; the value, a LaurentElem over
+    Z/p^L, does not depend on the choice of coordinate lifts.
     """
     return _tilde(x, x.n - 1, "tilde_w")
 
 
-def tilde_w_inverse(y):
-    """Invert w-tilde by layer peeling; raises NotInImage when impossible.
+def tilde_w_inverse(f):
+    """Invert w-tilde on f over Z/p^L by layer peeling, or raise NotInImage.
 
     Layer i is rem / p^i mod p; its exponents must be multiples of
     k = p^(L-1-i), and its k-th root is x_(i+1).  One pass over rem takes
@@ -924,11 +899,10 @@ def tilde_w_inverse(y):
     each residue is p^(L-1) times a unit below p, x_L = rem / p^(L-1), and
     subtracting p^(L-1) x_L would leave nothing: no remainder survives.
     """
-    p, L = y.p, y.level
+    p, L = f.p, f.n
     mod = p ** L
-    f = y.value
     nv, neg = f.num_vars, f.allowed_negative
-    rem = f.terms  # reduced mod p^L, since f.n == L
+    rem = f.terms  # reduced mod p^L
     coords = []
     for i in range(L - 1):
         if not rem:

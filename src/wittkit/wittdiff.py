@@ -12,7 +12,6 @@ from .rings import LaurentElem, ScaleExceeded, v_p
 from .weyl import WeylElement, apply as weyl_apply
 from .witt import (
     _MAX_RELATION_WORK,
-    LiftedElem,
     NotInImage,
     WittVector,
     _relation_work,
@@ -25,35 +24,15 @@ from .witt import (
 )
 
 
-class WittDiffOp:
-    """A lift over Z/p^L of a char-p divided-power operator.
-
-    ``lift`` is a WeylElement over Z/p^L (realized on A_L = (Z/p^L)[z...]);
-    ``provenance`` is the char-p operator it lifts.  The restriction to
-    W_L(A) exists by the factorization theorem and is evaluated by
-    w-tilde conjugation in :func:`apply_witt`.
-    """
-
-    __slots__ = ("p", "length", "lift", "provenance")
-
-    def __init__(self, p, length, lift, provenance):
-        if lift.p != p or lift.n != length:
-            raise ValueError("lift modulus mismatch")
-        self.p = p
-        self.length = length
-        self.lift = lift
-        self.provenance = provenance
-
-
 def lift_operator(base, length):
-    """Coefficientwise integer lift of an operator over Z/p^n, n <= length,
-    to Z/p^length: its residues are their own integer lifts."""
+    """The WeylElement over Z/p^L, L = length >= n, realized on
+    A_L = (Z/p^L)[z...], that lifts an operator over Z/p^n coefficientwise:
+    its residues are their own integer lifts."""
     if base.n > length:
         raise ValueError("cannot lift from n = %d to length %d"
                          % (base.n, length))
-    lift = WeylElement._trusted(base.p, length, base.num_vars, base.terms,
+    return WeylElement._trusted(base.p, length, base.num_vars, base.terms,
                                 base.allowed_negative)
-    return WittDiffOp(base.p, length, lift, base)
 
 
 def partial_op(p, num_vars, j, r, length):
@@ -72,10 +51,10 @@ def i_star(op):
     and extracting p^(L-1)-th roots of the exponents recovers the char-p
     coefficients.  For Teichmuller lifts this satisfies i_star([op]) = op.
     """
-    p, L = op.p, op.length
+    p, L = op.p, op.n
     step = p ** (L - 1)
     by_order = {}
-    for (e, r), c in op.lift.terms.items():
+    for (e, r), c in op.terms.items():
         if c % p == 0:
             continue
         if any(v % step for v in e):
@@ -83,17 +62,16 @@ def i_star(op):
         root = tuple(v // step for v in e)
         key = (root, r)
         by_order[key] = (by_order.get(key, 0) + c) % p
-    return WeylElement(p, 1, op.lift.num_vars, by_order,
-                       op.lift.allowed_negative)
+    return WeylElement(p, 1, op.num_vars, by_order, op.allowed_negative)
 
 
 def apply_witt(op, x):
-    """Evaluate the restriction of op to W_L(A) by w-tilde conjugation."""
-    if x.n != op.length:
+    """Evaluate the restriction of op, a lift over Z/p^L, to W_L(A) by
+    w-tilde conjugation; the restriction exists by the factorization
+    theorem."""
+    if x.n != op.n:
         raise ValueError("vector length disagrees with operator level")
-    y = tilde_w(x)
-    z = weyl_apply(op.lift, y.value)
-    return tilde_w_inverse(LiftedElem(op.p, op.length, z))
+    return tilde_w_inverse(weyl_apply(op, tilde_w(x)))
 
 
 # ----------------------------------------------------------------------
@@ -112,6 +90,8 @@ def check_relation(which, p, n, d, r, samples, rng, j=0):
     """
     if samples < 1:
         raise ValueError("need samples >= 1, got samples = %d" % samples)
+    if not 0 <= j < d:
+        raise ValueError("need 0 <= j < d, got j = %d, d = %d" % (j, d))
     if which not in RELATIONS:
         raise ValueError("unknown relation %r" % (which,))
     work = _relation_work(which, p, n, samples)
@@ -198,8 +178,7 @@ def lift_independence_check(p, n, d, r, pairs, rng, j=0):
         extra = WeylElement.monomial(
             p, L, d, e, rr, coeff=g * (p ** (vq + 1))
         )
-        other = WittDiffOp(p, L, base.lift + extra, base.provenance)
         x = random_witt_vector(p, L, d, rng)
-        if apply_witt(base, x) != apply_witt(other, x):
+        if apply_witt(base, x) != apply_witt(base + extra, x):
             failures.append(x.to_json())
     return {"pairs": pairs, "failures": failures}

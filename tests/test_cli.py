@@ -350,6 +350,14 @@ def test_weyl_nf_laurent_word(capsys):
     pytest.param(("drw", "basis", "--p", "2", "--n", "0", "--d", "1",
                   "--i", "0", "--bound", "4"), "need n >= 1, got n = 0",
                  id="drw-basis-n0"),
+    pytest.param(("drw", "basis", "--p", "2", "--n", "2", "--d", "-1",
+                  "--i", "0", "--bound", "4"), "need d >= 0, got d = -1",
+                 id="drw-basis-negative-d"),
+    pytest.param(("wdiff", "verify", "--relation", "restr", "--p", "3",
+                  "--n", "1", "--d", "0", "--samples", "1"),
+                 "need 0 <= j < d, got j = 0, d = 0", id="wdiff-verify-d0"),
+    pytest.param(("steinberg", "--q", "2", "--dim", "2", "--I", "5"),
+                 "I names roots [5] outside 0..0", id="steinberg-root-5"),
     pytest.param(("verify", "localgen", "--p", "4", "--bound", "3"),
                  "p = 4 is not prime", id="localgen-p4"),
     pytest.param(("verify", "cohomology-sweep", "--p", "4", "--n", "1",
@@ -485,6 +493,25 @@ def test_wdiff_verify_command(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["failures"] == 0
+
+
+def test_wdiff_lift_command(tmp_path, capsys):
+    """Lifting to --n 2 keeps each residue as its own lift over Z/3^3 and
+    echoes the input operator as the provenance."""
+    terms = [{"e": [1, -1], "order": [0, 2], "c": 2},
+             {"e": [0, 0], "order": [1, 0], "c": 1}]
+    f = tmp_path / "op.json"
+    f.write_text(json.dumps({"p": 3, "n": 1, "vars": 2, "neg": [1],
+                             "terms": terms}))
+    code, out = run(capsys, "wdiff", "lift", "--op", str(f), "--n", "2")
+    assert code == 0
+    ordered = sorted(terms, key=lambda t: t["e"])
+    expected = {
+        "lift": {"p": 3, "n": 3, "vars": 2, "neg": [1], "terms": ordered},
+        "provenance": {"p": 3, "n": 1, "vars": 2, "neg": [1],
+                       "terms": ordered},
+    }
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_drw_basis_command(capsys):

@@ -166,6 +166,8 @@ def test_enumerate_basis_shape():
     assert len(keys) == 5
     # uniqueness of the (weight, partition) keys
     assert len(set(keys)) == len(keys)
+    # at d = 0 the one key is the empty weight in degree 0
+    assert list(enumerate_basis(3, 1, 0, 0, 4)) == [((), ((),))]
 
 
 @pytest.mark.parametrize("d,i,bound", [(1, 0, 4), (1, 1, 4), (2, 1, 3),
@@ -194,8 +196,8 @@ def test_basis_size_counts_enumerate_basis():
                 for i in range(d + 2):
                     for bound in (-1, 0, 1, 2, 5):
                         keys = enumerate_basis(p, n, d, i, bound)
-                        assert _basis_size(d, i, bound) == len(keys), \
-                            (p, n, d, i, bound)
+                        assert _basis_size(d, i, bound) == len(keys) \
+                            == len(list(keys)), (p, n, d, i, bound)
 
 
 def _ref_enumerate_basis(p, n, d, i, bound):
@@ -292,6 +294,8 @@ def test_oversized_basis_is_refused_before_any_work(monkeypatch):
     assert _basis_size(2, 1, 2883) > _MAX_BASIS_SIZE
     with pytest.raises(ValueError, match="i = -1"):
         enumerate_basis(3, 1, 2, -1, 4)
+    with pytest.raises(ValueError, match="need d >= 0, got d = -1"):
+        enumerate_basis(3, 1, -1, 0, 4)
 
 
 @pytest.mark.parametrize("n", [0, -1])

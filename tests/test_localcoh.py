@@ -262,7 +262,7 @@ def test_y_action_cross_oracle():
         assert got == CohClass(p, n, d, j, raw)
         # and term by term on the image, where w~(V^l(y)) = p^l w~(y)
         want = {}
-        for e, cc in tilde_w(out).value.terms.items():
+        for e, cc in tilde_w(out).terms.items():
             v = ChartAtlas(d).from_chart(i, e)
             cc = coeff * p ** l * cc % p ** n
             if cc and max(v[j + 1:]) < 0:

@@ -70,7 +70,7 @@ def test_acyclicity_over_z(q, d):
 @pytest.mark.parametrize("q,d", [(2, 1), (3, 1), (2, 2)])
 @pytest.mark.parametrize("n", [1, 2])
 def test_acyclicity_over_zpn(q, d, n):
-    rep = acyclicity_check(q, d, tuple(range(d)), ring="Zpn", n=n, p=q)
+    rep = acyclicity_check(q, d, tuple(range(d)), ring="Zpn", n=n)
     assert rep["exact"]
 
 
@@ -101,7 +101,7 @@ def test_euler_characteristic_zero():
 def test_flatness_layers_over_zpn():
     """v tensor Z/p^n has layer dimensions (rank, ..., rank)."""
     for q, d, rank in ((2, 1, 2), (3, 1, 3), (2, 2, 8)):
-        cx = InductionComplex(q, d, tuple(range(d)), ring="Zpn", n=2, p=q)
+        cx = InductionComplex(q, d, tuple(range(d)), ring="Zpn", n=2)
         last = cx.matrices[-1]
         divisors = smith_normal_form(last)
         # all divisors are units: the cokernel is free, so each p-layer of

@@ -16,7 +16,6 @@ from wittkit.sparse import (IntegralityFailure, _kronecker, _pmul, _ppow,
                             _psquare, _segments, _slot_width, _unpack,
                             add_into)
 from wittkit.witt import (
-    LiftedElem,
     NotInImage,
     TorsionRing,
     WittVector,
@@ -674,11 +673,11 @@ def t_mono(e, p=2, c=1):
 def test_tilde_w_examples():
     zero = LaurentElem.zero(2, 1, 1)
     w = tilde_w(WittVector(2, 2, [t_mono(1), zero]))
-    assert w.value.terms == {(2,): 1}
+    assert w.terms == {(2,): 1}
     w = tilde_w(WittVector(2, 2, [zero, t_mono(1)]))
-    assert w.value.terms == {(1,): 2}
+    assert w.terms == {(1,): 2}
     w = tilde_w(WittVector(2, 2, [t_mono(1), t_mono(3)]))
-    assert w.value.terms == {(2,): 1, (3,): 2}
+    assert w.terms == {(2,): 1, (3,): 2}
 
 
 def _ref_tilde(x, top):
@@ -703,8 +702,8 @@ def test_property_tilde_matches_three_pass_reference(data):
         exps, st.integers(1, p - 1), max_size=4)), tuple(range(nv)))
         for _ in range(n)]
     x = WittVector(p, n, coords)
-    assert tilde_w(x).value.terms == _ref_tilde(x, n - 1)
-    assert tilde_F(x).value.terms == _ref_tilde(x, n)
+    assert tilde_w(x).terms == _ref_tilde(x, n - 1)
+    assert tilde_F(x).terms == _ref_tilde(x, n)
 
 
 def test_tilde_w_roundtrip_and_not_in_image():
@@ -714,7 +713,7 @@ def test_tilde_w_roundtrip_and_not_in_image():
             x = rnd_laurent_vec(p, n, 2, rng, neg=False)
             assert tilde_w_inverse(tilde_w(x)) == x
     with pytest.raises(NotInImage):
-        tilde_w_inverse(LiftedElem(2, 2, LaurentElem.monomial(2, 2, 1, (1,))))
+        tilde_w_inverse(LaurentElem.monomial(2, 2, 1, (1,)))
 
 
 def test_tilde_w_ring_homomorphism():
@@ -723,11 +722,11 @@ def test_tilde_w_ring_homomorphism():
         x = rnd_laurent_vec(3, 2, 1, rng, neg=False)
         y = rnd_laurent_vec(3, 2, 1, rng, neg=False)
         # against the ghost route: witt_add and witt_mul go through tilde_w
-        assert tilde_w(_ref_binop(x, y, _cadd)).value == (
-            tilde_w(x).value + tilde_w(y).value
+        assert tilde_w(_ref_binop(x, y, _cadd)) == (
+            tilde_w(x) + tilde_w(y)
         )
-        assert tilde_w(_ref_binop(x, y, _cmul)).value == (
-            tilde_w(x).value * tilde_w(y).value
+        assert tilde_w(_ref_binop(x, y, _cmul)) == (
+            tilde_w(x) * tilde_w(y)
         )
 
 
@@ -739,10 +738,10 @@ def test_tilde_w_image_capture_of_v_layers():
         x = rnd_laurent_vec(p, n - 1, 1, rng, neg=False)
         v = verschiebung(x)
         w = tilde_w(v)
-        assert all(c % p == 0 for c in w.value.terms.values())
+        assert all(c % p == 0 for c in w.terms.values())
         y = rnd_laurent_vec(p, n, 1, rng, neg=False)
         wy = tilde_w(y)
-        divisible = all(c % p == 0 for c in wy.value.terms.values())
+        divisible = all(c % p == 0 for c in wy.terms.values())
         first_zero = y.coords[0].is_zero()
         assert divisible == first_zero
 
@@ -750,11 +749,11 @@ def test_tilde_w_image_capture_of_v_layers():
 def test_tilde_F_example_and_closedness():
     zero = LaurentElem.zero(2, 1, 1)
     f = tilde_F(WittVector(2, 2, [t_mono(1), zero]))
-    assert f.value.terms == {(4,): 1}
+    assert f.terms == {(4,): 1}
     rng = random.Random(23)
     for _ in range(20):
         x = rnd_laurent_vec(2, 2, 1, rng, neg=False)
-        val = tilde_F(x).value
+        val = tilde_F(x)
         # d f = 0 in (Z/4)[t]: k * coeff_k == 0 mod 4 for all k
         assert all((e[0] * c) % 4 == 0 for e, c in val.terms.items())
 
@@ -785,7 +784,7 @@ def test_tilde_F_surjective_injective_on_closed_forms_deg6():
                     polys3.append(LaurentElem(2, 1, 1, terms))
     for x1 in polys1:
         for x2 in polys3:
-            val = tilde_F(WittVector(2, 2, [x1, x2])).value
+            val = tilde_F(WittVector(2, 2, [x1, x2]))
             key = tuple(sorted(val.terms.items()))
             assert key not in images, "F-tilde^2 not injective"
             images[key] = (x1, x2)
@@ -1339,8 +1338,7 @@ def test_trusted_tilde_maps_match_constructor(data):
         LaurentElem(p, 1, nv, data.draw(st.dictionaries(
             exps, st.integers(1, p - 1), max_size=2)), region)
         for _ in range(n)])
-    for y in (tilde_w(x), tilde_F(x)):
-        f = y.value
+    for f in (tilde_w(x), tilde_F(x)):
         assert f == LaurentElem(p, n, nv, f.terms, region)
     back = tilde_w_inverse(tilde_w(x))
     assert back == WittVector(p, n, [
@@ -1350,12 +1348,11 @@ def test_trusted_tilde_maps_match_constructor(data):
 
 # -- one-pass w-tilde inversion and the zero scalar, against the old routes --
 
-def _ref_tilde_w_inverse(y):
+def _ref_tilde_w_inverse(f):
     """tilde_w_inverse as it stood: separate passes per layer."""
-    p, L = y.p, y.level
+    p, L = f.p, f.n
     mod = p ** L
-    f = y.value
-    rem = f.terms  # reduced mod p^L, since f.n == L
+    rem = f.terms  # reduced mod p^L
     coords = []
     for i in range(L):
         k = p ** (L - 1 - i)
@@ -1387,7 +1384,7 @@ def _outcome(fn, y):
 
 
 @st.composite
-def lifted_elems(draw):
+def tilde_w_targets(draw):
     """w-tilde images, and images with a term added: of valuation j >= 1,
     a unit at an exponent off the p^(L-1) lattice, or p^(L-1) times a unit
     (seen by the last layer only).  Only the off-lattice kind leaves the
@@ -1404,10 +1401,10 @@ def lifted_elems(draw):
         LaurentElem(p, 1, nv, draw(st.dictionaries(
             exps, st.integers(1, p - 1), max_size=2)), region)
         for _ in range(L)])
-    f = tilde_w(x).value
+    f = tilde_w(x)
     kind = draw(st.sampled_from(["image", "valuation", "power", "remainder"]))
     if kind == "image":
-        return LiftedElem(p, L, f)
+        return f
     e = draw(exps)
     unit = draw(st.integers(1, p - 1))
     if kind == "valuation":
@@ -1419,10 +1416,10 @@ def lifted_elems(draw):
     else:
         c = p ** (L - 1) * unit
     g = LaurentElem(p, L, nv, {e: c}, region)
-    return LiftedElem(p, L, f + g)
+    return f + g
 
 
-@given(lifted_elems())
+@given(tilde_w_targets())
 @settings(max_examples=300, deadline=None)
 def test_one_pass_tilde_w_inverse_matches_reference(y):
     assert _outcome(tilde_w_inverse, y) == _outcome(_ref_tilde_w_inverse, y)
@@ -1437,7 +1434,7 @@ def test_tilde_w_inverse_fills_zeros_after_an_empty_remainder():
         back = tilde_w_inverse(tilde_w(x))
         assert _identical(back, x)
         assert _identical(back, _ref_tilde_w_inverse(tilde_w(x)))
-    y = LiftedElem(2, 3, LaurentElem.monomial(2, 3, 1, (3,)))
+    y = LaurentElem.monomial(2, 3, 1, (3,))
     with pytest.raises(NotInImage, match="^layer 0 is not a 4-th power$"):
         tilde_w_inverse(y)
 

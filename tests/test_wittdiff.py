@@ -16,7 +16,6 @@ from wittkit.witt import (
     _relation_work,
 )
 from wittkit.wittdiff import (
-    WittDiffOp,
     apply_witt,
     check_relation,
     i_star,
@@ -38,19 +37,18 @@ def t_mono(e, p=2, neg=True):
 def test_lift_of_partial_is_partial():
     base = WeylElement.monomial(2, 1, 1, (0,), (1,))
     op = lift_operator(base, 2)
-    assert op.lift == WeylElement.monomial(2, 2, 1, (0,), (1,))
-    assert op.provenance == base
+    assert op == WeylElement.monomial(2, 2, 1, (0,), (1,))
 
 
 def test_lift_coefficients():
     base = WeylElement.monomial(3, 1, 1, (1,), (2,))  # z d^[2]
     op = lift_operator(base, 2)
-    assert op.lift.terms == {((1,), (2,)): 1}
+    assert op.terms == {((1,), (2,)): 1}
 
 
 def test_lift_refuses_a_shorter_length():
     base = WeylElement.monomial(3, 3, 1, (1,), (2,), 10)
-    assert lift_operator(base, 3).lift.terms == {((1,), (2,)): 10}
+    assert lift_operator(base, 3).terms == {((1,), (2,)): 10}
     with pytest.raises(ValueError, match="cannot lift from n = 3"):
         lift_operator(base, 2)
 
@@ -63,8 +61,7 @@ def test_apply_witt_spec_examples():
     x2 = teichmuller(t_mono(2), 2)
     op2 = partial_op(2, 1, 0, 2, 2)
     assert apply_witt(op2, x2) == verschiebung(teichmuller(t_mono(2), 1))
-    ident = WittDiffOp(2, 2, WeylElement.one(2, 2, 1, (0,)),
-                       WeylElement.one(2, 1, 1, (0,)))
+    ident = WeylElement.one(2, 2, 1, (0,))
     assert apply_witt(ident, x2) == x2
 
 
@@ -123,6 +120,19 @@ def test_unknown_relation_is_refused_before_any_operator(monkeypatch):
     with pytest.raises(ValueError, match="unknown relation 'restr'"):
         check_relation("restr", 2, 1, 1, 2, 3, rng)
     assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("d,j", [(0, 0), (2, 2), (2, -1)])
+def test_variable_outside_the_chart_is_refused_before_any_operator(
+        monkeypatch, d, j):
+    import wittkit.wittdiff as wd
+
+    def work(*args):
+        raise AssertionError("an operator was built")
+    monkeypatch.setattr(wd, "partial_op", work)
+    with pytest.raises(ValueError,
+                       match="need 0 <= j < d, got j = %d, d = %d" % (j, d)):
+        check_relation("restriction", 3, 1, d, 1, 1, random.Random(0), j=j)
 
 
 def test_relation_work_bounds_the_term_products(monkeypatch):
@@ -373,15 +383,14 @@ def teichmuller_lift_op(base, length):
                            base.allowed_negative)
         realized = poly ** (p ** (length - 1))
         terms.update(((e, r), c) for e, c in realized.terms.items())
-    lift = WeylElement._trusted(p, length, base.num_vars, terms,
+    return WeylElement._trusted(p, length, base.num_vars, terms,
                                 base.allowed_negative)
-    return WittDiffOp(p, length, lift, base)
 
 
 def test_teichmuller_lift_identity_order_zero():
     base = WeylElement.monomial(3, 1, 1, (0,), (1,))
     op = teichmuller_lift_op(base, 2)
-    assert op.lift == WeylElement.monomial(3, 2, 1, (0,), (1,))
+    assert op == WeylElement.monomial(3, 2, 1, (0,), (1,))
 
 
 def test_teichmuller_lift_coefficient_realization():
@@ -389,7 +398,7 @@ def test_teichmuller_lift_coefficient_realization():
     p, L = 2, 3
     base = WeylElement.monomial(p, 1, 1, (1,), (1,))
     op = teichmuller_lift_op(base, L)
-    assert op.lift.terms == {((p ** (L - 1),), (1,)): 1}
+    assert op.terms == {((p ** (L - 1),), (1,)): 1}
 
 
 def test_teichmuller_lift_reduction_is_identity():
