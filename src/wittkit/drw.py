@@ -11,11 +11,13 @@ the minimal valuation of r (0 for the zero weight) and ``base`` the sorted
 (j, u, v) triples of r with ``shift`` taken off each v.  F and V multiply and
 divide r by p, so they change only ``shift`` and share ``base`` with the
 symbol they start from; d changes only ``parts``.  An element stores its
-level data and a tuple of (symbol, coefficient) pairs sorted by symbol, each
-coefficient reduced mod p^(n-u), u = max(0, -shift).  The ``DRWElement``
+level data and a list of flat (base, shift, parts, coefficient) terms sorted
+by symbol, each coefficient reduced mod p^(n-u), u = max(0, -shift).  The
+list is built once, by the constructor, ``act``, ``+`` or ``scalar_mul``,
+and never mutated after, so elements may share it.  The ``DRWElement``
 constructor and ``terms`` speak plain ``Weight.key()`` triples; ``act`` and
 ``scalar_mul`` reduce only the coefficients they compute and keep the order
-of the pairs.  No module-level table or cache is kept, and the basis of a
+of the terms.  No module-level table or cache is kept, and the basis of a
 cell is a ``BasisKeys`` sequence that makes each key when it is asked for.
 """
 
@@ -119,29 +121,9 @@ def _partitions(supp, i):
             + [cut(sizes, False) for sizes in compos(L, i + 1)])
 
 
-def _symbol(triples):
-    """The (base, shift) of a weight key's sorted (j, u, v) triples."""
-    shift = min(map(_valuation, triples), default=0)
-    if not shift:
-        return triples, 0
-    return tuple([(j, u, v - shift) for (j, u, v) in triples]), shift
-
-
 def _triples(base, shift):
-    """The weight key of (base, shift): inverse to _symbol."""
+    """The weight key of a symbol's (base, shift)."""
     return tuple([(j, u, v + shift) for (j, u, v) in base])
-
-
-def _reduced(p, n, items):
-    """Sorted (symbol, c mod p^(n-u)) pairs of ``items``, zeros dropped."""
-    out = []
-    for sym, c in items:
-        k = n + sym[1] if sym[1] < 0 else n
-        c = c % p ** k if k > 0 else 0
-        if c:
-            out.append((sym, c))
-    out.sort()
-    return tuple(out)
 
 
 class DRWElement:
@@ -152,20 +134,32 @@ class DRWElement:
     Coefficients are therefore stored modulo p^(n-u), which makes the stored
     expression the canonical one.
 
-    ``space`` is the tuple (p, n, d, degree) and ``pairs`` the tuple of
-    ((base, shift, partition), coefficient) pairs sorted by symbol, with
-    u = max(0, -shift).  The constructor takes a {(weight key, partition):
-    coefficient} dict, whose weight keys are ``Weight.key()`` triples as
-    ``enumerate_basis`` returns them, and reduces and sorts it; ``terms``
-    gives the pairs back in that form.
+    ``space`` is the tuple (p, n, d, degree) and ``pairs`` the list of
+    (base, shift, partition, coefficient) terms sorted by symbol, with
+    u = max(0, -shift) and every n + shift >= 1.  Symbols are unique within
+    an element, so the coefficient never decides the order.  The list is
+    never mutated once the element is built.  The constructor takes a
+    {(weight key, partition): coefficient} dict, whose weight keys are
+    ``Weight.key()`` triples as ``enumerate_basis`` returns them, and
+    reduces and sorts it in one pass; ``terms`` gives the terms back in
+    that form.
     """
 
     __slots__ = ("space", "pairs")
 
     def __init__(self, p, n, d, degree, terms):
         self.space = (p, n, d, degree)
-        self.pairs = _reduced(p, n, [(_symbol(triples) + (parts,), c)
-                                     for (triples, parts), c in terms.items()])
+        pairs = []
+        for (base, parts), c in terms.items():  # a key is its base at 0
+            s = min(base, key=_valuation)[2] if base else 0
+            if s:
+                base = tuple([(j, u, v - s) for (j, u, v) in base])
+            k = n + s if s < 0 else n
+            c = c % p ** k if k > 0 else 0
+            if c:
+                pairs.append((base, s, parts, c))
+        pairs.sort()
+        self.pairs = pairs
 
     p = property(lambda self: self.space[0])
     n = property(lambda self: self.space[1])
@@ -175,29 +169,44 @@ class DRWElement:
     @property
     def terms(self):
         return {(_triples(base, shift), parts): c
-                for (base, shift, parts), c in self.pairs}
+                for base, shift, parts, c in self.pairs}
 
     def is_zero(self):
         return not self.pairs
 
-    def __add__(self, other):
-        if self.space != other.space:
+    def __add__(self, other, _new=object.__new__):
+        space = self.space
+        if space != other.space:
             raise Inadmissible("cannot add across levels or degrees")
-        acc = dict(self.pairs)
+        p, n = space[0], space[1]
+        acc = {}
         get = acc.get
-        for sym, c in other.pairs:
+        for base, s, parts, c in self.pairs + other.pairs:
+            sym = base, s, parts
             acc[sym] = get(sym, 0) + c
-        return _element(self.space, _reduced(*self.space[:2], acc.items()))
-
-    def scalar_mul(self, c):
-        p, n = self.space[:2]
-        pn = p ** n
         pairs = []
-        for sym, v in self.pairs:
-            v = v * c % (p ** (n + sym[1]) if sym[1] < 0 else pn)
+        for sym, c in acc.items():
+            s = sym[1]
+            c %= p ** (n + s if s < 0 else n)
+            if c:
+                pairs.append(sym + (c,))
+        pairs.sort()
+        e = _new(DRWElement)
+        e.space = space
+        e.pairs = pairs
+        return e
+
+    def scalar_mul(self, c, _new=object.__new__):
+        p, n, _, _ = space = self.space
+        pairs = []
+        for base, s, parts, v in self.pairs:
+            v = v * c % p ** (n + s if s < 0 else n)
             if v:
-                pairs.append((sym, v))
-        return _element(self.space, tuple(pairs))
+                pairs.append((base, s, parts, v))
+        e = _new(DRWElement)
+        e.space = space
+        e.pairs = pairs
+        return e
 
     def __sub__(self, other):
         return self + other.scalar_mul(-1)
@@ -213,14 +222,6 @@ class DRWElement:
         return "DRWElement(n=%d, deg=%d, %d terms)" % (
             self.n, self.degree, len(self.pairs)
         )
-
-
-def _element(space, pairs, _new=object.__new__):
-    """Trusted constructor: ``pairs`` is reduced, sorted and free of zeros."""
-    e = _new(DRWElement)
-    e.space = space
-    e.pairs = pairs
-    return e
 
 
 def _weight_from_key(p, d, key):
@@ -246,52 +247,49 @@ def act(which, elem, _new=object.__new__):
     - d prepends an empty I_0, is zero on a symbol whose I_0 is empty, and
       carries the scalar p^(min valuation) for a nonzero integral weight.
 
-    Every stored pair has n + shift >= 1 (the constructor drops the rest).
+    Every stored term has n + shift >= 1 (the constructor drops the rest).
     F lowers n by one and raises the shift of a nonzero weight by one, V
     does the reverse, and the zero weight has shift 0, so their images stay
-    admissible.  Each keeps the order of the pairs: F and V move only the
+    admissible.  Each keeps the order of the terms: F and V move only the
     shift, d only prepends () to the partition.
     """
     p, n, d, degree = elem.space
     out = []
     if which == "F":
         n -= 1
-        pn = p ** n
-        for (base, s, parts), c in elem.pairs if n else ():  # W_0 Omega = 0
+        for base, s, parts, c in elem.pairs if n else ():  # W_0 Omega = 0
             if base:
                 s += 1  # of p r: r is integral iff s >= 1
                 if s < 1 and parts[0]:
                     c *= p
-            c %= p ** (n + s) if s < 0 else pn
+            c %= p ** (n + s if s < 0 else n)
             if c:
-                out.append(((base, s, parts), c))
+                out.append((base, s, parts, c))
     elif which == "V":
         n += 1
-        pn = p ** n
-        for (base, s, parts), c in elem.pairs:
+        for base, s, parts, c in elem.pairs:
             if base:
                 s -= 1  # of r/p
             if s >= 0 or not parts[0]:
                 c *= p
-            c %= p ** (n + s) if s < 0 else pn
+            c %= p ** (n + s if s < 0 else n)
             if c:
-                out.append(((base, s, parts), c))
+                out.append((base, s, parts, c))
     elif which == "d":
         degree += 1
-        pn = p ** n
-        for (base, s, parts), c in elem.pairs:
+        for base, s, parts, c in elem.pairs:
             if not parts[0]:
                 continue
             if s > 0:  # the modulus is unchanged, so only this needs reducing
-                c = c * p ** s % pn
+                c = c * p ** s % p ** n
                 if not c:
                     continue
-            out.append(((base, s, ((),) + parts), c))
+            out.append((base, s, ((),) + parts, c))
     else:
         raise ValueError("unknown operator %r" % (which,))
     e = _new(DRWElement)
     e.space = (p, n, d, degree)
-    e.pairs = tuple(out)
+    e.pairs = out
     return e
 
 
@@ -310,6 +308,8 @@ def enumerate_basis(p, n, d, i, bound):
         raise ValueError("need d >= 0, got d = %d" % d)
     if i < 0:
         raise ValueError("need degree i >= 0, got i = %d" % i)
+    if bound < 0:
+        raise ValueError("need bound >= 0, got bound = %d" % bound)
     size = _basis_size(d, i, bound)
     if size > _MAX_BASIS_SIZE:
         raise ScaleExceeded(
@@ -323,7 +323,7 @@ def enumerate_basis(p, n, d, i, bound):
         v = v_p(a, p)
         for j in range(d):
             entry[j].append((j, a // p ** v, v - (n - 1)))
-    return BasisKeys(d, i, max(bound, 0), size, entry)
+    return BasisKeys(d, i, bound, size, entry)
 
 
 class BasisKeys(Sequence):

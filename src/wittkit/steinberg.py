@@ -120,6 +120,8 @@ class InductionComplex:
     """
 
     def __init__(self, q, d, removed_target, ring="Z", n=1, p=None):
+        if n < 1:  # over Z/p^0, the zero ring, every check holds vacuously
+            raise ValueError("need n >= 1, got n = %d" % n)
         if (d + 1, q) not in ((2, 2), (2, 3), (3, 2)):
             raise ScaleExceeded("desk scale: GL_2(F_2), GL_2(F_3), GL_3(F_2)")
         self.q = q

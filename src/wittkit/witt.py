@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, prod
-from operator import add as _add, getitem, mul as _mul, sub as _sub
+from operator import add as _add, getitem, mul as _mul
 
 from . import sparse
 from .rings import (
@@ -203,7 +203,8 @@ def _poly_cost(p, n):
 
 # The basis keys are made one at a time, so the limit bounds time: on a
 # 2-vCPU x86-64 VM a million keys (p = 3, n = 2, d = 3, i = 0, bound 99)
-# take 14 s through the six identities of checks.drw_cell, at 15 MiB RSS.
+# take 11 to 12 s through the six identities of checks.drw_cell, at 14 MiB
+# peak RSS.
 # Criterion 8's largest cell (p = 3, d = 3, bound 27, degree 1) has 63,504.
 _MAX_BASIS_SIZE = 10 ** 6
 
@@ -218,7 +219,6 @@ def _basis_size(d, i, bound):
     """
     if i > d:
         return 0
-    bound = max(bound, 0)
     return comb(d, i) * bound ** i * (bound + 1) ** (d - i)
 
 
@@ -722,17 +722,6 @@ def witt_neg(x):
     return _from_ghosts(x, [-g for g in _ghosts(x)])
 
 
-def witt_sub(x, y):
-    """x - y in one ghost round trip: the ghost map is additive.
-
-    x - 0 is x itself, with no round trip.
-    """
-    if y.is_zero():
-        x._check(y)
-        return x
-    return _binop(x, y, _sub)
-
-
 def _via_polys(x, polys, vectors):
     """Specialize polys at the coordinates of vectors, reduced like x's."""
     vals = [_lift(c) for v in vectors for c in v.coords]
@@ -828,31 +817,6 @@ def witt_scalar_mul(c, x):
     if c == 0:
         return WittVector(x.p, x.n, [x.zero_coord()] * x.n)
     return _from_ghosts(x, [c * g for g in _ghosts(x)])
-
-
-def witt_zero(p, n, like=None):
-    return witt_from_int(0, p, n, like=like)
-
-
-def witt_sum(vectors, p=None, n=None, like=None):
-    """The Witt sum of vectors: ghosts are summed and inverted once.
-
-    Zero summands are dropped first, and when at most one is left it is
-    the sum, the first vector standing for zero.
-    """
-    it = list(vectors)
-    if not it:
-        return witt_zero(p, n, like=like)
-    x = it[0]
-    for v in it[1:]:
-        x._check(v)
-    it = [v for v in it if not v.is_zero()]
-    if len(it) < 2:
-        return it[0] if it else x
-    total = _ghosts(it[0])
-    for v in it[1:]:
-        total = [a + b for a, b in zip(total, _ghosts(v))]
-    return _from_ghosts(x, total)
 
 
 # ----------------------------------------------------------------------

@@ -358,6 +358,12 @@ def test_weyl_nf_laurent_word(capsys):
                  "need 0 <= j < d, got j = 0, d = 0", id="wdiff-verify-d0"),
     pytest.param(("steinberg", "--q", "2", "--dim", "2", "--I", "5"),
                  "I names roots [5] outside 0..0", id="steinberg-root-5"),
+    pytest.param(("steinberg", "--q", "2", "--dim", "3", "--ring", "Zpn",
+                  "--n", "0"), "need n >= 1, got n = 0", id="steinberg-n0"),
+    pytest.param(("drw", "basis", "--p", "2", "--n", "2", "--d", "1",
+                  "--i", "0", "--bound", "-3"),
+                 "need bound >= 0, got bound = -3",
+                 id="drw-basis-negative-bound"),
     pytest.param(("verify", "localgen", "--p", "4", "--bound", "3"),
                  "p = 4 is not prime", id="localgen-p4"),
     pytest.param(("verify", "cohomology-sweep", "--p", "4", "--n", "1",

@@ -17,7 +17,6 @@ from wittkit.drw import (
     weight_from_json,
     weight_to_json,
     _partitions,
-    _symbol,
     _triples,
 )
 from wittkit.rings import ScaleExceeded, v_p
@@ -194,7 +193,7 @@ def test_basis_size_counts_enumerate_basis():
         for n in (1, 2):
             for d in range(4):
                 for i in range(d + 2):
-                    for bound in (-1, 0, 1, 2, 5):
+                    for bound in (0, 1, 2, 5):
                         keys = enumerate_basis(p, n, d, i, bound)
                         assert _basis_size(d, i, bound) == len(keys) \
                             == len(list(keys)), (p, n, d, i, bound)
@@ -296,6 +295,14 @@ def test_oversized_basis_is_refused_before_any_work(monkeypatch):
         enumerate_basis(3, 1, 2, -1, 4)
     with pytest.raises(ValueError, match="need d >= 0, got d = -1"):
         enumerate_basis(3, 1, -1, 0, 4)
+
+
+@pytest.mark.parametrize("bound", [-1, -3])
+def test_negative_bound_is_refused(bound):
+    # numerators 0 <= a_j <= bound admit no weight, not even the zero one
+    with pytest.raises(ValueError,
+                       match="need bound >= 0, got bound = %d" % bound):
+        enumerate_basis(2, 2, 1, 0, bound)
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -491,7 +498,7 @@ def test_property_stored_pairs_are_admissible(cell, word, c):
     p, n, d, i, terms = cell
     elem = DRWElement(p, n, d, i, terms)
     for op in word + [None]:
-        assert all(shift >= 1 - elem.n for (_, shift, _), _c in elem.pairs)
+        assert all(shift >= 1 - elem.n for _, shift, _, _c in elem.pairs)
         if op == "+":
             elem = elem + elem.scalar_mul(c)
         elif op == "*":
@@ -513,6 +520,14 @@ def test_property_sum_matches_plain_dicts(cell, data):
     assert total == DRWElement(p, n, d, i, merged)
 
 
+def _stored_symbol(triples):
+    """The (base, shift) the constructor stores for a weight key, at a
+    level just high enough to keep it."""
+    n = max(1, 1 - _ref_min_v(triples))
+    (base, s, _, _), = DRWElement(2, n, 5, 0, {(triples, ((),)): 1}).pairs
+    return base, s
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.dictionaries(st.integers(0, 4),
                        st.tuples(st.integers(1, 50), st.integers(-4, 4)),
@@ -520,12 +535,12 @@ def test_property_sum_matches_plain_dicts(cell, data):
        st.integers(-6, 6))
 def test_property_symbol_round_trip(entries, shift):
     triples = tuple((j, u, v) for j, (u, v) in sorted(entries.items()))
-    base, s = _symbol(triples)
+    base, s = _stored_symbol(triples)
     assert _triples(base, s) == triples
     assert s == _ref_min_v(triples)
     if base:
         assert _ref_min_v(base) == 0
-        assert _symbol(_triples(base, shift)) == (base, shift)
+        assert _stored_symbol(_triples(base, shift)) == (base, shift)
     else:
         assert (base, s) == ((), 0)
 
@@ -533,8 +548,145 @@ def test_property_symbol_round_trip(entries, shift):
 def test_f_and_v_share_the_base_of_a_symbol():
     w = Weight(3, 2, {0: (2, -1), 1: (1, 0)})
     e = basis_element(3, 3, 2, w.key(), ((0,), (1,)))
-    (base, shift, _), _ = e.pairs[0]
+    base, shift, _, _ = e.pairs[0]
     assert shift == -1
     for image in (act("V", e), act("F", act("V", e)), act("d", e)):
-        (image_base, _, _), _ = image.pairs[0]
+        image_base, _, _, _ = image.pairs[0]
         assert image_base is base
+
+
+# -- the nested-pair kernel that the flat terms replaced ---------------------
+#
+# An element was (space, pairs) with pairs a tuple of ((base, shift, parts),
+# c) sorted by symbol; these are its constructor, act, scalar_mul and +,
+# kept as the reference the flat (base, shift, parts, c) terms must match.
+
+def _ref_symbol(triples):
+    shift = min([v for (_, _, v) in triples], default=0)
+    if not shift:
+        return triples, 0
+    return tuple([(j, u, v - shift) for (j, u, v) in triples]), shift
+
+
+def _ref_reduced(p, n, items):
+    out = []
+    for sym, c in items:
+        k = n + sym[1] if sym[1] < 0 else n
+        c = c % p ** k if k > 0 else 0
+        if c:
+            out.append((sym, c))
+    out.sort()
+    return tuple(out)
+
+
+def _ref_new(p, n, d, degree, terms):
+    return (p, n, d, degree), _ref_reduced(
+        p, n, [(_ref_symbol(triples) + (parts,), c)
+               for (triples, parts), c in terms.items()])
+
+
+def _ref_add(x, y):
+    (space, pairs), (other_space, other_pairs) = x, y
+    assert space == other_space
+    acc = dict(pairs)
+    for sym, c in other_pairs:
+        acc[sym] = acc.get(sym, 0) + c
+    return space, _ref_reduced(*space[:2], acc.items())
+
+
+def _ref_scalar_mul(x, c):
+    (p, n, d, degree), pairs = x
+    pn = p ** n
+    out = []
+    for sym, v in pairs:
+        v = v * c % (p ** (n + sym[1]) if sym[1] < 0 else pn)
+        if v:
+            out.append((sym, v))
+    return x[0], tuple(out)
+
+
+def _ref_drw_act(which, x):
+    (p, n, d, degree), pairs = x
+    out = []
+    if which == "F":
+        n -= 1
+        pn = p ** n
+        for (base, s, parts), c in pairs if n else ():
+            if base:
+                s += 1
+                if s < 1 and parts[0]:
+                    c *= p
+            c %= p ** (n + s) if s < 0 else pn
+            if c:
+                out.append(((base, s, parts), c))
+    elif which == "V":
+        n += 1
+        pn = p ** n
+        for (base, s, parts), c in pairs:
+            if base:
+                s -= 1
+            if s >= 0 or not parts[0]:
+                c *= p
+            c %= p ** (n + s) if s < 0 else pn
+            if c:
+                out.append(((base, s, parts), c))
+    else:
+        degree += 1
+        pn = p ** n
+        for (base, s, parts), c in pairs:
+            if not parts[0]:
+                continue
+            if s > 0:
+                c = c * p ** s % pn
+                if not c:
+                    continue
+            out.append(((base, s, ((),) + parts), c))
+    return (p, n, d, degree), tuple(out)
+
+
+def _assert_same(elem, ref):
+    space, pairs = ref
+    assert elem.space == space
+    assert elem.terms == {(_triples(base, shift), parts): c
+                          for (base, shift, parts), c in pairs}
+    assert elem.pairs == [sym + (c,) for sym, c in pairs]  # order too
+
+
+@settings(max_examples=300, deadline=None)
+@given(drw_combinations(), st.data(),
+       st.lists(st.sampled_from("FVd+-*"), max_size=6))
+def test_property_flat_terms_match_the_nested_pairs(cell, data, word):
+    """Constructor, F/V/d words, sums, differences and scalar multiples
+    agree with the nested-pair kernel on space, terms and stored order."""
+    p, n, d, i, terms = cell
+    elem, ref = DRWElement(p, n, d, i, terms), _ref_new(p, n, d, i, terms)
+    _assert_same(elem, ref)
+    for op in word:
+        if op in "+-":
+            # a second element on the current symbols and a few other keys
+            # of the current cell, with its own coefficients; its first term
+            # cancels against elem's, so sums merge, drop and insert terms
+            now = elem.terms
+            keys = (enumerate_basis(p, elem.n, d, elem.degree, p + 1)
+                    if elem.n >= 1 else ())
+            picks = data.draw(st.lists(st.sampled_from(keys), max_size=3)
+                              if len(keys) else st.just([]))
+            mine = {key: data.draw(st.integers(-p ** 4, p ** 4))
+                    for key in [*now, *picks]}
+            if now:
+                key = next(iter(now))
+                mine[key] = -now[key] if op == "+" else now[key]
+            other = DRWElement(p, elem.n, d, elem.degree, mine)
+            other_ref = _ref_new(p, elem.n, d, elem.degree, mine)
+            _assert_same(other, other_ref)
+            if op == "+":
+                elem, ref = elem + other, _ref_add(ref, other_ref)
+            else:
+                elem = elem - other
+                ref = _ref_add(ref, _ref_scalar_mul(other_ref, -1))
+        elif op == "*":
+            c = data.draw(st.integers(-p ** 4, p ** 4))
+            elem, ref = elem.scalar_mul(c), _ref_scalar_mul(ref, c)
+        else:
+            elem, ref = act(op, elem), _ref_drw_act(op, ref)
+        _assert_same(elem, ref)

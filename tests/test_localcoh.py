@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from test_witt import witt_sub, witt_sum
 from test_wittdiff import monomial_case_split
 from wittkit import sparse
 from wittkit.cech import slice_cohomology_dims
@@ -40,8 +41,6 @@ from wittkit.witt import (
     verschiebung,
     witt_mul,
     witt_scalar_mul,
-    witt_sub,
-    witt_sum,
     _MAX_GENERATION_WORK,
     _MAX_STABILITY_WORK,
     _generation_walk_size,
@@ -153,7 +152,7 @@ def test_cohclass_repr_shows_ring_and_symbols():
 
 
 def test_class_addition_matches_witt_arithmetic():
-    from wittkit.witt import witt_add, witt_scalar_mul, witt_sum
+    from wittkit.witt import witt_add, witt_scalar_mul
     rng = random.Random(2)
     for _ in range(40):
         p, n, d, j = rng.choice([2, 3]), rng.choice([2, 3]), 2, rng.randrange(2)

@@ -74,6 +74,18 @@ def test_acyclicity_over_zpn(q, d, n):
     assert rep["exact"]
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_complex_below_level_one_is_refused_before_any_work(n, monkeypatch):
+    # over Z/p^0, the zero ring, exactness and freeness would hold vacuously
+    import wittkit.steinberg as steinberg
+
+    def work(*args):
+        raise AssertionError("the group was built")
+    monkeypatch.setattr(steinberg, "FiniteGL", work)
+    with pytest.raises(ValueError, match="need n >= 1, got n = %d" % n):
+        acyclicity_check(2, 2, (0, 1), ring="Zpn", n=n)
+
+
 @pytest.mark.parametrize("q,d,rank", [(2, 1, 2), (3, 1, 3), (2, 2, 8)])
 def test_steinberg_ranks(q, d, rank):
     rep = steinberg_rank(q, d)

@@ -19,7 +19,10 @@ from wittkit.witt import (
     NotInImage,
     TorsionRing,
     WittVector,
+    _binop,
+    _from_ghosts,
     _ghost_from_covers,
+    _ghosts,
     _ghost_inverse,
     _MAX_POLY_COST,
     _layout,
@@ -46,9 +49,42 @@ from wittkit.witt import (
     witt_neg,
     witt_neg_via_polys,
     witt_scalar_mul,
-    witt_sub,
-    witt_sum,
 )
+
+
+# -- Witt differences and sums: no library code calls them ------------------
+
+def witt_sub(x, y):
+    """x - y in one ghost round trip: the ghost map is additive.
+
+    x - 0 is x itself, with no round trip.
+    """
+    if y.is_zero():
+        x._check(y)
+        return x
+    return _binop(x, y, lambda a, b: a - b)
+
+
+def witt_sum(vectors, p=None, n=None, like=None):
+    """The Witt sum of vectors: ghosts are summed and inverted once.
+
+    Zero summands are dropped first, and when at most one is left it is
+    the sum, the first vector standing for zero; the empty sum is
+    ``witt_from_int(0, p, n, like)``.
+    """
+    it = list(vectors)
+    if not it:
+        return witt_from_int(0, p, n, like=like)
+    x = it[0]
+    for v in it[1:]:
+        x._check(v)
+    it = [v for v in it if not v.is_zero()]
+    if len(it) < 2:
+        return it[0] if it else x
+    total = _ghosts(it[0])
+    for v in it[1:]:
+        total = [a + b for a, b in zip(total, _ghosts(v))]
+    return _from_ghosts(x, total)
 
 
 def _pack(poly, base):
