@@ -130,14 +130,15 @@ class SparseModElem:
     one ring share one frozenset.  Regions compare by value, so a region
     that left that bounded table and came back as a new object matches.
 
-    The constructor checks and reduces what it is given: user input and
-    random draws go through it.  The trusted ``_trusted`` (any ring) and
+    The constructor checks and reduces what it is given: user input goes
+    through it, and a call that draws or builds many elements checks its
+    ring once through it.  The trusted ``_trusted`` (any ring) and
     ``_with`` (this element's ring) check nothing and keep the ``terms``
     dict; their caller guarantees that the keys are valid for the
     subclass, negative only at indices in ``allowed_negative``, and the
     values residues in [1, p^n).  Such terms come from ring arithmetic
-    inside one ring, or from an element of a ring whose region the new
-    one contains.
+    inside one ring, from an element of a ring whose region the new one
+    contains, or from draws made inside a ring checked once.
     """
 
     __slots__ = ("p", "n", "num_vars", "allowed_negative", "terms")

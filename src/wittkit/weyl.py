@@ -27,12 +27,7 @@ from __future__ import annotations
 from math import comb
 from operator import add as _add
 
-from .rings import (
-    LaurentElem,
-    NegativeExponentViolation,
-    SparseModElem,
-    VariableMismatch,
-)
+from .rings import NegativeExponentViolation, SparseModElem, VariableMismatch
 
 
 class RangeError(ValueError):
@@ -159,6 +154,21 @@ def _times_generator(terms, kind, i, k, q):
     return {t: c for t, c in out.items() if c}
 
 
+def _token(tok, num_vars, allowed_negative):
+    """A word token as (kind, i, k), checked as given, or raise."""
+    kind, i, k = tok
+    if kind not in ("z", "d"):
+        raise ValueError("unknown token %r" % (tok,))
+    if not 0 <= i < num_vars:
+        raise VariableMismatch("token %r: variable outside 0..%d"
+                               % (tok, num_vars - 1))
+    if k < 0 and kind == "d":
+        raise RangeError("negative divided-power order")
+    if k < 0 and i not in allowed_negative:
+        raise NegativeExponentViolation("negative exponent at variable %d" % i)
+    return kind, i, k
+
+
 def normal_form(word, p, n, num_vars, allowed_negative=()):
     """Fold a generator word into normal form.
 
@@ -170,46 +180,33 @@ def normal_form(word, p, n, num_vars, allowed_negative=()):
     one = WeylElement.one(p, n, num_vars, allowed_negative)
     terms, q = one.terms, p ** n
     for tok in word:
-        kind, i, k = tok
-        if kind not in ("z", "d"):
-            raise ValueError("unknown token %r" % (tok,))
-        if not 0 <= i < num_vars:
-            raise VariableMismatch("token %r: variable outside 0..%d"
-                                   % (tok, num_vars - 1))
-        if k < 0 and kind == "d":
-            raise RangeError("negative divided-power order")
-        if k < 0 and i not in one.allowed_negative:
-            raise NegativeExponentViolation("negative exponent at variable %d"
-                                            % i)
+        kind, i, k = _token(tok, num_vars, one.allowed_negative)
         if k:
             terms = _times_generator(terms, kind, i, k, q)
     return one._with(terms)
 
 
 def apply_word(word, f):
-    """Apply a generator word to f right-to-left (the sequential oracle)."""
-    out = f
-    for tok in reversed(word):
-        kind, i, k = tok
-        if kind == "z":
-            mono = LaurentElem.monomial(f.p, f.n, f.num_vars,
-                                        tuple(k if j == i else 0
-                                              for j in range(f.num_vars)),
-                                        1, f.allowed_negative)
-            out = mono * out
-        else:
-            terms = {}
-            q = f.p ** f.n
-            for e, c in out.terms.items():
-                b = gen_binom(e[i], k) % q
-                if not b:
-                    continue
-                e2 = tuple(v - k if j == i else v for j, v in enumerate(e))
-                v = (terms.get(e2, 0) + c * b) % q
-                if v:
-                    terms[e2] = v
-            out = LaurentElem(f.p, f.n, f.num_vars, terms, f.allowed_negative)
-    return out
+    """Apply a generator word to f right-to-left (the sequential oracle).
+
+    Tokens are checked as in ``normal_form``.  z_i^k shifts exponent i of
+    each term by k; d_i^[r] times it by binom(e_i, r) mod p^n, drops it if
+    that is 0, and lowers exponent i by r.  Both maps are one-to-one.
+    """
+    word = [_token(tok, f.num_vars, f.allowed_negative) for tok in word]
+    q, terms = f.p ** f.n, f.terms
+    for kind, i, k in reversed(word):
+        if not k:
+            continue
+        out = {}
+        shift = k if kind == "z" else -k
+        for e, c in terms.items():
+            if kind == "d":
+                c = c * gen_binom(e[i], k) % q
+            if c:
+                out[e[:i] + (e[i] + shift,) + e[i + 1:]] = c
+        terms = out
+    return f._with(terms)
 
 
 def _act(op_terms, f_terms, q):

@@ -83,8 +83,8 @@ def _reduce_like(cover, template, p):
 
 def _vector_from_covers(x, covers):
     """The vector over x's coordinate ring whose coordinates reduce covers."""
-    return WittVector(x.p, x.n, [_reduce_like(c, t, x.p)
-                                 for c, t in zip(covers, x.coords)])
+    return WittVector._trusted(x.p, x.n, [_reduce_like(c, t, x.p)
+                                          for c, t in zip(covers, x.coords)])
 
 
 def _ghost_from_covers(covers, p):
@@ -591,10 +591,17 @@ class WittVector:
     LaurentElem over F_p in one ring (variables and allowed-negative
     region); the constructor raises VariableMismatch on anything else.  Two
     vectors combine only over the same coordinate ring, as Laurent elements
-    do.
+    do.  The trusted ``_trusted`` checks nothing: its caller passes n >= 1
+    coordinates in the ring of one vector or element already checked.
     """
 
     __slots__ = ("p", "n", "coords")
+
+    @classmethod
+    def _trusted(cls, p, n, coords, _new=object.__new__):
+        out = _new(cls)
+        out.p, out.n, out.coords = p, n, tuple(coords)
+        return out
 
     def __init__(self, p, n, coords):
         coords = tuple(coords)
@@ -762,13 +769,13 @@ def teichmuller(a, n):
 
 
 def verschiebung(x):
-    return WittVector(x.p, x.n + 1, (x.zero_coord(),) + x.coords)
+    return WittVector._trusted(x.p, x.n + 1, (x.zero_coord(),) + x.coords)
 
 
 def restrict(x):
     if x.n == 1:
         raise LengthUnderflow("restriction would produce length 0")
-    return WittVector(x.p, x.n - 1, x.coords[:-1])
+    return WittVector._trusted(x.p, x.n - 1, x.coords[:-1])
 
 
 def _coord_pow_p(c, p):
@@ -784,7 +791,7 @@ def frobenius(x):
     if x.n == 1:
         raise LengthUnderflow("Frobenius would produce length 0")
     if x._is_char_p():
-        return WittVector(
+        return WittVector._trusted(
             x.p, x.n - 1, [_coord_pow_p(c, x.p) for c in x.coords[: x.n - 1]]
         )
     return WittVector(x.p, x.n - 1, _ghost_inverse(_ghosts(x)[1:], x.p))
@@ -792,20 +799,8 @@ def frobenius(x):
 
 def witt_phi(x):
     """Phi_A = W_n(sigma): coordinatewise absolute Frobenius."""
-    return WittVector(x.p, x.n, [_coord_pow_p(c, x.p) for c in x.coords])
-
-
-def witt_from_int(c, p, n, like=None):
-    """Image of the integer c in W_n(F_p) (or the like-typed constant ring).
-
-    Over Laurent coordinates it is the vector w-tilde takes to c.
-    """
-    if isinstance(like, LaurentElem):
-        one = LaurentElem.one(p, n, like.num_vars, like.allowed_negative)
-        return tilde_w_inverse(one * c)
-    template = PrimeFieldElem(p, 0) if like is None else like
-    return WittVector(p, n, [_reduce_like(v, template, p)
-                             for v in _ghost_inverse([c] * n, p)])
+    return WittVector._trusted(x.p, x.n,
+                               [_coord_pow_p(c, x.p) for c in x.coords])
 
 
 def witt_scalar_mul(c, x):
@@ -815,7 +810,7 @@ def witt_scalar_mul(c, x):
     0 x is the zero vector of x's ring, with no round trip.
     """
     if c == 0:
-        return WittVector(x.p, x.n, [x.zero_coord()] * x.n)
+        return WittVector._trusted(x.p, x.n, (x.zero_coord(),) * x.n)
     return _from_ghosts(x, [c * g for g in _ghosts(x)])
 
 
@@ -902,7 +897,7 @@ def tilde_w_inverse(f):
         coords.append(LaurentElem._trusted(
             p, 1, nv, {e: c // pi for e, c in rem.items()}, neg))
     coords += [LaurentElem._trusted(p, 1, nv, {}, neg)] * (L - len(coords))
-    return WittVector(p, L, coords)
+    return WittVector._trusted(p, L, coords)
 
 
 def tilde_F(x):

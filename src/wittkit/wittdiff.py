@@ -8,7 +8,7 @@ with R, Phi and V are checked sample-wise and exactly.
 
 from __future__ import annotations
 
-from .rings import LaurentElem, ScaleExceeded, v_p
+from .rings import LaurentElem, ScaleExceeded, VariableMismatch, v_p
 from .weyl import WeylElement, apply as weyl_apply
 from .witt import (
     _MAX_RELATION_WORK,
@@ -146,12 +146,16 @@ def check_relation(which, p, n, d, r, samples, rng, j=0):
 
 
 def random_witt_vector(p, length, d, rng, first_zero=0, poly_only=False):
-    """A sparse random Witt vector with small monomial Laurent coordinates."""
-    coords = []
+    """A sparse random Witt vector with small monomial Laurent coordinates:
+    the ring is checked once, by building the zero coordinate."""
+    if length < 1:
+        raise VariableMismatch("need length >= 1, got %r" % (length,))
     neg = () if poly_only else tuple(range(d))
+    zero = LaurentElem.zero(p, 1, d, neg)
+    coords = []
     for idx in range(length):
         if idx < first_zero:
-            coords.append(LaurentElem.zero(p, 1, d, neg))
+            coords.append(zero)
             continue
         terms = {}
         for _ in range(rng.randrange(0, 3)):
@@ -160,8 +164,8 @@ def random_witt_vector(p, length, d, rng, first_zero=0, poly_only=False):
                 for _ in range(d)
             )
             terms[e] = rng.randrange(1, p)
-        coords.append(LaurentElem(p, 1, d, terms, neg))
-    return WittVector(p, length, coords)
+        coords.append(zero._with(terms))
+    return WittVector._trusted(p, length, coords)
 
 
 def lift_independence_check(p, n, d, r, pairs, rng, j=0):

@@ -580,6 +580,79 @@ def test_normal_form_checks_each_token_before_folding():
         WeylElement.one(3, 1, 1, (0,)))
 
 
+@pytest.mark.parametrize("tok,exc", [
+    (("d", 5, 1), VariableMismatch),  # was a raw IndexError
+    (("z", 5, 2), VariableMismatch),  # was the identity
+    (("q", 0, 1), ValueError),  # was read as a derivative
+    (("d", 0, -1), RangeError),  # was 0
+    (("z", 1, -1), NegativeExponentViolation),
+])
+def test_apply_word_refuses_what_normal_form_refuses(tok, exc):
+    f = LaurentElem(3, 1, 2, {(1, 2): 1, (-1, 0): 2}, (0,))
+    want = _outcome(normal_form, [tok], 3, 1, 2, (0,))
+    assert want[0] is exc
+    assert _outcome(apply_word, [tok], f) == want
+    # every token is checked before any is applied
+    assert _outcome(apply_word, [tok, ("z", 0, 1)], f) == want
+
+
+# -- the word oracle on raw terms, against the route it replaced ---------------
+#
+# _ref_apply_word is apply_word as it stood before it worked on f's term
+# dict: a z token a product with a checked monomial, a d token a checked
+# LaurentElem.
+
+def _ref_apply_word(word, f):
+    """Apply a generator word to f right-to-left (the sequential oracle)."""
+    out = f
+    for tok in reversed(word):
+        kind, i, k = tok
+        if kind == "z":
+            mono = LaurentElem.monomial(f.p, f.n, f.num_vars,
+                                        tuple(k if j == i else 0
+                                              for j in range(f.num_vars)),
+                                        1, f.allowed_negative)
+            out = mono * out
+        else:
+            terms = {}
+            q = f.p ** f.n
+            for e, c in out.terms.items():
+                b = gen_binom(e[i], k) % q
+                if not b:
+                    continue
+                e2 = tuple(v - k if j == i else v for j, v in enumerate(e))
+                v = (terms.get(e2, 0) + c * b) % q
+                if v:
+                    terms[e2] = v
+            out = LaurentElem(f.p, f.n, f.num_vars, terms, f.allowed_negative)
+    return out
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_apply_word_matches_reference(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 3))
+    nv = data.draw(st.integers(1, 3))
+    neg = data.draw(st.sampled_from([set(), set(range(nv))])
+                    | st.sets(st.integers(0, nv - 1)))
+    var = st.integers(0, nv - 1)
+    tokens = [st.tuples(st.just("z"), var, st.integers(0, 3)),
+              st.tuples(st.just("d"), var, st.integers(0, p * p + 1))]
+    if neg:
+        tokens.append(st.tuples(st.just("z"), st.sampled_from(sorted(neg)),
+                                st.integers(-3, -1)))
+    word = data.draw(st.lists(st.one_of(*tokens), max_size=6))
+    terms = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(-3 if i in neg else 0, 2 * p + 1)
+                    for i in range(nv)]),
+        st.integers(1, p ** n - 1), max_size=4))
+    f = LaurentElem(p, n, nv, terms, neg)
+    got = apply_word(word, f)
+    assert got == _ref_apply_word(word, f)
+    assert all(got.terms.values())
+
+
 @pytest.mark.parametrize("cls", [LaurentElem, WeylElement])
 @pytest.mark.parametrize("neg", [(5, -2), (1,), (0, -1)])
 def test_inverted_variables_outside_the_ring_are_refused(cls, neg):

@@ -43,16 +43,29 @@ from wittkit.witt import (
     verschiebung,
     witt_add,
     witt_add_via_polys,
-    witt_from_int,
     witt_mul,
     witt_mul_via_polys,
     witt_neg,
     witt_neg_via_polys,
+    witt_phi,
     witt_scalar_mul,
 )
 
 
-# -- Witt differences and sums: no library code calls them ------------------
+# -- integer images, Witt differences and sums: no library code calls them ----
+
+def witt_from_int(c, p, n, like=None):
+    """Image of the integer c in W_n(F_p) (or the like-typed constant ring).
+
+    Over Laurent coordinates it is the vector w-tilde takes to c.
+    """
+    if isinstance(like, LaurentElem):
+        one = LaurentElem.one(p, n, like.num_vars, like.allowed_negative)
+        return tilde_w_inverse(one * c)
+    template = PrimeFieldElem(p, 0) if like is None else like
+    return WittVector(p, n, [_reduce_like(v, template, p)
+                             for v in _ghost_inverse([c] * n, p)])
+
 
 def witt_sub(x, y):
     """x - y in one ghost round trip: the ghost map is additive.
@@ -1524,6 +1537,38 @@ def test_laurent_ops_match_ghost_reference(case):
     ]
     for got, want in pairs:
         assert _identical(got, want)
+
+
+# -- vectors built unchecked from coordinates that come checked ----------------
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_trusted_vectors_match_the_checked_constructor(data):
+    """Each call site of WittVector._trusted gives what the checked
+    constructor gives on the same coordinates: equal, hashing alike, with
+    the same coordinate types and rings, and accepted by it."""
+    if data.draw(st.booleans()):
+        p, n, coord = data.draw(gate_rings())
+        x, y = gate_vector(data, p, n, coord), gate_vector(data, p, n, coord)
+    else:  # Laurent vectors with none, some or all variables inverted
+        x, y, _, _ = data.draw(laurent_op_cases())
+    # over Z and F_p witt_add and witt_neg end in _vector_from_covers, over
+    # Laurent coordinates in tilde_w_inverse
+    outs = [verschiebung(x), witt_scalar_mul(0, x), witt_add(x, y),
+            witt_neg(x)]
+    if x.n > 1:
+        outs.append(restrict(x))
+    if not isinstance(x.coords[0], int):
+        outs.append(witt_phi(x))
+        if x.n > 1:
+            outs.append(frobenius(x))
+    if isinstance(x.coords[0], LaurentElem):
+        outs.append(tilde_w_inverse(tilde_w(x)))
+    for got in outs:
+        want = WittVector(got.p, got.n, list(got.coords))
+        assert type(got.coords) is tuple
+        assert _identical(got, want)
+        assert hash(got) == hash(want)
 
 
 # -- refusing oversized universal-polynomial builds ----------------------------

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from wittkit import checks, sparse
-from wittkit.rings import LaurentElem, ScaleExceeded
+from wittkit.rings import LaurentElem, ScaleExceeded, VariableMismatch
 from wittkit.weyl import RangeError, WeylElement, apply as weyl_apply, gen_binom
 from wittkit.witt import (
     _MAX_RELATION_WORK,
@@ -78,6 +78,53 @@ def test_apply_witt_is_linear_over_wn():
         rhs = witt_add(witt_scalar_mul(c, apply_witt(op, x)),
                        apply_witt(op, y))
         assert lhs == rhs
+
+
+# Two draws per seed, (p, length, d, first_zero, poly_only, seed) ->
+# [[[(e, c), ...] per coordinate] per draw], then the generator's next
+# random(): taken from random_witt_vector as it stood when each drawn
+# coordinate still went through the checked constructor.
+_GOLDEN_DRAWS = {
+    (3, 2, 1, 0, False, 7): (
+        [[[([-1], 2)], [([-2], 1), ([2], 1)]],
+         [[([2], 1)], [([-2], 2), ([-1], 1)]]], 0.41817215137075947),
+    (2, 3, 2, 1, False, 11): (
+        [[[], [([2, 1], 1)], [([2, -1], 1), ([2, 1], 1)]],
+         [[], [], [([0, -1], 1)]]], 0.5386935085776785),
+    (5, 2, 2, 0, True, 13): (
+        [[[([2, 1], 2)], [([1, 0], 2), ([1, 1], 2)]],
+         [[([1, 0], 3), ([2, 0], 4)], []]], 0.08495073669615927),
+    (3, 3, 2, 2, True, 17): (
+        [[[], [], [([2, 1], 2), ([3, 2], 2)]], [[], [], []]],
+        0.917493030629581),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_DRAWS))
+def test_random_witt_vector_draws_are_pinned(case):
+    p, length, d, first_zero, poly_only, seed = case
+    draws, after = _GOLDEN_DRAWS[case]
+    neg = [] if poly_only else list(range(d))
+    rng = random.Random(seed)
+    for coords in draws:
+        x = random_witt_vector(p, length, d, rng, first_zero=first_zero,
+                               poly_only=poly_only)
+        assert x.to_json() == {"p": p, "n": length, "coords": [
+            {"p": p, "n": 1, "vars": d, "neg": neg,
+             "terms": [{"e": e, "c": c} for e, c in terms]}
+            for terms in coords]}
+        assert x == WittVector(p, length, [
+            LaurentElem(p, 1, d, c.terms, neg) for c in x.coords])
+    assert rng.random() == after
+
+
+def test_random_witt_vector_checks_its_ring_once():
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="modulus 4 is not prime"):
+        random_witt_vector(4, 2, 1, rng)
+    with pytest.raises(VariableMismatch, match="length >= 1"):
+        random_witt_vector(3, 0, 1, rng)
+    assert rng.random() == random.Random(0).random()  # nothing drawn
 
 
 # -- the section-3 relations -------------------------------------------------
