@@ -38,23 +38,27 @@ Packed products are segmented Kronecker products along a segmentation
 (A, B, w): two variables, by place value, and a weight.  Each operand is
 grouped by the key (its exponent with the A and B digits zeroed, a + w b),
 and each group becomes one integer whose W-bit signed slots hold its
-coefficients, that of b in slot b.  Group pairs multiply as integers, the
-products add up per output key c, and each sum is cut back into the slots
-b = 0..c // w (a = c - w b) from the bottom, a negative slot borrowing one
-from the next.  This is exact for any operand: digits never carry, since
-the base exceeds every exponent, and slots never overflow, since each
-output coefficient is a sum of at most min(#a, #b) products, so
-W = bits(max|a|) + bits(max|b|) + bits(min(#a, #b)) + 2 holds it with its
-sign.  The slots add into a dict the caller owns ({} for a plain product),
-and each sum is popped as it is cut, so its integer is freed once read.
-Only the compression depends on the operand, so the layout is ``base``
-and a tuple of candidates, and each product takes the one with the
-fewest groups.  The Witt polynomials pass (Y_0, X_0, 1), which gathers
-the sum polynomials, of weight p^i in X and Y together, and (X_0, X_1, p),
-which gathers the bihomogeneous product polynomials: their X-weight
-x_0 + p x_1 + ... is p^i in every monomial, so x_0 + y_0 would leave one
-monomial per group.  When no candidate compresses, groups_a * groups_b * 4
-> #a * #b, the product runs term by term.
+coefficients, that of b in slot b.  The form is closed under products:
+group pairs multiply as integers, and their products add up per output
+key, the sum of the two.  Only the result is cut back into the slots
+b = 0..c // w (a = c - w b) of each key c, from the bottom, a negative slot
+borrowing one from the next.  Digits never carry, since the base exceeds
+every exponent, and the integers are exact, so the cut is exact once each
+coefficient of the result fits a slot with its sign.  A product a * b has
+W = bits(max|a|) + bits(max|b|) + bits(min(#a, #b)) + 2, each coefficient
+being a sum of at most min(#a, #b) products.  A power a^k is segmented
+once, with W = bits((sum |a|)^k) + 1, raised by repeated squaring in that
+form and cut once.  The slots add into a dict the caller owns ({} for a
+plain result), and each group is popped as it is cut, so its integer is
+freed once read.  Only the compression depends on the operand, so the
+layout is ``base`` and a tuple of candidates, and each product or power
+takes the one with the fewest groups.  The Witt polynomials pass
+(Y_0, X_0, 1), which gathers the sum polynomials, of weight p^i in X and Y
+together, and (X_0, X_1, p), which gathers the bihomogeneous product
+polynomials: their X-weight x_0 + p x_1 + ... is p^i in every monomial, so
+x_0 + y_0 would leave one monomial per group.  When no candidate
+compresses, groups_a * groups_b * 4 > #a * #b (b = a for a power), the
+product or power runs term by term.
 """
 
 from __future__ import annotations
@@ -133,14 +137,19 @@ def power(a, k, q=0):
         return {tuple(x * k for x in e): c} if c else {}
     if len(a) == 2:
         return _binomial_power(a, k, q)
+    return _raise(a, k, lambda x, y: mul(x, x if y is None else y, q))
+
+
+def _raise(x, k, mul):
+    """x^k for k >= 1 by repeated squaring, mul(x, None) squaring x."""
     out = None
     while True:
         if k & 1:
-            out = a if out is None else mul(out, a, q)
+            out = x if out is None else mul(out, x)
         k >>= 1
         if not k:
             return out
-        a = mul(a, a, q)
+        x = mul(x, None)
 
 
 def _binomial_power(a, k, q):
@@ -244,13 +253,22 @@ def _pmul(a, b, base, segs, acc=None, k=1):
         if gb:
             best, cap = (ga, gb, seg), len(ga) * len(gb) - 1
     if best is None:
-        return _pmul_terms(a, b, acc, k)
-    return _kronecker(*best, width, acc, k)
+        return _landed(_terms(a, b), acc, k)
+    ga, gb, seg = best
+    return _cut(_kronecker(ga, gb), seg, width, acc, k)
 
 
-def _psquare(a, base, segs, acc=None, k=1):
-    """a * a, each cross product taken once and doubled; acc as in _pmul."""
-    width = _slot_width(a, a)
+def _ppow(a, power, base, segs, acc=None, k=1):
+    """a^power for a packed polynomial and power >= 1; acc as in _pmul.
+
+    a is segmented once, along the candidate with the fewest groups, its
+    groups are raised in that form and the power is cut once; no
+    coefficient of it exceeds (sum of |coefficients|)^power.  Power 1 is
+    a itself, or added as add_into adds it.
+    """
+    if power == 1:
+        return _landed(a, acc, k)
+    width = (sum(map(abs, a.values())) ** power).bit_length() + 1
     best = None
     cap = len(a) // 2  # _pmul's cap with b = a
     for seg in segs:
@@ -258,27 +276,9 @@ def _psquare(a, base, segs, acc=None, k=1):
         if ga:
             best, cap = (ga, seg), len(ga) - 1
     if best is None:
-        return _psquare_terms(a, acc, k)
-    return _kronecker(best[0], None, best[1], width, acc, k)
-
-
-def _ppow(a, power, base, segs, acc=None, k=1):
-    """a^power for a packed polynomial and power >= 1, by repeated squaring.
-
-    With ``acc``, the last product lands in acc as in _pmul, so that the
-    power itself is never held; power 1 is added as add_into adds it.
-    """
-    out = None
-    while power > 1:
-        if power & 1:
-            out = a if out is None else _pmul(out, a, base, segs)
-        power >>= 1
-        if power == 1 and out is None:  # a power of two: a square is last
-            return _psquare(a, base, segs, acc, k)
-        a = _psquare(a, base, segs)
-    if out is None:
-        return _landed(a, acc, k)
-    return _pmul(out, a, base, segs, acc, k)
+        return _landed(_raise(a, power, _terms), acc, k)
+    ga, seg = best
+    return _cut(_raise(ga, power, _kronecker), seg, width, acc, k)
 
 
 def _landed(product, acc, k):
@@ -289,33 +289,29 @@ def _landed(product, acc, k):
     return acc
 
 
-def _pmul_terms(a, b, acc=None, k=1):
-    """a * b term by term; ``acc`` as in _pmul."""
-    if len(a) < len(b):  # the short factor in the inner loop runs faster
-        a, b = b, a
+def _terms(a, b):
+    """a * b term by term (b = None squares a, each cross product taken
+    once and doubled), zeros dropped."""
     out = {}
     get = out.get
-    terms = list(b.items())
-    for e1, c1 in a.items():
-        for e2, c2 in terms:
-            e = e1 + e2
-            out[e] = get(e, 0) + c1 * c2
-    return _landed({e: c for e, c in out.items() if c}, acc, k)
-
-
-def _psquare_terms(a, acc=None, k=1):
-    """a * a term by term; ``acc`` as in _pmul."""
-    terms = list(a.items())
-    out = {}
-    get = out.get
-    for idx, (e1, c1) in enumerate(terms):
-        e = e1 + e1
-        out[e] = get(e, 0) + c1 * c1
-        c1 += c1
-        for e2, c2 in terms[idx + 1:]:
-            e = e1 + e2
-            out[e] = get(e, 0) + c1 * c2
-    return _landed({e: c for e, c in out.items() if c}, acc, k)
+    if b is None:
+        terms = list(a.items())
+        for idx, (e1, c1) in enumerate(terms):
+            e = e1 + e1
+            out[e] = get(e, 0) + c1 * c1
+            c1 += c1
+            for e2, c2 in terms[idx + 1:]:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+    else:
+        if len(a) < len(b):  # the short factor in the inner loop runs faster
+            a, b = b, a
+        terms = list(b.items())
+        for e1, c1 in a.items():
+            for e2, c2 in terms:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 def _segments(a, base, seg, width, cap):
@@ -346,13 +342,9 @@ def _slot_width(a, b):
     return bits(a) + bits(b) + min(len(a), len(b)).bit_length() + 2
 
 
-def _kronecker(ga, gb, seg, width, acc=None, k=1):
-    """Product of two segmented polynomials (gb = None squares ga).
-
-    Group pairs multiply as integers and add up per output group.  Each
-    group's integer is cut back into signed slots, which add k times their
-    coefficients into ``acc`` (by default {}, then the product, as no two
-    slots share a key), and is dropped once read.  Returns acc.
+def _kronecker(ga, gb):
+    """Product of two segmented polynomials (gb = None squares ga), itself
+    segmented: group pairs multiply as integers and add up per output group.
     """
     sums = {}
     get = sums.get
@@ -371,6 +363,14 @@ def _kronecker(ga, gb, seg, width, acc=None, k=1):
             for (rb, db), vb in sb:
                 key = (ra + rb, da + db)
                 sums[key] = get(key, 0) + va * vb
+    return sums
+
+
+def _cut(groups, seg, width, acc=None, k=1):
+    """Cut a segmented polynomial into its signed slots, adding k times
+    their coefficients into ``acc`` (by default {}, then the polynomial, as
+    no two slots share a key).  Returns acc; ``groups`` is emptied, each
+    group's integer dropped once read."""
     aplace, bplace, w = seg
     if acc is None:
         acc = {}
@@ -378,8 +378,8 @@ def _kronecker(ga, gb, seg, width, acc=None, k=1):
     mask = (1 << width) - 1
     half = 1 << (width - 1)
     step = bplace - w * aplace  # b up by one, a down by w
-    while sums:
-        (rest, d), v = sums.popitem()
+    while groups:
+        (rest, d), v = groups.popitem()
         e = rest + d * aplace  # the slot b = 0, a = d
         for _ in range(d // w + 1):  # b runs from 0 to d // w
             c = v & mask

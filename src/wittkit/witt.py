@@ -155,8 +155,8 @@ def _poly_ghost(var_offset, p, i, base):
 
 # The largest build allowed, in the units of _poly_cost.  Measured on a
 # 2-vCPU x86-64 VM, build and ghost check together: (5, 4) costs 8.5e8 and
-# takes 0.8 s, (3, 5) 1.1e9 and 3.6 s, (19, 3) 3.4e9 and 1.3 s; refused are
-# (23, 3) at 1.5e10, which takes 11 s, (3001, 2) at 2.7e10, 10 s, and
+# takes 0.2 s, (3, 5) 1.1e9 and 1.0 s, (19, 3) 3.4e9 and 0.6 s; refused are
+# (23, 3) at 1.5e10, which takes 5.8 s, (3001, 2) at 2.7e10, 10 s, and
 # (29, 3) at 9.3e10, whose build alone takes 65 s.
 _MAX_POLY_COST = 5 * 10 ** 9
 
@@ -588,11 +588,11 @@ class WittVector:
     """A length-n p-typical Witt vector with exact coordinates, n >= 1.
 
     Coordinates are all plain ints (ring Z), all PrimeFieldElem, or all
-    LaurentElem over F_p in one ring (variables and allowed-negative
-    region); the constructor raises VariableMismatch on anything else.  Two
-    vectors combine only over the same coordinate ring, as Laurent elements
-    do.  The trusted ``_trusted`` checks nothing: its caller passes n >= 1
-    coordinates in the ring of one vector or element already checked.
+    LaurentElem over F_p in one ring (variables and allowed-negative region);
+    the constructor raises ValueError unless p is prime and VariableMismatch
+    on anything else.  Two vectors combine only over the same coordinate
+    ring, as Laurent elements do.  ``_trusted`` checks nothing: its caller
+    passes n >= 1 coordinates in the ring of one checked vector or element.
     """
 
     __slots__ = ("p", "n", "coords")
@@ -604,13 +604,13 @@ class WittVector:
         return out
 
     def __init__(self, p, n, coords):
+        if not is_prime(p):
+            raise ValueError("modulus %r is not prime" % (p,))
         coords = tuple(coords)
         if n < 1 or len(coords) != n:
             raise VariableMismatch("need n >= 1 and n coordinates, got n ="
                                    " %r and %d" % (n, len(coords)))
-        self.p = p
-        self.n = n
-        self.coords = coords
+        self.p, self.n, self.coords = p, n, coords
         first = coords[0]
         kind = type(first)
         if kind is LaurentElem:

@@ -12,8 +12,8 @@ from wittkit.rings import (
     ScaleExceeded,
     VariableMismatch,
 )
-from wittkit.sparse import (IntegralityFailure, _kronecker, _pmul, _ppow,
-                            _psquare, _segments, _slot_width, _unpack,
+from wittkit.sparse import (IntegralityFailure, _cut, _kronecker, _pmul,
+                            _ppow, _segments, _slot_width, _unpack,
                             add_into)
 from wittkit.witt import (
     NotInImage,
@@ -970,6 +970,14 @@ def _tuple_mul(a, b):
     return {e: c for e, c in out.items() if c}
 
 
+def _tuple_pow(a, k):
+    """a^k by repeated _tuple_mul, k >= 1."""
+    power = a
+    for _ in range(k - 1):
+        power = _tuple_mul(power, a)
+    return power
+
+
 @st.composite
 def sparse_polys(draw, nvars, max_exp):
     return draw(st.dictionaries(
@@ -991,11 +999,8 @@ def test_property_packed_kernel_matches_tuple_route(data):
     pa, pb = _pack(a, base), _pack(b, base)
     assert _unpack(pa, base, nvars) == a
     assert _unpack(_pmul(pa, pb, base, segs), base, nvars) == _tuple_mul(a, b)
-    assert _psquare(pa, base, segs) == _pmul(pa, pa, base, segs)
-    power = a
-    for _ in range(k - 1):
-        power = _tuple_mul(power, a)
-    assert _unpack(_ppow(pa, k, base, segs), base, nvars) == power
+    assert _ppow(pa, 2, base, segs) == _pmul(pa, pa, base, segs)
+    assert _unpack(_ppow(pa, k, base, segs), base, nvars) == _tuple_pow(a, k)
 
 
 def _ref_unpack(poly, base, nvars):
@@ -1039,7 +1044,7 @@ def _segmented(a, b, base, seg, acc=None, k=1):
     width = _slot_width(a, a if b is None else b)
     ga = _segments(a, base, seg, width, len(a))
     gb = None if b is None else _segments(b, base, seg, width, len(b))
-    return _kronecker(ga, gb, seg, width, acc, k)
+    return _cut(_kronecker(ga, gb), seg, width, acc, k)
 
 
 # small, negative and >= 2^70 coefficients: the last test the signed slots
@@ -1098,10 +1103,11 @@ def test_property_segmented_product_matches_tuple_route(data):
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_property_products_add_into_an_accumulator(data):
-    """_pmul, _psquare and _ppow with an accumulator add k times the product
-    into it exactly as add_into does, cancelled terms left as zeros.  The
-    dispatch mostly falls back to the term-by-term loops on these operands,
-    so both segmentations are also forced, as _segmented does."""
+    """_pmul and _ppow with an accumulator add k times the product into it
+    exactly as add_into does, cancelled terms left as zeros.  The dispatch
+    mostly falls back to the term-by-term loops on these operands, so both
+    segmentations are also forced, as _segmented does, and _ppow is also
+    given one candidate at a time."""
     nvars = data.draw(st.integers(1, 6))
     ny = data.draw(st.integers(1, nvars))
     w = data.draw(st.sampled_from([2, 3, 5]))
@@ -1126,13 +1132,15 @@ def test_property_products_add_into_an_accumulator(data):
         assert run(acc) is acc
         assert acc == want  # zeros included
 
-    for f, args in ((_pmul, (pa, pb)), (_psquare, (pa,)),
+    for f, args in ((_pmul, (pa, pb)), (_ppow, (pa, 2)),
                     (_ppow, (pa, power))):
         lands(lambda acc: f(*args, base, segs, acc, k), f(*args, base, segs))
     for seg in segs:
         for other in (pb, None):
             lands(lambda acc: _segmented(pa, other, base, seg, acc, k),
                   _segmented(pa, other, base, seg))
+        lands(lambda acc: _ppow(pa, power, base, (seg,), acc, k),
+              _ppow(pa, power, base, (seg,)))
 
 
 def test_segmented_product_borrows_from_negative_slots():
@@ -1152,19 +1160,67 @@ def test_segmented_product_borrows_from_negative_slots():
     assert _segmented({}, None, base, seg) == {}
 
 
+def _one_group_power(a, k, base, seg):
+    """a^k through _ppow along seg alone, a being one group of it: the
+    segmented route is taken whatever the dispatch would pick."""
+    pa = _pack(a, base)
+    assert len(pa) >= 2 and len(_segments(pa, base, seg, 1, 1)) == 1
+    return _unpack(_ppow(pa, k, base, (seg,)), base, 3)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_property_power_slots_are_wide_enough_at_their_edge(data):
+    """A power's slots hold its largest coefficient with its sign.
+
+    In X_0, X_1, Y_0 the operand is one group along the forced candidate:
+    one dominant coefficient, whose k-th power nearly fills the slot, and
+    small ones of either sign."""
+    w = data.draw(st.sampled_from([2, 3, 5]))
+    along_y0 = data.draw(st.booleans())  # (Y_0, X_0, 1), else (X_0, X_1, w)
+    k = data.draw(st.integers(1, 7))
+    step = 1 if along_y0 else w
+    d = data.draw(st.integers(step, 3 * step - 1))  # one or two slots above 0
+    slots = sorted(data.draw(st.sets(st.integers(0, d // step), min_size=2)))
+    small = st.integers(-3, 3).filter(bool)
+    coeffs = [data.draw(small) for _ in slots]
+    coeffs[data.draw(st.integers(0, len(slots) - 1))] = \
+        data.draw(st.sampled_from([1, -1])) * (
+            2 ** data.draw(st.integers(0, 90)) + data.draw(st.integers(0, 3)))
+    a = {(d - step * b, 0, b) if along_y0 else (d - step * b, b, 0): c
+         for b, c in zip(slots, coeffs)}
+    base = max(11, k * d + 1)
+    seg = _segmentations(3, 2, base, w)[0 if along_y0 else 1]
+    assert _one_group_power(a, k, base, seg) == _tuple_pow(a, k)
+
+
+@pytest.mark.parametrize("a, k", [
+    ({(1, 0, 0): 1000, (0, 0, 1): 1}, 2),
+    ({(1, 0, 0): -(2 ** 40 + 1), (0, 0, 1): 3}, 3),
+    ({(1, 0, 0): 2 ** 64 + 1, (0, 0, 1): -1}, 5),
+])
+def test_power_slot_keeps_its_sign_bit(a, k):
+    # base 11 in X_0, X_1, Y_0, one group of x_0 + y_0 = 1: a^k's largest
+    # coefficient needs every bit of bits((sum |a|)^k) and a sign bit too
+    base = 11
+    assert _one_group_power(a, k, base, (base ** 2, 1, 1)) == _tuple_pow(a, k)
+
+
 def test_segmented_routes_of_sum_and_product_polys(monkeypatch):
     """Both candidate segmentations are taken where they compress.
 
     At (5, 4) S_2 is homogeneous in X and Y together, so grouping by
     x_0 + y_0 gathers its monomials.  The product polynomials P_2 at (5, 4)
     and P_4 at (2, 6) are bihomogeneous, one monomial per x_0 + y_0 group,
-    and are gathered by x_0 + p x_1 instead.  An operand that compresses
-    under neither still runs term by term."""
+    and are gathered by x_0 + p x_1 instead.  A p-th power segments its
+    base once per candidate, takes its squarings and products in segmented
+    form and is cut once.  An operand that compresses under neither still
+    runs term by term."""
     routes = []
-    for name in ("_kronecker", "_pmul_terms", "_psquare_terms"):
-        def spy(*args, _name=name, _f=getattr(sparse, name)):
-            routes.append((_name, args[2]) if _name == "_kronecker"
-                          else (_name,))
+    for name, seg_arg in (("_segments", 2), ("_kronecker", None),
+                          ("_cut", 1), ("_terms", None)):
+        def spy(*args, _name=name, _i=seg_arg, _f=getattr(sparse, name)):
+            routes.append((_name,) if _i is None else (_name, args[_i]))
             return _f(*args)
         monkeypatch.setattr(sparse, name, spy)
     for (p, n), poly, i, seg in (((5, 4), "sum_polys", 2, 0),
@@ -1172,17 +1228,26 @@ def test_segmented_routes_of_sum_and_product_polys(monkeypatch):
                                  ((2, 6), "prod_polys", 4, 1)):
         base, segs = _layout(p, n)
         a = getattr(build_universal_polys(p, n), poly)[i]
+        products = 3 if p == 5 else 1  # a^5 = a * (a^2)^2
         routes.clear()
-        _psquare(a, base, segs)
+        _ppow(a, p, base, segs)
+        assert routes == [("_segments", s) for s in segs] + \
+            [("_kronecker",)] * products + [("_cut", segs[seg])]
+        routes.clear()
+        _ppow(a, 2, base, segs)
         _pmul(a, a, base, segs)
-        assert routes == [("_kronecker", segs[seg])] * 2
+        assert [r for r in routes if r[0] != "_segments"] == \
+            [("_kronecker",), ("_cut", segs[seg])] * 2
     # X_2^k for k = 1..4: each monomial is a group of its own under both
     base, segs = _layout(5, 4)
     a = {k * base ** 2: 1 for k in range(1, 5)}
     routes.clear()
-    _psquare(a, base, segs)
+    _ppow(a, 5, base, segs)
+    assert routes == [("_segments", s) for s in segs] + [("_terms",)] * 3
+    routes.clear()
+    _ppow(a, 2, base, segs)
     _pmul(a, a, base, segs)
-    assert routes == [("_psquare_terms",), ("_pmul_terms",)]
+    assert [r for r in routes if r[0] != "_segments"] == [("_terms",)] * 2
 
 
 # -- one ghost round trip per operation, against the routes it replaced --------
@@ -1329,6 +1394,19 @@ def test_vectors_over_different_coordinate_rings_are_rejected():
         witt_sum([zero_y, x])
     with pytest.raises(VariableMismatch):
         witt_add(fp_vec(p, 2, [1, 2]), WittVector(p, 2, [1, 2]))
+
+
+def test_vectors_refuse_a_modulus_that_is_not_prime():
+    f2 = LaurentElem(2, 1, 1, {(1,): 1}, (0,))
+    for p, coords in ((4, [1, 2]), (1, [0, 0]), (0, [1, 1]),
+                      (4, [PrimeFieldElem(2, 1)] * 2), (6, [f2, f2])):
+        with pytest.raises(ValueError, match="modulus %d is not prime" % p):
+            WittVector(p, 2, coords)
+    for coords in ([1, 2], [f2.to_json()] * 2):
+        with pytest.raises(ValueError, match="modulus 4 is not prime"):
+            WittVector.from_json({"p": 4, "n": 2, "coords": coords})
+    with pytest.raises(ValueError, match="modulus 1 is not prime"):
+        WittVector.from_json({"p": 1, "n": 1, "coords": [f2.to_json()]})
 
 
 def test_mixed_coordinates_are_rejected():
