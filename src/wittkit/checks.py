@@ -7,8 +7,9 @@ those it does not use and returns its ``cases``, ``failures`` and parameters.
 
 from . import cech, localcoh, steinberg, witt, wittdiff
 from .drw import DRWElement, act, enumerate_basis
-from .rings import PrimeFieldElem
-from .wittdiff import RELATIONS
+from .rings import PrimeFieldElem, v_p
+from .weyl import WeylElement
+from .wittdiff import RELATIONS, apply_witt, partial_op, random_witt_vector
 
 STEINBERG_RANKS = ((2, 1, 2), (3, 1, 3), (2, 2, 8))
 
@@ -59,6 +60,26 @@ def wdiff_relations(p, n, samples, rng, **_):
     return {"p": p, "n": n, "cases": sum(r["cases"] for r in reports),
             "failures": [{"relation": r["relation"], "d": r["d"], "r": r["r"]}
                          for r in reports if r["failures"]]}
+
+
+def lift_independence_check(p, n, d, r, pairs, rng, j=0):
+    """Restrictions of two lifts differing by p^(v_p(r)+1) g d^[r] agree."""
+    L = n + 1
+    vq = v_p(r, p) or 0
+    base = partial_op(p, d, j, r, L)
+    failures = []
+    for _ in range(pairs):
+        e = tuple(rng.randrange(0, 3) for _ in range(d))
+        g = rng.randrange(1, p)
+        rr = [0] * d
+        rr[j] = r
+        extra = WeylElement.monomial(
+            p, L, d, e, rr, coeff=g * (p ** (vq + 1))
+        )
+        x = random_witt_vector(p, L, d, rng)
+        if apply_witt(base, x) != apply_witt(base + extra, x):
+            failures.append(x.to_json())
+    return {"pairs": pairs, "failures": failures}
 
 
 def drw_cell(p, n, d, i, bound):

@@ -177,55 +177,13 @@ def cmd_drw_basis(args):
     keys = drw.enumerate_basis(args.p, args.n, args.d, args.i, args.bound)
     _emit({
         "count": len(keys),
-        "basis": [
-            {"weight": drw.weight_to_json(args.p, args.d, wkey),
-             "partition": [list(b) for b in parts]}
-            for wkey, parts in keys
-        ],
+        "basis": [drw.symbol_json(args.d, *key) for key in keys],
     }, args)
 
 
 def cmd_drw_act(args):
-    data = _load_json(args.elem)
-    try:
-        p, n, d = rings.SparseModElem._ints([data["p"], data["n"], data["d"]])
-        terms = {}
-        for t in data["terms"]:
-            weight = drw.weight_from_json(p, d, t["weight"])
-            parts = tuple(tuple(b) for b in t["partition"])
-            # drw._partitions(support, len(parts) - 1) holds the support in
-            # order cut into blocks, of which only the first may be empty
-            if not (parts and sum(parts, ()) == tuple(weight.support())
-                    and all(parts[1:])):
-                raise rings.VariableMismatch(
-                    "partition %r does not split the support %r in order"
-                    % (t["partition"], weight.support()))
-            key = (weight.key(), parts)
-            if type(t["c"]) is not int:  # a float, a string or a bool
-                raise rings.VariableMismatch("c = %r is not an int" % (t["c"],))
-            if key in terms:
-                raise rings.VariableMismatch("symbol listed twice: %r" % (t,))
-            terms[key] = t["c"]
-    except (KeyError, TypeError):
-        raise rings.VariableMismatch(
-            "malformed drw element %r" % (data,)) from None
-    degrees = {len(parts) - 1 for _, parts in terms}
-    if len(degrees) > 1:
-        raise rings.VariableMismatch("terms of degrees %s in one element"
-                                     % sorted(degrees))
-    degree = degrees.pop() if terms else data.get("degree", 0)
-    elem = drw.DRWElement(p, n, d, degree, terms)
-    out = drw.act(args.which, elem)
-    _emit({
-        "which": args.which,
-        "n": out.n,
-        "degree": out.degree,
-        "terms": [
-            {"weight": drw.weight_to_json(p, d, wkey),
-             "partition": [list(b) for b in parts], "c": c}
-            for (wkey, parts), c in sorted(out.terms.items())
-        ],
-    }, args)
+    elem = drw.DRWElement.from_json(_load_json(args.elem))
+    _emit(dict(drw.act(args.which, elem).to_json(), which=args.which), args)
 
 
 def cmd_cohomology_line_bundle(args):

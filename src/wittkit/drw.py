@@ -28,7 +28,8 @@ from itertools import product
 from math import comb
 from operator import index, itemgetter
 
-from .rings import ScaleExceeded, is_prime, v_p
+from .rings import (ScaleExceeded, VariableMismatch, ints, is_prime,
+                    read_json, v_p)
 from .witt import _MAX_BASIS_SIZE, _basis_size
 
 _valuation = itemgetter(2)  # of a (j, u, v) weight-key triple
@@ -69,23 +70,6 @@ class Weight:
     def support(self):
         """Support in the canonical order (valuation, then index)."""
         return sorted(self.entries, key=lambda j: (self.entries[j][1], j))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Weight)
-            and self.p == other.p
-            and self.d == other.d
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.d, self.key()))
-
-    def __repr__(self):
-        return "Weight(p=%d, %r)" % (
-            self.p,
-            {j: "%d*p^%d" % (u, v) for j, (u, v) in sorted(self.entries.items())},
-        )
 
 
 def _partitions(supp, i):
@@ -140,9 +124,10 @@ class DRWElement:
     an element, so the coefficient never decides the order.  The list is
     never mutated once the element is built.  The constructor takes a
     {(weight key, partition): coefficient} dict, whose weight keys are
-    ``Weight.key()`` triples as ``enumerate_basis`` returns them, and
-    reduces and sorts it in one pass; ``terms`` gives the terms back in
-    that form.
+    ``Weight.key()`` triples, and reduces and sorts it in one pass;
+    ``terms`` gives the terms back in that form.  It checks nothing, so its
+    keys must come from ``enumerate_basis`` or ``from_json`` (the checked
+    reader) at this level, dimension and degree.
     """
 
     __slots__ = ("space", "pairs")
@@ -165,6 +150,31 @@ class DRWElement:
     n = property(lambda self: self.space[1])
     d = property(lambda self: self.space[2])
     degree = property(lambda self: self.space[3])
+
+    @classmethod
+    def from_json(cls, obj):
+        """The element of a {p, n, d, terms, degree?} object as ``to_json``
+        writes it, checked: besides ``rings.read_json``'s refusals, the
+        space (``_check_space``), each term (``_json_symbol``) and one
+        degree in 0..d for the terms and the optional "degree"."""
+        (p, n, d), terms = read_json(
+            obj, "drw element",
+            lambda o: _check_space(*ints([o["p"], o["n"], o["d"]])),
+            _json_symbol)
+        degrees = {len(parts) - 1 for _, parts in terms}
+        degree = obj.get("degree", min(degrees, default=0))
+        if type(degree) is not int or not 0 <= degree <= d or (
+                degrees - {degree}):
+            raise VariableMismatch("terms of degrees %s in one element of "
+                                   "degree %r at d = %d"
+                                   % (sorted(degrees), degree, d))
+        return cls(p, n, d, degree, terms)
+
+    def to_json(self):
+        p, n, d, degree = self.space
+        return {"p": p, "n": n, "d": d, "degree": degree,
+                "terms": [dict(symbol_json(d, *key), c=c)
+                          for key, c in sorted(self.terms.items())]}
 
     @property
     def terms(self):
@@ -224,8 +234,48 @@ class DRWElement:
         )
 
 
-def _weight_from_key(p, d, key):
-    return Weight(p, d, {j: (u, v) for (j, u, v) in key})
+def _check_space(p, n, d):
+    if not is_prime(p):
+        raise ValueError("p = %r is not prime" % (p,))
+    if n < 1:
+        raise ValueError("need n >= 1, got n = %d" % n)
+    if d < 0:
+        raise ValueError("need d >= 0, got d = %d" % d)
+    return p, n, d
+
+
+def _json_symbol(t, space):
+    """One JSON term's (weight key, partition), refused unless its weight is
+    d [u, v] pairs with p^(n-1) r integral (``Weight`` checks each u) and
+    its partition one of ``_partitions`` for the support order."""
+    p, n, d = space
+    pairs = [ints(uv) for uv in t["weight"]]
+    if len(pairs) != d or any(len(uv) != 2 for uv in pairs):
+        raise VariableMismatch("weight %r is not %d [u, v] pairs"
+                               % (t["weight"], d))
+    weight = Weight(p, d, dict(enumerate(pairs)))
+    wkey = weight.key()
+    if wkey and min(wkey, key=_valuation)[2] < 1 - n:
+        raise VariableMismatch("weight %r: p^%d r is not integral"
+                               % (t["weight"], n - 1))
+    parts = tuple([ints(b) for b in t["partition"]])
+    # those are the support in order, cut into blocks of which only the
+    # first may be empty
+    if not (parts and sum(parts, ()) == tuple(weight.support())
+            and all(parts[1:])):
+        raise VariableMismatch(
+            "partition %r does not split the support %r in order"
+            % (t["partition"], weight.support()))
+    return wkey, parts
+
+
+def symbol_json(d, wkey, parts):
+    """A symbol as a JSON term: d [u, v] pairs ([0, 0] off the support) and
+    the partition's blocks as lists."""
+    weight = [[0, 0] for _ in range(d)]
+    for j, u, v in wkey:
+        weight[j] = [u, v]
+    return {"weight": weight, "partition": [list(b) for b in parts]}
 
 
 def act(which, elem, _new=object.__new__):
@@ -300,12 +350,7 @@ def enumerate_basis(p, n, d, i, bound):
     0 <= a_j <= bound; the pairs are (weight key, partition) keys for the
     DRWElement constructor, made one at a time by a ``BasisKeys``.
     """
-    if not is_prime(p):
-        raise ValueError("p = %r is not prime" % (p,))
-    if n < 1:
-        raise ValueError("need n >= 1, got n = %d" % n)
-    if d < 0:
-        raise ValueError("need d >= 0, got d = %d" % d)
+    _check_space(p, n, d)
     if i < 0:
         raise ValueError("need degree i >= 0, got i = %d" % i)
     if bound < 0:
@@ -380,21 +425,3 @@ class BasisKeys(Sequence):
                 wkey += (row[a + 1],)
         return wkey, self._parts(wkey)[k]
 
-
-def weight_to_json(p, d, wkey):
-    w = _weight_from_key(p, d, wkey)
-    full = []
-    for j in range(d):
-        if j in w.entries:
-            full.append(list(w.entries[j]))
-        else:
-            full.append([0, 0])
-    return full
-
-
-def weight_from_json(p, d, data):
-    entries = {}
-    for j, (u, v) in enumerate(data):
-        if u:
-            entries[j] = (u, v)
-    return Weight(p, d, entries)

@@ -17,7 +17,7 @@ from math import prod
 
 from . import sparse
 from .rings import (ScaleExceeded, SparseModElem, VariableMismatch,
-                    graded_basis, is_prime, v_p)
+                    graded_basis, ints, is_prime, read_json, v_p)
 from .weyl import _act, gen_binom
 from .witt import (_MAX_GENERATION_WORK, _MAX_STABILITY_WORK, _generation_work,
                    _stability_work, teich_scalar)
@@ -125,17 +125,10 @@ class CohClass(SparseModElem):
 
     @classmethod
     def from_json(cls, obj):
-        try:
-            pairs = [((cls._ints([t["l"]])[0], cls._ints(t["u"])), t["c"])
-                     for t in obj["terms"]]
-            terms = dict(pairs)
-            cls._ints(terms.values())
-            ring = cls._ints([obj["p"], obj["n"], obj["d"], obj["j"]])
-        except (KeyError, TypeError):
-            raise VariableMismatch("malformed CohClass object %r"
-                                   % (obj,)) from None
-        if len(terms) < len(pairs):
-            raise VariableMismatch("a term is listed twice in %r" % (obj,))
+        ring, terms = read_json(
+            obj, cls.__name__,
+            lambda o: ints([o["p"], o["n"], o["d"], o["j"]]),
+            lambda t, _ring: (ints([t["l"]])[0], ints(t["u"])))
         return cls(*ring, terms)
 
     def __repr__(self):

@@ -7,8 +7,9 @@ the ring), and ``LaurentElem``, ``weyl.WeylElement`` and
 ``localcoh.CohClass`` subclass it.
 Laurent exponent vectors live in Z^m, with negative exponents allowed only
 for explicitly inverted variables; the ring arithmetic on their terms is
-that of ``wittkit.sparse``.  ``graded_basis`` lists the exponent vectors of
-one total degree inside a box.
+that of ``wittkit.sparse``.  ``read_json`` is the one JSON reader of every
+sparse element, ``drw.DRWElement`` included.  ``graded_basis`` lists the
+exponent vectors of one total degree inside a box.
 """
 
 from __future__ import annotations
@@ -235,26 +236,38 @@ class SparseModElem:
 
     @classmethod
     def from_json(cls, obj):
-        try:
-            pairs = [(cls._json_key(t), t["c"]) for t in obj["terms"]]
-            terms = dict(pairs)
-            cls._ints(terms.values())
-            ring = cls._ints([obj["p"], obj["n"], obj["vars"]])
-            neg = cls._ints(obj.get("neg", ()))
-        except (KeyError, TypeError):
-            raise VariableMismatch("malformed %s object %r"
-                                   % (cls.__name__, obj)) from None
-        if len(terms) < len(pairs):
-            raise VariableMismatch("a term is listed twice in %r" % (obj,))
-        return cls(*ring, terms, neg)
+        (p, n, nv, neg), terms = read_json(
+            obj, cls.__name__,
+            lambda o: (*ints([o["p"], o["n"], o["vars"]]),
+                       ints(o.get("neg", ()))),
+            cls._json_key)
+        return cls(p, n, nv, terms, neg)
 
-    @staticmethod
-    def _ints(values):
-        """values as a tuple of plain ints (no bools); TypeError otherwise."""
-        values = tuple(values)
-        if not all(type(v) is int for v in values):
-            raise TypeError("not all ints: %r" % (values,))
-        return values
+
+def ints(values):
+    """values as a tuple of plain ints (no bools); TypeError otherwise."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:  # a float, a string or a bool
+            raise TypeError("%r is not an int" % (v,))
+    return values
+
+
+def read_json(obj, name, ring_of, json_key):
+    """The ring ``ring_of(obj)`` and the terms {json_key(t, ring): c} of a
+    sparse element's JSON object.  A missing key, a value that is not a
+    plain int (the hooks raise KeyError or TypeError) and a term listed
+    twice are refused with VariableMismatch."""
+    try:
+        ring = ring_of(obj)
+        pairs = [(json_key(t, ring), ints([t["c"]])[0]) for t in obj["terms"]]
+    except (KeyError, TypeError) as exc:
+        raise VariableMismatch("malformed %s object %r (%s: %s)" % (
+            name, obj, type(exc).__name__, exc)) from None
+    terms = dict(pairs)
+    if len(terms) < len(pairs):
+        raise VariableMismatch("a term is listed twice in %r" % (obj,))
+    return ring, terms
 
 
 class LaurentElem(SparseModElem):
@@ -292,9 +305,9 @@ class LaurentElem(SparseModElem):
     def _key_json(e):
         return {"e": list(e)}
 
-    @classmethod
-    def _json_key(cls, t):
-        return cls._ints(t["e"])
+    @staticmethod
+    def _json_key(t, _ring):
+        return ints(t["e"])
 
     @classmethod
     def one(cls, p, n, num_vars, allowed_negative=()):

@@ -27,7 +27,8 @@ from __future__ import annotations
 from math import comb
 from operator import add as _add
 
-from .rings import NegativeExponentViolation, SparseModElem, VariableMismatch
+from .rings import (NegativeExponentViolation, SparseModElem, VariableMismatch,
+                    ints)
 
 
 class RangeError(ValueError):
@@ -75,9 +76,9 @@ class WeylElement(SparseModElem):
     def _key_json(key):
         return {"e": list(key[0]), "order": list(key[1])}
 
-    @classmethod
-    def _json_key(cls, t):
-        return cls._ints(t["e"]), cls._ints(t["order"])
+    @staticmethod
+    def _json_key(t, _ring):
+        return ints(t["e"]), ints(t["order"])
 
     @classmethod
     def one(cls, p, n, num_vars, allowed_negative=()):

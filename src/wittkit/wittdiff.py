@@ -8,7 +8,7 @@ with R, Phi and V are checked sample-wise and exactly.
 
 from __future__ import annotations
 
-from .rings import LaurentElem, ScaleExceeded, VariableMismatch, v_p
+from .rings import LaurentElem, ScaleExceeded, VariableMismatch
 from .weyl import WeylElement, apply as weyl_apply
 from .witt import (
     _MAX_RELATION_WORK,
@@ -167,22 +167,3 @@ def random_witt_vector(p, length, d, rng, first_zero=0, poly_only=False):
         coords.append(zero._with(terms))
     return WittVector._trusted(p, length, coords)
 
-
-def lift_independence_check(p, n, d, r, pairs, rng, j=0):
-    """Restrictions of two lifts differing by p^(v_p(r)+1) g d^[r] agree."""
-    L = n + 1
-    vq = v_p(r, p) or 0
-    base = partial_op(p, d, j, r, L)
-    failures = []
-    for _ in range(pairs):
-        e = tuple(rng.randrange(0, 3) for _ in range(d))
-        g = rng.randrange(1, p)
-        rr = [0] * d
-        rr[j] = r
-        extra = WeylElement.monomial(
-            p, L, d, e, rr, coeff=g * (p ** (vq + 1))
-        )
-        x = random_witt_vector(p, L, d, rng)
-        if apply_witt(base, x) != apply_witt(base + extra, x):
-            failures.append(x.to_json())
-    return {"pairs": pairs, "failures": failures}

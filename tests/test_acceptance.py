@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from wittkit import cech, checks, localcoh, steinberg, weyl, witt, wittdiff
+from wittkit import cech, checks, localcoh, steinberg, weyl, witt
 from wittkit.rings import LaurentElem, PrimeFieldElem
 
 
@@ -184,7 +184,7 @@ def test_criterion_05_section3_relations():
                         assert not rep["failures"], rep
     for _ in range(50):
         p = rng.choice([2, 3])
-        rep = wittdiff.lift_independence_check(
+        rep = checks.lift_independence_check(
             p, rng.choice([1, 2]), rng.choice([1, 2]),
             rng.randrange(1, p * p + 1), 1, rng)
         assert not rep["failures"]

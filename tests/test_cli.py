@@ -206,9 +206,7 @@ def test_duplicate_sparse_terms_exit_3(tmp_path, capsys, argv, files):
 
 def _drw_doc(p, n, d, terms):
     return {"p": p, "n": n, "d": d, "terms": [
-        {"weight": drw.weight_to_json(p, d, wkey),
-         "partition": [list(b) for b in parts], "c": c}
-        for (wkey, parts), c in terms]}
+        dict(drw.symbol_json(d, *key), c=c) for key, c in terms]}
 
 
 def _drw_act(tmp_path, capsys, which, doc):
@@ -229,10 +227,24 @@ def test_drw_act_round_trip(tmp_path, capsys, which):
     out = json.loads(captured.out)
     want = drw.act(which, drw.DRWElement(p, n, d, i, dict(terms)))
     assert want.terms and (out["n"], out["degree"]) == (want.n, want.degree)
-    got = {(drw.weight_from_json(p, d, t["weight"]).key(),
-            tuple(tuple(b) for b in t["partition"])): t["c"]
-           for t in out["terms"]}
-    assert got == want.terms
+    assert out == dict(want.to_json(), which=which)
+    assert drw.DRWElement.from_json(out) == want
+
+
+def test_drw_act_output_is_drw_act_input(tmp_path, capsys):
+    """F of the printed V of x is p x: the output of drw act, which carries
+    p and d, is read back as its input."""
+    p, n, d, i = 3, 2, 2, 1
+    keys = drw.enumerate_basis(p, n, d, i, 2 * p)
+    x = drw.DRWElement(p, n, d, i, {keys[5]: 2, keys[-7]: 4, keys[11]: 1})
+    code, captured = _drw_act(tmp_path, capsys, "V", x.to_json())
+    assert code == 0
+    code, captured = _drw_act(tmp_path, capsys, "F",
+                              json.loads(captured.out))
+    assert code == 0
+    px = x.scalar_mul(p)
+    assert not px.is_zero()
+    assert drw.DRWElement.from_json(json.loads(captured.out)) == px
 
 
 _KEY = (((0, 1, 0), (1, 2, -1)), ((1,), (0,)))
@@ -256,7 +268,7 @@ def _without(obj, key):
     (_drw_doc(3, 2, 2, [(_KEY, 1.5)]), "is not an int"),
     (_drw_doc(3, 2, 2, [(_KEY, "1")]), "is not an int"),
     (_drw_doc(3, 2, 2, [(_KEY, True)]), "is not an int"),
-    (_drw_doc(3, 2, 2, [(_KEY, 1), (_KEY, 1)]), "symbol listed twice"),
+    (_drw_doc(3, 2, 2, [(_KEY, 1), (_KEY, 1)]), "a term is listed twice"),
     (dict(_ONE, n="2"), "malformed drw element"),
     # the support order of _KEY's weight is 1, 0 (valuation -1 first)
     (_drw_doc(3, 2, 2, [((_KEY[0], ((0,), (1,))), 1)]),
@@ -264,12 +276,25 @@ def _without(obj, key):
     (_drw_doc(3, 2, 2, [((_KEY[0], ()), 1)]), "does not split the support"),
     (_drw_doc(3, 2, 2, [(_KEY, 1), ((_KEY[0], ((1, 0),)), 1)]),
      "terms of degrees [0, 1] in one element"),
+    # a float valuation or numerator, a boolean v, a degree outside 0..d,
+    # a weight of the wrong length and an entry that is not a pair
+    (dict(_ONE, terms=[dict(_ONE["terms"][0], weight=[[1, 0], [2, -0.5]])]),
+     "-0.5 is not an int"),
+    (dict(_ONE, terms=[dict(_ONE["terms"][0], weight=[[1.0, 0], [2, -1]])]),
+     "1.0 is not an int"),
+    (dict(_ONE, terms=[dict(_ONE["terms"][0], weight=[[1, True], [2, -1]])]),
+     "True is not an int"),
+    ({"p": 3, "n": 2, "d": 1, "degree": 7, "terms": []}, "of degree 7"),
+    (dict(_ONE, d=1), "is not 1 [u, v] pairs"),
+    (dict(_ONE, terms=[dict(_ONE["terms"][0], weight=[[1], [2, -1]])]),
+     "is not 2 [u, v] pairs"),
 ])
 def test_drw_act_refuses_bad_input(tmp_path, capsys, doc, needle):
-    """A document or term missing a key, a p, n, d or c that is not an int,
-    a symbol given twice, a partition that is not one of drw._partitions
-    for its support order and terms of two degrees exit 3 with a JSON
-    error."""
+    """A document or term missing a key, a p, n, d, c or weight entry that
+    is not an int, a symbol given twice, a partition that is not one of
+    drw._partitions for its support order, terms of two degrees or of a
+    degree outside 0..d and a weight that is not d [u, v] pairs exit 3
+    with a JSON error."""
     code, captured = _drw_act(tmp_path, capsys, "d", doc)
     assert code == 3
     assert captured.out == ""

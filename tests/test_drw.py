@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from collections.abc import Sequence
@@ -14,12 +15,10 @@ from wittkit.drw import (
     Weight,
     act,
     enumerate_basis,
-    weight_from_json,
-    weight_to_json,
     _partitions,
     _triples,
 )
-from wittkit.rings import ScaleExceeded, v_p
+from wittkit.rings import ScaleExceeded, VariableMismatch, v_p
 from wittkit.witt import _MAX_BASIS_SIZE, _basis_size
 
 
@@ -394,10 +393,55 @@ def test_coefficient_annihilation():
     assert e.scalar_mul(2).is_zero()
 
 
-def test_weight_json_roundtrip():
-    w = Weight(3, 3, {0: (2, -1), 2: (1, 1)})
-    data = weight_to_json(3, 3, w.key())
-    assert weight_from_json(3, 3, data).key() == w.key()
+def test_json_round_trip_over_every_key():
+    """to_json then from_json gives back each basis symbol of one cell per
+    (p, n, d, i), and their sum, through JSON text."""
+    for p, n, d in product((2, 3), (1, 2), (0, 1, 2)):
+        for i in range(d + 1):
+            keys = enumerate_basis(p, n, d, i, p + 1)
+            elems = [DRWElement(p, n, d, i, {key: k + 1})
+                     for k, key in enumerate(keys)]
+            elems.append(DRWElement(p, n, d, i, {key: 1 for key in keys}))
+            for e in elems:
+                doc = json.loads(json.dumps(e.to_json()))
+                assert DRWElement.from_json(doc) == e
+                assert DRWElement.from_json(doc).to_json() == doc
+
+
+_TERM = {"weight": [[1, 0], [2, -1]], "partition": [[1], [0]], "c": 1}
+
+
+def _doc(d=2, degree=None, **term):
+    doc = {"p": 3, "n": 2, "d": d, "terms": [dict(_TERM, **term)]}
+    return doc if degree is None else dict(doc, degree=degree)
+
+
+@pytest.mark.parametrize("doc,error,needle", [
+    # the inputs that drw act used to read without a word
+    (_doc(weight=[[1, 0], [2, -0.5]]), VariableMismatch, "-0.5 is not an int"),
+    (_doc(weight=[[1.0, 0], [2, -1]]), VariableMismatch, "1.0 is not an int"),
+    (_doc(c=1.0), VariableMismatch, "1.0 is not an int"),
+    (_doc(weight=[[1, True], [2, -1]]), VariableMismatch, "True is not an int"),
+    (dict(_doc(), p=4), ValueError, "p = 4 is not prime"),
+    (dict(_doc(), n=0), ValueError, "need n >= 1, got n = 0"),
+    ({"p": 3, "n": 2, "d": 1, "degree": 7, "terms": []}, VariableMismatch,
+     "of degree 7 at d = 1"),
+    (_doc(d=1), VariableMismatch, "is not 1 [u, v] pairs"),
+    (_doc(d=1, weight=[[1]], partition=[[0]]), VariableMismatch,
+     "is not 1 [u, v] pairs"),
+    # the space, the weight and the degree
+    (dict(_doc(), d=-1, terms=[]), ValueError, "need d >= 0"),
+    (_doc(weight=[[3, 0], [2, -1]]), ValueError, "prime to p"),
+    (_doc(weight=[[1, 0], [2, -2]]), VariableMismatch, "p^1 r is not integral"),
+    (_doc(partition=[[1], [5]]), VariableMismatch, "does not split"),
+    (_doc(degree=0), VariableMismatch, "terms of degrees [1]"),
+    (_doc(degree="1"), VariableMismatch, "terms of degrees [1]"),
+    ([1], VariableMismatch, "malformed drw element"),
+])
+def test_from_json_refuses_bad_input(doc, error, needle):
+    with pytest.raises(error) as info:
+        DRWElement.from_json(doc)
+    assert needle in str(info.value)
 
 
 # -- the case formulas over plain {(triples, parts): c} dicts ---------------

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from wittkit import checks, sparse
-from wittkit.rings import LaurentElem, ScaleExceeded, VariableMismatch
+from wittkit.rings import LaurentElem, ScaleExceeded, VariableMismatch, v_p
 from wittkit.weyl import RangeError, WeylElement, apply as weyl_apply, gen_binom
 from wittkit.witt import (
     _MAX_RELATION_WORK,
@@ -19,11 +19,9 @@ from wittkit.wittdiff import (
     apply_witt,
     check_relation,
     i_star,
-    lift_independence_check,
     lift_operator,
     partial_op,
     random_witt_vector,
-    v_p,
 )
 
 
@@ -306,7 +304,7 @@ def test_monomial_cross_route():
 def test_lift_independence():
     rng = random.Random(11)
     for p, n, d, r in ((2, 1, 1, 2), (3, 2, 2, 3), (2, 2, 1, 4)):
-        rep = lift_independence_check(p, n, d, r, 10, rng)
+        rep = checks.lift_independence_check(p, n, d, r, 10, rng)
         assert not rep["failures"]
 
 
