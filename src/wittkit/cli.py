@@ -112,25 +112,17 @@ def parse_word(text):
     """Parse 'z0^2 d0[3] z1' into generator tokens; indices are >= 0."""
     word = []
     for tok in text.split():
+        kind, rest = tok[:1], tok[1:]
+        if kind == "d" and "[" in rest:
+            rest = rest.rstrip("]")
+        var, sep, k = rest.partition("^" if kind == "z" else "[")
         try:
-            if tok.startswith("z"):
-                if "^" in tok:
-                    var, k = tok[1:].split("^")
-                    word.append(("z", int(var), int(k)))
-                else:
-                    word.append(("z", int(tok[1:]), 1))
-            elif tok.startswith("d"):
-                if "[" in tok:
-                    var, r = tok[1:].rstrip("]").split("[")
-                    word.append(("d", int(var), int(r)))
-                else:
-                    word.append(("d", int(tok[1:]), 1))
-            else:
-                raise ValueError
-            if word[-1][1] < 0:
-                raise ValueError
+            var, k = int(var), int(k) if sep else 1
         except ValueError:
-            raise ValueError("bad token %r" % (tok,)) from None
+            var = -1
+        if kind not in ("z", "d") or var < 0:
+            raise ValueError("bad token %r" % (tok,))
+        word.append((kind, var, k))
     if not word:
         raise ValueError("the word is empty")
     return word

@@ -156,15 +156,17 @@ class DRWElement:
         """The element of a {p, n, d, terms, degree?} object as ``to_json``
         writes it, checked: besides ``rings.read_json``'s refusals, the
         space (``_check_space``), each term (``_json_symbol``) and one
-        degree in 0..d for the terms and the optional "degree"."""
+        degree for the terms and the optional "degree" >= 0.  Terms have
+        degrees in 0..d, so only an element with no terms has a degree
+        above d: it is 0, as W_n Omega^i = 0 for i > d, and ``act("d", .)``
+        writes one for each element of degree d."""
         (p, n, d), terms = read_json(
             obj, "drw element",
             lambda o: _check_space(*ints([o["p"], o["n"], o["d"]])),
             _json_symbol)
         degrees = {len(parts) - 1 for _, parts in terms}
         degree = obj.get("degree", min(degrees, default=0))
-        if type(degree) is not int or not 0 <= degree <= d or (
-                degrees - {degree}):
+        if type(degree) is not int or degree < 0 or degrees - {degree}:
             raise VariableMismatch("terms of degrees %s in one element of "
                                    "degree %r at d = %d"
                                    % (sorted(degrees), degree, d))

@@ -32,7 +32,15 @@ class ScaleExceeded(ValueError):
     pass
 
 
+# Trial division runs to sqrt(p).  On a 2-vCPU x86-64 VM it takes 0.10 s at
+# the prime 10^12 - 11, 0.11 s at 10^12 + 39 and 1.07 s at 10^14 + 31.
+_MAX_PRIME = 10 ** 12
+
+
 def is_prime(p):
+    if p >= _MAX_PRIME:
+        raise ScaleExceeded("p = %d is over the primality limit %d"
+                            % (p, _MAX_PRIME - 1))
     if p < 2:
         return False
     d = 2

@@ -21,9 +21,10 @@ ghost components are w_i = sum_{j<=i} p^j a_{j+1}^{p^(i-j)} for 0 <= i < n.
 from __future__ import annotations
 
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import repeat
 from math import comb, prod
-from operator import add as _add, getitem, mul as _mul
+from operator import add as _add, mul as _mul
 
 from . import sparse
 from .rings import (
@@ -452,106 +453,75 @@ class UniversalWittPolys:
         reduced mod q and the value is returned reduced mod q: evaluation is
         a ring map, so the pass reduces on the way.
 
-        When every Laurent value is 0 or one term c_i z^(e_i), X^a takes
-        the value (prod c_i^(a_i)) z^(sum a_i e_i), read off per-variable
-        tables by :func:`_specialize_one_term`.  Otherwise each coefficient
-        is reduced mod q and its monomial skipped when that is 0; powers
-        are taken mod q and cached per call; a monomial stops at its first
-        zero factor; Laurent terms are added into one dict in place, whose
-        zeros are dropped once at the end.
+        There are two routes.  Monomial covers, that is ints (c as the cover
+        {(): c}, or {} for 0) and Laurent values that are 0 or one term, go
+        through :func:`_specialize_one_term`.  Otherwise each distinct half
+        of a packed key (``sparse._half_words``) gets its product of powers
+        of the values once, and a monomial costs one product of its halves.
 
-        The universal polynomials have no constant term, so every monomial
-        touches at least one variable.  For values in F_p, ``poly`` may be
-        the reduced form from :meth:`fp_polys`: it has the same value mod p
-        at every point of F_p, in far fewer terms.
+        The universal polynomials have no constant term, so a constant that
+        does not vanish mod q raises IntegralityFailure.  For values in F_p,
+        ``poly`` may be the reduced form from :meth:`fp_polys`: it has the
+        same value mod p at every point of F_p, in far fewer terms.
         """
-        laurent = not isinstance(values[0], int)
-        base = _pack_base(self.p, self.n)
-        if laurent and all(len(v) < 2 for v in values):
-            return _specialize_one_term(poly, values, q,
-                                        self.p ** (self.n - 1), base)
-        split, lows, highs = _half_words(base, len(values))
-        powcache = [{} for _ in values]
+        const = poly.get(0, 0)
+        if const % q if q else const:
+            raise IntegralityFailure("unexpected constant monomial")
+        base, top = _pack_base(self.p, self.n), self.p ** (self.n - 1)
+        if isinstance(values[0], int):
+            covers = [{(): c} if c else {} for c in values]
+            return _specialize_one_term(poly, covers, q, top, base).get((), 0)
+        if all(len(v) < 2 for v in values):
+            return _specialize_one_term(poly, values, q, top, base)
+        one = {(0,) * next(len(e) for v in values for e in v): 1}
 
-        def vpow(i, k):
-            cache = powcache[i]
-            f = cache.get(k)
-            if f is None:
-                v = values[i]
-                if laurent:
-                    f = sparse.power(v, k, q)
-                else:
-                    f = pow(v, k, q) if q else v ** k
-                cache[k] = f
-            return f
+        def half(digits, first):
+            fs = [sparse.power(v, k, q)
+                  for v, k in zip(values[first:], digits) if k]
+            return reduce(lambda f, g: sparse.mul(f, g, q), fs) if fs else one
 
-        acc = {} if laurent else 0
+        split, lows, highs = _half_words(base, len(values), half)
+        acc = {}
         for k, c in poly.items():
-            if q:
-                c %= q
-                if not c:
-                    continue
-            term = None
-            hi, lo = divmod(k, split)
-            for i, e in enumerate(lows[lo] + highs[hi]):
-                if e:
-                    f = vpow(i, e)
-                    if term is None:
-                        term = f
-                    elif laurent:
-                        term = sparse.mul(term, f, q)
-                    else:
-                        term = term * f % q if q else term * f
-                    if not term:
-                        break
-            if term is None:
-                raise IntegralityFailure("unexpected constant monomial")
-            if not laurent:
-                acc += c * term
+            if q and not (c := c % q):
                 continue
-            get = acc.get
-            for e, v in term.items():
-                acc[e] = get(e, 0) + c * v
-        if not laurent:
-            return acc % q if q else acc
-        if q:
-            return {e: v for e, c in acc.items() if (v := c % q)}
-        return {e: c for e, c in acc.items() if c}
+            hi, lo = divmod(k, split)
+            add_into(acc, sparse.mul(lows[lo], highs[hi], q).items(), c)
+        return {e: v for e, c in acc.items() if (v := c % q if q else c)}
 
 
 def _specialize_one_term(poly, values, q, top, base):
-    """A stored polynomial at Laurent values that are 0 or one term, mod q.
+    """A stored polynomial at monomial covers: each value 0 or one term.
 
-    c X^a takes the coefficient c prod c_i^(a_i), read off per-variable
-    tables of powers up to ``top`` = p^(n-1), which bounds every stored
-    exponent (a zero value has the table 1, 0, 0, ...).  Exponent sums are
-    linear, so each e_i is packed into an integer of signed digits whose
-    base exceeds twice every |sum a_i e_i|: sum a_i is at most the weighted
-    degree, at most 2 top.  Both are taken per half-word of the stored key
-    (packed in ``base``); only the distinct result keys are unpacked.
+    At values c_i z^(e_i), c X^a takes the value c prod c_i^(a_i) z^(sum
+    a_i e_i).  Both are taken per distinct half-word of the stored key
+    (packed in ``base``), so only the powers that occur are raised: in the
+    reduced forms of ``fp_polys`` no exponent exceeds p - 1, in the stored
+    polynomials none exceeds ``top`` = p^(n-1).  Exponent sums are linear,
+    so each e_i is packed into an integer of signed digits whose base
+    exceeds twice every |sum a_i e_i|: sum a_i is at most the weighted
+    degree, at most 2 top.  Only the distinct result keys are unpacked.
+    Constant covers (e = ()) have no exponents to pack.
     """
     nvars = next((len(e) for v in values for e in v), 0)
-    span = 2 * top * max((abs(x) for v in values for e in v for x in e),
-                         default=0)
-    zbase = 2 * span + 1
-    tables, shifts = [], []
-    for v in values:
-        e, c = next(iter(v.items()), ((), 0))
-        tables.append([pow(c, k, q) if q else c ** k for k in range(top + 1)])
-        shifts.append(sum(x * zbase ** j for j, x in enumerate(e)))
-    const = poly.get(0, 0)
-    if const % q if q else const:
-        raise IntegralityFailure("unexpected constant monomial")
-    split, lows, highs = _half_words(base, len(values), lambda d, first: (
-        prod(map(getitem, tables[first:], d)),
-        sum(map(_mul, shifts[first:], d))))
+    coeffs = list(map(sum, map(dict.values, values)))  # 0 for a zero value
+    if nvars:
+        span = 2 * top * max(abs(x) for v in values for e in v for x in e)
+        zbase = 2 * span + 1
+        shifts = [sum(x * zbase ** j for e in v for j, x in enumerate(e))
+                  for v in values]
+        mods = repeat(q or None)
+        value = lambda d, first: (prod(map(pow, coeffs[first:], d, mods)),
+                                  sum(map(_mul, shifts[first:], d)))
+    else:  # constants: no exponents; powers in fp_polys forms stay small
+        span, zbase = 0, 1
+        value = lambda d, first: (prod(map(pow, coeffs[first:], d)), 0)
+    split, lows, highs = _half_words(base, len(values), value)
     acc = {}
     get = acc.get
     for k, c in poly.items():
-        if q:
-            c %= q
-            if not c:
-                continue
+        if q and not (c := c % q):
+            continue
         hi, lo = divmod(k, split)
         (cl, kl), (ch, kh) = lows[lo], highs[hi]
         key = kl + kh

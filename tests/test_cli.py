@@ -247,6 +247,17 @@ def test_drw_act_output_is_drw_act_input(tmp_path, capsys):
     assert drw.DRWElement.from_json(json.loads(captured.out)) == px
 
 
+def test_drw_act_chains_past_the_top_degree(tmp_path, capsys):
+    """d of a top-degree element prints the zero element of degree d + 1,
+    which drw act reads back: d, F and d chain, each exiting 0."""
+    doc = _drw_doc(3, 2, 1, [((((0, 1, 0),), ((), (0,))), 1)])
+    for which, degree in (("d", 2), ("F", 2), ("d", 3)):
+        code, captured = _drw_act(tmp_path, capsys, which, doc)
+        assert code == 0, captured.err
+        doc = json.loads(captured.out)
+        assert (doc["degree"], doc["terms"]) == (degree, [])
+
+
 _KEY = (((0, 1, 0), (1, 2, -1)), ((1,), (0,)))
 _ONE = _drw_doc(3, 2, 2, [(_KEY, 1)])
 
@@ -284,7 +295,8 @@ def _without(obj, key):
      "1.0 is not an int"),
     (dict(_ONE, terms=[dict(_ONE["terms"][0], weight=[[1, True], [2, -1]])]),
      "True is not an int"),
-    ({"p": 3, "n": 2, "d": 1, "degree": 7, "terms": []}, "of degree 7"),
+    (dict(_drw_doc(3, 2, 1, [((((0, 1, 0),), ((), (0,))), 1)]), degree=7),
+     "of degree 7"),
     (dict(_ONE, d=1), "is not 1 [u, v] pairs"),
     (dict(_ONE, terms=[dict(_ONE["terms"][0], weight=[[1], [2, -1]])]),
      "is not 2 [u, v] pairs"),

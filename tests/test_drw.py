@@ -408,6 +408,19 @@ def test_json_round_trip_over_every_key():
                 assert DRWElement.from_json(doc).to_json() == doc
 
 
+def test_json_round_trip_above_the_top_degree():
+    """d of an element of top degree d is the zero element of degree d + 1,
+    since W_n Omega^(d+1) = 0; it reads back, and so do F and d of it."""
+    key = (((0, 1, 0),), ((), (0,)))
+    x = DRWElement(3, 2, 1, 1, {key: 1})
+    assert DRWElement.from_json(x.to_json()) == x
+    for which, degree, n in (("d", 2, 2), ("F", 2, 1), ("d", 3, 1)):
+        x = act(which, x)
+        assert (x.degree, x.n, x.is_zero()) == (degree, n, True)
+        doc = json.loads(json.dumps(x.to_json()))
+        assert doc["terms"] == [] and DRWElement.from_json(doc) == x
+
+
 _TERM = {"weight": [[1, 0], [2, -1]], "partition": [[1], [0]], "c": 1}
 
 
@@ -424,8 +437,8 @@ def _doc(d=2, degree=None, **term):
     (_doc(weight=[[1, True], [2, -1]]), VariableMismatch, "True is not an int"),
     (dict(_doc(), p=4), ValueError, "p = 4 is not prime"),
     (dict(_doc(), n=0), ValueError, "need n >= 1, got n = 0"),
-    ({"p": 3, "n": 2, "d": 1, "degree": 7, "terms": []}, VariableMismatch,
-     "of degree 7 at d = 1"),
+    (_doc(d=1, degree=7, weight=[[1, 0]], partition=[[], [0]]),
+     VariableMismatch, "of degree 7 at d = 1"),
     (_doc(d=1), VariableMismatch, "is not 1 [u, v] pairs"),
     (_doc(d=1, weight=[[1]], partition=[[0]]), VariableMismatch,
      "is not 1 [u, v] pairs"),
@@ -437,6 +450,8 @@ def _doc(d=2, degree=None, **term):
     (_doc(degree=0), VariableMismatch, "terms of degrees [1]"),
     (_doc(degree="1"), VariableMismatch, "terms of degrees [1]"),
     ([1], VariableMismatch, "malformed drw element"),
+    # with no terms a degree may exceed d, but not be negative
+    (dict(_doc(), degree=-1, terms=[]), VariableMismatch, "of degree -1"),
 ])
 def test_from_json_refuses_bad_input(doc, error, needle):
     with pytest.raises(error) as info:

@@ -6,8 +6,10 @@ from wittkit.rings import (
     LaurentElem,
     NegativeExponentViolation,
     PrimeFieldElem,
+    ScaleExceeded,
     VariableMismatch,
     graded_basis,
+    is_prime,
     stars_and_bars,
 )
 
@@ -31,6 +33,15 @@ def test_exponent_addition():
     a = mono(5, 1, 2, (2, -1), neg=(1,))
     b = mono(5, 1, 2, (0, -1), neg=(1,))
     assert (a * b) == mono(5, 1, 2, (2, -2), neg=(1,))
+
+
+def test_is_prime_refuses_moduli_past_its_limit():
+    # 10^12 - 11 is the largest prime below the limit, 10^12 + 39 the
+    # smallest above it; the second is refused before any trial division
+    assert is_prime(10 ** 12 - 11)
+    assert not is_prime(10 ** 12 - 1)
+    with pytest.raises(ScaleExceeded, match="primality limit"):
+        is_prime(10 ** 12 + 39)
 
 
 def test_negative_exponent_rejected():

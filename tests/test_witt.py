@@ -397,6 +397,42 @@ def test_poly_specialization_matches_ghost_route(p):
         yl = rnd_laurent_vec(p, 2, 1, rng)
         assert witt_add(xl, yl) == witt_add_via_polys(xl, yl)
         assert witt_mul(xl, yl) == witt_mul_via_polys(xl, yl)
+    if p == 3:
+        # multi-term coordinates, through the half-word route at (3, 4)
+        def z(terms):
+            return LaurentElem(3, 1, 2, terms, (0, 1))
+        xm = WittVector(3, 4, [z({(1, 0): 1, (-1, 2): 2}), z({(0, 1): 1}),
+                               z({}), z({(2, -1): 2, (0, 0): 1, (1, 1): 1})])
+        ym = WittVector(3, 4, [z({(0, -1): 2}), z({(1, 0): 1, (0, 1): 2}),
+                               z({(-2, 0): 1}), z({(1, 1): 1})])
+        assert witt_add(xm, ym) == witt_add_via_polys(xm, ym)
+        assert witt_mul(xm, ym) == witt_mul_via_polys(xm, ym)
+        assert witt_neg(xm) == witt_neg_via_polys(xm)
+
+
+def test_int_values_take_the_one_term_route():
+    """Z and F_p values reach the one-term evaluator as constant covers,
+    {(): c} or {} for 0, once per coordinate polynomial."""
+    calls = []
+
+    def spy(poly, values, *rest, _f=witt._specialize_one_term):
+        calls.append(values)
+        return _f(poly, values, *rest)
+
+    rng = random.Random(29)
+    z = [WittVector(3, 3, [rng.randrange(-9, 10) for _ in range(3)])
+         for _ in range(2)]
+    for x, y in ((rnd_fp(3, 3, rng), rnd_fp(3, 3, rng)), z,
+                 (fp_vec(3, 3, [0, 2, 0]), fp_vec(3, 3, [1, 0, 0]))):
+        covers = [{(): c} if c else {}
+                  for c in map(_lift, x.coords + y.coords)]
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(witt, "_specialize_one_term", spy)
+            got = (witt_add_via_polys(x, y), witt_mul_via_polys(x, y),
+                   witt_neg_via_polys(x))
+        assert got == (witt_add(x, y), witt_mul(x, y), witt_neg(x))
+        assert calls == [covers] * 6 + [covers[:3]] * 3
 
 
 def _ref_specialize(poly, values):
@@ -475,8 +511,8 @@ def test_property_specialize_matches_reference(case, which):
 def one_term_cases(draw):
     """A stored polynomial and Laurent values that are 0 or one term, in 1-3
     variables with negative exponents, over Z or mod p; in small shapes one
-    value may have two or three terms, which sends the call to the general
-    loop."""
+    value may have two or three terms, which sends the call to the
+    multi-term route."""
     p, n = draw(st.sampled_from([(p, n) for p in (2, 3, 5)
                                  for n in range(1, 5)] + [(2, 6)]))
     which = draw(st.sampled_from(["sum_polys", "prod_polys", "neg_polys"]))
