@@ -142,12 +142,13 @@ class SparseModElem:
     The constructor checks and reduces what it is given: user input goes
     through it, and a call that draws or builds many elements checks its
     ring once through it.  The trusted ``_trusted`` (any ring) and
-    ``_with`` (this element's ring) check nothing and keep the ``terms``
-    dict; their caller guarantees that the keys are valid for the
-    subclass, negative only at indices in ``allowed_negative``, and the
-    values residues in [1, p^n).  Such terms come from ring arithmetic
-    inside one ring, from an element of a ring whose region the new one
-    contains, or from draws made inside a ring checked once.
+    ``_with`` (this element's ring, or the same one over Z/p^n) check
+    nothing and keep the ``terms`` dict; their caller guarantees that the
+    keys are valid for the subclass, negative only at indices in
+    ``allowed_negative``, and the values residues in [1, p^n).  Such terms
+    come from ring arithmetic inside one ring, from an element of a ring
+    whose region the new one contains, or from draws made inside a ring
+    checked once.
     """
 
     __slots__ = ("p", "n", "num_vars", "allowed_negative", "terms")
@@ -182,9 +183,9 @@ class SparseModElem:
         out.terms = terms
         return out
 
-    def _with(self, terms, _new=object.__new__):
+    def _with(self, terms, n=None, _new=object.__new__):
         out = _new(self.__class__)
-        out.p, out.n, out.num_vars = self.p, self.n, self.num_vars
+        out.p, out.n, out.num_vars = self.p, n or self.n, self.num_vars
         out.allowed_negative = self.allowed_negative
         out.terms = terms
         return out
@@ -339,14 +340,6 @@ class LaurentElem(SparseModElem):
         if k == 0:
             return self._with({(0,) * self.num_vars: 1})
         return self._with(sparse.power(self.terms, k, self.p ** self.n))
-
-    def frobenius(self):
-        """Coefficientwise-trivial Frobenius x -> x^p (exact for n = 1)."""
-        if self.n != 1:
-            return self ** self.p
-        p = self.p
-        return self._with({tuple(v * p for v in e): c
-                           for e, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:

@@ -2,8 +2,14 @@
 
 Over Z and F_p, arithmetic lifts coordinates to Z, transports them through
 ghost components, and inverts the ghost map with exact integer divisions.
-Laurent vectors go through the injective ring map w-tilde: W_n(A) ->
-(Z/p^n)[z^{+-1}] instead, and back by peeling (:func:`tilde_w_inverse`).
+A vector over A = F_p[z^{+-1}] holds its image under the injective ring
+map w~ = w-tilde: W_n(A) -> (Z/p^n)[z^{+-1}] (:func:`tilde_w`) and peels its
+coordinates (:func:`tilde_w_inverse`) only when they are read.  Ring
+operations act on images, and so do
+  Phi: exponents times p, as z -> z^p commutes with w~ and x^p = x(z^p) in A;
+  F:   the image mod p^(n-1), sum_{i<n-1} p^i (x_(i+1)^p)^(p^(n-2-i)) = w~(Fx);
+  R:   the image of F x with exponents divided by p, as F x = Phi R x;
+  V:   p times the image, over Z/p^(n+1): each summand gains one factor p.
 The values so produced coincide with specializations of the universal
 addition/multiplication polynomials, which are also constructed explicitly
 (and cross-checked in the test suite).
@@ -445,13 +451,13 @@ class UniversalWittPolys:
                     )
         return True
 
-    def specialize(self, poly, values, q):
-        """Evaluate one stored polynomial at integer-cover values, mod q.
+    def specialize(self, polys, values, q):
+        """The values of polys at integer-cover values, mod q, from one set-up.
 
         ``values`` are all ints or all tuple-keyed Laurent covers.  With q = 0
-        the value is taken over Z.  With q > 0 the values must already be
-        reduced mod q and the value is returned reduced mod q: evaluation is
-        a ring map, so the pass reduces on the way.
+        the values are taken over Z.  With q > 0 the values must already be
+        reduced mod q and the results are reduced mod q: evaluation is a
+        ring map, so the pass reduces on the way.
 
         There are two routes.  Monomial covers, that is ints (c as the cover
         {(): c}, or {} for 0) and Laurent values that are 0 or one term, go
@@ -461,18 +467,18 @@ class UniversalWittPolys:
 
         The universal polynomials have no constant term, so a constant that
         does not vanish mod q raises IntegralityFailure.  For values in F_p,
-        ``poly`` may be the reduced form from :meth:`fp_polys`: it has the
+        ``polys`` may be reduced forms from :meth:`fp_polys`: each has the
         same value mod p at every point of F_p, in far fewer terms.
         """
-        const = poly.get(0, 0)
-        if const % q if q else const:
+        if any(c % q if q else c for c in (f.get(0, 0) for f in polys)):
             raise IntegralityFailure("unexpected constant monomial")
         base, top = _pack_base(self.p, self.n), self.p ** (self.n - 1)
         if isinstance(values[0], int):
             covers = [{(): c} if c else {} for c in values]
-            return _specialize_one_term(poly, covers, q, top, base).get((), 0)
+            return [f.get((), 0) for f in
+                    _specialize_one_term(polys, covers, q, top, base)]
         if all(len(v) < 2 for v in values):
-            return _specialize_one_term(poly, values, q, top, base)
+            return list(_specialize_one_term(polys, values, q, top, base))
         one = {(0,) * next(len(e) for v in values for e in v): 1}
 
         def half(digits, first):
@@ -481,17 +487,21 @@ class UniversalWittPolys:
             return reduce(lambda f, g: sparse.mul(f, g, q), fs) if fs else one
 
         split, lows, highs = _half_words(base, len(values), half)
-        acc = {}
-        for k, c in poly.items():
-            if q and not (c := c % q):
-                continue
-            hi, lo = divmod(k, split)
-            add_into(acc, sparse.mul(lows[lo], highs[hi], q).items(), c)
-        return {e: v for e, c in acc.items() if (v := c % q if q else c)}
+        out = []
+        for poly in polys:
+            acc = {}
+            for k, c in poly.items():
+                if q and not (c := c % q):
+                    continue
+                hi, lo = divmod(k, split)
+                add_into(acc, sparse.mul(lows[lo], highs[hi], q).items(), c)
+            out.append({e: v for e, c in acc.items()
+                        if (v := c % q if q else c)})
+        return out
 
 
-def _specialize_one_term(poly, values, q, top, base):
-    """A stored polynomial at monomial covers: each value 0 or one term.
+def _specialize_one_term(polys, values, q, top, base):
+    """The values of polys at monomial covers: each value 0 or one term.
 
     At values c_i z^(e_i), c X^a takes the value c prod c_i^(a_i) z^(sum
     a_i e_i).  Both are taken per distinct half-word of the stored key
@@ -517,19 +527,20 @@ def _specialize_one_term(poly, values, q, top, base):
         span, zbase = 0, 1
         value = lambda d, first: (prod(map(pow, coeffs[first:], d)), 0)
     split, lows, highs = _half_words(base, len(values), value)
-    acc = {}
-    get = acc.get
-    for k, c in poly.items():
-        if q and not (c := c % q):
-            continue
-        hi, lo = divmod(k, split)
-        (cl, kl), (ch, kh) = lows[lo], highs[hi]
-        key = kl + kh
-        acc[key] = get(key, 0) + c * cl * ch
     # digits shifted by span are the unsigned digits of key + offset
     offset = span * sum(zbase ** j for j in range(nvars))
-    return {tuple(x - span for x in _digits(k + offset, zbase, nvars)): v
-            for k, c in acc.items() if (v := c % q if q else c)}
+    for poly in polys:
+        acc = {}
+        get = acc.get
+        for k, c in poly.items():
+            if q and not (c := c % q):
+                continue
+            hi, lo = divmod(k, split)
+            (cl, kl), (ch, kh) = lows[lo], highs[hi]
+            key = kl + kh
+            acc[key] = get(key, 0) + c * cl * ch
+        yield {tuple(x - span for x in _digits(k + offset, zbase, nvars)): v
+               for k, c in acc.items() if (v := c % q if q else c)}
 
 
 @lru_cache(maxsize=4)
@@ -546,14 +557,6 @@ def build_universal_polys(p, n):
 # Witt vectors
 # ----------------------------------------------------------------------
 
-def _ring(c):
-    """What tells a coordinate's ring apart: its type, and for a Laurent
-    coordinate its variables and allowed-negative region."""
-    if isinstance(c, LaurentElem):
-        return c.num_vars, c.allowed_negative
-    return type(c)
-
-
 class WittVector:
     """A length-n p-typical Witt vector with exact coordinates, n >= 1.
 
@@ -563,15 +566,32 @@ class WittVector:
     on anything else.  Two vectors combine only over the same coordinate
     ring, as Laurent elements do.  ``_trusted`` checks nothing: its caller
     passes n >= 1 coordinates in the ring of one checked vector or element.
+
+    A Laurent vector holds its w-tilde image over Z/p^n, given to
+    ``_of_image`` or made on first use (:func:`tilde_w`), which drops the
+    coordinates it was built from; ``coords`` peels them once, when read.
+    ``==`` and ``hash`` compare images (w-tilde is injective).
     """
 
-    __slots__ = ("p", "n", "coords")
+    __slots__ = ("p", "n", "_coords", "_image")
 
     @classmethod
     def _trusted(cls, p, n, coords, _new=object.__new__):
         out = _new(cls)
-        out.p, out.n, out.coords = p, n, tuple(coords)
+        out.p, out.n, out._coords, out._image = p, n, tuple(coords), None
         return out
+
+    @classmethod
+    def _of_image(cls, f, coords=None, _new=object.__new__):
+        out = _new(cls)
+        out.p, out.n, out._coords, out._image = f.p, f.n, coords, f
+        return out
+
+    @property
+    def coords(self):
+        if self._coords is None:
+            self._coords = tilde_w_inverse(self._image)._coords
+        return self._coords
 
     def __init__(self, p, n, coords):
         if not is_prime(p):
@@ -580,7 +600,7 @@ class WittVector:
         if n < 1 or len(coords) != n:
             raise VariableMismatch("need n >= 1 and n coordinates, got n ="
                                    " %r and %d" % (n, len(coords)))
-        self.p, self.n, self.coords = p, n, coords
+        self.p, self.n, self._coords, self._image = p, n, coords, None
         first = coords[0]
         kind = type(first)
         if kind is LaurentElem:
@@ -603,34 +623,36 @@ class WittVector:
     def _check(self, other):
         if self.p != other.p or self.n != other.n:
             raise VariableMismatch("incompatible Witt vectors")
-        if _ring(self.coords[0]) != _ring(other.coords[0]):
+        if self.zero_coord() != other.zero_coord():
             raise VariableMismatch(
                 "Witt vectors over different coordinate rings")
 
+    def _is_laurent(self):
+        return self._coords is None or isinstance(self._coords[0], LaurentElem)
+
     def _is_char_p(self):
-        return not isinstance(self.coords[0], int)
+        return self._coords is None or not isinstance(self._coords[0], int)
 
     def zero_coord(self):
-        c = self.coords[0]
+        c = self._image if self._coords is None else self._coords[0]
         if isinstance(c, int):
             return 0
         if isinstance(c, PrimeFieldElem):
             return PrimeFieldElem(self.p, 0)
-        return c._with({})  # c is over F_p: __init__ checks c.n == 1
+        return c._with({}, 1)  # c is over F_p or is the image over Z/p^n
 
     def is_zero(self):
-        return not any(self.coords)
+        return not (self._image if self._coords is None else any(self._coords))
+
+    def _key(self):
+        return tilde_w(self) if self._is_laurent() else self._coords
 
     def __eq__(self, other):
-        return (
-            isinstance(other, WittVector)
-            and self.p == other.p
-            and self.n == other.n
-            and self.coords == other.coords
-        )
+        return (isinstance(other, WittVector) and self.p == other.p
+                and self.n == other.n and self._key() == other._key())
 
     def __hash__(self):
-        return hash((self.p, self.n, self.coords))
+        return hash((self.p, self.n, self._key()))
 
     def __repr__(self):
         return "WittVector(p=%d, %r)" % (self.p, list(self.coords))
@@ -669,15 +691,15 @@ def _ghosts(x):
     """x's ghost components over Z or F_p (lifted to Z); for a Laurent
     vector the one-entry list [w-tilde(x)].  Both maps are injective ring
     maps, so + - * and integer multiples act on the entries."""
-    if isinstance(x.coords[0], LaurentElem):
+    if x._is_laurent():
         return [tilde_w(x)]
     return _ghost_from_covers([_lift(c) for c in x.coords], x.p)
 
 
 def _from_ghosts(x, ws):
     """The vector over x's coordinate ring with images ws (see _ghosts)."""
-    if isinstance(x.coords[0], LaurentElem):
-        return tilde_w_inverse(ws[0])
+    if x._is_laurent():
+        return WittVector._of_image(ws[0])
     return _vector_from_covers(x, _ghost_inverse(ws, x.p))
 
 
@@ -706,7 +728,7 @@ def _via_polys(x, polys, vectors):
     upw = build_universal_polys(x.p, x.n)
     fs = (upw.fp_polys(polys) if isinstance(x.coords[0], PrimeFieldElem)
           else getattr(upw, polys))
-    return _vector_from_covers(x, [upw.specialize(f, vals, q) for f in fs])
+    return _vector_from_covers(x, upw.specialize(fs, vals, q))
 
 
 def witt_add_via_polys(x, y):
@@ -739,48 +761,52 @@ def teichmuller(a, n):
 
 
 def verschiebung(x):
+    if x._is_laurent():
+        f = tilde_w(x)
+        return WittVector._of_image(f._with(sparse.scale(f.terms, x.p),
+                                            x.n + 1))
     return WittVector._trusted(x.p, x.n + 1, (x.zero_coord(),) + x.coords)
 
 
 def restrict(x):
     if x.n == 1:
         raise LengthUnderflow("restriction would produce length 0")
+    if x._is_laurent():  # w~(F x), the image mod p^(n-1), at z^(1/p)
+        f, p, q = tilde_w(x), x.p, x.p ** (x.n - 1)
+        terms = {tuple([v // p for v in e]): r
+                 for e, c in f.terms.items() if (r := c % q)}
+        return WittVector._of_image(f._with(terms, x.n - 1))
     return WittVector._trusted(x.p, x.n - 1, x.coords[:-1])
-
-
-def _coord_pow_p(c, p):
-    if isinstance(c, PrimeFieldElem):
-        return c  # a^p = a in F_p
-    if isinstance(c, LaurentElem):
-        return c.frobenius()
-    raise TorsionRing("char-p Frobenius formula needs char-p coordinates")
 
 
 def frobenius(x):
     """F: W_n -> W_{n-1}; over char-p coordinate rings F = R o Phi."""
     if x.n == 1:
         raise LengthUnderflow("Frobenius would produce length 0")
+    if x._is_laurent():
+        f, q = tilde_w(x), x.p ** (x.n - 1)
+        return WittVector._of_image(f._with(sparse.scale(f.terms, 1, q),
+                                            x.n - 1))
     if x._is_char_p():
-        return WittVector._trusted(
-            x.p, x.n - 1, [_coord_pow_p(c, x.p) for c in x.coords[: x.n - 1]]
-        )
+        return restrict(x)  # Phi is the identity on W_n(F_p)
     return WittVector(x.p, x.n - 1, _ghost_inverse(_ghosts(x)[1:], x.p))
 
 
 def witt_phi(x):
     """Phi_A = W_n(sigma): coordinatewise absolute Frobenius."""
-    return WittVector._trusted(x.p, x.n,
-                               [_coord_pow_p(c, x.p) for c in x.coords])
+    if x._is_laurent():
+        return WittVector._of_image(tilde_F(x))
+    if not x._is_char_p():
+        raise TorsionRing("char-p Frobenius formula needs char-p coordinates")
+    return x  # a^p = a in F_p
 
 
 def witt_scalar_mul(c, x):
     """Multiplication by the scalar image of an integer c.
 
-    The ghost components of c are (c, ..., c), so c x has ghosts c ghost(x);
-    0 x is the zero vector of x's ring, with no round trip.
+    The ghost components of c are (c, ..., c), so c x has ghosts c ghost(x)
+    and, over Laurent coordinates, the image c w-tilde(x).
     """
-    if c == 0:
-        return WittVector._trusted(x.p, x.n, (x.zero_coord(),) * x.n)
     return _from_ghosts(x, [c * g for g in _ghosts(x)])
 
 
@@ -788,33 +814,28 @@ def witt_scalar_mul(c, x):
 # the maps w-tilde and F-tilde
 # ----------------------------------------------------------------------
 
-def _tilde(x, top, name):
-    """sum_i p^i x_(i+1)^(p^(top-i)) in (Z/p^n)[z...], n the length of x.
-
-    Each power is taken mod p^(n-i), all that p^i times it keeps mod p^n.
-    """
-    if not isinstance(x.coords[0], LaurentElem):
-        raise VariableMismatch("%s needs Laurent coordinates" % name)
-    p, n = x.p, x.n
-    q = p ** n
-    acc = {}
-    get = acc.get
-    for i, c in enumerate(x.coords):
-        pi = p ** i
-        for e, v in sparse.power(c.terms, p ** (top - i), q // pi).items():
-            acc[e] = (get(e, 0) + pi * v) % q
-    acc = {e: v for e, v in acc.items() if v}
-    f = x.coords[0]
-    return LaurentElem._trusted(p, n, f.num_vars, acc, f.allowed_negative)
-
-
 def tilde_w(x):
     """w-tilde: W_L(A) -> (Z/p^L)[z...], (f_1..f_L) -> sum p^i f_i+1^(p^(L-1-i)).
 
     Defined on Laurent-coordinate vectors; the value, a LaurentElem over
-    Z/p^L, does not depend on the choice of coordinate lifts.
+    Z/p^L, does not depend on the choice of coordinate lifts; x keeps it
+    in place of its coordinates.  Each power is taken mod p^(L-i), all that
+    p^i times it keeps mod p^L.
     """
-    return _tilde(x, x.n - 1, "tilde_w")
+    if x._image is not None:
+        return x._image
+    f = x._coords[0]
+    if not isinstance(f, LaurentElem):
+        raise VariableMismatch("tilde_w needs Laurent coordinates")
+    p, n, q = x.p, x.n, x.p ** x.n
+    acc = {}
+    get = acc.get
+    for i, c in enumerate(x._coords):
+        pi = p ** i
+        for e, v in sparse.power(c.terms, p ** (n - 1 - i), q // pi).items():
+            acc[e] = (get(e, 0) + pi * v) % q
+    x._image, x._coords = f._with({e: v for e, v in acc.items() if v}, n), None
+    return x._image
 
 
 def tilde_w_inverse(f):
@@ -827,6 +848,7 @@ def tilde_w_inverse(f):
     in closed form: rem is reduced mod p^L and divisible by p^(L-1), so
     each residue is p^(L-1) times a unit below p, x_L = rem / p^(L-1), and
     subtracting p^(L-1) x_L would leave nothing: no remainder survives.
+    The vector returned holds both f and its coordinates.
     """
     p, L = f.p, f.n
     mod = p ** L
@@ -867,12 +889,15 @@ def tilde_w_inverse(f):
         coords.append(LaurentElem._trusted(
             p, 1, nv, {e: c // pi for e, c in rem.items()}, neg))
     coords += [LaurentElem._trusted(p, 1, nv, {}, neg)] * (L - len(coords))
-    return WittVector._trusted(p, L, coords)
+    return WittVector._of_image(f, tuple(coords))
 
 
 def tilde_F(x):
-    """F-tilde^n: W_n(A) -> (Z/p^n)[z...], (x_1..x_n) -> sum p^i x_i+1^(p^(n-i))."""
-    return _tilde(x, x.n, "tilde_F")
+    """F-tilde^n: W_n(A) -> (Z/p^n)[z...], (x_1..x_n) -> sum p^i x_i+1^(p^(n-i)).
+
+    That is w-tilde(Phi x): x's image with every exponent times p."""
+    f, p = tilde_w(x), x.p
+    return f._with({tuple([v * p for v in e]): c for e, c in f.terms.items()})
 
 
 # ----------------------------------------------------------------------

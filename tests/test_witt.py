@@ -412,7 +412,8 @@ def test_poly_specialization_matches_ghost_route(p):
 
 def test_int_values_take_the_one_term_route():
     """Z and F_p values reach the one-term evaluator as constant covers,
-    {(): c} or {} for 0, once per coordinate polynomial."""
+    {(): c} or {} for 0, once per vector for all its coordinate
+    polynomials."""
     calls = []
 
     def spy(poly, values, *rest, _f=witt._specialize_one_term):
@@ -432,7 +433,7 @@ def test_int_values_take_the_one_term_route():
             got = (witt_add_via_polys(x, y), witt_mul_via_polys(x, y),
                    witt_neg_via_polys(x))
         assert got == (witt_add(x, y), witt_mul(x, y), witt_neg(x))
-        assert calls == [covers] * 6 + [covers[:3]] * 3
+        assert calls == [covers] * 2 + [covers[:3]]
 
 
 def _ref_specialize(poly, values):
@@ -499,7 +500,7 @@ def test_property_specialize_matches_reference(case, which):
     values = [_lift(c) for c in coords]
     q = 0 if isinstance(coords[0], int) else p
     for f, ref in zip(getattr(upw, name), upw.unpacked(name)):
-        got = upw.specialize(f, values, q)
+        got = upw.specialize([f], values, q)[0]
         want = _ref_specialize(ref, values)
         assert (_reduce_like(got, coords[0], p)
                 == _reduce_like(want, coords[0], p))
@@ -544,7 +545,7 @@ def test_property_one_term_laurent_specialize_matches_reference(case):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(witt, "_specialize_one_term", spy)
-        got = upw.specialize(_pack(poly, _pack_base(p, n)), values, q)
+        got = upw.specialize([_pack(poly, _pack_base(p, n))], values, q)[0]
     assert len(calls) == all(len(v) < 2 for v in values)
     want = _ref_specialize(poly, values)
     if q:
@@ -561,10 +562,10 @@ def test_one_term_specialize_rejects_constant_monomial():
     one_term, two_terms = {(1,): 2}, {(1,): 2, (-1,): 1}
     for values in ([one_term, {}], [two_terms, {}]):
         with pytest.raises(IntegralityFailure):
-            upw.specialize(one, values, 3)
+            upw.specialize([one], values, 3)
         with pytest.raises(IntegralityFailure):
-            upw.specialize(three, values, 0)
-        assert upw.specialize(three, values, 3) == values[0]
+            upw.specialize([three], values, 0)
+        assert upw.specialize([three], values, 3) == [values[0]]
 
 
 # -- specialization over F_p through the reduced form, against the full one --
@@ -591,7 +592,7 @@ def test_fp_via_polys_matches_full_specialization(p, n, data):
                              (witt_neg_via_polys(x), upw.neg_polys,
                               xy[:n])):
         assert [c.value for c in got.coords] == \
-            [upw.specialize(f, vals, p) for f in polys]
+            upw.specialize(polys, vals, p)
 
 
 def test_fp_reduced_form_lives_on_cached_instances():
@@ -640,8 +641,19 @@ def test_ghost_examples():
 
 
 def test_ghost_needs_torsion_free():
+    """Ghosts need Z coordinates and Phi char-p ones, w-tilde and F-tilde
+    Laurent ones, for vectors held as coordinates or as images."""
+    u = LaurentElem(2, 1, 1, {(1,): 1}, (0,))
+    laurent = WittVector(2, 2, [u, u])
+    for x in (fp_vec(2, 2, [1, 0]), laurent, witt_add(laurent, laurent)):
+        with pytest.raises(TorsionRing):
+            ghost(x)
     with pytest.raises(TorsionRing):
-        ghost(fp_vec(2, 2, [1, 0]))
+        witt_phi(WittVector(2, 2, [1, 3]))
+    for x in (fp_vec(2, 2, [1, 0]), WittVector(2, 2, [1, 3])):
+        for tilde in (tilde_w, tilde_F):
+            with pytest.raises(VariableMismatch):
+                tilde(x)
 
 
 # -- arithmetic ------------------------------------------------------------
@@ -1653,6 +1665,163 @@ def test_laurent_ops_match_ghost_reference(case):
         assert _identical(got, want)
 
 
+# -- Laurent vectors held as w-tilde images, against coordinate-wise maps ------
+#
+# F, V, R and Phi as they act on coordinates: the library applies them to the
+# w-tilde image instead (see the witt module docstring).
+
+def _coord_frobenius(c):
+    """c^p for a coordinate over F_p: a^p = a, and a Laurent coordinate has
+    its exponents multiplied by p."""
+    if isinstance(c, PrimeFieldElem):
+        return c
+    return c._with({tuple(v * c.p for v in e): k for e, k in c.terms.items()})
+
+
+def _ref_verschiebung(p, coords):
+    return WittVector(p, len(coords) + 1, [coords[0] * 0] + list(coords))
+
+
+def _ref_restrict(p, coords):
+    return WittVector(p, len(coords) - 1, coords[:-1])
+
+
+def _ref_witt_phi(p, coords):
+    return WittVector(p, len(coords), [_coord_frobenius(c) for c in coords])
+
+
+def _ref_frobenius(p, coords):
+    return _ref_restrict(p, [_coord_frobenius(c) for c in coords])
+
+
+@st.composite
+def image_cases(draw):
+    """Coordinates of a Laurent vector, p in {2, 3, 5} and n <= 4, over a
+    ring with none, some or all of 1-2 variables inverted; the first
+    ``lead`` coordinates are zero."""
+    p, n = draw(st.sampled_from([(p, n) for p in (2, 3, 5)
+                                 for n in range(1, 5)]))
+    nv = draw(st.integers(1, 2))
+    region = draw(st.sets(st.integers(0, nv - 1)))
+    exps = st.tuples(*[st.integers(-2, 2) if i in region
+                       else st.integers(0, 2) for i in range(nv)])
+    lead = draw(st.integers(0, n))
+    return [LaurentElem(p, 1, nv, draw(st.dictionaries(
+        exps, st.integers(1, p - 1), max_size=0 if i < lead else 2)), region)
+        for i in range(n)]
+
+
+def _image_only(p, coords):
+    """The vector with coords, built from a copy of its image alone."""
+    f = tilde_w(WittVector(p, len(coords), coords))
+    return WittVector._of_image(LaurentElem(p, f.n, f.num_vars, f.terms,
+                                            f.allowed_negative))
+
+
+@given(image_cases(), st.integers(-30, 30), st.data())
+@settings(max_examples=150, deadline=None)
+def test_image_maps_match_the_coordinate_maps(coords, c, data):
+    """F, V, R, Phi and integer multiples on images give the vectors the
+    coordinate-wise maps give, equal and hashing alike, whether the vector
+    was built from coordinates or from its image; == agrees with comparing
+    coordinates, against a vector with one coordinate shifted by 0..p-1."""
+    p, n = coords[0].p, len(coords)
+    ref = WittVector(p, n, coords)
+    multiple = _ref_from_ghosts(ref, [_cscale(c, g) for g in _ref_ghosts(ref)])
+    for x in (WittVector(p, n, coords), _image_only(p, coords)):
+        pairs = [(verschiebung(x), _ref_verschiebung(p, coords)),
+                 (witt_phi(x), _ref_witt_phi(p, coords)),
+                 (witt_scalar_mul(c, x), multiple)]
+        if n > 1:
+            pairs += [(restrict(x), _ref_restrict(p, coords)),
+                      (frobenius(x), _ref_frobenius(p, coords))]
+        for got, want in pairs:
+            assert _identical(got, want)
+            assert hash(got) == hash(want)
+    one = LaurentElem.one(p, 1, coords[0].num_vars,
+                          coords[0].allowed_negative)
+    other = list(coords)
+    other[data.draw(st.integers(0, n - 1))] += one * data.draw(
+        st.integers(0, p - 1))
+    same = other == coords
+    for u in (WittVector(p, n, coords), _image_only(p, coords)):
+        for v in (WittVector(p, n, other), _image_only(p, other)):
+            assert (u == v) is same and (v == u) is same
+            assert hash(u) == hash(v) or not same
+
+
+@given(image_cases())
+@settings(max_examples=200, deadline=None)
+def test_leading_zero_coordinates_are_p_powers_dividing_the_image(coords):
+    """The first i coordinates vanish iff p^i divides every coefficient of
+    the image: w-tilde(V^i y) = p^i w-tilde(y), and a nonzero x_(i+1) puts
+    p^i times a unit on some monomial that the later layers cannot cancel."""
+    p, n = coords[0].p, len(coords)
+    f = tilde_w(WittVector(p, n, coords))
+    for i in range(n + 1):
+        assert all(c.is_zero() for c in coords[:i]) == all(
+            v % p ** i == 0 for v in f.terms.values())
+
+
+def _peel_spy(monkeypatch):
+    """The list that records every call of witt.tilde_w_inverse."""
+    calls = []
+
+    def spy(f, _peel=witt.tilde_w_inverse):
+        calls.append(f)
+        return _peel(f)
+
+    monkeypatch.setattr(witt, "tilde_w_inverse", spy)
+    return calls
+
+
+def test_laurent_ring_operations_and_maps_never_peel(monkeypatch):
+    p = 3
+    u = LaurentElem(p, 1, 2, {(1, -1): 2, (0, 2): 1}, (1,))
+    x, y = WittVector(p, 3, [u, u * u, u]), WittVector(p, 3, [u * u, u * 0, u])
+    calls = _peel_spy(monkeypatch)
+    s = witt_add(x, y)
+    m = witt_mul(s, y)
+    for v in (x, s, m):
+        assert frobenius(verschiebung(v)) == witt_scalar_mul(p, v)
+        assert frobenius(v) == restrict(witt_phi(v))
+        assert restrict(witt_phi(v)) == witt_phi(restrict(v))
+        assert witt_add(v, witt_neg(v)).is_zero() and not v.is_zero()
+    assert witt_mul(x, verschiebung(restrict(y))) == verschiebung(
+        witt_mul(frobenius(x), restrict(y)))
+    assert m == witt_mul(y, s) and hash(m) == hash(witt_mul(y, s))
+    assert calls == []
+    # reading coordinates peels: m once, then s and y (whose coordinates
+    # were dropped once its image was made) for the specialization
+    assert m.coords == witt_mul_via_polys(s, y).coords
+    assert len(calls) == 3
+
+
+def test_reading_coords_twice_peels_once(monkeypatch):
+    u = LaurentElem(2, 1, 1, {(1,): 1, (-1,): 1}, (0,))
+    x = WittVector(2, 3, [u, u * 0, u])
+    m = witt_mul(x, x)
+    calls = _peel_spy(monkeypatch)
+    first = m.coords
+    assert m.coords is first
+    assert len(calls) == 1
+    assert m == WittVector(2, 3, first)
+    assert witt_mul(x, x).coords == first and len(calls) == 2
+
+
+def test_a_coordinate_vector_equals_the_vector_of_its_image():
+    p = 5
+    f = LaurentElem(p, 1, 2, {(2, -1): 3, (0, 0): 1}, (1,))
+    for coords in ([f, f * 0], [f * 0, f], [f * 0, f * 0], [f, f * f]):
+        x = WittVector(p, 2, coords)
+        y = _image_only(p, coords)
+        assert x == y and y == x and hash(x) == hash(y)
+        assert y.coords == tuple(coords)
+    z = WittVector(p, 2, [f, f])
+    assert z != _image_only(p, [f, f * 0])
+    assert fp_vec(p, 2, [0, 0]) != WittVector(p, 2, [f * 0, f * 0])
+
+
 # -- vectors built unchecked from coordinates that come checked ----------------
 
 @given(st.data())
@@ -1666,8 +1835,8 @@ def test_trusted_vectors_match_the_checked_constructor(data):
         x, y = gate_vector(data, p, n, coord), gate_vector(data, p, n, coord)
     else:  # Laurent vectors with none, some or all variables inverted
         x, y, _, _ = data.draw(laurent_op_cases())
-    # over Z and F_p witt_add and witt_neg end in _vector_from_covers, over
-    # Laurent coordinates in tilde_w_inverse
+    # over Z and F_p witt_add and witt_neg end in _vector_from_covers; over
+    # Laurent coordinates every result is an image that ``coords`` peels
     outs = [verschiebung(x), witt_scalar_mul(0, x), witt_add(x, y),
             witt_neg(x)]
     if x.n > 1:

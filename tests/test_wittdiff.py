@@ -137,6 +137,32 @@ def test_relations_sampled(which, p, n, d):
         assert not rep["failures"], rep
 
 
+def test_relations_peel_only_inside_apply_witt(monkeypatch):
+    """At length 3 the relations' R, Phi, V, zero scalars and comparisons
+    act on w-tilde images: the only peels are apply_witt's, and its result
+    keeps the image and the coordinates it peeled."""
+    import wittkit.witt as wt
+    import wittkit.wittdiff as wd
+    lazy, applied = [], []
+    for module, calls in ((wt, lazy), (wd, applied)):
+        monkeypatch.setattr(module, "tilde_w_inverse",
+                            lambda f, _peel=module.tilde_w_inverse,
+                            calls=calls: calls.append(f) or _peel(f))
+    rng = random.Random(36)
+    for which in ("restriction", "frobenius", "verschiebung", "filtration"):
+        for d in (1, 2):
+            for r in range(1, 10):
+                assert not check_relation(which, 3, 2, d, r, 2, rng)[
+                    "failures"]
+    assert lazy == [] and len(applied) > 100
+    x = random_witt_vector(3, 3, 2, rng)
+    op = partial_op(3, 2, 1, 4, 3)
+    out = apply_witt(op, x)
+    assert out.coords == tuple(out.coords) and lazy == []
+    assert wt.tilde_w(out) is applied[-1]
+    assert applied[-1] == weyl_apply(op, wt.tilde_w(x))
+
+
 def test_check_relation_builds_each_operator_once(monkeypatch):
     import wittkit.wittdiff as wd
     built = []
