@@ -6,7 +6,7 @@ those it does not use and returns its ``cases``, ``failures`` and parameters.
 """
 
 from . import cech, localcoh, steinberg, witt, wittdiff
-from .drw import DRWElement, act, enumerate_basis
+from .drw import DRWElement, act, enumerate_basis, symbol_json
 from .rings import PrimeFieldElem, v_p
 from .weyl import WeylElement
 from .wittdiff import RELATIONS, apply_witt, partial_op, random_witt_vector
@@ -86,12 +86,13 @@ def drw_cell(p, n, d, i, bound):
     """d^2 = 0, FV = VF = p, FdV = d, Vd = pdV and dF = pFd on one cell.
 
     Returns the number of basis elements of degree i with numerators <= bound
-    and the weight keys of those that fail; each is checked on its own.
+    and the JSON weights (``symbol_json``) of those that fail, each checked
+    on its own, so that ``drw act`` can replay them.
     """
     keys = enumerate_basis(p, n, d, i, bound)
     fails = []
-    for wkey, parts in keys:
-        e = DRWElement(p, n, d, i, {(wkey, parts): 1})
+    for a, parts in keys:
+        e = DRWElement(p, n, d, i, {(a, parts): 1})
         if e.is_zero():
             continue
         de, ve, fe = act("d", e), act("V", e), act("F", e)
@@ -100,7 +101,7 @@ def drw_cell(p, n, d, i, bound):
                 and act("V", fe) == pe and act("F", dve) == de
                 and act("V", de) == dve.scalar_mul(p)
                 and act("d", fe) == act("F", de).scalar_mul(p)):
-            fails.append(list(wkey))
+            fails.append(symbol_json(p, n, a, parts)["weight"])
     return len(keys), fails
 
 

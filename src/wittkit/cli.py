@@ -169,7 +169,7 @@ def cmd_drw_basis(args):
     keys = drw.enumerate_basis(args.p, args.n, args.d, args.i, args.bound)
     _emit({
         "count": len(keys),
-        "basis": [drw.symbol_json(args.d, *key) for key in keys],
+        "basis": [drw.symbol_json(args.p, args.n, *key) for key in keys],
     }, args)
 
 

@@ -6,70 +6,40 @@ with p^{n-1} r integral, and P = (I_0, ..., I_i) an admissible partition of
 the support.  F, V and d act by exact case formulas; the ring structure is
 out of scope.
 
-Inside an element a symbol is the triple (base, shift, parts): ``shift`` is
-the minimal valuation of r (0 for the zero weight) and ``base`` the sorted
-(j, u, v) triples of r with ``shift`` taken off each v.  F and V multiply and
-divide r by p, so they change only ``shift`` and share ``base`` with the
-symbol they start from; d changes only ``parts``.  An element stores its
-level data and a list of flat (base, shift, parts, coefficient) terms sorted
-by symbol, each coefficient reduced mod p^(n-u), u = max(0, -shift).  The
-list is built once, by the constructor, ``act``, ``+`` or ``scalar_mul``,
-and never mutated after, so elements may share it.  The ``DRWElement``
-constructor and ``terms`` speak plain ``Weight.key()`` triples; ``act`` and
-``scalar_mul`` reduce only the coefficients they compute and keep the order
-of the terms.  No module-level table or cache is kept, and the basis of a
-cell is a ``BasisKeys`` sequence that makes each key when it is asked for.
+A symbol is keyed by its integer weight a = p^(n-1) r, a length-d tuple,
+and its partition: F multiplies r by p and lowers n by one, V does the
+reverse and d keeps both, so none of them changes a (Langer-Zink 2004, sec. 2).
+An element stores its level data and a list of flat (a, t, parts, x) terms
+sorted by symbol.  t is the least valuation of the nonzero entries of a,
+inf for the zero weight, and x = p^u c mod p^n for the coefficient c of
+the symbol, where u = max(0, n-1-t) counts its Verschiebung layers.  As
+p^(n-u) kills the symbol, x is the canonical form of c, and every term is
+reduced mod the one modulus p^n.  t never changes, and the operators read
+  F: to level n-1; x/p when t < n-1 and I_0 is empty; mod p^(n-1)
+  V: to level n+1; x p^2 when t < n and I_0 is empty, else x p; mod p^(n+1)
+  d: () prepended to P; 0 when I_0 is empty; x p^(t-n+1) mod p^n if t >= n
+The list is built once, by the constructor, ``act``, ``+`` or
+``scalar_mul``, and never mutated after, so elements may share it.  The
+``DRWElement`` constructor and ``terms`` speak {(a, partition): c}; the
+JSON form gives r as [u, v] pairs.  No module-level table or cache is kept,
+and the basis of a cell is a ``BasisKeys`` sequence that makes each key
+when it is asked for.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import product
-from math import comb
-from operator import index, itemgetter
+from math import comb, gcd, inf
+from operator import index
 
 from .rings import (ScaleExceeded, VariableMismatch, ints, is_prime,
                     read_json, v_p)
 from .witt import _MAX_BASIS_SIZE, _basis_size
 
-_valuation = itemgetter(2)  # of a (j, u, v) weight-key triple
-
 
 class Inadmissible(ValueError):
     pass
-
-
-class Weight:
-    """A weight function j -> r_j = u_j * p^(v_j) with p not dividing u_j.
-
-    ``entries`` maps variable index (0-based) to the pair (u, v); absent
-    indices carry r_j = 0.  The support order sorts by (v_j, j): ascending
-    valuation, ties broken by variable index, which is stable under
-    multiplication by powers of p.
-    """
-
-    __slots__ = ("p", "d", "entries")
-
-    def __init__(self, p, d, entries):
-        self.p = p
-        self.d = d
-        clean = {}
-        for j, (u, v) in entries.items():
-            if not (0 <= j < d):
-                raise ValueError("variable index out of range")
-            if u == 0:
-                continue
-            if u < 0 or u % p == 0:
-                raise ValueError("numerator must be positive and prime to p")
-            clean[j] = (u, v)
-        self.entries = clean
-
-    def key(self):
-        return tuple(sorted((j, u, v) for j, (u, v) in self.entries.items()))
-
-    def support(self):
-        """Support in the canonical order (valuation, then index)."""
-        return sorted(self.entries, key=lambda j: (self.entries[j][1], j))
 
 
 def _partitions(supp, i):
@@ -105,9 +75,10 @@ def _partitions(supp, i):
             + [cut(sizes, False) for sizes in compos(L, i + 1)])
 
 
-def _triples(base, shift):
-    """The weight key of a symbol's (base, shift)."""
-    return tuple([(j, u, v + shift) for (j, u, v) in base])
+def _valuation(a, p):
+    """t of a weight key: v_p of the gcd of its entries; inf for a = 0."""
+    g = gcd(*a)
+    return v_p(g, p) if g else inf
 
 
 class DRWElement:
@@ -115,34 +86,32 @@ class DRWElement:
 
     A symbol whose weight needs u = u(r) Verschiebung layers is annihilated
     by p^(n-u): eta * V^u(x) = V^u(F^u(eta) x) and F^u kills p^(n-u) W_n(k).
-    Coefficients are therefore stored modulo p^(n-u), which makes the stored
-    expression the canonical one.
+    Its coefficient c is therefore stored as x = p^u c mod p^n, which makes
+    the stored expression the canonical one.
 
     ``space`` is the tuple (p, n, d, degree) and ``pairs`` the list of
-    (base, shift, partition, coefficient) terms sorted by symbol, with
-    u = max(0, -shift) and every n + shift >= 1.  Symbols are unique within
-    an element, so the coefficient never decides the order.  The list is
-    never mutated once the element is built.  The constructor takes a
-    {(weight key, partition): coefficient} dict, whose weight keys are
-    ``Weight.key()`` triples, and reduces and sorts it in one pass;
-    ``terms`` gives the terms back in that form.  It checks nothing, so its
+    (a, t, partition, x) terms sorted by symbol.  Symbols are unique within
+    an element, so x never decides the order.  The list is never mutated
+    once the element is built.  The constructor takes a {(a, partition): c}
+    dict and reduces and sorts it in one pass; ``terms`` gives the terms
+    back in that form, each c below p^(n-u).  It checks nothing, so its
     keys must come from ``enumerate_basis`` or ``from_json`` (the checked
-    reader) at this level, dimension and degree.
+    reader) at this dimension and degree.
     """
 
     __slots__ = ("space", "pairs")
 
     def __init__(self, p, n, d, degree, terms):
         self.space = (p, n, d, degree)
+        q = p ** n
         pairs = []
-        for (base, parts), c in terms.items():  # a key is its base at 0
-            s = min(base, key=_valuation)[2] if base else 0
-            if s:
-                base = tuple([(j, u, v - s) for (j, u, v) in base])
-            k = n + s if s < 0 else n
-            c = c % p ** k if k > 0 else 0
+        for (a, parts), c in terms.items():
+            t = _valuation(a, p)
+            if t < n - 1:
+                c *= p ** (n - 1 - t)
+            c %= q
             if c:
-                pairs.append((base, s, parts, c))
+                pairs.append((a, t, parts, c))
         pairs.sort()
         self.pairs = pairs
 
@@ -158,11 +127,13 @@ class DRWElement:
         space (``_check_space``), each term (``_json_symbol``) and one
         degree for the terms and the optional "degree" >= 0.  Terms have
         degrees in 0..d, so only an element with no terms has a degree
-        above d: it is 0, as W_n Omega^i = 0 for i > d, and ``act("d", .)``
-        writes one for each element of degree d."""
+        above d, or level n = 0: it is 0, as W_n Omega^i = 0 for i > d and
+        W_0 Omega = 0, and ``act`` writes one for each element of degree d
+        (d) and of level 1 (F)."""
         (p, n, d), terms = read_json(
             obj, "drw element",
-            lambda o: _check_space(*ints([o["p"], o["n"], o["d"]])),
+            lambda o: _check_space(*ints([o["p"], o["n"], o["d"]]),
+                                   least=1 if o["terms"] else 0),
             _json_symbol)
         degrees = {len(parts) - 1 for _, parts in terms}
         degree = obj.get("degree", min(degrees, default=0))
@@ -173,15 +144,23 @@ class DRWElement:
         return cls(p, n, d, degree, terms)
 
     def to_json(self):
+        """The JSON object, its terms in the order of their weights' sorted
+        (j, u, v) triples, then partitions."""
         p, n, d, degree = self.space
+        rows = []
+        for (a, parts), c in self.terms.items():
+            sym = dict(symbol_json(p, n, a, parts), c=c)
+            rows.append(([(j, *uv) for j, uv in enumerate(sym["weight"])
+                          if uv[0]], parts, sym))
+        rows.sort(key=lambda row: row[:2])
         return {"p": p, "n": n, "d": d, "degree": degree,
-                "terms": [dict(symbol_json(d, *key), c=c)
-                          for key, c in sorted(self.terms.items())]}
+                "terms": [sym for _, _, sym in rows]}
 
     @property
     def terms(self):
-        return {(_triples(base, shift), parts): c
-                for base, shift, parts, c in self.pairs}
+        p, n = self.space[:2]
+        return {(a, parts): x // p ** max(0, n - 1 - t)
+                for a, t, parts, x in self.pairs}
 
     def is_zero(self):
         return not self.pairs
@@ -190,18 +169,13 @@ class DRWElement:
         space = self.space
         if space != other.space:
             raise Inadmissible("cannot add across levels or degrees")
-        p, n = space[0], space[1]
+        q = space[0] ** space[1]
         acc = {}
         get = acc.get
-        for base, s, parts, c in self.pairs + other.pairs:
-            sym = base, s, parts
-            acc[sym] = get(sym, 0) + c
-        pairs = []
-        for sym, c in acc.items():
-            s = sym[1]
-            c %= p ** (n + s if s < 0 else n)
-            if c:
-                pairs.append(sym + (c,))
+        for a, t, parts, x in self.pairs + other.pairs:
+            sym = a, t, parts
+            acc[sym] = get(sym, 0) + x
+        pairs = [sym + (x,) for sym, c in acc.items() if (x := c % q)]
         pairs.sort()
         e = _new(DRWElement)
         e.space = space
@@ -209,15 +183,12 @@ class DRWElement:
         return e
 
     def scalar_mul(self, c, _new=object.__new__):
-        p, n, _, _ = space = self.space
-        pairs = []
-        for base, s, parts, v in self.pairs:
-            v = v * c % p ** (n + s if s < 0 else n)
-            if v:
-                pairs.append((base, s, parts, v))
+        space = self.space
+        q = space[0] ** space[1]
         e = _new(DRWElement)
         e.space = space
-        e.pairs = pairs
+        e.pairs = [(a, t, parts, y) for a, t, parts, x in self.pairs
+                   if (y := x * c % q)]
         return e
 
     def __sub__(self, other):
@@ -236,47 +207,52 @@ class DRWElement:
         )
 
 
-def _check_space(p, n, d):
+def _check_space(p, n, d, least=1):
     if not is_prime(p):
         raise ValueError("p = %r is not prime" % (p,))
-    if n < 1:
-        raise ValueError("need n >= 1, got n = %d" % n)
+    if n < least:
+        raise ValueError("need n >= %d, got n = %d" % (least, n))
     if d < 0:
         raise ValueError("need d >= 0, got d = %d" % d)
     return p, n, d
 
 
 def _json_symbol(t, space):
-    """One JSON term's (weight key, partition), refused unless its weight is
-    d [u, v] pairs with p^(n-1) r integral (``Weight`` checks each u) and
-    its partition one of ``_partitions`` for the support order."""
+    """One JSON term's (a, partition), refused unless its weight is d
+    [u, v] pairs, each u positive and prime to p or 0 (off the support),
+    with p^(n-1) r integral, and its partition one of ``_partitions`` for
+    the support order."""
     p, n, d = space
     pairs = [ints(uv) for uv in t["weight"]]
     if len(pairs) != d or any(len(uv) != 2 for uv in pairs):
         raise VariableMismatch("weight %r is not %d [u, v] pairs"
                                % (t["weight"], d))
-    weight = Weight(p, d, dict(enumerate(pairs)))
-    wkey = weight.key()
-    if wkey and min(wkey, key=_valuation)[2] < 1 - n:
+    if any(u < 0 or u and u % p == 0 for u, _ in pairs):
+        raise ValueError("numerator must be positive and prime to p")
+    # the support order: by valuation, ties by index
+    order = sorted((v, j) for j, (u, v) in enumerate(pairs) if u)
+    if order and order[0][0] < 1 - n:
         raise VariableMismatch("weight %r: p^%d r is not integral"
                                % (t["weight"], n - 1))
+    supp = tuple([j for _, j in order])
     parts = tuple([ints(b) for b in t["partition"]])
     # those are the support in order, cut into blocks of which only the
     # first may be empty
-    if not (parts and sum(parts, ()) == tuple(weight.support())
-            and all(parts[1:])):
+    if not (parts and sum(parts, ()) == supp and all(parts[1:])):
         raise VariableMismatch(
             "partition %r does not split the support %r in order"
-            % (t["partition"], weight.support()))
-    return wkey, parts
+            % (t["partition"], list(supp)))
+    return tuple([u * p ** (v + n - 1) if u else 0 for u, v in pairs]), parts
 
 
-def symbol_json(d, wkey, parts):
-    """A symbol as a JSON term: d [u, v] pairs ([0, 0] off the support) and
-    the partition's blocks as lists."""
-    weight = [[0, 0] for _ in range(d)]
-    for j, u, v in wkey:
-        weight[j] = [u, v]
+def symbol_json(p, n, a, parts):
+    """A symbol at level n as a JSON term: the weight r = a / p^(n-1) as
+    [u, v] pairs, r_j = u p^v ([0, 0] off the support), and the partition's
+    blocks as lists."""
+    weight = []
+    for x in a:
+        v = v_p(x, p)
+        weight.append([x // p ** v, v - n + 1] if x else [0, 0])
     return {"weight": weight, "partition": [list(b) for b in parts]}
 
 
@@ -286,57 +262,56 @@ def act(which, elem, _new=object.__new__):
     F is semilinear through the residue map Z/p^n -> Z/p^(n-1); V lifts
     coefficients along any integer representative; d is linear.  Each
     operator sends distinct symbols to distinct symbols, so every term gives
-    at most one term of the image, reduced on the spot.
+    at most one term of the image, reduced on the spot.  With s = t-n+1 the
+    least valuation of r, in the coefficients c:
 
     - F multiplies the weight by p and keeps the partition; the scalar is p
-      exactly when I_0 is nonempty and r is not integral.  F into level 0
-      is zero.
+      exactly when I_0 is nonempty and r is not integral (s < 0).  F into
+      level 0 is zero, and F of a level-0 element is refused.
     - V divides the weight by p and keeps the partition; the scalar is p
       exactly when the Verschiebung is absorbed through VF = p: with an
       empty I_0 the whole symbol is F of a deeper one, and for p^-1 r
-      integral the e^0 factor satisfies V(T^r) = V(F(T^(r/p))).  (This
-      orientation is the one forced by FV = VF = p.)
+      integral (s >= 1) the e^0 factor satisfies V(T^r) = V(F(T^(r/p))).
+      (This orientation is the one forced by FV = VF = p.)
     - d prepends an empty I_0, is zero on a symbol whose I_0 is empty, and
-      carries the scalar p^(min valuation) for a nonzero integral weight.
+      carries the scalar p^s for a nonzero integral weight.
 
-    Every stored term has n + shift >= 1 (the constructor drops the rest).
-    F lowers n by one and raises the shift of a nonzero weight by one, V
-    does the reverse, and the zero weight has shift 0, so their images stay
-    admissible.  Each keeps the order of the terms: F and V move only the
-    shift, d only prepends () to the partition.
+    In x = p^u c these are the formulas of the module docstring: F lowers
+    u by one while u > 0 (t < n-1), V raises it by one while t < n, and d
+    keeps it.  Each keeps a and the order of the terms: F and V change
+    only x, d prepends () to every partition.
     """
     p, n, d, degree = elem.space
     out = []
     if which == "F":
+        if n < 1:
+            raise ValueError("F needs n >= 1, got n = %d" % n)
         n -= 1
-        for base, s, parts, c in elem.pairs if n else ():  # W_0 Omega = 0
-            if base:
-                s += 1  # of p r: r is integral iff s >= 1
-                if s < 1 and parts[0]:
-                    c *= p
-            c %= p ** (n + s if s < 0 else n)
-            if c:
-                out.append((base, s, parts, c))
+        q = p ** n
+        for a, t, parts, x in elem.pairs:
+            if t < n and not parts[0]:  # t < n - 1 at the source level
+                x //= p
+            x %= q
+            if x:
+                out.append((a, t, parts, x))
     elif which == "V":
+        q = p ** (n + 1)
+        for a, t, parts, x in elem.pairs:
+            x = x * (p * p if t < n and not parts[0] else p) % q
+            if x:
+                out.append((a, t, parts, x))
         n += 1
-        for base, s, parts, c in elem.pairs:
-            if base:
-                s -= 1  # of r/p
-            if s >= 0 or not parts[0]:
-                c *= p
-            c %= p ** (n + s if s < 0 else n)
-            if c:
-                out.append((base, s, parts, c))
     elif which == "d":
         degree += 1
-        for base, s, parts, c in elem.pairs:
+        q = p ** n
+        for a, t, parts, x in elem.pairs:
             if not parts[0]:
                 continue
-            if s > 0:  # the modulus is unchanged, so only this needs reducing
-                c = c * p ** s % p ** n
-                if not c:
+            if t >= n:  # the modulus is unchanged, so only this needs reducing
+                x = x * p ** (t - n + 1) % q
+                if not x:
                     continue
-            out.append((base, s, ((),) + parts, c))
+            out.append((a, t, ((),) + parts, x))
     else:
         raise ValueError("unknown operator %r" % (which,))
     e = _new(DRWElement)
@@ -346,11 +321,11 @@ def act(which, elem, _new=object.__new__):
 
 
 def enumerate_basis(p, n, d, i, bound):
-    """All (weight, partition) pairs at level n and degree i within the bound.
+    """All (a, partition) keys at level n and degree i within the bound.
 
     Weights are parametrized by a = p^(n-1) r with componentwise numerators
-    0 <= a_j <= bound; the pairs are (weight key, partition) keys for the
-    DRWElement constructor, made one at a time by a ``BasisKeys``.
+    0 <= a_j <= bound; the keys, for the DRWElement constructor, are made
+    one at a time by a ``BasisKeys``.
     """
     _check_space(p, n, d)
     if i < 0:
@@ -363,14 +338,8 @@ def enumerate_basis(p, n, d, i, bound):
             "the basis at d = %d, i = %d, bound = %d has %d elements, over "
             "the limit of %d" % (d, i, bound, size, _MAX_BASIS_SIZE))
     if i > d:
-        return BasisKeys(d, i, 0, 0, [])
-    # entry[j][a]: the key triple (j, u, v) of r_j = a / p^(n-1), None for 0
-    entry = [[None] for _ in range(d)]
-    for a in range(1, bound + 1):
-        v = v_p(a, p)
-        for j in range(d):
-            entry[j].append((j, a // p ** v, v - (n - 1)))
-    return BasisKeys(d, i, bound, size, entry)
+        return BasisKeys(p, d, i, 0, 0)
+    return BasisKeys(p, d, i, bound, size)
 
 
 class BasisKeys(Sequence):
@@ -378,34 +347,39 @@ class BasisKeys(Sequence):
     digits a_0, ..., a_(d-1) (last fastest, 0 first), each weight followed
     by its partitions.
 
-    Only the ``entry`` table and the partitions of each support order met so
-    far are kept.  ``keys[k]`` decodes one digit at a time: below a prefix
-    lies first the block of the digit 0, then ``bound`` equal blocks, one
-    per nonzero digit, and what is left of k indexes the partitions.
+    Only the valuations of 0..bound, the partitions of each support order
+    met so far and the order of each pattern of valuations met so far are
+    kept.  ``keys[k]`` decodes one digit at a time: below a prefix lies
+    first the block of the digit 0, then ``bound`` equal blocks, one per
+    nonzero digit, and what is left of k indexes the partitions.
     """
 
-    def __init__(self, d, i, bound, size, entry):
+    def __init__(self, p, d, i, bound, size):
         self.d, self.i, self.bound, self.size = d, i, bound, size
-        self.entry = entry
+        self.valuation = [v_p(x, p) for x in range(bound + 1)]
+        self.orders = {}  # valuations of a -> the partitions of its order
         self.partitions = {}  # support order -> its partitions; <= sum d!/k!
 
     def __len__(self):
         return self.size
 
-    def _parts(self, wkey):
-        # support order: by valuation, ties by index (a stable sort of wkey)
-        supp = tuple([j for (j, _, _) in sorted(wkey, key=_valuation)])
-        parts = self.partitions.get(supp)
+    def _parts(self, a):
+        vals = tuple([self.valuation[x] for x in a])
+        parts = self.orders.get(vals)
         if parts is None:
-            parts = self.partitions[supp] = _partitions(supp, self.i)
+            # the support order: by valuation, ties by index
+            supp = tuple([j for _, j in sorted(
+                (v, j) for j, v in enumerate(vals) if v is not None)])
+            parts = self.partitions.get(supp)
+            if parts is None:
+                parts = self.partitions[supp] = _partitions(supp, self.i)
+            self.orders[vals] = parts
         return parts
 
     def __iter__(self):
-        for triples in product(*self.entry):
-            wkey = tuple([t for t in triples if t])
-            if len(wkey) >= self.i:
-                for parts in self._parts(wkey):
-                    yield wkey, parts
+        for a in product(*[range(self.bound + 1)] * self.d):
+            for parts in self._parts(a):
+                yield a, parts
 
     def __getitem__(self, k):
         k = index(k)
@@ -419,11 +393,15 @@ class BasisKeys(Sequence):
         for r in range(1, self.d):
             below.append([below[r - 1][t] + self.bound * below[r - 1][t + 1]
                           for t in range(self.d + 1 - r)])
-        wkey = ()
-        for row, counts in zip(self.entry, reversed(below)):
-            zero = counts[len(wkey)]
+        a = []
+        nonzero = 0
+        for counts in reversed(below[:self.d]):
+            zero = counts[nonzero]
             if k >= zero:
-                a, k = divmod(k - zero, counts[len(wkey) + 1])
-                wkey += (row[a + 1],)
-        return wkey, self._parts(wkey)[k]
-
+                x, k = divmod(k - zero, counts[nonzero + 1])
+                a.append(x + 1)
+                nonzero += 1
+            else:
+                a.append(0)
+        a = tuple(a)
+        return a, self._parts(a)[k]

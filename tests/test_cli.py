@@ -206,7 +206,7 @@ def test_duplicate_sparse_terms_exit_3(tmp_path, capsys, argv, files):
 
 def _drw_doc(p, n, d, terms):
     return {"p": p, "n": n, "d": d, "terms": [
-        dict(drw.symbol_json(d, *key), c=c) for key, c in terms]}
+        dict(drw.symbol_json(p, n, *key), c=c) for key, c in terms]}
 
 
 def _drw_act(tmp_path, capsys, which, doc):
@@ -250,7 +250,7 @@ def test_drw_act_output_is_drw_act_input(tmp_path, capsys):
 def test_drw_act_chains_past_the_top_degree(tmp_path, capsys):
     """d of a top-degree element prints the zero element of degree d + 1,
     which drw act reads back: d, F and d chain, each exiting 0."""
-    doc = _drw_doc(3, 2, 1, [((((0, 1, 0),), ((), (0,))), 1)])
+    doc = _drw_doc(3, 2, 1, [(((3,), ((), (0,))), 1)])
     for which, degree in (("d", 2), ("F", 2), ("d", 3)):
         code, captured = _drw_act(tmp_path, capsys, which, doc)
         assert code == 0, captured.err
@@ -258,7 +258,25 @@ def test_drw_act_chains_past_the_top_degree(tmp_path, capsys):
         assert (doc["degree"], doc["terms"]) == (degree, [])
 
 
-_KEY = (((0, 1, 0), (1, 2, -1)), ((1,), (0,)))
+def test_drw_act_chains_through_level_zero(tmp_path, capsys):
+    """F of a level-1 element prints the zero element of level 0, which
+    drw act reads back: V of it exits 0 at level 1, F of it exits 3."""
+    doc = _drw_doc(3, 1, 1, [(((1,), ((0,),)), 1)])
+    for which, n in (("F", 0), ("V", 1)):
+        code, captured = _drw_act(tmp_path, capsys, which, doc)
+        assert code == 0, captured.err
+        out = json.loads(captured.out)
+        assert (out["n"], out["terms"]) == (n, [])
+        if which == "F":
+            level_zero = out
+        doc = out
+    code, captured = _drw_act(tmp_path, capsys, "F", level_zero)
+    assert code == 3 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err == {"error": "F needs n >= 1, got n = 0", "type": "ValueError"}
+
+
+_KEY = ((3, 2), ((1,), (0,)))  # r = (1, 2/3) at p = 3, n = 2
 _ONE = _drw_doc(3, 2, 2, [(_KEY, 1)])
 
 
@@ -295,7 +313,7 @@ def _without(obj, key):
      "1.0 is not an int"),
     (dict(_ONE, terms=[dict(_ONE["terms"][0], weight=[[1, True], [2, -1]])]),
      "True is not an int"),
-    (dict(_drw_doc(3, 2, 1, [((((0, 1, 0),), ((), (0,))), 1)]), degree=7),
+    (dict(_drw_doc(3, 2, 1, [(((3,), ((), (0,))), 1)]), degree=7),
      "of degree 7"),
     (dict(_ONE, d=1), "is not 1 [u, v] pairs"),
     (dict(_ONE, terms=[dict(_ONE["terms"][0], weight=[[1], [2, -1]])]),

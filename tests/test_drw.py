@@ -2,28 +2,93 @@ import json
 import random
 import tracemalloc
 from collections.abc import Sequence
+from functools import reduce
 from itertools import product
-from math import comb
+from math import comb, inf
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittkit import witt
 from wittkit.drw import (
     DRWElement,
     Inadmissible,
-    Weight,
     act,
     enumerate_basis,
     _partitions,
-    _triples,
 )
-from wittkit.rings import ScaleExceeded, VariableMismatch, v_p
+from wittkit.rings import LaurentElem, ScaleExceeded, VariableMismatch, v_p
 from wittkit.witt import _MAX_BASIS_SIZE, _basis_size
 
 
-def W(p, d, **entries):
-    return Weight(p, d, {int(k[1:]): v for k, v in entries.items()})
+class Weight:
+    """A weight function j -> r_j = u_j * p^(v_j) with p not dividing u_j.
+
+    ``entries`` maps variable index (0-based) to the pair (u, v); absent
+    indices carry r_j = 0.  The support order sorts by (v_j, j): ascending
+    valuation, ties broken by variable index, which is stable under
+    multiplication by powers of p.
+    """
+
+    __slots__ = ("p", "d", "entries")
+
+    def __init__(self, p, d, entries):
+        self.p = p
+        self.d = d
+        clean = {}
+        for j, (u, v) in entries.items():
+            if not (0 <= j < d):
+                raise ValueError("variable index out of range")
+            if u == 0:
+                continue
+            if u < 0 or u % p == 0:
+                raise ValueError("numerator must be positive and prime to p")
+            clean[j] = (u, v)
+        self.entries = clean
+
+    def key(self):
+        return tuple(sorted((j, u, v) for j, (u, v) in self.entries.items()))
+
+    def support(self):
+        """Support in the canonical order (valuation, then index)."""
+        return sorted(self.entries, key=lambda j: (self.entries[j][1], j))
+
+
+# -- the integer weight a = p^(n-1) r and the (j, u, v) triples of r -------
+
+def _triples_of(p, n, a):
+    """The ``Weight.key()`` triples of r = a / p^(n-1)."""
+    out = []
+    for j, x in enumerate(a):
+        if x:
+            v = v_p(x, p)
+            out.append((j, x // p ** v, v - (n - 1)))
+    return tuple(out)
+
+
+def _a_of(p, n, d, triples):
+    """The integer weight a = p^(n-1) r of an admissible weight key."""
+    a = [0] * d
+    for j, u, v in triples:
+        a[j] = u * p ** (v + n - 1)
+    return tuple(a)
+
+
+def _as_triples(p, n, terms):
+    """{(a, parts): c} as {(triples, parts): c} at level n."""
+    return {(_triples_of(p, n, a), parts): c
+            for (a, parts), c in terms.items()}
+
+
+def _as_a(p, n, d, terms):
+    """{(triples, parts): c} as {(a, parts): c} at level n."""
+    return {(_a_of(p, n, d, triples), parts): c
+            for (triples, parts), c in terms.items()}
+
+
+def _triple_terms(elem):
+    return _as_triples(elem.p, elem.n, elem.terms)
 
 
 # -- weight helpers and the checked constructor of one basis symbol ---------
@@ -82,7 +147,8 @@ def basis_element(p, n, d, wkey, parts):
     if not partition_valid(weight, parts):
         raise Inadmissible("invalid partition")
     # the degree equals the number of e^1 factors, i.e. len(parts) - 1
-    return DRWElement(p, n, d, len(parts) - 1, {(weight.key(), parts): 1})
+    return DRWElement(p, n, d, len(parts) - 1,
+                      {(_a_of(p, n, d, weight.key()), parts): 1})
 
 
 def test_t_and_u_examples():
@@ -127,7 +193,7 @@ def test_act_v_case():
     e = basis_element(2, 2, 1, w.key(), ((0,),))
     out = act("V", e)
     want_w = Weight(2, 1, {0: (1, -1)})
-    assert out.terms == {(want_w.key(), ((0,),)): 1}
+    assert _triple_terms(out) == {(want_w.key(), ((0,),)): 1}
     assert out.n == 3
 
 
@@ -137,7 +203,7 @@ def test_act_v_scalar_p_branch():
     e = basis_element(3, 2, 1, w.key(), ((0,),))
     out = act("V", e)
     want_w = Weight(3, 1, {0: (1, 0)})
-    assert out.terms == {(want_w.key(), ((0,),)): 3}
+    assert _triple_terms(out) == {(want_w.key(), ((0,),)): 3}
 
 
 def test_act_f_case():
@@ -146,7 +212,7 @@ def test_act_f_case():
     e = basis_element(2, 2, 1, w.key(), ((), (0,)))
     out = act("F", e)
     want_w = Weight(2, 1, {0: (1, 1)})
-    assert out.terms == {(want_w.key(), ((), (0,))): 1}
+    assert _triple_terms(out) == {(want_w.key(), ((), (0,))): 1}
 
 
 def test_act_f_scalar_p_branch():
@@ -200,7 +266,8 @@ def test_basis_size_counts_enumerate_basis():
 
 def _ref_enumerate_basis(p, n, d, i, bound):
     """The whole key list, built as enumerate_basis did before it returned
-    a lazy sequence: the reference for its keys and their order."""
+    a lazy sequence and spoke integer weights: the reference for its keys
+    and their order."""
     if i > d:
         return []
     entry = [[None] for _ in range(d)]
@@ -219,7 +286,7 @@ def _ref_enumerate_basis(p, n, d, i, bound):
         parts_list = partitions.get(supp)
         if parts_list is None:
             parts_list = partitions[supp] = _partitions(supp, i)
-        out += [(wkey, parts) for parts in parts_list]
+        out += [(_a_of(p, n, d, wkey), parts) for parts in parts_list]
     return out
 
 
@@ -333,8 +400,8 @@ def test_all_identities_small(p):
     for n in (1, 2):
         for d in (1, 2):
             for i in range(d + 1):
-                for wkey, parts in enumerate_basis(p, n, d, i, p * p):
-                    e = basis_element(p, n, d, wkey, parts)
+                for a, parts in enumerate_basis(p, n, d, i, p * p):
+                    e = basis_element(p, n, d, _triples_of(p, n, a), parts)
                     assert act("d", act("d", e)).is_zero()
                     assert act("F", act("V", e)) == e.scalar_mul(p)
                     assert act("V", act("F", e)) == e.scalar_mul(p)
@@ -348,7 +415,7 @@ def test_all_identities_small(p):
 @pytest.mark.parametrize("p", [2, 3])
 def test_act_is_linear_on_combinations(p):
     # combinations of enumerated keys against sums of basis elements built
-    # from plain Weight.key() tuples, coefficients beyond p^(n-u) included
+    # from their Weight.key() triples, coefficients beyond p^(n-u) included
     rng = random.Random(p)
     n, d = 2, 2
     for i in range(d + 1):
@@ -358,8 +425,9 @@ def test_act_is_linear_on_combinations(p):
             coeffs = [rng.randrange(-p ** (n + 1), p ** (n + 1))
                       for _ in picks]
             combo = DRWElement(p, n, d, i, dict(zip(picks, coeffs)))
-            summands = [basis_element(p, n, d, wkey, parts).scalar_mul(c)
-                        for (wkey, parts), c in zip(picks, coeffs)]
+            summands = [basis_element(p, n, d, _triples_of(p, n, a),
+                                      parts).scalar_mul(c)
+                        for (a, parts), c in zip(picks, coeffs)]
             for which in "FVd":
                 # summed in reverse order, so equality cannot rest on the
                 # order in which terms were given
@@ -411,7 +479,7 @@ def test_json_round_trip_over_every_key():
 def test_json_round_trip_above_the_top_degree():
     """d of an element of top degree d is the zero element of degree d + 1,
     since W_n Omega^(d+1) = 0; it reads back, and so do F and d of it."""
-    key = (((0, 1, 0),), ((), (0,)))
+    key = ((3,), ((), (0,)))  # r = 1 at p = 3, n = 2
     x = DRWElement(3, 2, 1, 1, {key: 1})
     assert DRWElement.from_json(x.to_json()) == x
     for which, degree, n in (("d", 2, 2), ("F", 2, 1), ("d", 3, 1)):
@@ -419,6 +487,18 @@ def test_json_round_trip_above_the_top_degree():
         assert (x.degree, x.n, x.is_zero()) == (degree, n, True)
         doc = json.loads(json.dumps(x.to_json()))
         assert doc["terms"] == [] and DRWElement.from_json(doc) == x
+
+
+def test_level_zero_reads_back_and_refuses_f():
+    """F of a level-1 element is the zero element of level 0, as
+    W_0 Omega = 0: it reads back, V and d apply to it, and F is refused."""
+    x = act("F", DRWElement(3, 1, 1, 0, {((1,), ((0,),)): 1}))
+    assert (x.n, x.is_zero()) == (0, True)
+    assert DRWElement.from_json(json.loads(json.dumps(x.to_json()))) == x
+    assert act("V", x) == DRWElement(3, 1, 1, 0, {})
+    assert act("d", x) == DRWElement(3, 0, 1, 1, {})
+    with pytest.raises(ValueError, match="F needs n >= 1, got n = 0"):
+        act("F", x)
 
 
 _TERM = {"weight": [[1, 0], [2, -1]], "partition": [[1], [0]], "c": 1}
@@ -452,6 +532,8 @@ def _doc(d=2, degree=None, **term):
     ([1], VariableMismatch, "malformed drw element"),
     # with no terms a degree may exceed d, but not be negative
     (dict(_doc(), degree=-1, terms=[]), VariableMismatch, "of degree -1"),
+    # with no terms the level may be 0 (W_0 Omega = 0), but not negative
+    (dict(_doc(), n=-1, terms=[]), ValueError, "need n >= 0, got n = -1"),
 ])
 def test_from_json_refuses_bad_input(doc, error, needle):
     with pytest.raises(error) as info:
@@ -510,20 +592,24 @@ def _ref_act(which, p, n, terms):
 
 @st.composite
 def drw_combinations(draw):
-    """A level, a degree and a {(triples, parts): c} dict of basis keys.
+    """A level, a degree and a {(a, parts): c} dict of basis keys.
 
-    Keys come from enumerate_basis at the level or one above it (so some are
-    inadmissible), half the degree-0 draws add the zero weight, and
-    coefficients run past p^(n-u) and below zero.
+    Keys come from enumerate_basis, each a scaled by p^k for some k <= n + 1
+    (which keeps its support order), so t runs past the thresholds n - 1
+    and n; half the degree-0 draws add the zero weight, and coefficients
+    run past p^(n-u) and below zero.
     """
     p = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(1, 3))
     d = draw(st.integers(1, 3))
     i = draw(st.integers(0, d))
-    keys = enumerate_basis(p, n + draw(st.integers(0, 1)), d, i, p + 1)
-    picks = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=6))
+    keys = enumerate_basis(p, n, d, i, p + 1)
+    picks = [(tuple([x * p ** draw(st.integers(0, n + 1)) for x in a]
+                    if draw(st.booleans()) else a), parts)
+             for a, parts in draw(st.lists(st.sampled_from(keys),
+                                           min_size=1, max_size=6))]
     if i == 0 and draw(st.booleans()):
-        picks.append(((), ((),)))
+        picks.append(((0,) * d, ((),)))
     big = p ** (n + 2)
     terms = {key: draw(st.integers(-big, big)) for key in picks}
     return p, n, d, i, terms
@@ -534,36 +620,49 @@ def drw_combinations(draw):
 def test_property_act_matches_case_formulas(cell, which):
     p, n, d, i, terms = cell
     elem = DRWElement(p, n, d, i, terms)
-    assert elem.terms == _ref_reduce(p, n, terms)
-    try:
-        want = _ref_act(which, p, n, terms)
-    except Inadmissible:
-        with pytest.raises(Inadmissible):
-            act(which, elem)
-        return
+    ref = _as_triples(p, n, terms)
+    assert _triple_terms(elem) == _ref_reduce(p, n, ref)
+    level, want = _ref_act(which, p, n, ref)
     out = act(which, elem)
-    assert (out.n, out.terms) == want
+    assert (out.n, _triple_terms(out)) == (level, want)
     assert out.degree == i + (which == "d")
     # the same symbols, in the same order, as the constructor makes of them
-    assert out == DRWElement(p, out.n, d, out.degree, want[1])
+    assert out == DRWElement(p, level, d, out.degree, _as_a(p, level, d, want))
+
+
+def _ops(elem, word, c):
+    """elem and what the constructor, act, + and scalar_mul make of it
+    along the word, F of a level-0 element refused."""
+    yield elem
+    for op in word:
+        if op == "+":
+            elem = elem + elem.scalar_mul(c)
+        elif op == "*":
+            elem = elem.scalar_mul(c)
+        elif op == "F" and elem.n == 0:
+            with pytest.raises(ValueError, match="F needs n >= 1"):
+                act(op, elem)
+        else:
+            elem = act(op, elem)
+        yield elem
 
 
 @settings(max_examples=200, deadline=None)
 @given(drw_combinations(), st.lists(st.sampled_from("FVd+*"), max_size=5),
        st.integers(-30, 30))
-def test_property_stored_pairs_are_admissible(cell, word, c):
-    """Every pair built by the constructor, act, + or scalar_mul has
-    shift >= 1 - n, so act needs no admissibility check of its images."""
+def test_property_stored_values_are_canonical(cell, word, c):
+    """Every term built by the constructor, act, + or scalar_mul holds the
+    least valuation t of a and a value 0 < x < p^n divisible by p^u,
+    u = max(0, n-1-t), and the terms are sorted, one per symbol."""
     p, n, d, i, terms = cell
-    elem = DRWElement(p, n, d, i, terms)
-    for op in word + [None]:
-        assert all(shift >= 1 - elem.n for _, shift, _, _c in elem.pairs)
-        if op == "+":
-            elem = elem + elem.scalar_mul(c)
-        elif op == "*":
-            elem = elem.scalar_mul(c)
-        elif op:
-            elem = act(op, elem)
+    for elem in _ops(DRWElement(p, n, d, i, terms), word, c):
+        q = p ** elem.n
+        for a, t, parts, x in elem.pairs:
+            assert t == min([v_p(y, p) for y in a if y], default=inf)
+            assert 0 < x < q and x % p ** max(0, elem.n - 1 - t) == 0
+        assert elem.pairs == sorted(elem.pairs)
+        assert len({(a, parts) for a, _, parts, _ in elem.pairs}) \
+            == len(elem.pairs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -575,43 +674,118 @@ def test_property_sum_matches_plain_dicts(cell, data):
                  max_size=len(terms)))))
     total = DRWElement(p, n, d, i, terms) + DRWElement(p, n, d, i, other)
     merged = {k: terms[k] + other[k] for k in terms}
-    assert total.terms == _ref_reduce(p, n, merged)
+    assert _triple_terms(total) == _ref_reduce(p, n,
+                                               _as_triples(p, n, merged))
     assert total == DRWElement(p, n, d, i, merged)
 
 
-def _stored_symbol(triples):
-    """The (base, shift) the constructor stores for a weight key, at a
-    level just high enough to keep it."""
-    n = max(1, 1 - _ref_min_v(triples))
-    (base, s, _, _), = DRWElement(2, n, 5, 0, {(triples, ((),)): 1}).pairs
-    return base, s
+@settings(max_examples=200, deadline=None)
+@given(drw_combinations(), st.lists(st.sampled_from("FV"), min_size=1,
+                                    max_size=4))
+def test_property_f_and_v_return_the_same_key_objects(cell, word):
+    """F and V keep each surviving term's a, t and partition as the very
+    objects of the term they start from."""
+    p, n, d, i, terms = cell
+    elem = DRWElement(p, n, d, i, terms)
+    keys = {(id(a), id(parts)): t for a, t, parts, _ in elem.pairs}
+    for op in word:
+        if op == "F" and elem.n == 0:
+            continue
+        elem = act(op, elem)
+        for a, t, parts, _ in elem.pairs:
+            assert keys[id(a), id(parts)] is t
+
+
+@settings(max_examples=200, deadline=None)
+@given(drw_combinations())
+def test_property_d_only_prepends_an_empty_block(cell):
+    """d keeps a and t, prepends () to the partition, and drops exactly the
+    terms whose I_0 is empty or whose value p^(t-n+1) x vanishes."""
+    p, n, d, i, terms = cell
+    elem = DRWElement(p, n, d, i, terms)
+    out = act("d", elem)
+    assert all(parts[0] == () for _, _, parts, _ in out.pairs)
+    assert [(a, t, parts[1:]) for a, t, parts, _ in out.pairs] == [
+        (a, t, parts) for a, t, parts, x in elem.pairs
+        if parts[0] and x * p ** max(0, t - n + 1) % p ** n]
+
+
+def _weight_pairs(d, triples):
+    pairs = [[0, 0] for _ in range(d)]
+    for j, u, v in triples:
+        pairs[j] = [u, v]
+    return pairs
+
+
+def test_to_json_sorts_by_the_weight_triples():
+    """to_json lists terms by (Weight.key() triples, partition), as it did
+    when those were the keys, not by a: a = (0, 1) sorts before (1, 0), but
+    its triples ((1, 1, 0),) sort after ((0, 1, 0),)."""
+    x = DRWElement(3, 1, 2, 0, {((0, 1), ((1,),)): 1, ((1, 0), ((0,),)): 2})
+    assert [a for a, _, _, _ in x.pairs] == [(0, 1), (1, 0)]
+    assert x.to_json()["terms"] == [
+        {"weight": [[1, 0], [0, 0]], "partition": [[0]], "c": 2},
+        {"weight": [[0, 0], [1, 0]], "partition": [[1]], "c": 1}]
+    for p, n, d, i in product((2, 3), (1, 3), (2, 3), (0, 1)):
+        keys = enumerate_basis(p, n, d, i, p + 1)
+        x = DRWElement(p, n, d, i, {key: k + 1 for k, key in enumerate(keys)})
+        want = sorted(_triple_terms(x).items())
+        assert [(t["weight"], t["partition"], t["c"])
+                for t in x.to_json()["terms"]] == [
+            (_weight_pairs(d, triples), [list(b) for b in parts], c)
+            for (triples, parts), c in want]
+
+
+# -- degree 0 through Witt vectors: c e(r) = c V^u([T^(p^u r)]) ------------
+
+@st.composite
+def degree_zero(draw):
+    """A degree-0 {(a, parts): c} dict over F_p[T_1..T_d], d <= 3, n <= 4,
+    the zero weight among its keys, coefficients past p^n and below 0."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 3))
+    keys = enumerate_basis(p, n, d, 0, p * p + 1)
+    picks = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=4))
+    big = p ** (n + 1)
+    return p, n, d, {key: draw(st.integers(-big, big)) for key in picks}
+
+
+def _witt_vector(p, n, d, terms):
+    """The sum of c V^u([T^(p^u r)]), u = max(0, n-1-t), in W_n, each
+    summand built from its coordinates: T^(p^u r) in slot u."""
+    zero = LaurentElem(p, 1, d, {})
+    vectors = [witt.WittVector(p, n, [zero] * n)]
+    for (a, _), c in terms.items():
+        u = max(0, n - 1 - min([v_p(x, p) for x in a if x], default=n))
+        coords = [zero] * n
+        coords[u] = LaurentElem(
+            p, 1, d, {tuple([x // p ** (n - 1 - u) for x in a]): 1})
+        vectors.append(witt.witt_scalar_mul(c, witt.WittVector(p, n, coords)))
+    return reduce(witt.witt_add, vectors)
+
+
+def _images(elem):
+    return {a: x for a, _, _, x in elem.pairs}
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.dictionaries(st.integers(0, 4),
-                       st.tuples(st.integers(1, 50), st.integers(-4, 4)),
-                       max_size=4),
-       st.integers(-6, 6))
-def test_property_symbol_round_trip(entries, shift):
-    triples = tuple((j, u, v) for j, (u, v) in sorted(entries.items()))
-    base, s = _stored_symbol(triples)
-    assert _triples(base, s) == triples
-    assert s == _ref_min_v(triples)
-    if base:
-        assert _ref_min_v(base) == 0
-        assert _stored_symbol(_triples(base, shift)) == (base, shift)
-    else:
-        assert (base, s) == ((), 0)
-
-
-def test_f_and_v_share_the_base_of_a_symbol():
-    w = Weight(3, 2, {0: (2, -1), 1: (1, 0)})
-    e = basis_element(3, 3, 2, w.key(), ((0,), (1,)))
-    base, shift, _, _ = e.pairs[0]
-    assert shift == -1
-    for image in (act("V", e), act("F", act("V", e)), act("d", e)):
-        image_base, _, _, _ = image.pairs[0]
-        assert image_base is base
+@given(degree_zero())
+def test_property_degree_zero_is_the_witt_image(cell):
+    """A degree-0 element's {a: x} is w~ of its Witt vector, since
+    w~(V^u [T^(p^u r)]) = p^u T^a; and act's F and V agree with
+    witt.frobenius and witt.verschiebung through w~."""
+    p, n, d, terms = cell
+    elem = DRWElement(p, n, d, 0, terms)
+    w = _witt_vector(p, n, d, terms)
+    assert _images(elem) == witt.tilde_w(w).terms
+    assert _images(act("V", elem)) \
+        == witt.tilde_w(witt.verschiebung(w)).terms
+    if n >= 2:
+        assert _images(act("F", elem)) \
+            == witt.tilde_w(witt.frobenius(w)).terms
+    else:  # F into W_0 = 0
+        assert act("F", elem).is_zero()
 
 
 # -- the nested-pair kernel that the flat terms replaced ---------------------
@@ -703,12 +877,17 @@ def _ref_drw_act(which, x):
     return (p, n, d, degree), tuple(out)
 
 
+def _ref_triples(base, shift):
+    """The weight key of a symbol's (base, shift)."""
+    return tuple([(j, u, v + shift) for (j, u, v) in base])
+
+
 def _assert_same(elem, ref):
     space, pairs = ref
     assert elem.space == space
-    assert elem.terms == {(_triples(base, shift), parts): c
-                          for (base, shift, parts), c in pairs}
-    assert elem.pairs == [sym + (c,) for sym, c in pairs]  # order too
+    assert _triple_terms(elem) == {(_ref_triples(base, shift), parts): c
+                                   for (base, shift, parts), c in pairs}
+    assert elem.pairs == sorted(elem.pairs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -716,9 +895,11 @@ def _assert_same(elem, ref):
        st.lists(st.sampled_from("FVd+-*"), max_size=6))
 def test_property_flat_terms_match_the_nested_pairs(cell, data, word):
     """Constructor, F/V/d words, sums, differences and scalar multiples
-    agree with the nested-pair kernel on space, terms and stored order."""
+    agree with the nested-pair kernel on space and terms, and keep their
+    terms sorted; F of a level-0 element is refused."""
     p, n, d, i, terms = cell
-    elem, ref = DRWElement(p, n, d, i, terms), _ref_new(p, n, d, i, terms)
+    elem = DRWElement(p, n, d, i, terms)
+    ref = _ref_new(p, n, d, i, _as_triples(p, n, terms))
     _assert_same(elem, ref)
     for op in word:
         if op in "+-":
@@ -736,7 +917,8 @@ def test_property_flat_terms_match_the_nested_pairs(cell, data, word):
                 key = next(iter(now))
                 mine[key] = -now[key] if op == "+" else now[key]
             other = DRWElement(p, elem.n, d, elem.degree, mine)
-            other_ref = _ref_new(p, elem.n, d, elem.degree, mine)
+            other_ref = _ref_new(p, elem.n, d, elem.degree,
+                                 _as_triples(p, elem.n, mine))
             _assert_same(other, other_ref)
             if op == "+":
                 elem, ref = elem + other, _ref_add(ref, other_ref)
@@ -746,6 +928,9 @@ def test_property_flat_terms_match_the_nested_pairs(cell, data, word):
         elif op == "*":
             c = data.draw(st.integers(-p ** 4, p ** 4))
             elem, ref = elem.scalar_mul(c), _ref_scalar_mul(ref, c)
+        elif op == "F" and elem.n == 0:
+            with pytest.raises(ValueError, match="F needs n >= 1"):
+                act(op, elem)
         else:
             elem, ref = act(op, elem), _ref_drw_act(op, ref)
         _assert_same(elem, ref)
