@@ -82,26 +82,27 @@ def lift_independence_check(p, n, d, r, pairs, rng, j=0):
     return {"pairs": pairs, "failures": failures}
 
 
-def drw_cell(p, n, d, i, bound):
-    """d^2 = 0, FV = VF = p, FdV = d, Vd = pdV and dF = pFd on one cell.
+def drw_identities_hold(e):
+    """d^2 = 0, FV = VF = p, FdV = d, Vd = pdV and dF = pFd on e."""
+    p = e.space[0]
+    de, ve, fe = act("d", e), act("V", e), act("F", e)
+    dve, pe = act("d", ve), e.scalar_mul(p)
+    return (act("d", de).is_zero() and act("F", ve) == pe
+            and act("V", fe) == pe and act("F", dve) == de
+            and act("V", de) == dve.scalar_mul(p)
+            and act("d", fe) == act("F", de).scalar_mul(p))
 
-    Returns the number of basis elements of degree i with numerators <= bound
-    and the JSON weights (``symbol_json``) of those that fail, each checked
-    on its own, so that ``drw act`` can replay them.
-    """
+
+def drw_cell(p, n, d, i, bound):
+    """``drw_identities_hold`` on each basis element of degree i with
+    numerators <= bound: their number, and the JSON symbols (``symbol_json``:
+    weight and partition) of those that fail, so ``drw act`` replays them."""
     keys = enumerate_basis(p, n, d, i, bound)
     fails = []
     for a, parts in keys:
         e = DRWElement(p, n, d, i, {(a, parts): 1})
-        if e.is_zero():
-            continue
-        de, ve, fe = act("d", e), act("V", e), act("F", e)
-        dve, pe = act("d", ve), e.scalar_mul(p)
-        if not (act("d", de).is_zero() and act("F", ve) == pe
-                and act("V", fe) == pe and act("F", dve) == de
-                and act("V", de) == dve.scalar_mul(p)
-                and act("d", fe) == act("F", de).scalar_mul(p)):
-            fails.append(symbol_json(p, n, a, parts)["weight"])
+        if not (e.is_zero() or drw_identities_hold(e)):
+            fails.append(symbol_json(p, n, a, parts))
     return len(keys), fails
 
 
@@ -112,7 +113,7 @@ def drw_identities(p, n, **_):
         for i in range(d + 1):
             count, bad = drw_cell(p, n, d, i, 3 * p * p if d < 3 else 6)
             cases += count
-            fails += [{"d": d, "i": i, "weight": w} for w in bad]
+            fails += [{"d": d, "i": i, **sym} for sym in bad]
     return {"p": p, "n": n, "cases": cases, "failures": fails}
 
 

@@ -286,23 +286,23 @@ def _stability_work(p, n, d, j):
 
 
 # The most term products wittdiff.check_relation may take, by
-# _relation_work.  On a 2-vCPU x86-64 VM, with 5 samples, wdiff verify takes
-# 0.3 s on the Frobenius relation at (p, n, d) = (3, 5, 3) and (2, 8, 2),
-# 3.0e7 and 1.0e7 per order r; refused are the Frobenius relation at
-# (3, 6, 3), 8.2e8, and the restriction at (5, 4, 2), 1.5e11, both still
-# running after 25 s, and at (3, 5, 3), 1.9e9, 0.4 s on one seed, over 300 s
-# on the next.
+# _relation_work.  Timed on a 2-vCPU x86-64 VM when every relation peeled
+# (now only the filtration relation does), with 5 samples: 0.3 s on the
+# Frobenius relation at (p, n, d) = (3, 5, 3) and (2, 8, 2), 3.0e7 and 1.0e7
+# per order r; refused are the Frobenius relation at (3, 6, 3), 8.2e8, and
+# the restriction at (5, 4, 2), 1.5e11, still running after 25 s, and at
+# (3, 5, 3), 1.9e9, 0.4 s on one seed and over 300 s on the next.
 _MAX_RELATION_WORK = 2 * 10 ** 8
 
 
 def _relation_work(which, p, n, samples):
     """An estimate of the term products wittdiff.check_relation takes.
 
-    Each sample restricts d_j^[r] to W_L, L = n + 1, by a w~ round trip,
-    and the Teichmuller powers of the peel back dominate.  Measured on
-    random draws with d <= 3 and r <= p^2, a sample took at most (p^L)^3 / 6
-    of them, and one of the Frobenius relation, whose operator meets p-th
-    powers, at most (p^L)^3 / 400: so samples (p^L)^3, over 64 for that one.
+    Each sample restricts d_j^[r] to W_L, L = n + 1, through w~; only the
+    filtration relation peels back.  Measured when every relation peeled,
+    and the peel's Teichmuller powers dominated, on draws with d <= 3 and
+    r <= p^2: a sample took at most (p^L)^3 / 6, and (p^L)^3 / 400 in the
+    Frobenius relation, so samples (p^L)^3, over 64 for that one.
     """
     return samples * p ** (3 * n + 3) // (64 if which == "frobenius" else 1)
 

@@ -2,11 +2,15 @@
 
 An operator here is a divided-power differential operator over Z/p^L acting on
 (Z/p^L)[z...]; its restriction to W_L(A) is computed by conjugation with the
-injection w-tilde, i.e. as wtilde^-1 o lift o wtilde.  The section-3 relations
-with R, Phi and V are checked sample-wise and exactly.
+injection w-tilde, i.e. as wtilde^-1 o lift o wtilde.  ``apply_witt`` tests
+that the lifted value lies in the image of w-tilde, term by term, and returns
+the vector of that image: its coordinates are peeled only when read.  The
+section-3 relations with R, Phi and V are checked sample-wise and exactly.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .rings import LaurentElem, ScaleExceeded, VariableMismatch
 from .weyl import WeylElement, apply as weyl_apply
@@ -17,7 +21,6 @@ from .witt import (
     _relation_work,
     restrict,
     tilde_w,
-    tilde_w_inverse,
     verschiebung,
     witt_phi,
     witt_scalar_mul,
@@ -43,35 +46,30 @@ def partial_op(p, num_vars, j, r, length):
     return lift_operator(base, length)
 
 
-def i_star(op):
-    """Reduce a Witt differential operator back to characteristic p.
-
-    Inverts the Teichmuller-lift presentation: the realized coefficient of
-    d^[r] is the p^(L-1)-th power of a coefficient lift, so reducing mod p
-    and extracting p^(L-1)-th roots of the exponents recovers the char-p
-    coefficients.  For Teichmuller lifts this satisfies i_star([op]) = op.
-    """
-    p, L = op.p, op.n
-    step = p ** (L - 1)
-    by_order = {}
-    for (e, r), c in op.terms.items():
-        if c % p == 0:
-            continue
-        if any(v % step for v in e):
-            raise NotInImage("coefficient is not a Teichmuller realization")
-        root = tuple(v // step for v in e)
-        key = (root, r)
-        by_order[key] = (by_order.get(key, 0) + c) % p
-    return WeylElement(p, 1, op.num_vars, by_order, op.allowed_negative)
-
-
 def apply_witt(op, x):
     """Evaluate the restriction of op, a lift over Z/p^L, to W_L(A) by
     w-tilde conjugation; the restriction exists by the factorization
-    theorem."""
+    theorem, and is checked exactly without peeling coordinates.
+
+    g lies in the image of w~_L iff every term c z^e of g has
+    p^(L-1) | c gcd(e), with gcd(0, ..., 0) = 0.  By induction through R,
+    with phi: z -> z^p: f^p = phi(f) mod p gives f^(p^(m+1)) =
+    phi(f)^(p^m) mod p^(m+1), so w~_L(f_0..f_(L-1)) is
+    phi(w~_(L-1)(f_0..f_(L-2))) mod p^(L-1), while p^(L-1) f_(L-1) ranges
+    over all of p^(L-1) (Z/p^L)[z...].  So g is in the image iff g mod
+    p^(L-1) has all its exponents in pZ^d and, with them divided by p, is
+    in the image of w~_(L-1); unrolled, that is the test above.
+    """
     if x.n != op.n:
         raise ValueError("vector length disagrees with operator level")
-    return tilde_w_inverse(weyl_apply(op, tilde_w(x)))
+    g = weyl_apply(op, tilde_w(x))
+    q = op.p ** (op.n - 1)
+    for e, c in g.terms.items():
+        if c * gcd(*e) % q:
+            raise NotInImage("the term %d z^%s is not in the image of"
+                             " w-tilde: p^%d does not divide c gcd(e)"
+                             % (c, list(e), op.n - 1))
+    return WittVector._of_image(g)
 
 
 # ----------------------------------------------------------------------

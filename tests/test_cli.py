@@ -247,6 +247,32 @@ def test_drw_act_output_is_drw_act_input(tmp_path, capsys):
     assert drw.DRWElement.from_json(json.loads(captured.out)) == px
 
 
+def test_failing_drw_symbols_replay_through_drw_act(
+        tmp_path, capsys, monkeypatch):
+    """verify drw-identities reports a failing symbol whole, weight and
+    partition: with V times p (FV = p fails from n = 2 on) each reported
+    failure reads back through DRWElement.from_json and still fails, and
+    drw act takes it as input."""
+    def v_times_p(which, elem, _act=drw.act):
+        out = _act(which, elem)
+        return out.scalar_mul(elem.space[0]) if which == "V" else out
+    monkeypatch.setattr(checks, "act", v_times_p)
+    code, out = run(capsys, "verify", "drw-identities", "--p", "2",
+                    "--n", "2")
+    fails = json.loads(out)["failures"]
+    assert code == 1 and fails
+    weights = [(f["d"], f["i"], f["weight"]) for f in fails]
+    assert any(weights.count(w) > 1 for w in weights)  # partitions tell
+    docs = [{"p": 2, "n": 2, "d": f["d"], "degree": f["i"], "terms": [
+        {"weight": f["weight"], "partition": f["partition"], "c": 1}]}
+        for f in fails]
+    for doc in docs:
+        elem = drw.DRWElement.from_json(doc)
+        assert len(elem.terms) == 1 and not checks.drw_identities_hold(elem)
+    code, captured = _drw_act(tmp_path, capsys, "F", docs[-1])
+    assert code == 0 and json.loads(captured.out)["which"] == "F"
+
+
 def test_drw_act_chains_past_the_top_degree(tmp_path, capsys):
     """d of a top-degree element prints the zero element of degree d + 1,
     which drw act reads back: d, F and d chain, each exiting 0."""

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittkit import checks, sparse
 from wittkit.rings import LaurentElem, ScaleExceeded, VariableMismatch, v_p
@@ -11,6 +13,8 @@ from wittkit.witt import (
     WittVector,
     restrict,
     teichmuller,
+    tilde_w,
+    tilde_w_inverse,
     verschiebung,
     witt_scalar_mul,
     _relation_work,
@@ -18,7 +22,6 @@ from wittkit.witt import (
 from wittkit.wittdiff import (
     apply_witt,
     check_relation,
-    i_star,
     lift_operator,
     partial_op,
     random_witt_vector,
@@ -137,30 +140,79 @@ def test_relations_sampled(which, p, n, d):
         assert not rep["failures"], rep
 
 
-def test_relations_peel_only_inside_apply_witt(monkeypatch):
-    """At length 3 the relations' R, Phi, V, zero scalars and comparisons
-    act on w-tilde images: the only peels are apply_witt's, and its result
-    keeps the image and the coordinates it peeled."""
+def test_relations_peel_only_to_read_coordinates(monkeypatch):
+    """apply_witt tests membership in the image of w-tilde and returns the
+    image unpeeled.  At length 3 the restriction, Frobenius and
+    Verschiebung relations act on images alone and make no peel; the
+    filtration relation peels once per sample, when it reads out.coords."""
     import wittkit.witt as wt
-    import wittkit.wittdiff as wd
-    lazy, applied = [], []
-    for module, calls in ((wt, lazy), (wd, applied)):
-        monkeypatch.setattr(module, "tilde_w_inverse",
-                            lambda f, _peel=module.tilde_w_inverse,
-                            calls=calls: calls.append(f) or _peel(f))
+    peels = []
+    monkeypatch.setattr(wt, "tilde_w_inverse",
+                        lambda f, _peel=wt.tilde_w_inverse:
+                        peels.append(f) or _peel(f))
     rng = random.Random(36)
-    for which in ("restriction", "frobenius", "verschiebung", "filtration"):
+    for which in checks.RELATIONS:
         for d in (1, 2):
             for r in range(1, 10):
+                peels.clear()
                 assert not check_relation(which, 3, 2, d, r, 2, rng)[
                     "failures"]
-    assert lazy == [] and len(applied) > 100
+                assert len(peels) == (2 if which == "filtration" else 0), \
+                    (which, d, r)
     x = random_witt_vector(3, 3, 2, rng)
     op = partial_op(3, 2, 1, 4, 3)
+    g = weyl_apply(op, wt.tilde_w(x))
+    peels.clear()
     out = apply_witt(op, x)
-    assert out.coords == tuple(out.coords) and lazy == []
-    assert wt.tilde_w(out) is applied[-1]
-    assert applied[-1] == weyl_apply(op, wt.tilde_w(x))
+    assert peels == [] and wt.tilde_w(out) == g
+    assert out.coords == tilde_w_inverse(g).coords
+    assert len(peels) == 1 and peels[0] is wt.tilde_w(out)
+
+
+@st.composite
+def operators_and_vectors(draw):
+    """A random WeylElement over Z/p^L, not only a lift, and a random
+    vector of W_L(A): p in {2, 3, 5}, L <= 4, d <= 3, with no or every
+    variable inverted."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    L = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    neg = draw(st.sampled_from([(), tuple(range(d))]))
+    low = -2 if neg else 0
+    exps = st.tuples(*[st.integers(low, 3)] * d)
+    coords = [LaurentElem(p, 1, d, draw(st.dictionaries(
+        exps, st.integers(1, p - 1), max_size=2)), neg) for _ in range(L)]
+    orders = st.tuples(*[st.integers(0, p * p)] * d)
+    terms = draw(st.dictionaries(st.tuples(exps, orders),
+                                 st.integers(1, p ** L - 1),
+                                 min_size=1, max_size=3))
+    return WeylElement(p, L, d, terms, neg), WittVector(p, L, coords)
+
+
+def test_membership_test_agrees_with_the_peel():
+    """apply_witt's term-by-term test raises NotInImage exactly when
+    peeling weyl.apply(op, w-tilde(x)) does, and otherwise gives the peeled
+    vector, on random operators; both outcomes occur."""
+    outcomes = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(operators_and_vectors())
+    def agree(case):
+        op, x = case
+        try:
+            want = tilde_w_inverse(weyl_apply(op, tilde_w(x)))
+        except NotInImage:
+            want = None
+        if want is None:
+            with pytest.raises(NotInImage, match="is not in the image"):
+                apply_witt(op, x)
+        else:
+            got = apply_witt(op, x)
+            assert got == want and got.coords == want.coords
+        outcomes.add(want is None)
+
+    agree()
+    assert outcomes == {False, True}
 
 
 def test_check_relation_builds_each_operator_once(monkeypatch):
@@ -436,6 +488,28 @@ def test_image_valuation():
 
 
 # -- Teichmuller lifts of operators -------------------------------------------
+
+def i_star(op):
+    """Reduce a Witt differential operator back to characteristic p.
+
+    Inverts the Teichmuller-lift presentation: the realized coefficient of
+    d^[r] is the p^(L-1)-th power of a coefficient lift, so reducing mod p
+    and extracting p^(L-1)-th roots of the exponents recovers the char-p
+    coefficients.  For Teichmuller lifts this satisfies i_star([op]) = op.
+    """
+    p, L = op.p, op.n
+    step = p ** (L - 1)
+    by_order = {}
+    for (e, r), c in op.terms.items():
+        if c % p == 0:
+            continue
+        if any(v % step for v in e):
+            raise NotInImage("coefficient is not a Teichmuller realization")
+        root = tuple(v // step for v in e)
+        key = (root, r)
+        by_order[key] = (by_order.get(key, 0) + c) % p
+    return WeylElement(p, 1, op.num_vars, by_order, op.allowed_negative)
+
 
 def teichmuller_lift_op(base, length):
     """The Teichmuller lift [sum b_r d^[r]] = sum [b_r] d^[r].
