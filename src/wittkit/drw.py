@@ -29,7 +29,7 @@ when it is asked for.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import product
+from itertools import combinations, product
 from math import comb, gcd, inf
 from operator import index
 
@@ -45,34 +45,13 @@ class Inadmissible(ValueError):
 def _partitions(supp, i):
     """All partitions (I_0, ..., I_i) in P^(i)_r of a support in its order.
 
-    These correspond to ordered compositions of |supp(r)| into i positive
-    parts (I_0 empty) plus compositions into i+1 positive parts.
+    Each is the support cut at positions c_1 < ... < c_i below len(supp):
+    I_0 = supp[:c_1] may be empty, the later blocks may not.  They come in
+    the lexicographic order of the cuts, those with I_0 empty first.
     """
-    L = len(supp)
-
-    def compos(total, parts):
-        if parts == 0:
-            if total == 0:
-                yield ()
-            return
-        for first in range(1, total - parts + 2):
-            for rest in compos(total - first, parts - 1):
-                yield (first,) + rest
-
-    def cut(sizes, with_empty_head):
-        blocks = []
-        pos = 0
-        if with_empty_head:
-            blocks.append(())
-        for s in sizes:
-            blocks.append(supp[pos:pos + s])
-            pos += s
-        return tuple(blocks)
-
-    if i == 0:
-        return [(supp,)]
-    return ([cut(sizes, True) for sizes in compos(L, i)]
-            + [cut(sizes, False) for sizes in compos(L, i + 1)])
+    ends = (len(supp),)
+    return [tuple(supp[a:b] for a, b in zip((0,) + cuts, cuts + ends))
+            for cuts in combinations(range(len(supp)), i)]
 
 
 def _valuation(a, p):

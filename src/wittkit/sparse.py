@@ -6,10 +6,10 @@ arithmetic in Z/q, and then the operands must already be reduced mod q.
 The functions never mutate their operands, but may return one of them
 (``power(a, 1)`` is ``a``), so results are shared and must not be mutated.
 The exceptions are ``add_into``, which adds into its first argument in
-place, and the packed products' ``acc`` argument, into which they add k
-times the product as ``add_into`` would, instead of returning it: that
-dict must be the caller's own, made by it and shared with no one, and may
-hold zeros until the caller drops them (``divexact`` does).
+place, and the ``acc`` argument of the packed power ``_ppow``, into which
+it adds k times the power as ``add_into`` would, instead of returning it:
+that dict must be the caller's own, made by it and shared with no one, and
+may hold zeros until the caller drops them (``divexact`` does).
 
 ``power`` has closed forms for short operands, which the Laurent covers
 raise to p-th powers by the hundred thousand: zero is returned at once, a
@@ -34,31 +34,28 @@ product, below it the X digits, above it the Y digits), and each half is
 looked up in a memo, since the monomials of a universal polynomial share
 few distinct X and Y parts.
 
-Packed products are segmented Kronecker products along a segmentation
-(A, B, w): two variables, by place value, and a weight.  Each operand is
-grouped by the key (its exponent with the A and B digits zeroed, a + w b),
-and each group becomes one integer whose W-bit signed slots hold its
-coefficients, that of b in slot b.  The form is closed under products:
+Packed powers are raised as segmented Kronecker products along a
+segmentation (A, B, w): two variables, by place value, and a weight.  The
+base is grouped by the key (its exponent with the A and B digits zeroed,
+a + w b), and each group becomes one integer whose W-bit signed slots hold
+its coefficients, that of b in slot b.  The form is closed under products:
 group pairs multiply as integers, and their products add up per output
 key, the sum of the two.  Only the result is cut back into the slots
 b = 0..c // w (a = c - w b) of each key c, from the bottom, a negative slot
 borrowing one from the next.  Digits never carry, since the base exceeds
 every exponent, and the integers are exact, so the cut is exact once each
-coefficient of the result fits a slot with its sign.  A product a * b has
-W = bits(max|a|) + bits(max|b|) + bits(min(#a, #b)) + 2, each coefficient
-being a sum of at most min(#a, #b) products.  A power a^k is segmented
-once, with W = bits((sum |a|)^k) + 1, raised by repeated squaring in that
-form and cut once.  The slots add into a dict the caller owns ({} for a
-plain result), and each group is popped as it is cut, so its integer is
-freed once read.  Only the compression depends on the operand, so the
-layout is ``base`` and a tuple of candidates, and each product or power
-takes the one with the fewest groups.  The Witt polynomials pass
+coefficient of the result fits a slot with its sign.  A power a^k is
+segmented once, with W = bits((sum |a|)^k) + 1, raised by repeated
+squaring in that form and cut once.  The slots add into a dict the caller
+owns ({} for a plain result), and each group is popped as it is cut, so
+its integer is freed once read.  Only the compression depends on the
+operand, so the layout is ``base`` and a tuple of candidates, and each
+power takes the one with the fewest groups.  The Witt polynomials pass
 (Y_0, X_0, 1), which gathers the sum polynomials, of weight p^i in X and Y
 together, and (X_0, X_1, p), which gathers the bihomogeneous product
 polynomials: their X-weight x_0 + p x_1 + ... is p^i in every monomial, so
 x_0 + y_0 would leave one monomial per group.  When no candidate
-compresses, groups_a * groups_b * 4 > #a * #b (b = a for a power), the
-product or power runs term by term.
+compresses, 4 groups^2 > #a^2, the power runs term by term.
 """
 
 from __future__ import annotations
@@ -237,40 +234,21 @@ def _digits(k, base, count):
     return tuple(e)
 
 
-def _pmul(a, b, base, segs, acc=None, k=1):
-    """Product of two packed polynomials, segmented when grouping pays.
-
-    A candidate stops grouping once it cannot beat the best so far.  With
-    ``acc``, k times the product is added into acc, as add_into(acc,
-    a * b, k) adds it, and acc is returned in place of the product.
-    """
-    width = _slot_width(a, b)
-    best = None
-    cap = len(a) * len(b) // 4
-    for seg in segs:
-        ga = _segments(a, base, seg, width, cap)
-        gb = ga and _segments(b, base, seg, width, cap // len(ga))
-        if gb:
-            best, cap = (ga, gb, seg), len(ga) * len(gb) - 1
-    if best is None:
-        return _landed(_terms(a, b), acc, k)
-    ga, gb, seg = best
-    return _cut(_kronecker(ga, gb), seg, width, acc, k)
-
-
 def _ppow(a, power, base, segs, acc=None, k=1):
-    """a^power for a packed polynomial and power >= 1; acc as in _pmul.
+    """a^power for a packed polynomial and power >= 1.
 
     a is segmented once, along the candidate with the fewest groups, its
     groups are raised in that form and the power is cut once; no
     coefficient of it exceeds (sum of |coefficients|)^power.  Power 1 is
-    a itself, or added as add_into adds it.
+    a itself.  With ``acc``, k times the power is added into acc, as
+    add_into(acc, a^power, k) adds it, and acc is returned instead.  A
+    candidate stops grouping once it cannot beat the best so far.
     """
     if power == 1:
         return _landed(a, acc, k)
     width = (sum(map(abs, a.values())) ** power).bit_length() + 1
     best = None
-    cap = len(a) // 2  # _pmul's cap with b = a
+    cap = len(a) // 2  # grouping pays while 4 groups^2 <= #a^2
     for seg in segs:
         ga = _segments(a, base, seg, width, cap)
         if ga:
@@ -333,13 +311,6 @@ def _segments(a, base, seg, width, cap):
         if len(out) > cap:
             return None
     return out
-
-
-def _slot_width(a, b):
-    """Bits of a signed slot that holds every coefficient of a * b."""
-    def bits(poly):
-        return max(map(abs, poly.values()), default=0).bit_length()
-    return bits(a) + bits(b) + min(len(a), len(b)).bit_length() + 2
 
 
 def _kronecker(ga, gb):

@@ -326,16 +326,21 @@ class ChartAtlas:
         return {self.from_chart(c, e): v for e, v in img.items()}
 
 
-def is_global(op, atlas, degree_bound=8):
+def is_global(op, atlas):
     """Chart-preservation test for a ChartOperator on P^d.
 
-    True iff the operator maps every chart's polynomial monomials (total
-    chart degree up to the bound, plus two extra stabilization levels) into
-    that chart's polynomial ring.
+    True iff the operator maps every chart's polynomial ring into itself.
+    It is certified at the operator's order m, the largest |r| of its terms:
+    in each chart the operator is sum_{|b| <= m} a_b d^[b] with Laurent
+    a_b, and it preserves the chart's ring iff every a_b is a polynomial.
+    Its value on x^g is sum_{b <= g} binom(g, b) a_b x^(g-b), and
+    binom(g, g) = 1, so the values on the monomials with |g| <= m give
+    every a_b by a unit-triangular solve; those monomials are tested.
     """
     d = atlas.d
+    order = max((sum(r) for _, r in op.weyl.terms), default=0)
     for c in range(d + 1):
-        for e in _chart_monomials(d, degree_bound + 2):
+        for e in _chart_monomials(d, order):
             img = atlas.apply_ambient(op, atlas.from_chart(c, e))
             if any(v[s] < 0 for v in img for s in range(d + 1) if s != c):
                 return False

@@ -40,7 +40,7 @@ from .rings import (
     VariableMismatch,
     is_prime,
 )
-from .sparse import (IntegralityFailure, _digits, _half_words, _pmul, _ppow,
+from .sparse import (IntegralityFailure, _digits, _half_words, _ppow, _terms,
                      _unpack, add_into)
 
 
@@ -307,6 +307,27 @@ def _relation_work(which, p, n, samples):
     return samples * p ** (3 * n + 3) // (64 if which == "frobenius" else 1)
 
 
+def _ghost_level(powers, p, n, acc, sign):
+    """Add sign * sum_j p^j powers[j]^p into acc, at ghost level len(powers).
+
+    Powers are chained across levels: at level i, powers[j] = S_j^(p^(i-1-j))
+    is raised in place to its level-i form.  Held at one time, besides the
+    caller's: acc and the chained powers of one family.  At the top level
+    i = n - 1 each last power lands in acc slot by slot, each group integer
+    dropped once read, and powers[j] is dropped; so that level holds acc,
+    the level-(n-2) powers not yet raised and the squarings of one power.
+    """
+    base, segs = _layout(p, n)
+    top = len(powers) == n - 1
+    for j in range(len(powers)):
+        if top:
+            _ppow(powers[j], p, base, segs, acc, sign * p ** j)
+            powers[j] = None
+        else:
+            powers[j] = _ppow(powers[j], p, base, segs)
+            add_into(acc, powers[j].items(), sign * p ** j)
+
+
 class UniversalWittPolys:
     """Sum/product/negation polynomials for W_n, built by ghost recursion.
 
@@ -381,30 +402,21 @@ class UniversalWittPolys:
     def _ghost_targets(self):
         """Packed ghosts of X + Y, X * Y and -X, level by level."""
         p, n = self.p, self.n
-        base, segs = _layout(p, n)
+        base = _pack_base(p, n)
         gx = [_poly_ghost(0, p, i, base) for i in range(n)]
         gy = [_poly_ghost(n, p, i, base) for i in range(n)]
         return ([sparse.add(a, b) for a, b in zip(gx, gy)],
-                [_pmul(a, b, base, segs) for a, b in zip(gx, gy)],
+                [_terms(a, b) for a, b in zip(gx, gy)],
                 [sparse.scale(g, -1) for g in gx])
 
     @staticmethod
     def _solve(target_ghosts, p):
-        # ghost inversion; p-th powers chained across levels, summed in place;
-        # the top level's powers are never held: each last product lands in acc
         n = len(target_ghosts)
-        base, segs = _layout(p, n)
         coords = []
-        powers = []  # powers[j] = coords[j]^(p^(i-1-j)) at level i
+        powers = []
         for i in range(n):
             acc = dict(target_ghosts[i])
-            for j in range(i):
-                if i == n - 1:
-                    _ppow(powers[j], p, base, segs, acc, -(p ** j))
-                    powers[j] = None
-                else:
-                    powers[j] = _ppow(powers[j], p, base, segs)
-                    add_into(acc, powers[j].items(), -(p ** j))
+            _ghost_level(powers, p, n, acc, -1)
             coords.append(sparse.divexact(acc, p ** i))
             powers.append(coords[i])
         return coords
@@ -417,17 +429,8 @@ class UniversalWittPolys:
         Every power is recomputed from the stored polynomials, never taken
         from the build.  Level i adds the p^j polys[j]^(p^(i-j)) and minus
         the target into one dict, and holds iff all of it is 0.
-
-        Held at one time, besides the stored polynomials and the targets:
-        that dict and the chained powers of one family, whose first power
-        is the stored polynomial itself.  At the top level no power is
-        held at all: the last squaring or product of each lands in the
-        level sum slot by slot, and each group integer of that product is
-        dropped once read.  So that level holds the dict, the level-(n-2)
-        powers not yet raised and the squarings of one power at a time.
         """
         p, n = self.p, self.n
-        base, segs = _layout(p, n)
         jobs = zip(("sum", "product", "negation"),
                    (self.sum_polys, self.prod_polys, self.neg_polys),
                    self._ghost_targets())
@@ -435,13 +438,7 @@ class UniversalWittPolys:
             powers = []
             for i in range(n):
                 acc = {}
-                for j in range(i):
-                    if i == n - 1:
-                        _ppow(powers[j], p, base, segs, acc, p ** j)
-                        powers[j] = None
-                    else:
-                        powers[j] = _ppow(powers[j], p, base, segs)
-                        add_into(acc, powers[j].items(), p ** j)
+                _ghost_level(powers, p, n, acc, 1)
                 powers.append(polys[i])
                 add_into(acc, polys[i].items(), p ** i)
                 add_into(acc, targets[i].items(), -1)

@@ -269,7 +269,7 @@ def test_criterion_07_globality_classification():
         for s in range(0, 11):
             op = weyl.ChartOperator(
                 0, weyl.WeylElement.monomial(3, 1, 1, (r,), (s,)))
-            if weyl.is_global(op, atlas, 24):
+            if weyl.is_global(op, atlas):
                 got.add((r, s))
     want = {(r, s) for r in range(0, 11) for s in range(0, 11) if r <= 2 * s}
     ok = got == want

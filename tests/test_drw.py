@@ -181,6 +181,48 @@ def test_partitions_counts():
         enumerate_partitions(w2, 3)
 
 
+# _ref_partitions is drw._partitions as it stood before the support cut:
+# compositions of |supp| into i parts behind an empty I_0, then into i + 1
+# parts.  Kept (renamed) as the reference.
+
+def _ref_partitions(supp, i):
+    L = len(supp)
+
+    def compos(total, parts):
+        if parts == 0:
+            if total == 0:
+                yield ()
+            return
+        for first in range(1, total - parts + 2):
+            for rest in compos(total - first, parts - 1):
+                yield (first,) + rest
+
+    def cut(sizes, with_empty_head):
+        blocks = []
+        pos = 0
+        if with_empty_head:
+            blocks.append(())
+        for s in sizes:
+            blocks.append(supp[pos:pos + s])
+            pos += s
+        return tuple(blocks)
+
+    if i == 0:
+        return [(supp,)]
+    return ([cut(sizes, True) for sizes in compos(L, i)]
+            + [cut(sizes, False) for sizes in compos(L, i + 1)])
+
+
+@pytest.mark.parametrize("size", range(8))
+def test_partitions_match_the_composition_reference(size):
+    """The support cut gives the compositions' lists in the same order, for
+    every degree up to 8, on a support in index order and on a shuffled one."""
+    for supp in (tuple(range(size)), tuple(random.Random(size).sample(
+            range(2 * size), size))):
+        for i in range(9):
+            assert _partitions(supp, i) == _ref_partitions(supp, i), (supp, i)
+
+
 def test_act_d_with_empty_head_is_zero():
     w = Weight(2, 2, {0: (1, 0), 1: (1, 0)})
     e = basis_element(2, 2, 2, w.key(), ((), (0,), (1,)))

@@ -369,18 +369,18 @@ def test_generation_operators_are_global():
         atlas = ChartAtlas(d)
         # y_{ab}^[s] for s <= p: plain divided derivatives in the chart V_a
         for s in range(1, p + 1):
-            assert is_global(y_operator(0, 1, s, d, p), atlas, 2 * p + 2)
+            assert is_global(y_operator(0, 1, s, d, p), atlas)
         # the corrected p-th power T_{ax}^(p-1) y_{xa}^[p], one chart variable
         e = [0] * d
         e[0] = p - 1
         r = [0] * d
         r[0] = p
         op = ChartOperator(0, WeylElement.monomial(p, 1, d, e, r))
-        assert is_global(op, atlas, 2 * p + 2)
+        assert is_global(op, atlas)
         # single derivatives y_{xa}
         op = ChartOperator(0, WeylElement.monomial(p, 1, d, [0] * d,
                                                    [1] + [0] * (d - 1)))
-        assert is_global(op, atlas, 2 * p + 2)
+        assert is_global(op, atlas)
 
 
 # -- the move-table search against the generator search it replaced ------------

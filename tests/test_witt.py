@@ -12,9 +12,8 @@ from wittkit.rings import (
     ScaleExceeded,
     VariableMismatch,
 )
-from wittkit.sparse import (IntegralityFailure, _cut, _kronecker, _pmul,
-                            _ppow, _segments, _slot_width, _unpack,
-                            add_into)
+from wittkit.sparse import (IntegralityFailure, _cut, _kronecker, _ppow,
+                            _segments, _unpack, add_into)
 from wittkit.witt import (
     NotInImage,
     TorsionRing,
@@ -22,6 +21,7 @@ from wittkit.witt import (
     _binop,
     _from_ghosts,
     _ghost_from_covers,
+    _ghost_level,
     _ghosts,
     _ghost_inverse,
     _MAX_POLY_COST,
@@ -1040,14 +1040,12 @@ def test_property_packed_kernel_matches_tuple_route(data):
     max_exp = data.draw(st.integers(0, 6))
     k = data.draw(st.integers(1, 5))
     a = data.draw(sparse_polys(nvars, max_exp))
-    b = data.draw(sparse_polys(nvars, max_exp))
-    base = max(2, k) * max_exp + 1  # above every exponent of a*b and a^k
+    base = max(2, k) * max_exp + 1  # above every exponent of a^2 and a^k
     w = data.draw(st.sampled_from([2, 3, 5]))
     segs = _segmentations(nvars, (nvars + 1) // 2, base, w)  # Y_0 mid-way
-    pa, pb = _pack(a, base), _pack(b, base)
+    pa = _pack(a, base)
     assert _unpack(pa, base, nvars) == a
-    assert _unpack(_pmul(pa, pb, base, segs), base, nvars) == _tuple_mul(a, b)
-    assert _ppow(pa, 2, base, segs) == _pmul(pa, pa, base, segs)
+    assert _unpack(_ppow(pa, 2, base, segs), base, nvars) == _tuple_mul(a, a)
     assert _unpack(_ppow(pa, k, base, segs), base, nvars) == _tuple_pow(a, k)
 
 
@@ -1085,6 +1083,14 @@ def _segmentations(nvars, ny, base, w):
     """The two candidates of witt._layout in nvars variables: (Y_0, X_0, 1)
     with Y_0 the variable ny (absent when ny = nvars), and (X_0, X_1, w)."""
     return (base ** ny, 1, 1), (1, base, w)
+
+
+def _slot_width(a, b):
+    """Bits of a signed slot that holds every coefficient of a * b: each is
+    a sum of at most min(#a, #b) products."""
+    def bits(poly):
+        return max(map(abs, poly.values()), default=0).bit_length()
+    return bits(a) + bits(b) + min(len(a), len(b)).bit_length() + 2
 
 
 def _segmented(a, b, base, seg, acc=None, k=1):
@@ -1151,11 +1157,11 @@ def test_property_segmented_product_matches_tuple_route(data):
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_property_products_add_into_an_accumulator(data):
-    """_pmul and _ppow with an accumulator add k times the product into it
-    exactly as add_into does, cancelled terms left as zeros.  The dispatch
-    mostly falls back to the term-by-term loops on these operands, so both
-    segmentations are also forced, as _segmented does, and _ppow is also
-    given one candidate at a time."""
+    """_ppow and the segmented product with an accumulator add k times the
+    power or product into it exactly as add_into does, cancelled terms left
+    as zeros.  The dispatch mostly falls back to the term-by-term loops on
+    these operands, so both segmentations are also forced, as _segmented
+    does, and _ppow is also given one candidate at a time."""
     nvars = data.draw(st.integers(1, 6))
     ny = data.draw(st.integers(1, nvars))
     w = data.draw(st.sampled_from([2, 3, 5]))
@@ -1180,15 +1186,42 @@ def test_property_products_add_into_an_accumulator(data):
         assert run(acc) is acc
         assert acc == want  # zeros included
 
-    for f, args in ((_pmul, (pa, pb)), (_ppow, (pa, 2)),
-                    (_ppow, (pa, power))):
-        lands(lambda acc: f(*args, base, segs, acc, k), f(*args, base, segs))
+    for exponent in (2, power):
+        lands(lambda acc: _ppow(pa, exponent, base, segs, acc, k),
+              _ppow(pa, exponent, base, segs))
     for seg in segs:
         for other in (pb, None):
             lands(lambda acc: _segmented(pa, other, base, seg, acc, k),
                   _segmented(pa, other, base, seg))
         lands(lambda acc: _ppow(pa, power, base, (seg,), acc, k),
               _ppow(pa, power, base, (seg,)))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_property_ghost_level_adds_the_signed_p_th_powers(data):
+    """_ghost_level adds sign * sum_j p^j powers[j]^p into a pre-filled acc,
+    as add_into adds the tuple-route powers, and raises each powers[j] in
+    place; at the top level i = n - 1 it drops them instead."""
+    p = data.draw(st.sampled_from([2, 3]))
+    n = data.draw(st.integers(2, 4))
+    i = data.draw(st.integers(0, n - 1))
+    sign = data.draw(st.sampled_from([1, -1]))
+    base = _pack_base(p, n)  # exponents <= 2 stay below base after ^p
+    polys = [data.draw(segment_polys(2 * n, n, p, 2)) for _ in range(i)]
+    powers = [_pack(a, base) for a in polys]
+    acc = data.draw(st.dictionaries(
+        st.integers(0, base ** (2 * n) - 1), big_coefficients, max_size=4))
+    want = dict(acc)
+    for j, a in enumerate(polys):
+        add_into(want, _pack(_tuple_pow(a, p), base).items(), sign * p ** j)
+    _ghost_level(powers, p, n, acc, sign)
+    assert acc == want  # zeros included
+    if i == n - 1:
+        assert powers == [None] * i
+    else:
+        assert [_unpack(f, base, 2 * n) for f in powers] == \
+            [_tuple_pow(a, p) for a in polys]
 
 
 def test_segmented_product_borrows_from_negative_slots():
@@ -1283,9 +1316,8 @@ def test_segmented_routes_of_sum_and_product_polys(monkeypatch):
             [("_kronecker",)] * products + [("_cut", segs[seg])]
         routes.clear()
         _ppow(a, 2, base, segs)
-        _pmul(a, a, base, segs)
         assert [r for r in routes if r[0] != "_segments"] == \
-            [("_kronecker",), ("_cut", segs[seg])] * 2
+            [("_kronecker",), ("_cut", segs[seg])]
     # X_2^k for k = 1..4: each monomial is a group of its own under both
     base, segs = _layout(5, 4)
     a = {k * base ** 2: 1 for k in range(1, 5)}
@@ -1294,8 +1326,7 @@ def test_segmented_routes_of_sum_and_product_polys(monkeypatch):
     assert routes == [("_segments", s) for s in segs] + [("_terms",)] * 3
     routes.clear()
     _ppow(a, 2, base, segs)
-    _pmul(a, a, base, segs)
-    assert [r for r in routes if r[0] != "_segments"] == [("_terms",)] * 2
+    assert [r for r in routes if r[0] != "_segments"] == [("_terms",)]
 
 
 # -- one ghost round trip per operation, against the routes it replaced --------
